@@ -7,13 +7,22 @@ Two independent routes compute the same object:
   unique UCP extension to the block's representation; blocks with a unique
   extension are boundary representations, and the ideal supported on the
   complement is the candidate minimal boundary ideal;
-* the *lattice route* tests every block ideal directly for the boundary
-  property (existence of a UCP left inverse to the quotient on the system)
-  and takes the maximum passing ideal.
+* the *lattice route* tests block ideals directly for the boundary property
+  (existence of a UCP left inverse to the quotient on the system).  Boundary
+  ideals are exactly the ideals inside the Šilov ideal, a down-set with a
+  maximum, so only the trivial ideals, the singletons and the union of the
+  singletons that survive the exact norm-drop probe need a verdict.
 
 Both produce certificates.  :func:`cstar_envelope` runs both, insists they
 agree, builds the quotient and the enveloping block algebra, and optionally
 runs a matrix-level norm falsifier against the result as a third check.
+
+Structure decides before any search does.  A simple algebra (one block) has
+Šilov ideal 0, and its only block is boundary because every
+finite-dimensional system has at least one boundary representation, so the
+representation route runs no probe.  A quotient that kills no block is the
+Wedderburn *-isomorphism onto its image, hence completely isometric, so the
+falsifier is recorded as vacuous instead of run.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from .wedderburn import (
     BlockIdeal,
     QuotientMap,
     WedderburnData,
-    enumerate_ideals,
     quotient_map,
     wedderburn_decompose,
 )
@@ -157,7 +165,11 @@ class DkCertificate:
 
 @dataclass(frozen=True)
 class LatticeCertificate:
-    """Lattice-route certificate: feasibility verdict for every block ideal.
+    """Lattice-route certificate: feasibility verdict for every tested ideal.
+
+    The tested ideals are the empty and the full ideal, every singleton, and
+    the union of the singletons the norm-drop probe left standing (plus, if
+    that union fails, the union of the singletons that pass on their own).
 
     ``witness`` holds the left-inverse Choi blocks certifying the maximal
     passing ideal (one matrix per surviving block).
@@ -181,7 +193,13 @@ def boundary_representations(
     trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DkCertificate:
-    """Probe every block for the unique-extension property."""
+    """Probe every block for the unique-extension property.
+
+    A simple algebra needs no probe: its only block is boundary, because a
+    finite-dimensional system has at least one boundary representation.
+    """
+    if W.num_blocks == 1:
+        return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
     for label in W.labels:
         spec = build_extension_spectrahedron(E, W, label, tol)
@@ -375,26 +393,50 @@ def silov_ideal_lattice(
 ) -> tuple[BlockIdeal, LatticeCertificate]:
     """Minimal boundary ideal as the maximum of the boundary-ideal lattice.
 
-    Every block ideal is evaluated, largest first, so that a passing ideal
-    hands exact restricted certificates to all its sub-ideals and only the
-    maximal passers need the feasibility engine.  The passing set must be
-    monotone (subsets of boundary ideals are boundary ideals) and must have
-    a unique maximum containing all other passers; violations indicate
-    broken numerics, not mathematics, and raise.
+    A block ideal is boundary exactly when it lies inside the Šilov ideal,
+    so the maximum is the union of the boundary singletons.  The route tests
+    the empty and the full ideal, refutes singletons with the exact
+    norm-drop probe, and tests the union U of the singletons left standing
+    with one feasibility call.  If U passes, each of its singletons gets an
+    exact certificate restricted from U's left inverse.  If U fails, each
+    candidate singleton is tested on its own and the union of the passers
+    must pass.  Over the tested ideals the verdicts must be monotone
+    (subsets of boundary ideals are boundary ideals) with a maximum
+    containing every passer; violations indicate broken numerics, not
+    mathematics, and raise.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
-    passed: dict[frozenset[int], FeasibilityResult] = {}
-    order = sorted(enumerate_ideals(W), key=lambda i: (-len(i.killed), sorted(i.killed)))
-    for ideal in order:
-        killed = ideal.killed
-        sup = next((s for s in passed if killed < s), None)
-        if sup is not None:
-            res = _restricted_left_inverse(E, W, killed, sup, passed[sup], tol)
-        else:
-            res = is_boundary_ideal_ucp(E, W, killed, tol=tol, cap=cap)
-        verdicts[killed] = res
-        if res.feasible and res.method != "restriction":
-            passed[killed] = res
+
+    def verdict(killed: frozenset[int]) -> FeasibilityResult:
+        if killed not in verdicts:
+            verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol, cap=cap)
+        return verdicts[killed]
+
+    verdict(frozenset())
+    verdict(frozenset(W.labels))
+    candidates = []
+    if W.num_blocks > 1:
+        for j in W.labels:
+            single = frozenset({j})
+            drop = _norm_drop_probe(E, W, single, tol)
+            if drop is None:
+                candidates.append(single)
+            else:
+                verdicts[single] = FeasibilityResult(False, None, drop, 0, "norm-drop")
+    union = frozenset().union(*candidates)
+    if verdict(union).feasible:
+        for single in candidates:
+            if single != union:
+                verdicts[single] = _restricted_left_inverse(
+                    E, W, single, union, verdicts[union], tol
+                )
+    else:
+        union = frozenset().union(*(s for s in candidates if verdict(s).feasible))
+        if not verdict(union).feasible:
+            raise StructuralError(
+                f"boundary singletons {sorted(union)} pass one by one but their "
+                "union fails the boundary test"
+            )
     passing = tuple(sorted((k for k, v in verdicts.items() if v.feasible), key=sorted))
     failing = tuple(sorted((k for k, v in verdicts.items() if not v.feasible), key=sorted))
     iterations = sum(v.iterations for v in verdicts.values())
@@ -420,7 +462,12 @@ def silov_ideal_lattice(
 
 @dataclass(frozen=True)
 class FalsifierReport:
-    """Outcome of the matrix-level isometry falsifier."""
+    """Outcome of the matrix-level isometry falsifier.
+
+    ``reason`` is ``"searched"`` for a report of an actual search and
+    ``"injective"`` for the vacuous report of a quotient that kills no
+    block: no level is searched, no chain runs, and the gap is exactly 0.
+    """
 
     violation: bool
     level: int | None
@@ -429,6 +476,7 @@ class FalsifierReport:
     levels_searched: tuple[int, ...]
     trials: int
     iterations: int
+    reason: str = "searched"
 
 
 def _unit_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -626,7 +674,9 @@ def cstar_envelope(
 
     Raises :class:`RouteDisagreementError` when the routes disagree and
     :class:`VerificationError` when the falsifier finds a norm drop through
-    the accepted quotient; either means the result cannot be trusted.
+    the accepted quotient; either means the result cannot be trusted.  When
+    the accepted ideal kills no block, the falsifier is recorded as vacuous
+    (reason ``"injective"``) instead of run.
     """
     from .errors import RouteDisagreementError
 
@@ -647,7 +697,11 @@ def cstar_envelope(
     basis_images = [q.apply(b) for b in E.space.basis]
     embed = LinearMap(domain=E.space, values=np.stack(basis_images), target_dim=q.target_dim)
     falsifier = None
-    if run_falsifier:
+    if run_falsifier and not ideal.killed:
+        # the quotient is the validated Wedderburn *-isomorphism onto its
+        # image, so it is completely isometric and no norm can drop
+        falsifier = FalsifierReport(False, None, 0.0, None, (), 0, 0, reason="injective")
+    elif run_falsifier:
         falsifier = falsify_complete_isometry(
             E, q, seed=seed, trials=falsifier_trials, iters=falsifier_iters, tol=tol
         )

@@ -33,6 +33,8 @@ from .linalg import DEFAULT_TOL
 from .specio import (
     SCHEMA,
     VERSION,
+    _flags_dict,
+    _tol_dict,
     analysis_report,
     atomic_write_text,
     dump_report,
@@ -396,19 +398,8 @@ def cmd_verify_all(args) -> int:
         "kind": "summary",
         "version": VERSION,
         "seed": config.seed,
-        "tolerances": {
-            "tol_rank": config.tol.tol_rank,
-            "tol_psd": config.tol.tol_psd,
-            "tol_herm": config.tol.tol_herm,
-            "tol_ortho": config.tol.tol_ortho,
-            "tol_sep": config.tol.tol_sep,
-            "tol_norm": config.tol.tol_norm,
-        },
-        "flags": {
-            "falsifier_trials": config.falsifier_trials,
-            "uniqueness_trials": config.uniqueness_trials,
-            "max_ambient_product": config.max_ambient_product,
-        },
+        "tolerances": _tol_dict(config.tol),
+        "flags": _flags_dict(config),
         "systems": sys_rows,
         "pairs": pair_rows,
         "failures": counts,

@@ -47,23 +47,22 @@ class Tolerances:
     """Tolerance profile threaded through every numerical decision.
 
     ``tol_rank`` controls rank/membership decisions (relative), ``tol_psd``
-    positivity floors, ``tol_herm`` Hermiticity checks, ``tol_ortho``
-    orthonormality checks, ``tol_sep`` the separation threshold between
-    distinct points of a spectrahedron, and ``tol_norm`` the operator-norm
-    drop threshold used by the isometry falsifier.  Decision thresholds
-    (``tol_sep``, ``tol_norm``) sit three orders of magnitude above the
-    arithmetic tolerances so that rounding noise cannot flip a decision.
+    positivity floors, ``tol_herm`` Hermiticity checks, ``tol_sep`` the
+    separation threshold between distinct points of a spectrahedron, and
+    ``tol_norm`` the operator-norm drop threshold used by the isometry
+    falsifier.  Decision thresholds (``tol_sep``, ``tol_norm``) sit three
+    orders of magnitude above the arithmetic tolerances so that rounding
+    noise cannot flip a decision.
     """
 
     tol_rank: float = 1e-9
     tol_psd: float = 1e-9
     tol_herm: float = 1e-9
-    tol_ortho: float = 1e-9
     tol_sep: float = 1e-6
     tol_norm: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_psd", "tol_herm", "tol_ortho", "tol_sep", "tol_norm"):
+        for name in ("tol_rank", "tol_psd", "tol_herm", "tol_sep", "tol_norm"):
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
                 raise InputError(f"{name} must lie in (0, 1), got {val!r}")

@@ -93,20 +93,20 @@ def propagation_number(
             f"power span dimension {chain[-1]} overshot the envelope dimension {env_dim}"
         )
 
-    ambient_chain = [E.dim]
-    current = E.space
-    while True:
-        nxt = product_span(current, E.space, tol)
-        if nxt.dim == ambient_chain[-1]:
-            break
-        ambient_chain.append(nxt.dim)
-        current = nxt
+    # the generated algebra's chain is this iteration in the ambient, ending
+    # with the repeated dimension that showed it had stabilized
+    ambient_chain = env.algebra.chain[:-1]
+    if len(env.algebra.chain) < 2 or ambient_chain[0] != E.dim:
+        raise StructuralError(
+            f"the envelope's algebra carries no power-span chain of the system "
+            f"(chain {env.algebra.chain}, system dimension {E.dim})"
+        )
 
     return PropResult(
         value=len(chain),
         chain=tuple(chain),
         envelope_dim=env_dim,
-        ambient_chain=tuple(ambient_chain),
+        ambient_chain=ambient_chain,
     )
 
 

@@ -77,6 +77,8 @@ def _real_array(entry, n: int, where: str, src: str) -> np.ndarray:
         raise InputError(f"{src}: {where} is not a numeric array: {exc}") from None
     if arr.shape != (n, n):
         raise InputError(f"{src}: {where} must be a {n}x{n} array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{src}: {where} has a non-finite entry (NaN or infinity)")
     return arr
 
 
@@ -158,7 +160,6 @@ def _tol_dict(tol: Tolerances) -> dict:
         "tol_rank": tol.tol_rank,
         "tol_psd": tol.tol_psd,
         "tol_herm": tol.tol_herm,
-        "tol_ortho": tol.tol_ortho,
         "tol_sep": tol.tol_sep,
         "tol_norm": tol.tol_norm,
     }
@@ -206,6 +207,7 @@ def _falsifier_dict(rep: FalsifierReport) -> dict:
         "levels_searched": list(rep.levels_searched),
         "trials": int(rep.trials),
         "iterations": int(rep.iterations),
+        "reason": rep.reason,
         "witness": None if rep.witness is None else _complex_payload(rep.witness),
     }
 
@@ -215,6 +217,8 @@ def analysis_report(sa: SystemAnalysis) -> dict:
 
     A report with ``agreement`` false always carries both route
     certificates; the consumer decides what to do with the disagreement.
+    ``"timing"`` holds iteration counts per stage, not seconds, so that the
+    report stays byte-deterministic.
     """
     falsifier = sa.envelope.falsifier if sa.envelope is not None else None
     report = {

@@ -421,7 +421,9 @@ def verify_envelope_tensor_factorization(
         run_falsifier=run_falsifier,
         falsifier_trials=falsifier_trials,
         falsifier_iters=falsifier_iters,
-        algebra=P.wedderburn.algebra,
+        # the generated algebra, not the synthetic one: it carries the power-span
+        # chain that the product's propagation number reports
+        algebra=prod_alg,
         wedderburn=P.wedderburn,
     )
     K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal, tol)

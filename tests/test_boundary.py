@@ -17,7 +17,13 @@ from cstarenv.boundary import (
     silov_ideal_lattice,
 )
 from cstarenv.linalg import DEFAULT_TOL, op_norm
-from cstarenv.wedderburn import BlockIdeal, quotient_map
+from cstarenv.opsys import generated_cstar, opsys_from_generators
+from cstarenv.wedderburn import (
+    BlockIdeal,
+    enumerate_ideals,
+    quotient_map,
+    wedderburn_decompose,
+)
 
 from _oracles import random_complex
 
@@ -104,6 +110,88 @@ def test_lattice_route_on_state_sum(system, wedderburn):
     assert float(spec.affine_residual(packed[np.newaxis, :])[0]) < 1e-8 * scale
     for m in cert.witness:
         assert float(np.linalg.eigvalsh(m)[0]) > -1e-9
+
+
+def assert_exact_left_inverse(E, W, killed, certificate):
+    """The Choi blocks invert the quotient by ``killed`` on the system and are PSD."""
+    spec = build_left_inverse_spectrahedron(E, W, killed, DEFAULT_TOL)
+    packed = spec.pack_tuple(list(certificate))
+    scale = max(1.0, float(np.linalg.norm(spec.rhs)))
+    assert float(spec.affine_residual(packed[np.newaxis, :])[0]) < 1e-8 * scale
+    for m in certificate:
+        assert float(np.linalg.eigvalsh(m)[0]) > -1e-9
+
+
+def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
+    # g = J_2 (+) diag(3 scalars inside the numerical range of J_2, the disk
+    # of radius 1/2, and one on the unit circle): the inner blocks are killed
+    inner = [0.3, -0.2j, 0.25 * np.exp(2j)]
+    lam = inner + [np.exp(0.7j)]
+    n = 2 + len(lam)
+    g = np.zeros((n, n), dtype=complex)
+    g[0, 1] = 1.0
+    g[2:, 2:] = np.diag(lam)
+    E = opsys_from_generators(n, [g])
+    W = wedderburn_decompose(generated_cstar(E))
+    assert W.num_blocks == 5
+    inner_labels = frozenset(
+        j
+        for j in W.labels
+        if W.blocks[j - 1][0] == 1 and abs(W.irrep_apply(j, g)[0, 0]) < 0.5
+    )
+    assert len(inner_labels) == 3
+
+    ideal, cert = silov_ideal_lattice(E, W)
+    assert ideal.killed == cert.maximal == inner_labels
+    # only the trivial ideals, the five singletons and their surviving union
+    singles = {frozenset({j}) for j in W.labels}
+    assert set(cert.passing) == {frozenset(), inner_labels} | {
+        s for s in singles if s <= inner_labels
+    }
+    assert set(cert.failing) == {frozenset(W.labels)} | {
+        s for s in singles if not s <= inner_labels
+    }
+
+    oracle = {
+        i.killed
+        for i in enumerate_ideals(W)
+        if is_boundary_ideal_ucp(E, W, i.killed).feasible
+    }
+    assert oracle == {i.killed for i in enumerate_ideals(W) if i.killed <= cert.maximal}
+
+    assert_exact_left_inverse(E, W, cert.maximal, cert.witness)
+    # each passing sub-ideal inherits the maximal witness with the blocks it
+    # keeps in addition set to zero
+    by_label = dict(zip(sorted(set(W.labels) - cert.maximal), cert.witness))
+    for killed in cert.passing:
+        restricted = [
+            by_label.get(j, np.zeros((W.blocks[j - 1][0] * n,) * 2, dtype=complex))
+            for j in W.labels
+            if j not in killed
+        ]
+        assert_exact_left_inverse(E, W, killed, restricted)
+
+
+def test_simple_algebras_skip_the_probe_and_the_falsifier(analyses):
+    for name in ("full_M2", "jordan_M2", "random_03"):
+        a = analyses(name)
+        assert a.wedderburn.num_blocks == 1, name
+        (block,) = a.dk_certificate.per_block
+        assert block.unique and block.method == "simple" and block.iterations == 0, name
+        rep = a.envelope.falsifier
+        assert not rep.violation and rep.reason == "injective", name
+        assert rep.iterations == 0 and rep.levels_searched == () and rep.gap == 0.0, name
+        assert set(a.lattice_certificate.passing) == {frozenset()}, name
+        assert set(a.lattice_certificate.failing) == {frozenset({1})}, name
+
+
+def test_state_sum_still_probes_and_searches(analyses):
+    a = analyses("state_sum")
+    assert [b.label for b in a.dk_certificate.per_block] == [1, 2]
+    assert all(b.method != "simple" for b in a.dk_certificate.per_block)
+    rep = a.envelope.falsifier
+    assert rep.reason == "searched" and not rep.violation
+    assert rep.levels_searched == (1, 2) and rep.iterations > 0
 
 
 def test_passing_set_is_downward_closed(system, wedderburn):

@@ -101,6 +101,21 @@ def test_input_errors_exit_one(capsys, tmp_path):
     assert "wrong.json" in err
 
 
+def test_non_finite_entries_exit_one(capsys, tmp_path):
+    for bad_value in (float("nan"), float("inf")):
+        doc = {
+            "schema": "v1",
+            "name": "x",
+            "ambient_dim": 2,
+            "generators": [{"re": [[0.0, 1.0], [0.0, bad_value]], "im": [[0.0] * 2] * 2}],
+        }
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert "generators[0].re" in err and "non-finite" in err
+
+
 def test_bad_arguments_exit_one(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1 and "error:" in err

@@ -94,11 +94,21 @@ def test_propagation_max_on_equal_factors(pair_analyses):
     assert rep.verified
     assert rep.left.value == 2 and rep.right.value == 2
     assert rep.expected == 2 and rep.product.value == 2
+    # the product kills the pair (2, 1), so its falsifier really searches
+    assert rep.tensor_report.product_envelope.falsifier.reason == "searched"
+    # the product's ambient chain is read off its generated algebra; the
+    # word-span oracle must reproduce it, stabilization included
+    prod = rep.tensor_report.tensor.product
+    k = len(rep.product.ambient_chain)
+    dims = power_span_dims(list(prod.space.basis), prod.ambient, k + 1)
+    assert tuple(dims[:k]) == rep.product.ambient_chain and dims[k] == dims[k - 1]
 
 
 def test_propagation_max_on_unequal_factors(pair_analyses):
     rep = pair_analyses("full_M2", "jordan_M2").prop_max
     assert rep.verified
+    # M_2 (x) M_2 is simple: the product quotient is injective
+    assert rep.tensor_report.product_envelope.falsifier.reason == "injective"
     assert rep.left.value == 1 and rep.right.value == 2
     assert rep.expected == 2 and rep.product.value == 2
     # the product chain fills the tensored envelope

@@ -77,6 +77,11 @@ def test_extension_base_point_is_feasible(system, wedderburn):
         assert_exact_point(spec, spec.unpack_tuple(spec.J0))
 
 
+# full_M2 and jordan_M2 generate simple algebras, whose only block the
+# representation route declares boundary without a probe; these two tests
+# keep the probe as the oracle for that shortcut
+
+
 def test_fully_pinned_block_reports_unique(system, wedderburn):
     spec = build_extension_spectrahedron(
         system("full_M2"), wedderburn("full_M2")[1], 1
