@@ -1,11 +1,12 @@
 """End-to-end pipelines for single systems and tensor pairs.
 
 :func:`analyze_system` runs the whole single-system pipeline (generated
-algebra, block decomposition, both minimal-ideal routes, quotient, matrix
-falsifier, propagation) and keeps every intermediate object, so that pair
-pipelines can reuse the factor work instead of recomputing it.  A route
-disagreement does not raise here: it is recorded with both certificates so
-the caller can serialize them, as required of every report.
+algebra, block decomposition, both minimal-ideal routes, quotient with the
+isometry check of its left inverse, propagation) and keeps every
+intermediate object, so that pair pipelines can reuse the factor work
+instead of recomputing it.  A route disagreement does not raise here: it is
+recorded with both certificates so the caller can serialize them, as
+required of every report.
 
 :func:`analyze_pair` runs the four tensor-pair checks against two cached
 factor analyses: quotient factorization, boundary-pair closure, power-span
@@ -50,16 +51,15 @@ class AnalysisConfig:
     """Knobs threaded through every pipeline stage.
 
     Defaults match the command-line defaults so that a report produced
-    through the library and one produced through the front end agree.
+    through the library and one produced through the front end agree.  The
+    isometry of the minimal quotient is certified by the lattice route's
+    left inverse, which has no knob.
     """
 
     seed: int = 1
     tol: Tolerances = DEFAULT_TOL
     uniqueness_trials: int = 32
-    falsifier_trials: int = 1000
-    falsifier_iters: int = 80
     max_ambient_product: int = 36
-    run_falsifier: bool = True
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,6 @@ def analyze_system(
             seed=config.seed,
             trials=config.uniqueness_trials,
             tol=config.tol,
-            run_falsifier=config.run_falsifier,
-            falsifier_trials=config.falsifier_trials,
-            falsifier_iters=config.falsifier_iters,
             algebra=A,
             wedderburn=W,
         )
@@ -201,9 +198,6 @@ def analyze_pair(
         trials=config.uniqueness_trials,
         tol=config.tol,
         max_ambient_product=config.max_ambient_product,
-        run_falsifier=config.run_falsifier,
-        falsifier_trials=config.falsifier_trials,
-        falsifier_iters=config.falsifier_iters,
         left_envelope=left.envelope,
         right_envelope=right.envelope,
     )

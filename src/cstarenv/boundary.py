@@ -14,15 +14,17 @@ Two independent routes compute the same object:
   singletons that survive the exact norm-drop probe need a verdict.
 
 Both produce certificates.  :func:`cstar_envelope` runs both, insists they
-agree, builds the quotient and the enveloping block algebra, and optionally
-runs a matrix-level norm falsifier against the result as a third check.
+agree, builds the quotient and the enveloping block algebra, and re-checks
+the lattice route's left inverse ψ as the single isometry certificate: ψ is
+UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖``
+at every matrix level m and the quotient is completely isometric there.
+The norm falsifier :func:`falsify_complete_isometry` is evidence, not proof,
+and runs only when the feasibility search for an ideal stays undecided.
 
 Structure decides before any search does.  A simple algebra (one block) has
 Šilov ideal 0, and its only block is boundary because every
 finite-dimensional system has at least one boundary representation, so the
-representation route runs no probe.  A quotient that kills no block is the
-Wedderburn *-isomorphism onto its image, hence completely isometric, so the
-falsifier is recorded as vacuous instead of run.
+representation route runs no probe.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ __all__ = [
     "DkCertificate",
     "LatticeCertificate",
     "FalsifierReport",
+    "IsometryCheck",
     "EnvelopeResult",
     "build_extension_spectrahedron",
     "build_left_inverse_spectrahedron",
@@ -324,6 +327,14 @@ def is_boundary_ideal_ucp(
     drop = _norm_drop_probe(E, W, killed, tol)
     if drop is not None:
         return FeasibilityResult(False, None, drop, 0, "norm-drop")
+    return _left_inverse_search(E, W, killed, tol, cap)
+
+
+def _left_inverse_search(
+    E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances, cap: int
+) -> FeasibilityResult:
+    """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left standing."""
+    kept = [j for j in W.labels if j not in killed]
     spec = build_left_inverse_spectrahedron(E, W, killed, tol)
     n = E.space.ambient
     k = len(kept)
@@ -342,6 +353,38 @@ def is_boundary_ideal_ucp(
                 False, None, report.gap, report.iterations, "falsifier"
             )
         raise InconclusiveError(f"ideal {sorted(killed)}: {exc}") from None
+
+
+def _interpolation_residual(
+    E: OperatorSystem,
+    W: WedderburnData,
+    killed: frozenset[int],
+    choi: list[np.ndarray] | tuple[np.ndarray, ...],
+    tol: Tolerances,
+    error: type[Exception],
+) -> float:
+    """Check that the Choi blocks ``choi`` (one per block ``killed`` keeps)
+    give a map ψ with ψ∘q = h for every ``h`` in the Hermitian basis.
+
+    Returns the largest Hilbert-Schmidt residual and raises ``error`` when
+    it exceeds ``10·tol_rank·max(1, n)``.
+    """
+    n = E.space.ambient
+    kept = [j for j in W.labels if j not in killed]
+    resid = 0.0
+    for h in hermitian_basis(E.space, tol=tol):
+        out = np.zeros((n, n), dtype=np.complex128)
+        for j, c in zip(kept, choi):
+            d = W.blocks[j - 1][0]
+            x = W.irrep_apply(j, h)
+            out += np.einsum("kl,kalb->ab", x, c.reshape(d, n, d, n))
+        resid = max(resid, float(np.linalg.norm(out - h)))
+    if resid > 10 * tol.tol_rank * max(1.0, float(n)):
+        raise error(
+            f"left inverse for the ideal {sorted(killed)} fails to interpolate "
+            f"the system (residual {resid:.3e})"
+        )
+    return resid
 
 
 def _restricted_left_inverse(
@@ -368,19 +411,7 @@ def _restricted_left_inverse(
     for j in kept:
         d = W.blocks[j - 1][0]
         cert.append(by_label.get(j, np.zeros((d * n, d * n), dtype=np.complex128)))
-    resid = 0.0
-    for h in hermitian_basis(E.space, tol=tol):
-        out = np.zeros((n, n), dtype=np.complex128)
-        for j, choi in zip(kept, cert):
-            d = W.blocks[j - 1][0]
-            x = W.irrep_apply(j, h)
-            out += np.einsum("kl,kalb->ab", x, choi.reshape(d, n, d, n))
-        resid = max(resid, float(np.linalg.norm(out - h)))
-    if resid > 10 * tol.tol_rank * max(1.0, float(n)):
-        raise StructuralError(
-            f"restricted left inverse for {sorted(killed)} from {sorted(sup_killed)} "
-            f"fails to interpolate (residual {resid:.3e})"
-        )
+    resid = _interpolation_residual(E, W, killed, cert, tol, StructuralError)
     return FeasibilityResult(True, cert, resid, 0, "restriction")
 
 
@@ -406,15 +437,18 @@ def silov_ideal_lattice(
     mathematics, and raise.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
+    candidates = []  # singletons the norm-drop probe already left standing
 
     def verdict(killed: frozenset[int]) -> FeasibilityResult:
         if killed not in verdicts:
-            verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol, cap=cap)
+            if killed in candidates:
+                verdicts[killed] = _left_inverse_search(E, W, killed, tol, cap)
+            else:
+                verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol, cap=cap)
         return verdicts[killed]
 
     verdict(frozenset())
     verdict(frozenset(W.labels))
-    candidates = []
     if W.num_blocks > 1:
         for j in W.labels:
             single = frozenset({j})
@@ -462,12 +496,7 @@ def silov_ideal_lattice(
 
 @dataclass(frozen=True)
 class FalsifierReport:
-    """Outcome of the matrix-level isometry falsifier.
-
-    ``reason`` is ``"searched"`` for a report of an actual search and
-    ``"injective"`` for the vacuous report of a quotient that kills no
-    block: no level is searched, no chain runs, and the gap is exactly 0.
-    """
+    """Outcome of the matrix-level isometry falsifier."""
 
     violation: bool
     level: int | None
@@ -476,7 +505,6 @@ class FalsifierReport:
     levels_searched: tuple[int, ...]
     trials: int
     iterations: int
-    reason: str = "searched"
 
 
 def _unit_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -608,6 +636,15 @@ def falsify_complete_isometry(
 
 
 @dataclass(frozen=True)
+class IsometryCheck:
+    """Numbers of the check of the lattice witness ψ: the largest residual
+    ‖ψ(q(h)) − h‖ over the Hermitian basis and the least Choi eigenvalue."""
+
+    residual: float
+    min_eig: float
+
+
+@dataclass(frozen=True)
 class EnvelopeResult:
     """The minimal quotient of a system, with both routes' certificates."""
 
@@ -620,7 +657,7 @@ class EnvelopeResult:
     embed: LinearMap
     dk_certificate: DkCertificate
     lattice_certificate: LatticeCertificate
-    falsifier: FalsifierReport | None
+    isometry: IsometryCheck
 
     @property
     def boundary_labels(self) -> frozenset[int]:
@@ -633,10 +670,7 @@ class EnvelopeResult:
 
     @property
     def iterations(self) -> int:
-        total = self.dk_certificate.iterations + self.lattice_certificate.iterations
-        if self.falsifier is not None:
-            total += self.falsifier.iterations
-        return total
+        return self.dk_certificate.iterations + self.lattice_certificate.iterations
 
 
 def _envelope_algebra(W: WedderburnData, killed: frozenset[int]) -> CStarAlgebra:
@@ -664,19 +698,16 @@ def cstar_envelope(
     seed: int = 1,
     trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
-    run_falsifier: bool = True,
-    falsifier_trials: int = 16,
-    falsifier_iters: int = 80,
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
 ) -> EnvelopeResult:
     """Compute the minimal quotient by the two independent routes.
 
-    Raises :class:`RouteDisagreementError` when the routes disagree and
-    :class:`VerificationError` when the falsifier finds a norm drop through
-    the accepted quotient; either means the result cannot be trusted.  When
-    the accepted ideal kills no block, the falsifier is recorded as vacuous
-    (reason ``"injective"``) instead of run.
+    Raises :class:`RouteDisagreementError` when the routes disagree, and
+    :class:`VerificationError` when the lattice witness ψ, the isometry
+    certificate of the quotient, fails its check: ψ∘q = id on the system's
+    Hermitian basis within ``10·tol_rank·max(1, n)``, and every Choi block
+    of ψ with least eigenvalue at least ``-tol_psd``.
     """
     from .errors import RouteDisagreementError
 
@@ -692,24 +723,18 @@ def cstar_envelope(
             lattice_certificate=lat_cert,
         )
     ideal = dk_ideal
+    witness = lat_cert.witness
+    residual = _interpolation_residual(E, W, ideal.killed, witness, tol, VerificationError)
+    min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
+    if min_eig < -tol.tol_psd:
+        raise VerificationError(
+            f"left inverse for the ideal {sorted(ideal.killed)} is not completely "
+            f"positive (least Choi eigenvalue {min_eig:.3e})"
+        )
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
     basis_images = [q.apply(b) for b in E.space.basis]
     embed = LinearMap(domain=E.space, values=np.stack(basis_images), target_dim=q.target_dim)
-    falsifier = None
-    if run_falsifier and not ideal.killed:
-        # the quotient is the validated Wedderburn *-isomorphism onto its
-        # image, so it is completely isometric and no norm can drop
-        falsifier = FalsifierReport(False, None, 0.0, None, (), 0, 0, reason="injective")
-    elif run_falsifier:
-        falsifier = falsify_complete_isometry(
-            E, q, seed=seed, trials=falsifier_trials, iters=falsifier_iters, tol=tol
-        )
-        if falsifier.violation:
-            raise VerificationError(
-                "falsifier found a norm drop through the accepted minimal quotient: "
-                f"level {falsifier.level}, gap {falsifier.gap:.3e}"
-            )
     return EnvelopeResult(
         system=E,
         algebra=A,
@@ -720,5 +745,5 @@ def cstar_envelope(
         embed=embed,
         dk_certificate=dk_cert,
         lattice_certificate=lat_cert,
-        falsifier=falsifier,
+        isometry=IsometryCheck(residual, min_eig),
     )

@@ -85,12 +85,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-sep", type=float, default=None, help="point-separation threshold")
     p.add_argument("--tol-norm", type=float, default=None, help="norm-drop threshold")
     p.add_argument(
-        "--falsifier-trials",
-        type=int,
-        default=1000,
-        help="level-1 ascent chains for the isometry falsifier (default 1000)",
-    )
-    p.add_argument(
         "--uniqueness-trials",
         type=int,
         default=32,
@@ -156,15 +150,14 @@ def _config_from(args) -> AnalysisConfig:
     tol = DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
-    if args.falsifier_trials < 1 or args.uniqueness_trials < 1:
-        raise InputError("trial counts must be positive")
+    if args.uniqueness_trials < 1:
+        raise InputError("--uniqueness-trials must be positive")
     if args.max_ambient_product < 1:
         raise InputError("--max-ambient-product must be positive")
     return AnalysisConfig(
         seed=args.seed,
         tol=tol,
         uniqueness_trials=args.uniqueness_trials,
-        falsifier_trials=args.falsifier_trials,
         max_ambient_product=args.max_ambient_product,
     )
 

@@ -66,9 +66,7 @@ def propagation_number(
     stabilizing below it would contradict the quotient generating the
     envelope and raises.
     """
-    env = envelope if envelope is not None else cstar_envelope(
-        E, seed=seed, tol=tol, run_falsifier=False
-    )
+    env = envelope if envelope is not None else cstar_envelope(E, seed=seed, tol=tol)
     if env.system is not E and not subspace_equal(env.system.space, E.space, tol):
         raise InputError("envelope was computed for a different system")
     t = env.quotient.target_dim

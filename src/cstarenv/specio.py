@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PairAnalysis, SystemAnalysis
-from .boundary import DkCertificate, FalsifierReport, LatticeCertificate
+from .boundary import DkCertificate, IsometryCheck, LatticeCertificate
 from .errors import InputError
 from .linalg import Tolerances
 from .opsys import OperatorSystem, opsys_from_generators
@@ -108,7 +108,13 @@ def parse_system(doc, src: str = "<document>") -> SystemSpec:
             raise InputError(f"{src}: {where} must be an object with fields 're' and 'im'")
         re = _real_array(entry["re"], n, f"{where}.re", src)
         im = _real_array(entry["im"], n, f"{where}.im", src)
-        gens.append(re + 1j * im)
+        g = re + 1j * im
+        # finite entries can still overflow the Hilbert-Schmidt norm that
+        # every rank decision divides by
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(g)):
+                raise InputError(f"{src}: {where} has a norm that overflows to infinity")
+        gens.append(g)
     return SystemSpec(name=name, ambient_dim=n, generators=tuple(gens))
 
 
@@ -167,7 +173,6 @@ def _tol_dict(tol: Tolerances) -> dict:
 
 def _flags_dict(config) -> dict:
     return {
-        "falsifier_trials": config.falsifier_trials,
         "uniqueness_trials": config.uniqueness_trials,
         "max_ambient_product": config.max_ambient_product,
     }
@@ -199,17 +204,8 @@ def _lattice_payload(cert: LatticeCertificate) -> dict:
     }
 
 
-def _falsifier_dict(rep: FalsifierReport) -> dict:
-    return {
-        "violation": bool(rep.violation),
-        "level": None if rep.level is None else int(rep.level),
-        "gap": float(rep.gap),
-        "levels_searched": list(rep.levels_searched),
-        "trials": int(rep.trials),
-        "iterations": int(rep.iterations),
-        "reason": rep.reason,
-        "witness": None if rep.witness is None else _complex_payload(rep.witness),
-    }
+def _isometry_dict(check: IsometryCheck) -> dict:
+    return {"residual": float(check.residual), "min_eig": float(check.min_eig)}
 
 
 def analysis_report(sa: SystemAnalysis) -> dict:
@@ -218,9 +214,10 @@ def analysis_report(sa: SystemAnalysis) -> dict:
     A report with ``agreement`` false always carries both route
     certificates; the consumer decides what to do with the disagreement.
     ``"timing"`` holds iteration counts per stage, not seconds, so that the
-    report stays byte-deterministic.
+    report stays byte-deterministic.  ``"isometry"`` holds the numbers of
+    the left-inverse check that certifies the quotient completely
+    isometric, and is None when the routes disagreed.
     """
-    falsifier = sa.envelope.falsifier if sa.envelope is not None else None
     report = {
         "schema": SCHEMA,
         "kind": "analysis",
@@ -254,11 +251,10 @@ def analysis_report(sa: SystemAnalysis) -> dict:
                 "ambient_chain": list(sa.prop.ambient_chain),
             }
         ),
-        "falsifier": None if falsifier is None else _falsifier_dict(falsifier),
+        "isometry": None if sa.envelope is None else _isometry_dict(sa.envelope.isometry),
         "timing": {
             "dk_iterations": sa.dk_certificate.iterations,
             "lattice_iterations": sa.lattice_certificate.iterations,
-            "falsifier_iterations": 0 if falsifier is None else falsifier.iterations,
         },
         "certificates": {
             "dk": _dk_payload(sa.dk_certificate),
@@ -273,7 +269,10 @@ def _pairs_list(pairs) -> list:
 
 
 def pair_report(pa: PairAnalysis) -> dict:
-    """Tensor-pair report document aggregating the four checks."""
+    """Tensor-pair report document aggregating the four checks.
+
+    ``"isometry"`` holds the left-inverse check of the product's quotient.
+    """
     fac = pa.factorization
     bp = pa.boundary_pairs
     pw = pa.power
@@ -329,14 +328,8 @@ def pair_report(pa: PairAnalysis) -> dict:
             },
         },
         "passed": pa.verified,
-        "timing": {
-            "factorization_iterations": fac.iterations,
-            "product_falsifier_iterations": (
-                0
-                if fac.product_envelope.falsifier is None
-                else fac.product_envelope.falsifier.iterations
-            ),
-        },
+        "isometry": _isometry_dict(fac.product_envelope.isometry),
+        "timing": {"factorization_iterations": fac.iterations},
     }
     return report
 

@@ -363,9 +363,6 @@ def verify_envelope_tensor_factorization(
     trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
     max_ambient_product: int = 36,
-    run_falsifier: bool = True,
-    falsifier_trials: int = 16,
-    falsifier_iters: int = 80,
     left_envelope: EnvelopeResult | None = None,
     right_envelope: EnvelopeResult | None = None,
 ) -> TensorFactorizationReport:
@@ -384,22 +381,10 @@ def verify_envelope_tensor_factorization(
         )
     T = min_tensor(E, F, tol)
     env_E = left_envelope if left_envelope is not None else cstar_envelope(
-        E,
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        run_falsifier=run_falsifier,
-        falsifier_trials=falsifier_trials,
-        falsifier_iters=falsifier_iters,
+        E, seed=seed, trials=trials, tol=tol
     )
     env_F = right_envelope if right_envelope is not None else cstar_envelope(
-        F,
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        run_falsifier=run_falsifier,
-        falsifier_trials=falsifier_trials,
-        falsifier_iters=falsifier_iters,
+        F, seed=seed, trials=trials, tol=tol
     )
 
     prod_alg = generated_cstar(T.product, tol)
@@ -418,9 +403,6 @@ def verify_envelope_tensor_factorization(
         seed=seed,
         trials=trials,
         tol=tol,
-        run_falsifier=run_falsifier,
-        falsifier_trials=falsifier_trials,
-        falsifier_iters=falsifier_iters,
         # the generated algebra, not the synthetic one: it carries the power-span
         # chain that the product's propagation number reports
         algebra=prod_alg,

@@ -1,12 +1,17 @@
-"""Minimal boundary ideals: the two routes, the falsifier, the envelope.
+"""Minimal boundary ideals: the two routes, the falsifier, the envelope and
+the isometry check of its left inverse.
 
 Verdict-level expectations are frozen from independent hand analysis of the
 structured corpus members; witness-carrying results are re-verified from the
 raw certificate rather than trusted from the flag.
 """
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cstarenv import boundary
 from cstarenv.boundary import (
     boundary_representations,
     build_left_inverse_spectrahedron,
@@ -16,6 +21,7 @@ from cstarenv.boundary import (
     silov_ideal_dk,
     silov_ideal_lattice,
 )
+from cstarenv.errors import VerificationError
 from cstarenv.linalg import DEFAULT_TOL, op_norm
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.wedderburn import (
@@ -44,6 +50,11 @@ EXPECTED_KILLED = {
     "state_sum_s2": frozenset({2}),
     "state_sum_s3": frozenset({2}),
 }
+
+
+def interpolation_bound(E):
+    """The isometry check's residual bound, ``10·tol_rank·max(1, n)``."""
+    return 10 * DEFAULT_TOL.tol_rank * max(1.0, float(E.space.ambient))
 
 
 def lift_through(q, x, n):
@@ -178,9 +189,9 @@ def test_simple_algebras_skip_the_probe_and_the_falsifier(analyses):
         assert a.wedderburn.num_blocks == 1, name
         (block,) = a.dk_certificate.per_block
         assert block.unique and block.method == "simple" and block.iterations == 0, name
-        rep = a.envelope.falsifier
-        assert not rep.violation and rep.reason == "injective", name
-        assert rep.iterations == 0 and rep.levels_searched == () and rep.gap == 0.0, name
+        # the canonical left inverse of the injective quotient passes exactly
+        iso = a.envelope.isometry
+        assert iso.residual < 1e-12 and iso.min_eig > -1e-12, name
         assert set(a.lattice_certificate.passing) == {frozenset()}, name
         assert set(a.lattice_certificate.failing) == {frozenset({1})}, name
 
@@ -189,9 +200,12 @@ def test_state_sum_still_probes_and_searches(analyses):
     a = analyses("state_sum")
     assert [b.label for b in a.dk_certificate.per_block] == [1, 2]
     assert all(b.method != "simple" for b in a.dk_certificate.per_block)
-    rep = a.envelope.falsifier
-    assert rep.reason == "searched" and not rep.violation
-    assert rep.levels_searched == (1, 2) and rep.iterations > 0
+    # the lattice route searched for the left inverse that certifies the
+    # quotient, and the envelope re-checked it
+    assert a.lattice_certificate.iterations > 0
+    iso = a.envelope.isometry
+    assert iso.residual <= interpolation_bound(a.system)
+    assert iso.min_eig >= -DEFAULT_TOL.tol_psd
 
 
 def test_passing_set_is_downward_closed(system, wedderburn):
@@ -238,7 +252,8 @@ def test_envelope_of_state_sum(system):
     assert env.boundary_labels == frozenset({1})
     assert env.envelope_block_dims == (2,)
     assert env.quotient.target_dim == 2
-    assert env.falsifier is not None and not env.falsifier.violation
+    assert env.isometry.residual <= interpolation_bound(env.system)
+    assert env.isometry.min_eig >= -DEFAULT_TOL.tol_psd
     # the embedding is the quotient on the system, isometric at level one
     rng = np.random.default_rng(11)
     n = env.system.space.ambient
@@ -250,6 +265,91 @@ def test_envelope_of_state_sum(system):
         )
         x = np.einsum("k,kij->ij", c, env.system.space.basis)
         assert op_norm(env.embed.apply(x)) == pytest.approx(op_norm(x), abs=1e-8)
+
+
+def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses):
+    env = analyses("state_sum").envelope
+    product = pair_analyses("state_sum", "jordan_M2").factorization.product_envelope
+    assert env.ideal.killed and product.ideal.killed
+    for e in (env, product):
+        assert_exact_left_inverse(
+            e.system, e.wedderburn, e.ideal.killed, e.lattice_certificate.witness
+        )
+
+
+def shift_psd(E, W, killed, witness):
+    """Add a small positive multiple of the identity: still CP, no longer
+    a left inverse."""
+    return [witness[0] + 1e-3 * np.eye(witness[0].shape[0])] + witness[1:]
+
+
+def scale(E, W, killed, witness):
+    return [1.01 * c for c in witness]
+
+
+def indefinite_null_shift(E, W, killed, witness):
+    """Add ``t·(Yᵀ ⊗ 1)`` to the one kept Choi block, with Y a Hermitian
+    matrix orthogonal to q(E): the map changes by ``x ↦ t·tr(xY)·1``, which
+    vanishes on q(E), but Y is traceless (the unit lies in q(E)), so the sum
+    is no longer positive once t is large enough."""
+    (j,) = sorted(set(W.labels) - killed)
+    dj = W.blocks[j - 1][0]
+    images = np.stack([W.irrep_apply(j, b).ravel() for b in E.space.basis])
+    _, sv, vh = np.linalg.svd(np.conj(images))
+    y = vh[int(np.count_nonzero(sv > 1e-9))].reshape(dj, dj)
+    y = max(((y + y.conj().T) / 2, (y - y.conj().T) / 2j), key=np.linalg.norm)
+    for b in E.space.basis:
+        assert abs(np.trace(W.irrep_apply(j, b) @ y)) < 1e-12
+    d = np.kron(y.T, np.eye(E.space.ambient))
+    c = witness[0]
+    t = 2 * (np.linalg.eigvalsh(c)[-1] + 1) / -np.linalg.eigvalsh(d)[0]
+    return [c + t * d]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (shift_psd, "fails to interpolate"),
+        (scale, "fails to interpolate"),
+        (indefinite_null_shift, "not completely positive"),
+    ],
+)
+def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, message):
+    real = boundary.silov_ideal_lattice
+
+    def corrupted(E, W, **kwargs):
+        ideal, cert = real(E, W, **kwargs)
+        witness = corrupt(E, W, ideal.killed, list(cert.witness))
+        return ideal, replace(cert, witness=tuple(witness))
+
+    monkeypatch.setattr(boundary, "silov_ideal_lattice", corrupted)
+    with pytest.raises(VerificationError, match=message):
+        cstar_envelope(system("state_sum"))
+
+
+def test_envelope_never_runs_the_falsifier(system, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cstar_envelope ran the falsifier")
+
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", forbidden)
+    for name in ("state_sum", "full_M2"):
+        cstar_envelope(system(name))
+
+
+def test_lattice_route_probes_each_ideal_once(system, wedderburn, monkeypatch):
+    probed = Counter()
+    real = boundary._norm_drop_probe
+
+    def counting(E, W, killed, tol):
+        probed[frozenset(killed)] += 1
+        return real(E, W, killed, tol)
+
+    monkeypatch.setattr(boundary, "_norm_drop_probe", counting)
+    E = system("state_sum")
+    _, W = wedderburn("state_sum")
+    ideal, _ = silov_ideal_lattice(E, W)
+    assert ideal.killed == frozenset({2})
+    assert probed == Counter({frozenset({1}): 1, frozenset({2}): 1})
 
 
 def test_envelope_of_an_irreducible_system(system):

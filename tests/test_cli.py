@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cstarenv
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -114,6 +116,21 @@ def test_non_finite_entries_exit_one(capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1
         assert "generators[0].re" in err and "non-finite" in err
+
+
+def test_overflowing_generator_norm_exits_one(capsys, tmp_path):
+    # every entry is finite, but the Hilbert-Schmidt norm overflows
+    doc = {
+        "schema": "v1",
+        "name": "x",
+        "ambient_dim": 2,
+        "generators": [{"re": [[0.0, 1e300], [0.0, 0.0]], "im": [[0.0] * 2] * 2}],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "generators[0]" in err and "overflows" in err
 
 
 def test_bad_arguments_exit_one(capsys):
@@ -246,3 +263,15 @@ def test_console_script_entry_point(corpus_dir):
     )
     assert proc.returncode == 0
     assert "full_M1" in proc.stdout
+
+
+def test_package_runs_as_a_module(corpus_dir):
+    src = Path(cstarenv.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstarenv", "analyze", str(corpus_dir / "state_sum.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "CSTARENV_TOLERANCES": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "silov killed: dk [2] lattice [2] (agree)" in proc.stdout

@@ -4,6 +4,7 @@ import pytest
 
 from cstarenv.boundary import cstar_envelope
 from cstarenv.errors import InputError
+from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.propagation import propagation_number, verify_power_compatibility
 
 from _oracles import power_span_dims
@@ -64,7 +65,7 @@ def test_prop_result_invariants(analyses):
 
 
 def test_envelope_chain_matches_word_span_oracle(system):
-    env = cstar_envelope(system("jordan_M3_k1"), run_falsifier=False)
+    env = cstar_envelope(system("jordan_M3_k1"))
     p = propagation_number(system("jordan_M3_k1"), envelope=env)
     assert p.value == 3 and p.chain == (3, 7, 9)
     gens = list(env.embed.values)
@@ -94,8 +95,12 @@ def test_propagation_max_on_equal_factors(pair_analyses):
     assert rep.verified
     assert rep.left.value == 2 and rep.right.value == 2
     assert rep.expected == 2 and rep.product.value == 2
-    # the product kills the pair (2, 1), so its falsifier really searches
-    assert rep.tensor_report.product_envelope.falsifier.reason == "searched"
+    # the product kills the pair (2, 1), so its isometry rests on a left
+    # inverse the lattice route searched for
+    product = rep.tensor_report.product_envelope
+    assert product.ideal.killed and product.lattice_certificate.iterations > 0
+    assert product.isometry.residual <= 10 * DEFAULT_TOL.tol_rank * product.system.ambient
+    assert product.isometry.min_eig >= -DEFAULT_TOL.tol_psd
     # the product's ambient chain is read off its generated algebra; the
     # word-span oracle must reproduce it, stabilization included
     prod = rep.tensor_report.tensor.product
@@ -107,8 +112,11 @@ def test_propagation_max_on_equal_factors(pair_analyses):
 def test_propagation_max_on_unequal_factors(pair_analyses):
     rep = pair_analyses("full_M2", "jordan_M2").prop_max
     assert rep.verified
-    # M_2 (x) M_2 is simple: the product quotient is injective
-    assert rep.tensor_report.product_envelope.falsifier.reason == "injective"
+    # M_2 (x) M_2 is simple: the product quotient is injective, and its
+    # canonical left inverse passes the isometry check exactly
+    product = rep.tensor_report.product_envelope
+    assert not product.ideal.killed
+    assert product.isometry.residual < 1e-12 and product.isometry.min_eig > -1e-12
     assert rep.left.value == 1 and rep.right.value == 2
     assert rep.expected == 2 and rep.product.value == 2
     # the product chain fills the tensored envelope

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cstarenv.errors import InputError
+from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.specio import (
     analysis_report,
     atomic_write_text,
@@ -122,7 +123,10 @@ def test_analysis_report_document(analyses):
     assert rep["propagation"]["value"] == 2
     assert rep["propagation"]["chain"] == [3, 4]
     assert rep["propagation"]["ambient_chain"] == [3, 5]
-    assert rep["falsifier"] is not None
+    assert "falsifier" not in rep and "falsifier_iterations" not in rep["timing"]
+    assert set(rep["isometry"]) == {"residual", "min_eig"}
+    assert 0.0 <= rep["isometry"]["residual"] <= 10 * DEFAULT_TOL.tol_rank * 3
+    assert rep["isometry"]["min_eig"] >= -DEFAULT_TOL.tol_psd
     # the whole document must be strict JSON
     json.loads(dump_report(rep))
 
@@ -143,4 +147,6 @@ def test_pair_report_document(pair_analyses):
     for check in checks.values():
         assert check["verified"] is True
     assert checks["envelope_tensor_factorization"]["product_killed_pairs"] == [[2, 1]]
+    assert set(rep["isometry"]) == {"residual", "min_eig"}
+    assert set(rep["timing"]) == {"factorization_iterations"}
     json.loads(dump_report(rep))
