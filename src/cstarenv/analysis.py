@@ -10,7 +10,10 @@ required of every report.
 
 :func:`analyze_pair` runs the four tensor-pair checks against two cached
 factor analyses: quotient factorization, boundary-pair closure, power-span
-compatibility, and the propagation maximum.
+compatibility, and the propagation maximum.  The factorization check takes
+the two factor envelopes and builds the tensor system, the pair blocks and
+the product envelope once; the other three checks take its report (and the
+factor propagation numbers) and recompute none of it.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def analyze_system(
             envelope=None,
             prop=None,
         )
-    prop = propagation_number(E, seed=config.seed, tol=config.tol, envelope=env)
+    prop = propagation_number(env, config.tol)
     return SystemAnalysis(
         name=name,
         digest=digest,
@@ -192,52 +195,20 @@ def analyze_pair(
                 "routes disagreed"
             )
     factorization = verify_envelope_tensor_factorization(
-        left.system,
-        right.system,
+        left.envelope,
+        right.envelope,
         seed=config.seed,
         trials=config.uniqueness_trials,
         tol=config.tol,
         max_ambient_product=config.max_ambient_product,
-        left_envelope=left.envelope,
-        right_envelope=right.envelope,
     )
-    boundary_pairs = verify_boundary_pair_closure(
-        left.system,
-        right.system,
-        seed=config.seed,
-        trials=config.uniqueness_trials,
-        tol=config.tol,
-        blocks=factorization.blocks,
-        left_wedderburn=left.wedderburn,
-        right_wedderburn=right.wedderburn,
-        left_certificate=left.dk_certificate,
-        right_certificate=right.dk_certificate,
-        product_certificate=factorization.product_envelope.dk_certificate,
-    )
-    power = verify_power_compatibility(
-        left.system,
-        right.system,
-        tol=config.tol,
-        seed=config.seed,
-        left_prop=left.prop,
-        right_prop=right.prop,
-    )
-    prop_max = verify_propagation_max(
-        left.system,
-        right.system,
-        seed=config.seed,
-        trials=config.uniqueness_trials,
-        tol=config.tol,
-        tensor_report=factorization,
-        left_prop=left.prop,
-        right_prop=right.prop,
-    )
+    n_max = max(left.prop.value, right.prop.value) + 1
     return PairAnalysis(
         left=left,
         right=right,
         config=config,
         factorization=factorization,
-        boundary_pairs=boundary_pairs,
-        power=power,
-        prop_max=prop_max,
+        boundary_pairs=verify_boundary_pair_closure(factorization),
+        power=verify_power_compatibility(factorization.tensor, n_max, config.tol),
+        prop_max=verify_propagation_max(factorization, left.prop, right.prop, config.tol),
     )

@@ -83,9 +83,9 @@ __all__ = [
     "cstar_envelope",
 ]
 
-_FEAS_CAP = 50_000
 # feasibility stalls on tangential intersections are decided by polish or
-# falsifier well before this; running the full cap first would just burn time
+# falsifier well before this; running ucp_feasibility's default cap would
+# just burn time
 _STALL_CAP = 8_000
 
 
@@ -301,7 +301,6 @@ def is_boundary_ideal_ucp(
     killed: frozenset[int],
     *,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = _FEAS_CAP,
 ) -> FeasibilityResult:
     """Decide the boundary property for one block ideal.
 
@@ -327,11 +326,11 @@ def is_boundary_ideal_ucp(
     drop = _norm_drop_probe(E, W, killed, tol)
     if drop is not None:
         return FeasibilityResult(False, None, drop, 0, "norm-drop")
-    return _left_inverse_search(E, W, killed, tol, cap)
+    return _left_inverse_search(E, W, killed, tol)
 
 
 def _left_inverse_search(
-    E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances, cap: int
+    E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances
 ) -> FeasibilityResult:
     """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left standing."""
     kept = [j for j in W.labels if j not in killed]
@@ -344,7 +343,7 @@ def _left_inverse_search(
     ]
     start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
     try:
-        return ucp_feasibility(spec, tol=tol, cap=min(cap, _STALL_CAP), start=start)
+        return ucp_feasibility(spec, tol=tol, cap=_STALL_CAP, start=start)
     except InconclusiveError as exc:
         q = quotient_map(BlockIdeal(W, killed))
         report = falsify_complete_isometry(E, q, seed=1, trials=64, tol=tol)
@@ -420,7 +419,6 @@ def silov_ideal_lattice(
     W: WedderburnData,
     *,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = _FEAS_CAP,
 ) -> tuple[BlockIdeal, LatticeCertificate]:
     """Minimal boundary ideal as the maximum of the boundary-ideal lattice.
 
@@ -442,9 +440,9 @@ def silov_ideal_lattice(
     def verdict(killed: frozenset[int]) -> FeasibilityResult:
         if killed not in verdicts:
             if killed in candidates:
-                verdicts[killed] = _left_inverse_search(E, W, killed, tol, cap)
+                verdicts[killed] = _left_inverse_search(E, W, killed, tol)
             else:
-                verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol, cap=cap)
+                verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol)
         return verdicts[killed]
 
     verdict(frozenset())

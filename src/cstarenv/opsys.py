@@ -20,6 +20,7 @@ from .linalg import (
     MatSubspace,
     Tolerances,
     dagger,
+    hs_norm,
     span_of,
     subspace_contains,
 )
@@ -102,16 +103,30 @@ def opsys_from_generators(
     tol: Tolerances = DEFAULT_TOL,
     label: str = "",
 ) -> OperatorSystem:
-    """Operator system spanned by the identity, the generators, and their adjoints."""
+    """Operator system spanned by the identity, the generators, and their adjoints.
+
+    The identity and each generator are scaled to unit Hilbert-Schmidt norm
+    before the span is taken; zero generators are skipped and non-finite
+    entries raise :class:`InputError`.
+    """
     if n < 1:
         raise InputError(f"ambient dimension must be positive, got {n}")
-    gens = [np.asarray(g, dtype=np.complex128) for g in generators]
-    for g in gens:
+    # unit Hilbert-Schmidt norms: span_of's rank cutoff is relative to the
+    # largest input, so a generator's scale alone must not decide its rank
+    units = []
+    for g in generators:
+        g = np.asarray(g, dtype=np.complex128)
         if g.shape != (n, n):
             raise InputError(f"generator shape {g.shape} does not match ambient {n}")
-    mats = [np.eye(n, dtype=np.complex128)]
-    mats.extend(gens)
-    mats.extend(dagger(g) for g in gens)
+        peak = float(np.max(np.abs(g)))
+        if not np.isfinite(peak):
+            raise InputError("generator entries must be finite")
+        if peak > 0.0:
+            g = g / peak  # a unit largest entry first: the norm of 1e-200 underflows
+            units.append(g / hs_norm(g))
+    mats = [np.eye(n, dtype=np.complex128) / np.sqrt(n)]
+    mats.extend(units)
+    mats.extend(dagger(g) for g in units)
     system = OperatorSystem(space=span_of(mats, n, tol), label=label)
     system.validate(tol)
     return system

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import EnvelopeResult, cstar_envelope
+from .boundary import EnvelopeResult
 from .errors import InputError, StructuralError
 from .linalg import DEFAULT_TOL, Tolerances, span_of, subspace_equal
-from .opsys import OperatorSystem, power_span, product_span
-from .tensor import (
-    TensorFactorizationReport,
-    min_tensor,
-    subspace_kron,
-    verify_envelope_tensor_factorization,
-)
+from .opsys import OperatorSystem, product_span
+from .tensor import TensorFactorizationReport, TensorSystem, subspace_kron
 
 __all__ = [
     "PropResult",
@@ -53,22 +48,14 @@ class PropResult:
     ambient_chain: tuple[int, ...]
 
 
-def propagation_number(
-    E: OperatorSystem,
-    *,
-    seed: int = 1,
-    tol: Tolerances = DEFAULT_TOL,
-    envelope: EnvelopeResult | None = None,
-) -> PropResult:
-    """First power of the embedded system that spans the whole envelope.
+def propagation_number(env: EnvelopeResult, tol: Tolerances = DEFAULT_TOL) -> PropResult:
+    """First power of the embedded system ``env.system`` that spans the envelope.
 
     The chain must strictly increase until it hits the envelope dimension;
     stabilizing below it would contradict the quotient generating the
     envelope and raises.
     """
-    env = envelope if envelope is not None else cstar_envelope(E, seed=seed, tol=tol)
-    if env.system is not E and not subspace_equal(env.system.space, E.space, tol):
-        raise InputError("envelope was computed for a different system")
+    E = env.system
     t = env.quotient.target_dim
     image = OperatorSystem(
         space=span_of(list(env.embed.values), t, tol), label=E.label
@@ -121,37 +108,28 @@ class PowerCompatibilityReport:
 
 
 def verify_power_compatibility(
-    E: OperatorSystem,
-    F: OperatorSystem,
-    *,
-    n_max: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 1,
-    left_prop: PropResult | None = None,
-    right_prop: PropResult | None = None,
+    T: TensorSystem, n_max: int, tol: Tolerances = DEFAULT_TOL
 ) -> PowerCompatibilityReport:
     """Check that power spans factor through the minimal tensor product.
 
     For each ``n`` up to ``n_max`` the tensor of the two n-th power spans
     must equal the n-th power span of the tensor system, as subspaces of the
-    product ambient.  The default cap is one past the larger propagation
-    number, so the interesting range is always covered.
+    product ambient.  The three power chains grow together, one
+    :func:`product_span` per chain and step.  Pair pipelines pass one past
+    the larger factor propagation number, so the interesting range is always
+    covered.
     """
-    if n_max is None:
-        p_E = left_prop if left_prop is not None else propagation_number(E, seed=seed, tol=tol)
-        p_F = right_prop if right_prop is not None else propagation_number(F, seed=seed, tol=tol)
-        n_max = max(p_E.value, p_F.value) + 1
     if n_max < 1:
         raise InputError(f"power cap must be at least 1, got {n_max}")
-    T = min_tensor(E, F, tol)
+    left, right, direct = T.left.space, T.right.space, T.product.space
     rows = []
     ok = True
     for n in range(1, n_max + 1):
-        left = power_span(E, n, tol)
-        right = power_span(F, n, tol)
-        tensored = subspace_kron(left, right)
-        direct = power_span(T.product, n, tol)
-        equal = subspace_equal(tensored, direct, tol)
+        if n > 1:
+            left = product_span(left, T.left.space, tol)
+            right = product_span(right, T.right.space, tol)
+            direct = product_span(direct, T.product.space, tol)
+        equal = subspace_equal(subspace_kron(left, right), direct, tol)
         ok = ok and equal
         rows.append((n, left.dim, right.dim, direct.dim, equal))
     return PowerCompatibilityReport(n_max=n_max, per_power=tuple(rows), verified=ok)
@@ -170,44 +148,28 @@ class PropagationMaxReport:
 
 
 def verify_propagation_max(
-    E: OperatorSystem,
-    F: OperatorSystem,
-    *,
-    seed: int = 1,
-    trials: int = 32,
+    fac: TensorFactorizationReport,
+    left_prop: PropResult,
+    right_prop: PropResult,
     tol: Tolerances = DEFAULT_TOL,
-    tensor_report: TensorFactorizationReport | None = None,
-    left_prop: PropResult | None = None,
-    right_prop: PropResult | None = None,
 ) -> PropagationMaxReport:
     """Check ``prop(E (x) F) = max(prop E, prop F)``.
 
     The identity only makes sense over the verified envelope of the tensor
-    product, so the factorization check runs (or is handed in) first and
-    must have passed.
+    product, so the factorization report ``fac`` must have passed.
+    ``left_prop`` and ``right_prop`` are the factor propagation numbers.
     """
-    rep = tensor_report if tensor_report is not None else verify_envelope_tensor_factorization(
-        E, F, seed=seed, trials=trials, tol=tol
-    )
-    if not rep.verified:
+    if not fac.verified:
         raise InputError(
             "tensor factorization must be verified before comparing propagation numbers"
         )
-    p_E = left_prop if left_prop is not None else propagation_number(
-        E, seed=seed, tol=tol, envelope=rep.left_envelope
-    )
-    p_F = right_prop if right_prop is not None else propagation_number(
-        F, seed=seed, tol=tol, envelope=rep.right_envelope
-    )
-    p_T = propagation_number(
-        rep.tensor.product, seed=seed, tol=tol, envelope=rep.product_envelope
-    )
-    expected = max(p_E.value, p_F.value)
+    p_T = propagation_number(fac.product_envelope, tol)
+    expected = max(left_prop.value, right_prop.value)
     return PropagationMaxReport(
-        left=p_E,
-        right=p_F,
+        left=left_prop,
+        right=right_prop,
         product=p_T,
         expected=expected,
         verified=p_T.value == expected,
-        tensor_report=rep,
+        tensor_report=fac,
     )

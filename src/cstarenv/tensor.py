@@ -12,7 +12,10 @@ tensor product is cross-checked at the structural level.
 The verification entry points compare the minimal quotient of a tensor
 product against the kernel ideal predicted by the factor quotients, check
 that boundary blocks stay boundary in pairs, and check the intersection and
-seminorm identities for families of quotients.
+seminorm identities for families of quotients.  Each takes the analyses it
+verifies: the factorization check takes the two factor envelopes, and the
+boundary-pair check takes the factorization report, whose tensor system,
+pair blocks and three envelopes every later pair check reads.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from .boundary import (
     DkCertificate,
     EnvelopeResult,
-    boundary_representations,
     cstar_envelope,
 )
 from .errors import InputError, StructuralError, VerificationError
@@ -356,36 +358,29 @@ class TensorFactorizationReport:
 
 
 def verify_envelope_tensor_factorization(
-    E: OperatorSystem,
-    F: OperatorSystem,
+    env_E: EnvelopeResult,
+    env_F: EnvelopeResult,
     *,
     seed: int = 1,
     trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
     max_ambient_product: int = 36,
-    left_envelope: EnvelopeResult | None = None,
-    right_envelope: EnvelopeResult | None = None,
 ) -> TensorFactorizationReport:
     """Check that the minimal boundary ideal of ``E (x) F`` is the kernel ideal.
 
-    The factor quotients predict the product quotient: a pair block survives
-    exactly when both factor blocks survive.  The product's minimal boundary
-    ideal is computed by the two independent routes and compared against that
+    ``E`` and ``F`` are the systems of the two factor envelopes, whose
+    quotients predict the product quotient: a pair block survives exactly
+    when both factor blocks survive.  The product's minimal boundary ideal is
+    computed by the two independent routes and compared against that
     prediction, first as a subspace containment, then as exact equality of
     killed sets, and finally through the surviving block dimensions.
     """
-    n = E.ambient * F.ambient
+    n = env_E.system.ambient * env_F.system.ambient
     if n > max_ambient_product:
         raise InputError(
             f"product ambient {n} exceeds the cap {max_ambient_product}"
         )
-    T = min_tensor(E, F, tol)
-    env_E = left_envelope if left_envelope is not None else cstar_envelope(
-        E, seed=seed, trials=trials, tol=tol
-    )
-    env_F = right_envelope if right_envelope is not None else cstar_envelope(
-        F, seed=seed, trials=trials, tol=tol
-    )
+    T = min_tensor(env_E.system, env_F.system, tol)
 
     prod_alg = generated_cstar(T.product, tol)
     factored = subspace_kron(env_E.algebra.space, env_F.algebra.space)
@@ -465,54 +460,18 @@ class BoundaryPairReport:
     product_certificate: DkCertificate
 
 
-def verify_boundary_pair_closure(
-    E: OperatorSystem,
-    F: OperatorSystem,
-    *,
-    seed: int = 1,
-    trials: int = 32,
-    tol: Tolerances = DEFAULT_TOL,
-    blocks: ProductBlocks | None = None,
-    left_wedderburn: WedderburnData | None = None,
-    right_wedderburn: WedderburnData | None = None,
-    left_certificate: DkCertificate | None = None,
-    right_certificate: DkCertificate | None = None,
-    product_certificate: DkCertificate | None = None,
-) -> BoundaryPairReport:
+def verify_boundary_pair_closure(fac: TensorFactorizationReport) -> BoundaryPairReport:
     """Check that pairs of boundary blocks are boundary blocks of the tensor.
 
     Every pair ``(i, j)`` with ``i`` boundary for ``E`` and ``j`` boundary
     for ``F`` must be a boundary block of ``E (x) F``; the converse is not
-    asserted.  Precomputed certificates must come from probes over the same
-    Wedderburn data passed (or defaulted) here, in particular the product
-    certificate from probes over ``blocks.wedderburn``.
+    asserted.  The three certificates are those of the factorization's
+    envelopes, the product one over the pair-indexed ``fac.blocks``.
     """
-    W_A = left_wedderburn if left_wedderburn is not None else wedderburn_decompose(
-        generated_cstar(E, tol), seed=seed, tol=tol
-    )
-    W_B = right_wedderburn if right_wedderburn is not None else wedderburn_decompose(
-        generated_cstar(F, tol), seed=seed, tol=tol
-    )
-    P = blocks if blocks is not None else product_blocks(W_A, W_B, seed=seed, tol=tol)
-    T = min_tensor(E, F, tol)
-
-    cert_E = (
-        left_certificate
-        if left_certificate is not None
-        else boundary_representations(E, W_A, seed=seed, trials=trials, tol=tol)
-    )
-    cert_F = (
-        right_certificate
-        if right_certificate is not None
-        else boundary_representations(F, W_B, seed=seed, trials=trials, tol=tol)
-    )
-    cert_T = (
-        product_certificate
-        if product_certificate is not None
-        else boundary_representations(
-            T.product, P.wedderburn, seed=seed, trials=trials, tol=tol
-        )
-    )
+    P = fac.blocks
+    cert_E = fac.left_envelope.dk_certificate
+    cert_F = fac.right_envelope.dk_certificate
+    cert_T = fac.product_envelope.dk_certificate
     product_boundary = frozenset(
         P.pairs[label - 1] for label in cert_T.boundary_labels
     )

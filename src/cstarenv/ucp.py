@@ -436,6 +436,16 @@ def _face_polish(
     return None
 
 
+def _pack_jacobian(V: np.ndarray) -> np.ndarray:
+    """Rows ``pack_herm(dV V* + V dV*)``, one per unit direction ``dV`` of the
+    ``(D, r)`` factor ``V``: real parts first, then imaginary parts, each
+    over ``(p, q)`` row-major."""
+    D, r = V.shape
+    unit = np.eye(D * r).reshape(D * r, D, r)
+    dV = np.concatenate([unit, 1j * unit])
+    return pack_herm(dV @ np.conj(V.T) + V @ np.conj(np.swapaxes(dV, 1, 2)))
+
+
 def _refine_rank_factorization(
     spec: UcpSpectrahedron,
     candidate: np.ndarray,
@@ -483,17 +493,8 @@ def _refine_rank_factorization(
         for j, (D, r) in enumerate(zip(spec.choi_dims, ranks)):
             if r == 0:
                 continue
-            V = Vs[j]
             base = np.zeros((2 * D * r, spec.num_coords))
-            idx = 0
-            for part in (1.0, 1.0j):
-                for p in range(D):
-                    for q in range(r):
-                        dV = np.zeros((D, r), dtype=np.complex128)
-                        dV[p, q] = part
-                        M = dV @ np.conj(V.T) + V @ np.conj(dV.T)
-                        base[idx, spec.offsets[j] : spec.offsets[j + 1]] = pack_herm(M)
-                        idx += 1
+            base[:, spec.offsets[j] : spec.offsets[j + 1]] = _pack_jacobian(Vs[j])
             cols.append(base)
             meta.append((j, D, r))
         if not cols:
@@ -527,8 +528,6 @@ def is_unique_ucp_extension(
     seed_entropy,
     trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
-    probe_cap: int = _PROBE_CAP,
-    full_cap: int = _FULL_CAP,
 ) -> UniquenessResult:
     """Decide whether the spectrahedron is the singleton ``{J0}``.
 
@@ -664,7 +663,7 @@ def is_unique_ucp_extension(
     last_dist = np.full(dirs.shape[0], np.inf)
     state = _DykstraState(spec, starts)
     tag, witness, sep, alive, checkpoints, aff_full, total_iters, state = probe(
-        state, probe_cap, np.arange(dirs.shape[0]), eps
+        state, _PROBE_CAP, np.arange(dirs.shape[0]), eps
     )
     if tag == "witness":
         return UniquenessResult(False, spec.unpack_tuple(witness), "probe", sep, total_iters)
@@ -676,7 +675,7 @@ def is_unique_ucp_extension(
         last_dist = np.full(dirs.shape[0], np.inf)
         state2 = _DykstraState(spec, starts[idx])
         tag, witness, sep, alive2, checkpoints2, aff2, spent2, state2 = probe(
-            state2, full_cap, idx, eps
+            state2, _FULL_CAP, idx, eps
         )
         total_iters += spent2
         if tag == "witness":

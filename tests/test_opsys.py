@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cstarenv.analysis import analyze_system
 from cstarenv.errors import InputError
 from cstarenv.linalg import hermitian_basis, subspace_contains, subspace_equal
 from cstarenv.opsys import generated_cstar, opsys_from_generators, power_span
@@ -24,6 +25,33 @@ def test_system_contains_unit_generators_and_adjoints():
 def test_system_rejects_mismatched_shapes():
     with pytest.raises(InputError):
         opsys_from_generators(2, [np.eye(3)])
+
+
+def test_system_rejects_non_finite_generators():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            opsys_from_generators(2, [np.array([[0.0, bad], [0.0, 0.0]])])
+
+
+@pytest.mark.parametrize("name", ["jordan_M2", "state_sum"])
+def test_invariants_do_not_depend_on_generator_scale(entries, name):
+    spec = entries[name].spec
+
+    def invariants(scale):
+        gens = [scale * np.asarray(g) for g in spec.generators]
+        a = analyze_system(opsys_from_generators(spec.ambient_dim, gens))
+        return (
+            a.system.dim,
+            a.wedderburn.blocks,
+            a.silov_dk,
+            a.silov_lattice,
+            a.envelope_block_dims,
+            a.prop.chain,
+        )
+
+    reference = invariants(1.0)
+    for scale in (1e-200, 1e-9, 1e10):
+        assert invariants(scale) == reference, scale
 
 
 def test_generated_algebra_dims_match_closure_oracle(entries, system, wedderburn):

@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
+from cstarenv import analysis, propagation, tensor
+from cstarenv.analysis import analyze_pair
 from cstarenv.boundary import cstar_envelope
 from cstarenv.errors import InputError
 from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.propagation import propagation_number, verify_power_compatibility
+from cstarenv.tensor import min_tensor
 
 from _oracles import power_span_dims
 
@@ -66,7 +69,7 @@ def test_prop_result_invariants(analyses):
 
 def test_envelope_chain_matches_word_span_oracle(system):
     env = cstar_envelope(system("jordan_M3_k1"))
-    p = propagation_number(system("jordan_M3_k1"), envelope=env)
+    p = propagation_number(env)
     assert p.value == 3 and p.chain == (3, 7, 9)
     gens = list(env.embed.values)
     dims = power_span_dims(gens, env.quotient.target_dim, len(p.chain))
@@ -83,11 +86,45 @@ def test_power_compatibility_rows(pair_analyses):
 
 
 def test_power_compatibility_explicit_cap(system):
-    rep = verify_power_compatibility(system("full_M2"), system("full_M1"), n_max=2)
+    T = min_tensor(system("full_M2"), system("full_M1"))
+    rep = verify_power_compatibility(T, n_max=2)
     assert rep.verified and rep.n_max == 2
     assert rep.per_power[0][1:] == (4, 1, 4, True)
     with pytest.raises(InputError):
-        verify_power_compatibility(system("full_M2"), system("full_M1"), n_max=0)
+        verify_power_compatibility(T, n_max=0)
+
+
+def test_pair_checks_build_the_tensor_once_and_grow_the_power_chains(
+    analyses, config, monkeypatch
+):
+    calls = {"min_tensor": 0, "product_span": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(tensor, "min_tensor", counted("min_tensor", tensor.min_tensor))
+    monkeypatch.setattr(
+        propagation, "product_span", counted("product_span", propagation.product_span)
+    )
+    power_check = analysis.verify_power_compatibility
+    in_power = []
+
+    def power(*args, **kwargs):
+        before = calls["product_span"]
+        rep = power_check(*args, **kwargs)
+        in_power.append(calls["product_span"] - before)
+        return rep
+
+    monkeypatch.setattr(analysis, "verify_power_compatibility", power)
+    pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
+    assert pa.verified and pa.power.n_max == 3
+    assert calls["min_tensor"] == 1
+    # one product span per chain (left, right, product) for each power n > 1
+    assert in_power == [3 * (pa.power.n_max - 1)]
 
 
 def test_propagation_max_on_equal_factors(pair_analyses):

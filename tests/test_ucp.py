@@ -16,8 +16,10 @@ from cstarenv.ucp import (
     UcpSpectrahedron,
     is_unique_ucp_extension,
     maximally_entangled,
+    pack_herm,
     ucp_feasibility,
 )
+from cstarenv.ucp import _pack_jacobian
 
 from _oracles import random_herm
 
@@ -176,6 +178,21 @@ def test_tangential_stall_resolved_by_polish(system, wedderburn):
     assert_exact_point(spec, res.certificate, scale=float(np.linalg.norm(spec.rhs)))
     scale = max(1.0, float(np.linalg.norm(spec.rhs)))
     assert res.residual <= 1e-9 * scale
+
+
+def test_pack_jacobian_matches_the_per_direction_loop():
+    # reference: one unit direction at a time, in the refinement's column order
+    rng = np.random.default_rng(4)
+    for D, r in ((1, 1), (2, 1), (4, 2), (6, 3)):
+        V = rng.standard_normal((D, r)) + 1j * rng.standard_normal((D, r))
+        rows = []
+        for part in (1.0, 1.0j):
+            for p in range(D):
+                for q in range(r):
+                    dV = np.zeros((D, r), dtype=np.complex128)
+                    dV[p, q] = part
+                    rows.append(pack_herm(dV @ np.conj(V.T) + V @ np.conj(dV.T)))
+        assert np.array_equal(_pack_jacobian(V), np.array(rows)), (D, r)
 
 
 def test_feasibility_never_reports_gap_from_plateau(system, wedderburn):
