@@ -259,6 +259,12 @@ def _identity_left_inverse(W: WedderburnData, n: int) -> list[np.ndarray]:
     return mats
 
 
+def _cells_2x2(parts: np.ndarray) -> np.ndarray:
+    """``(B, 4, m, m)`` cells to the ``(B, 2m, 2m)`` matrices ``[[p0, p1], [p2, p3]]``."""
+    B, _, m, _ = parts.shape
+    return parts.reshape(B, 2, 2, m, m).transpose(0, 1, 3, 2, 4).reshape(B, 2 * m, 2 * m)
+
+
 def _norm_drop_probe(
     E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances
 ) -> float | None:
@@ -270,28 +276,30 @@ def _norm_drop_probe(
     """
     q = quotient_map(BlockIdeal(W, killed))
     basis = E.space.basis
-    dim = basis.shape[0]
+    dim, n = basis.shape[:2]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[0xD209, *sorted(killed)]))
-    level1 = list(basis)
-    for _ in range(48):
-        c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        level1.append(np.einsum("k,kij->ij", c, basis))
+    c1 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(48)])
+    level1 = np.concatenate([basis, np.einsum("bk,kij->bij", c1, basis)])
+    c2 = np.array(
+        [rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)) for _ in range(16)]
+    )
+    # level 2: the 2x2 block matrices [[p0, p1], [p2, p3]] and their images;
+    # q goes matrix by matrix, as one stacked coefficient product rounds the
+    # images differently in the last bit
+    parts = np.einsum("buk,kij->buij", c2, basis)
+    q_parts = np.stack([q.apply(p) for p in parts.reshape(-1, n, n)])
+    q_parts = q_parts.reshape(parts.shape[:2] + q_parts.shape[1:])
+    levels = (
+        (level1, np.stack([q.apply(x) for x in level1])),
+        (_cells_2x2(parts), _cells_2x2(q_parts)),
+    )
     best = 0.0
-    for x in level1:
-        nx = op_norm(x)
-        if nx < tol.tol_rank:
-            continue
-        best = max(best, 1.0 - op_norm(q.apply(x)) / nx)
-    units2 = matrix_units(2)
-    for _ in range(16):
-        c = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
-        parts = np.einsum("uk,kij->uij", c, basis)
-        x2 = sum(np.kron(u, p) for u, p in zip(units2, parts))
-        q2 = sum(np.kron(u, q.apply(p)) for u, p in zip(units2, parts))
-        nx = op_norm(x2)
-        if nx < tol.tol_rank:
-            continue
-        best = max(best, 1.0 - op_norm(q2) / nx)
+    for x, qx in levels:
+        nx = np.linalg.svd(x, compute_uv=False)[:, 0]
+        nq = np.linalg.svd(qx, compute_uv=False)[:, 0]
+        big = nx >= tol.tol_rank
+        if big.any():
+            best = max(best, float(np.max(1.0 - nq[big] / nx[big])))
     return best if best > tol.tol_norm else None
 
 

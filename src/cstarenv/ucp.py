@@ -23,6 +23,13 @@ Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
 parts); the embedding is an isometry onto Euclidean coordinates, so
 projections in coordinates are Hilbert-Schmidt projections on matrices.
+The cone is handled per Choi size, not per block: the spectrahedron groups
+its blocks by ``D`` once, and the positive part and the least eigenvalue
+run one kernel over all blocks of a size.  A 1x1 block is its own
+eigenvalue.  A 2x2 block ``[a, d, √2 Re b, √2 Im b]`` has eigenvalues
+``m ± r`` with ``m = (a + d)/2`` and ``r = sqrt(((a - d)/2)**2 + |b|**2)``,
+so its positive part has a closed form (Higham 1988).  Larger sizes take
+one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -96,6 +103,49 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.outer(v, np.conj(v))
 
 
+def _size_groups(choi_dims, offsets) -> tuple[tuple[int, slice | np.ndarray], ...]:
+    """``(D, cols)`` per distinct nonzero Choi size ``D``: ``cols`` selects
+    the coordinates of every block of that size, a slice when they are
+    adjacent and an index array otherwise."""
+    groups = []
+    for D in sorted(set(choi_dims) - {0}):
+        js = [j for j, Dj in enumerate(choi_dims) if Dj == D]
+        if js[-1] - js[0] == len(js) - 1:
+            cols = slice(offsets[js[0]], offsets[js[-1] + 1])
+        else:
+            cols = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in js])
+        groups.append((D, cols))
+    return tuple(groups)
+
+
+def _mid_radius_2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, r)`` of packed 2x2 blocks ``[a, d, √2 Re b, √2 Im b]``, whose
+    eigenvalues are ``m ± r``: ``m = (a + d)/2``, ``r = sqrt(((a - d)/2)**2
+    + |b|**2)``."""
+    a, d, re, im = np.moveaxis(x, -1, 0)
+    m = (a + d) / 2.0
+    r = np.sqrt(((a - d) / 2.0) ** 2 + (re * re + im * im) / 2.0)
+    return m, r
+
+
+def _psd_part_2x2(x: np.ndarray) -> np.ndarray:
+    """Positive part of packed 2x2 blocks in closed form.
+
+    With eigenvalues ``lo = m - r`` and ``hi = m + r``, a PSD block
+    (``lo >= 0``) is kept and a negative semidefinite one (``hi <= 0``) goes
+    to 0.  An indefinite block keeps ``hi`` times its top eigenprojection,
+    ``hi/(2r) * (A - lo*I)``; there ``r > 0``.
+    """
+    m, r = _mid_radius_2x2(x)
+    lo, hi = m - r, m + r
+    keep = lo >= 0.0
+    mixed = ~keep & (hi > 0.0)
+    scale = np.divide(hi, 2.0 * r, out=np.zeros_like(hi), where=mixed)
+    shifted = x.copy()
+    shifted[..., :2] -= np.where(mixed, lo, 0.0)[..., np.newaxis]
+    return np.where(keep[..., np.newaxis], x, scale[..., np.newaxis] * shifted)
+
+
 @dataclass
 class UcpSpectrahedron:
     """Affine-in-Choi-coordinates slice of the blockwise PSD cone.
@@ -120,6 +170,7 @@ class UcpSpectrahedron:
         for D in self.choi_dims:
             offs.append(offs[-1] + D * D)
         self.offsets = tuple(offs)
+        self.size_groups = _size_groups(self.choi_dims, self.offsets)
         self.L = np.asarray(self.L, dtype=np.float64)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         if self.L.shape != (self.rhs.size, self.offsets[-1]):
@@ -273,24 +324,50 @@ class UcpSpectrahedron:
 
     # ---------- cone geometry ----------
 
+    def _size_blocks(self, X: np.ndarray):
+        """``(D, cols, blocks)`` per Choi size: ``blocks = X[..., cols]`` as
+        ``(..., k, D*D)``, one row per block of size ``D``."""
+        lead = X.shape[:-1]
+        for D, cols in self.size_groups:
+            yield D, cols, X[..., cols].reshape(lead + (-1, D * D))
+
     def psd_project(self, X: np.ndarray) -> np.ndarray:
+        """Blockwise positive part (eigenvalue clip), one kernel per Choi size.
+
+        1x1 blocks clip at zero and 2x2 blocks use the closed form of
+        :func:`_psd_part_2x2`; every larger size takes one batched ``eigh``
+        over all its blocks.
+        """
         out = np.empty_like(X)
-        for j, D in enumerate(self.choi_dims):
-            seg = X[..., self.offsets[j] : self.offsets[j + 1]]
-            A = unpack_herm(seg, D)
-            w, v = np.linalg.eigh(A)
-            w = np.maximum(w, 0.0)
-            A2 = np.einsum("...ik,...k,...jk->...ij", v, w, np.conj(v))
-            out[..., self.offsets[j] : self.offsets[j + 1]] = pack_herm(A2)
+        lead = X.shape[:-1]
+        for D, cols, blocks in self._size_blocks(X):
+            if D == 1:
+                part = np.maximum(blocks, 0.0)
+            elif D == 2:
+                part = _psd_part_2x2(blocks)
+            else:
+                w, v = np.linalg.eigh(unpack_herm(blocks, D))
+                vh = np.conj(np.swapaxes(v, -1, -2))
+                part = pack_herm((v * np.maximum(w, 0.0)[..., np.newaxis, :]) @ vh)
+            out[..., cols] = part.reshape(lead + (-1,))
         return out
 
     def min_eig(self, X: np.ndarray) -> np.ndarray:
-        vals = []
-        for j, D in enumerate(self.choi_dims):
-            seg = X[..., self.offsets[j] : self.offsets[j + 1]]
-            w = np.linalg.eigvalsh(unpack_herm(seg, D))
-            vals.append(w[..., 0])
-        return np.min(np.stack(vals, axis=-1), axis=-1) if vals else np.zeros(X.shape[:-1])
+        """Least eigenvalue over all Choi blocks: the coordinate itself for
+        1x1 blocks, ``m - r`` of :func:`_mid_radius_2x2` for 2x2 blocks, and
+        one batched ``eigvalsh`` per larger size."""
+        least = []
+        for D, _, blocks in self._size_blocks(X):
+            if D == 1:
+                least.append(blocks[..., 0])
+            elif D == 2:
+                m, r = _mid_radius_2x2(blocks)
+                least.append(m - r)
+            else:
+                least.append(np.linalg.eigvalsh(unpack_herm(blocks, D))[..., 0])
+        if not least:
+            return np.zeros(X.shape[:-1])
+        return np.min(np.concatenate(least, axis=-1), axis=-1)
 
     def ray_tmax(self, D_dirs: np.ndarray, t_hi: float, slack: float) -> np.ndarray:
         """Largest ``t`` in ``[0, t_hi]`` with ``J0 + t D`` PSD up to ``slack``.

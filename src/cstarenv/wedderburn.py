@@ -60,7 +60,9 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     """Commutant ``{x : xb = bx for every basis element b}`` inside ``M_n``.
 
     Solved as one stacked null-space problem; with row-major flattening
-    ``vec(xb - bx) = (I (x) b^T - b (x) I) vec(x)``.
+    ``vec(xb - bx) = (I (x) b^T - b (x) I) vec(x)``.  The thin SVD still has
+    all ``n**2`` right singular vectors, as the stack has at least ``n**2``
+    rows.
     """
     n = s.ambient
     eye = np.eye(n)
@@ -68,7 +70,7 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
         return MatSubspace(n, matrix_units(n).copy())
     rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in s.basis]
     stacked = np.concatenate(rows, axis=0)
-    _, sig, vh = np.linalg.svd(stacked)
+    _, sig, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = tol.tol_rank * (sig[0] if sig.size else 0.0)
     rank = int(np.sum(sig > max(cutoff, 0.0)))
     null = np.conj(vh[rank:])
@@ -172,7 +174,7 @@ def _split_component(
             for a_cur, a_base in zip(cur_rep, base_rep)
         ]
         stacked = np.concatenate(rows, axis=0)
-        _, sig, vh = np.linalg.svd(stacked)
+        _, sig, vh = np.linalg.svd(stacked, full_matrices=False)
         cutoff = max(tol.tol_rank * sig[0], 1e-12)
         null_dim = int(np.sum(sig <= cutoff))
         if null_dim < 1:

@@ -1,12 +1,13 @@
 """Shared fixtures: the generated corpus and lazily cached analyses."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cstarenv.analysis import AnalysisConfig, analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries
 from cstarenv.linalg import DEFAULT_TOL
-from cstarenv.opsys import generated_cstar
+from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of, spec_digest
 from cstarenv.wedderburn import wedderburn_decompose
 
@@ -75,3 +76,17 @@ def pair_analyses(analyses, config):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def seven_blocks():
+    """``(E, W)`` for ``span{1, g, g*}``, ``g = J_2 (+) diag(lambda)``: five
+    scalars inside the numerical range of ``J_2`` and one on the unit
+    circle, so the algebra has seven blocks (the benchmark's blocks shape)."""
+    lam = [0.3, -0.2j, 0.25 * np.exp(2j), 0.1 + 0.15j, -0.35, np.exp(0.7j)]
+    n = 2 + len(lam)
+    g = np.zeros((n, n), dtype=complex)
+    g[0, 1] = 1.0
+    g[2:, 2:] = np.diag(lam)
+    E = opsys_from_generators(n, [g])
+    return E, wedderburn_decompose(generated_cstar(E))

@@ -72,6 +72,55 @@ def test_psd_projection_matches_eigenvalue_clip():
         assert np.abs(proj - clip).max() < 1e-10
 
 
+def _special_blocks(rng, D):
+    """Inputs the per-size kernels must get right: the zero block, c*I for
+    c > 0, c < 0 and c = 0, rank one, an exactly zero eigenvalue, negative
+    definite, and a random indefinite block."""
+    v = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    singular = np.diag(np.arange(D, dtype=float))  # eigenvalue 0 on the diagonal
+    if D == 2:
+        singular = np.array([[1.0, 1j], [-1j, 1.0]])  # eigenvalues 2 and exactly 0
+    return [
+        np.zeros((D, D)),
+        1.5 * np.eye(D),
+        -0.7 * np.eye(D),
+        0.0 * np.eye(D),
+        np.outer(v, v.conj()),
+        -np.outer(v, v.conj()),
+        singular,
+        -(g @ g.conj().T) - 0.1 * np.eye(D),
+        random_herm(rng, D),
+    ]
+
+
+def test_per_size_kernels_match_per_block_eigh():
+    # sizes 1, 2 and 4, adjacent and separated repeats
+    rng = np.random.default_rng(43)
+    dims = (1, 2, 1, 4, 2, 2, 4, 1)
+    spec = UcpSpectrahedron(dims, 1, np.zeros((0, sum(D * D for D in dims))), np.zeros(0))
+    for batch in (1, 32):
+        rows = []
+        for b in range(batch):
+            mats = []
+            for j, D in enumerate(dims):
+                cases = _special_blocks(rng, D)
+                mats.append(cases[(b + j) % len(cases)])
+            rows.append(spec.pack_tuple(mats))
+        X = np.array(rows)
+        proj = spec.psd_project(X)
+        least = spec.min_eig(X)
+        assert proj.shape == X.shape and least.shape == (batch,)
+        for b in range(batch):
+            mats = spec.unpack_tuple(X[b])
+            for m, p in zip(mats, spec.unpack_tuple(proj[b])):
+                w, v = np.linalg.eigh(m)
+                clip = (v * np.maximum(w, 0.0)) @ v.conj().T
+                assert np.abs(p - clip).max() < 1e-12, (batch, b, m)
+            ref = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+            assert abs(least[b] - ref) < 1e-12, (batch, b)
+
+
 def test_extension_base_point_is_feasible(system, wedderburn):
     for label in (1, 2):
         spec = ec_spec(wedderburn, system, label)

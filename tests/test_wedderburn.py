@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from cstarenv.errors import DecompositionError
-from cstarenv.linalg import subspace_contains
+from cstarenv.linalg import DEFAULT_TOL, span_of, subspace_contains, subspace_equal
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.wedderburn import (
     BlockIdeal,
+    commutant,
     enumerate_ideals,
     ideal_subspace,
     is_irreducible,
@@ -146,3 +147,23 @@ def test_decompose_rejects_non_algebra():
     fake = CStarAlgebra(space=span_of([np.eye(3, dtype=complex), h], 3), chain=(2, 2))
     with pytest.raises(DecompositionError):
         wedderburn_decompose(fake)
+
+
+def full_svd_commutant(s, tol=DEFAULT_TOL):
+    """The commutant through the full SVD of the stacked system, as it was
+    computed before the thin SVD: the reference for the null space."""
+    n = s.ambient
+    eye = np.eye(n)
+    stacked = np.concatenate([np.kron(eye, b.T) - np.kron(b, eye) for b in s.basis], axis=0)
+    _, sig, vh = np.linalg.svd(stacked)
+    rank = int(np.sum(sig > tol.tol_rank * sig[0]))
+    return span_of(np.conj(vh[rank:]).reshape(-1, n, n), n, tol)
+
+
+def test_commutant_matches_the_full_svd_null_space(entries, wedderburn, seven_blocks):
+    small = [name for name, e in entries.items() if e.spec.ambient_dim <= 4]
+    algebras = [wedderburn(name)[0].space for name in small]
+    algebras.append(seven_blocks[1].algebra.space)
+    for space in algebras:
+        thin = commutant(space)
+        assert subspace_equal(thin, full_svd_commutant(space)), space.ambient
