@@ -61,7 +61,6 @@ class AnalysisConfig:
 
     seed: int = 1
     tol: Tolerances = DEFAULT_TOL
-    uniqueness_trials: int = 32
     max_ambient_product: int = 36
 
 
@@ -120,7 +119,6 @@ def analyze_system(
         env = cstar_envelope(
             E,
             seed=config.seed,
-            trials=config.uniqueness_trials,
             tol=config.tol,
             algebra=A,
             wedderburn=W,
@@ -198,7 +196,6 @@ def analyze_pair(
         left.envelope,
         right.envelope,
         seed=config.seed,
-        trials=config.uniqueness_trials,
         tol=config.tol,
         max_ambient_product=config.max_ambient_product,
     )

@@ -2,9 +2,10 @@
 
 Two independent routes compute the same object:
 
-* the *representation route* probes, for every irreducible block of the
+* the *representation route* decides, for every irreducible block of the
   generated algebra, whether the identity map on the operator system has a
-  unique UCP extension to the block's representation; blocks with a unique
+  unique UCP extension to the block's representation, each verdict proved
+  by a dual certificate or a second extension; blocks with a unique
   extension are boundary representations, and the ideal supported on the
   complement is the candidate minimal boundary ideal;
 * the *lattice route* tests block ideals directly for the boundary property
@@ -24,7 +25,7 @@ and runs only when the feasibility search for an ideal stays undecided.
 Structure decides before any search does.  A simple algebra (one block) has
 Šilov ideal 0, and its only block is boundary because every
 finite-dimensional system has at least one boundary representation, so the
-representation route runs no probe.
+representation route decides no uniqueness there.
 """
 
 from __future__ import annotations
@@ -137,10 +138,12 @@ def build_left_inverse_spectrahedron(
 
 @dataclass(frozen=True)
 class BlockUniqueness:
-    """Uniqueness probe outcome for one irreducible block.
+    """Uniqueness verdict for one irreducible block.
 
     ``witness`` holds the Choi matrix of a second admissible extension when
-    the probe refutes uniqueness, and is None on unique blocks.
+    uniqueness is refuted, and is None on unique blocks.  ``separation`` is
+    the witness's distance from the representation, or the dual
+    certificate's margin for method ``"dual"``.
     """
 
     label: int
@@ -153,7 +156,7 @@ class BlockUniqueness:
 
 @dataclass(frozen=True)
 class DkCertificate:
-    """Representation-route certificate: one probe result per block."""
+    """Representation-route certificate: one uniqueness verdict per block."""
 
     per_block: tuple[BlockUniqueness, ...]
 
@@ -193,20 +196,19 @@ def boundary_representations(
     W: WedderburnData,
     *,
     seed: int = 1,
-    trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DkCertificate:
-    """Probe every block for the unique-extension property.
+    """Decide the unique-extension property for every block.
 
-    A simple algebra needs no probe: its only block is boundary, because a
-    finite-dimensional system has at least one boundary representation.
+    A simple algebra needs no decision: its only block is boundary, because
+    a finite-dimensional system has at least one boundary representation.
     """
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
     for label in W.labels:
         spec = build_extension_spectrahedron(E, W, label, tol)
-        res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), trials=trials, tol=tol)
+        res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol=tol)
         results.append(
             BlockUniqueness(
                 label, res.unique, res.method, res.separation, res.iterations, res.witness
@@ -220,21 +222,20 @@ def silov_ideal_dk(
     W: WedderburnData,
     *,
     seed: int = 1,
-    trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[BlockIdeal, DkCertificate]:
     """Minimal boundary ideal via boundary representations.
 
     The ideal kills exactly the blocks that are not boundary representations.
     An empty boundary set is impossible for a finite-dimensional system, so
-    it is reported as a structural failure of the probe rather than an ideal.
+    it is reported as a structural failure rather than an ideal.
     """
-    cert = boundary_representations(E, W, seed=seed, trials=trials, tol=tol)
+    cert = boundary_representations(E, W, seed=seed, tol=tol)
     boundary = cert.boundary_labels
     if not boundary:
         raise StructuralError(
             "no boundary representations found; every finite-dimensional system "
-            "has at least one, so the uniqueness probe failed"
+            "has at least one, so the uniqueness decisions failed"
         )
     killed = frozenset(W.labels) - boundary
     return BlockIdeal(W, killed), cert
@@ -702,7 +703,6 @@ def cstar_envelope(
     E: OperatorSystem,
     *,
     seed: int = 1,
-    trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
@@ -719,7 +719,7 @@ def cstar_envelope(
 
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, seed=seed, tol=tol)
-    dk_ideal, dk_cert = silov_ideal_dk(E, W, seed=seed, trials=trials, tol=tol)
+    dk_ideal, dk_cert = silov_ideal_dk(E, W, seed=seed, tol=tol)
     lat_ideal, lat_cert = silov_ideal_lattice(E, W, tol=tol)
     if dk_ideal.killed != lat_ideal.killed:
         raise RouteDisagreementError(

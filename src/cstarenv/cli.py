@@ -13,11 +13,15 @@ package version; wall-clock chatter goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import os
 import sys
 import time
 from concurrent import futures
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import AnalysisConfig, PairAnalysis, SystemAnalysis, analyze_pair, analyze_system
 from .corpus import load_manifest, write_corpus
@@ -85,12 +89,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-sep", type=float, default=None, help="point-separation threshold")
     p.add_argument("--tol-norm", type=float, default=None, help="norm-drop threshold")
     p.add_argument(
-        "--uniqueness-trials",
-        type=int,
-        default=32,
-        help="probe directions per uniqueness decision (default 32)",
-    )
-    p.add_argument(
         "--max-ambient-product",
         type=int,
         default=36,
@@ -150,14 +148,11 @@ def _config_from(args) -> AnalysisConfig:
     tol = DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
-    if args.uniqueness_trials < 1:
-        raise InputError("--uniqueness-trials must be positive")
     if args.max_ambient_product < 1:
         raise InputError("--max-ambient-product must be positive")
     return AnalysisConfig(
         seed=args.seed,
         tol=tol,
-        uniqueness_trials=args.uniqueness_trials,
         max_ambient_product=args.max_ambient_product,
     )
 
@@ -305,11 +300,39 @@ def _safe_pair(left: SystemAnalysis, right: SystemAnalysis, config: AnalysisConf
     return ("failed", pa) if not pa.verified else ("ok", pa)
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Run numpy's OpenBLAS on ``n`` threads; returns the previous count, or
+    None when numpy bundles no OpenBLAS."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for lib_path in glob.glob(pattern):
+        lib = ctypes.CDLL(lib_path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                previous = get()
+                put(n)
+                return previous
+    return None
+
+
 def _run_tasks(fn, tasks, jobs: int):
+    """Every analysis runs on one BLAS thread: the matrices are too small to
+    gain from more, ``jobs`` workers would oversubscribe the cores, and the
+    report bytes stay the same for every ``jobs``."""
     if jobs > 1 and len(tasks) > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_set_blas_threads, initargs=(1,)
+        ) as pool:
             return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*task) for task in tasks]
+    previous = _set_blas_threads(1)
+    try:
+        return [fn(*task) for task in tasks]
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
 
 
 def cmd_verify_all(args) -> int:

@@ -173,7 +173,6 @@ def _tol_dict(tol: Tolerances) -> dict:
 
 def _flags_dict(config) -> dict:
     return {
-        "uniqueness_trials": config.uniqueness_trials,
         "max_ambient_product": config.max_ambient_product,
     }
 

@@ -362,7 +362,6 @@ def verify_envelope_tensor_factorization(
     env_F: EnvelopeResult,
     *,
     seed: int = 1,
-    trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
     max_ambient_product: int = 36,
 ) -> TensorFactorizationReport:
@@ -396,7 +395,6 @@ def verify_envelope_tensor_factorization(
     env_T = cstar_envelope(
         T.product,
         seed=seed,
-        trials=trials,
         tol=tol,
         # the generated algebra, not the synthetic one: it carries the power-span
         # chain that the product's propagation number reports

@@ -12,12 +12,12 @@ and the two decision problems this package needs are questions about that
 intersection: is it a singleton around a distinguished point (uniqueness
 of a UCP extension), and is it nonempty (existence of a UCP left inverse).
 
-Both are decided by Dykstra alternating projections between the affine set
-and the cone, with exact fast paths and exact witness polishing layered on
-top: any candidate second point is converted into a ray from the base
-point inside the nullspace of ``L`` and certified by an eigenvalue line
-search, so returned witnesses satisfy both constraint families to near
-machine precision.
+Uniqueness is decided by a certificate or a witness: a dual certificate
+(strict complementarity) checked with an explicit rounding bound, or a
+second feasible point certified by an eigenvalue line search along a ray
+from the base point inside the nullspace of ``L``.  Dykstra alternating
+projections between an affine set and the cone decide feasibility, and
+search for a dual certificate when its closed form fails.
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -45,19 +45,22 @@ from .linalg import DEFAULT_TOL, Tolerances, hermitian_units
 __all__ = [
     "UcpSpectrahedron",
     "UniquenessResult",
+    "CertificateCheck",
     "FeasibilityResult",
     "pack_herm",
     "unpack_herm",
     "maximally_entangled",
     "is_unique_ucp_extension",
+    "verify_uniqueness_certificate",
     "ucp_feasibility",
 ]
 
-_PROBE_CAP = 2_000
-_FULL_CAP = 50_000
+_DUAL_CAP = 400
 _CHECK_EVERY = 50
 _RAY_SLACK = 1e-14
 _GRAM_CUT = 1e-13
+# singular values of Z -> Z_j ω below this span the face: rounding, not a constraint
+_FACE_CUT = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +237,10 @@ class UcpSpectrahedron:
         else:
             L = np.zeros((0, N))
             rhs = np.zeros(0)
-        J0 = None
+        spec = cls(source_dims, t, L, rhs)
         if J0_mats is not None:
-            spec = cls(source_dims, t, L, rhs)
-            J0 = spec.pack_tuple(J0_mats)
-            return cls(source_dims, t, L, rhs, J0)
-        return cls(source_dims, t, L, rhs, J0)
+            spec.J0 = spec.pack_tuple(J0_mats)
+        return spec
 
     # ---------- coordinates ----------
 
@@ -278,12 +279,8 @@ class UcpSpectrahedron:
         return self._fact
 
     @property
-    def rank(self) -> int:
-        return self._factorization()[0].shape[1]
-
-    @property
     def null_dim(self) -> int:
-        return self.num_coords - self.rank
+        return self.num_coords - self._factorization()[0].shape[1]
 
     def _gram_solve(self, y: np.ndarray) -> np.ndarray:
         w, lam = self._factorization()
@@ -376,8 +373,6 @@ class UcpSpectrahedron:
         the nullspace of ``L`` so the affine constraints are exact along the
         ray.
         """
-        if self.J0 is None:
-            raise InputError("ray search requires a base point")
         B = D_dirs.shape[0]
         lo = np.zeros(B)
         hi = np.full(B, float(t_hi))
@@ -393,11 +388,14 @@ class UcpSpectrahedron:
 
 @dataclass(frozen=True)
 class UniquenessResult:
+    """``certificate``: the packed dual certificate of a ``"dual"`` verdict."""
+
     unique: bool
     witness: list | None
     method: str
     separation: float
     iterations: int
+    certificate: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -410,34 +408,25 @@ class FeasibilityResult:
 
 
 class _DykstraState:
-    """Resumable batched Dykstra iteration between the affine set and the cone."""
+    """Resumable batched Dykstra iteration between an affine set and the cone."""
 
-    def __init__(self, spec: UcpSpectrahedron, starts: np.ndarray):
-        self.spec = spec
-        self.X = starts.copy()
-        self.P = np.zeros_like(starts)
-        self.Q = np.zeros_like(starts)
+    def __init__(self, affine_project, psd_project, starts: np.ndarray):
+        self.affine_project, self.psd_project = affine_project, psd_project
+        self.X = np.array(starts, dtype=np.float64)
+        self.P = np.zeros_like(self.X)
+        self.Q = np.zeros_like(self.X)
         self.iterations = 0
 
     def run(self, steps: int) -> None:
-        spec = self.spec
         X, P, Q = self.X, self.P, self.Q
         for _ in range(steps):
-            Y = spec.affine_project(X + P)
+            Y = self.affine_project(X + P)
             P = X + P - Y
-            Z = spec.psd_project(Y + Q)
+            Z = self.psd_project(Y + Q)
             Q = Y + Q - Z
             X = Z
         self.X, self.P, self.Q = X, P, Q
         self.iterations += steps
-
-    def select(self, idx: np.ndarray) -> "_DykstraState":
-        """Continuation state for the chains at ``idx``; the counter carries over."""
-        sub = _DykstraState(self.spec, self.X[idx])
-        sub.P = self.P[idx].copy()
-        sub.Q = self.Q[idx].copy()
-        sub.iterations = self.iterations
-        return sub
 
 
 def _ray_polish(
@@ -460,10 +449,23 @@ def _ray_polish(
     d_dir = d_dir / nrm
     tmax = spec.ray_tmax(d_dir, t_hi=2.0 * max(nrm, 1.0), slack=_RAY_SLACK * psd_scale)
     t = float(tmax[0])
-    if t < sep_abs:
-        return None
-    witness = spec.J0 + t * d_dir[0]
-    return witness, t
+    return None if t < sep_abs else (spec.J0 + t * d_dir[0], t)
+
+
+def _rank_profiles(spec: UcpSpectrahedron, candidate: np.ndarray, cuts) -> list[tuple]:
+    """Distinct nonzero block-rank profiles of ``candidate``, one per cut: a
+    block's rank counts its eigenvalues above ``cut·max(top, 1e-3·global
+    top)``.  Empty when no block has a positive eigenvalue."""
+    eigs = [np.linalg.eigvalsh(m) for m in spec.unpack_tuple(candidate)]
+    tops = [float(w[-1]) if w.size else 0.0 for w in eigs]
+    global_max = max(tops, default=0.0)
+    profiles: list[tuple[int, ...]] = []
+    for cut in cuts if global_max > 0.0 else ():
+        floor = 1e-3 * global_max
+        key = tuple(int(np.count_nonzero(w > cut * max(top, floor))) for w, top in zip(eigs, tops))
+        if sum(key) and key not in profiles:
+            profiles.append(key)
+    return profiles
 
 
 def _face_polish(
@@ -475,37 +477,20 @@ def _face_polish(
 ) -> tuple[np.ndarray, float] | None:
     """Exact witness via rank-restricted refinement, or None.
 
-    A stalled Dykstra chain sits near the feasible set but its direction from
-    ``J0`` carries junk along infeasible nullspace directions, which kills the
-    plain ray search (the junk violates positivity linearly).  The candidate's
-    eigenvalue profile, however, identifies the rank of the face the nearby
-    feasible points live on.  Alternating between the affine set and rank-
-    truncated positive parts removes the tangential directions that stall
-    Dykstra, so the refinement converges geometrically to a machine-precision
-    feasible point, which the exact ray search then certifies.  False faces
+    A candidate near the feasible set (the cone projection of the min-norm
+    affine solution, say) has a direction from ``J0`` that carries junk along
+    infeasible nullspace directions, which kills the plain ray search (the
+    junk violates positivity linearly).  The candidate's eigenvalue profile,
+    however, identifies the rank of the face the nearby feasible points live
+    on.  The rank-restricted refinement converges geometrically to a
+    machine-precision feasible point on that face, which the exact ray
+    search then certifies.  False faces
     cannot produce false witnesses: the final certificate is always the ray
     search from ``J0``.
     """
-    mats = spec.unpack_tuple(candidate)
-    eig_tops = [float(np.linalg.eigvalsh(m)[-1]) if m.size else 0.0 for m in mats]
-    global_max = max(eig_tops, default=0.0)
-    if global_max <= 0.0:
-        return None
-    tried: set[tuple[int, ...]] = set()
-    for cut in (3e-2, 1e-3):
-        ranks = []
-        for m, top in zip(mats, eig_tops):
-            thresh = cut * max(top, 1e-3 * global_max)
-            w = np.linalg.eigvalsh(m)
-            ranks.append(int(np.count_nonzero(w > thresh)))
-        key = tuple(ranks)
-        if sum(ranks) == 0 or key in tried:
-            continue
-        tried.add(key)
+    for ranks in _rank_profiles(spec, candidate, (3e-2, 1e-3)):
         X = _refine_rank_factorization(spec, candidate, ranks, scale)
-        if X is None:
-            continue
-        if float(np.linalg.norm(X - spec.J0)) < sep_abs:
+        if X is None or float(np.linalg.norm(X - spec.J0)) < sep_abs:
             continue
         polished = _ray_polish(spec, X, sep_abs, psd_scale)
         if polished is not None:
@@ -600,172 +585,185 @@ def _refine_rank_factorization(
     return X if rn <= 1e-10 * scale else None
 
 
+def _frame(spec: UcpSpectrahedron) -> tuple[int, np.ndarray, float, float]:
+    """``(j, ω, t, offset)``: the block ``j`` holding most of the trace ``t``
+    of ``J0``, the unit top eigenvector ``ω`` of that block, and
+    ``offset = ‖J0 - t·ωω*‖``, which is rounding for a rank-one ``J0``."""
+    mats = spec.unpack_tuple(spec.J0)
+    traces = [float(np.trace(m).real) for m in mats]
+    j, t = int(np.argmax(traces)), sum(traces)
+    omega = np.linalg.eigh(mats[j])[1][:, -1]
+    mats[j] = mats[j] - t * np.outer(omega, np.conj(omega))
+    return j, omega, t, float(np.linalg.norm(spec.pack_tuple(mats)))
+
+
+@dataclass(frozen=True)
+class CertificateCheck:
+    """What :func:`verify_uniqueness_certificate` measured, and ``bound`` on
+    ``‖J - J0‖`` over the feasible set (infinite unless ``mu > 0``)."""
+
+    rho: float
+    eta: float
+    delta: float
+    mu: float
+    bound: float
+    threshold: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.mu > 0.0 and self.bound < self.threshold
+
+    @property
+    def ratio(self) -> float:
+        return self.bound / self.threshold
+
+
+def verify_uniqueness_certificate(
+    spec: UcpSpectrahedron, Z: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> CertificateCheck:
+    """Check a packed dual certificate ``Z`` that the set is ``{J0}``.
+
+    Only linear algebra on ``spec``.  Let ``t = tr J0``, ``ω`` the unit vector
+    spanning the range of ``J0`` in its block ``j``, and ``P⊥`` the blockwise
+    projector onto the complement of ``span(ω)``.  Measured: ``ρ``, the
+    distance ``‖null_project(Z)‖`` of ``Z`` from the row space of ``L``;
+    ``η = ‖Z_j ω‖``; ``δ = |<Z, J0>|``; and ``μ``, the least eigenvalue of
+    ``Z`` compressed to the range of ``P⊥``, minus a rounding allowance.
+
+    A feasible ``J`` is PSD with ``tr J = t`` (unitality), so ``‖J‖ ≤ t`` and
+    ``‖J - J0‖ ≤ 2t``; ``J - J0`` lies in the nullspace of ``L``, which only
+    the off-row-space part of ``Z`` sees, so ``<Z, J> ≤ δ + 2ρt``.  Split
+    along ``ω``, the compression of ``Z`` gives at least ``μ·tr(P⊥J)`` and
+    the corner and the two cross terms are at most ``ηt`` each, so
+    ``<Z, J> ≥ μ·tr(P⊥J) - 3ηt``.  For ``μ > 0`` this bounds
+    ``tr(P⊥J) ≤ τ = (δ + 2ρt + 3ηt)/μ``.  In the split ``J = [[a, b*], [b, C]]``
+    with ``tr C ≤ τ``, ``a = t - tr C`` and ``‖b‖² ≤ a·tr C ≤ tτ``, so
+    ``‖J - J0‖ ≤ 2τ + 2√(tτ) + ‖J0 - t·ωω*‖``.  The certificate is accepted
+    when ``μ > 0`` and this bound is below ``tol_sep·max(1, ‖J0‖)``, the
+    separation below which two feasible points count as one.  Exactly
+    (``ρ = η = δ = 0``) this is strict complementarity: ``Z = Lᵀy ⪰ 0`` has
+    kernel ``span(ω)``, so every feasible ``J`` lives on ``span(ω)`` and
+    unitality forces ``J = J0``.
+    """
+    j, omega, t, offset = _frame(spec)
+    Z = np.asarray(Z, dtype=np.float64)
+    mats = spec.unpack_tuple(Z)
+    rho = float(np.linalg.norm(spec.null_project(Z[np.newaxis, :])))
+    eta = float(np.linalg.norm(mats[j] @ omega))
+    delta = abs(float(Z @ spec.J0))
+    # eigenvectors of I - ωω* past its 0 eigenvalue span the complement of ω
+    complement = np.linalg.eigh(np.eye(omega.size) - np.outer(omega, np.conj(omega)))[1][:, 1:]
+    mats[j] = np.conj(complement.T) @ mats[j] @ complement
+    least = min(float(np.linalg.eigvalsh(m)[0]) for m in mats if m.size)
+    mu = least - 8.0 * np.finfo(float).eps * max(spec.choi_dims) * float(np.linalg.norm(Z))
+    bound = np.inf
+    if mu > 0.0:
+        tau = (delta + 2.0 * rho * t + 3.0 * eta * t) / mu
+        bound = 2.0 * tau + 2.0 * np.sqrt(t * tau) + offset
+    threshold = tol.tol_sep * max(1.0, float(np.linalg.norm(spec.J0)))
+    return CertificateCheck(rho, eta, delta, float(mu), float(bound), threshold)
+
+
+def _face(spec: UcpSpectrahedron) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, P⊥)``: orthonormal columns ``F`` spanning the face subspace
+    ``S = rowspace(L) ∩ {Z : Z_j ω = 0}``, from one SVD of ``Z ↦ Z_j ω``
+    on an orthonormal row-space basis, and the packed projector ``P⊥``."""
+    j, omega, _, _ = _frame(spec)
+    w, lam = spec._factorization()
+    rows = (spec.L.T @ w) / np.sqrt(lam)
+    image = unpack_herm(rows.T[:, spec.offsets[j] : spec.offsets[j + 1]], spec.choi_dims[j])
+    image = image @ omega
+    _, sv, vh = np.linalg.svd(np.concatenate([image.real, image.imag], axis=1).T)
+    perp = [np.eye(D, dtype=np.complex128) for D in spec.choi_dims]
+    perp[j] -= np.outer(omega, np.conj(omega))
+    return rows @ vh[np.count_nonzero(sv > _FACE_CUT) :].T, spec.pack_tuple(perp)
+
+
+def _dual_search(spec, F, p_perp, Z, mu, ratio, tol):
+    """Dykstra between ``S - P⊥`` and the cone from the closed form ``Z``
+    (margin ``mu``, ``ratio``), checked every ``_CHECK_EVERY`` iterations:
+    ``(Z, μ, ratio, iterations)`` of an accepted ``Z`` in ``S`` near
+    ``{Z ⪰ P⊥}``, or None with the best margin and ratio reached."""
+
+    def to_face(X):
+        return (X @ F) @ F.T
+
+    def affine(X):
+        return to_face(X + p_perp) - p_perp
+
+    state = _DykstraState(affine, spec.psd_project, (Z - p_perp)[np.newaxis, :])
+    while state.iterations < _DUAL_CAP:
+        state.run(_CHECK_EVERY)
+        Z = to_face(state.X + p_perp)[0]
+        check = verify_uniqueness_certificate(spec, Z, tol)
+        if check.accepted:
+            return Z, check.mu, check.ratio, state.iterations
+        mu, ratio = max(mu, check.mu), min(ratio, check.ratio)
+    return None, mu, ratio, state.iterations
+
+
 def is_unique_ucp_extension(
     spec: UcpSpectrahedron,
     seed_entropy,
-    trials: int = 32,
     tol: Tolerances = DEFAULT_TOL,
 ) -> UniquenessResult:
     """Decide whether the spectrahedron is the singleton ``{J0}``.
 
-    Exact fast paths first (fully pinned affine set; strictly definite base
-    point), then seeded random directions in the nullspace of ``L`` probed
-    with Dykstra from ``J0 + eps*D``; any separated candidate is polished
-    into an exact witness.  One-sided: a "unique" answer is evidence from
-    ``trials`` probes, a "not unique" answer carries a near-exact witness.
+    Every verdict is proved, in this order: a pinned affine set
+    (``"pinned"``); a strictly definite base point, left along one seeded
+    nullspace direction (``"pd-fast-path"``); the closed-form dual
+    certificate (``"dual"``, see :func:`verify_uniqueness_certificate`); a
+    witness polished from the min-norm affine solution or its cone
+    projection (``"pre-probe"``); a Dykstra search for a dual certificate
+    (``"dual"``, with its iterations).  A ``"dual"`` verdict's separation
+    is the certificate's margin μ.  Without a certificate or a witness it
+    raises :class:`InconclusiveError` with the best margin and bound reached.
     """
     if spec.J0 is None:
         raise InputError("uniqueness requires the base point J0")
     scale = max(1.0, float(np.linalg.norm(spec.J0)))
     psd_scale = max(1.0, float(np.max(np.abs(spec.J0))))
     sep_abs = tol.tol_sep * scale
-    conv_tol = tol.tol_rank * scale
 
     if spec.null_dim == 0:
         return UniquenessResult(True, None, "pinned", 0.0, 0)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=list(seed_entropy)))
-    draw = rng.standard_normal((trials, spec.num_coords))
-    dirs = spec.null_project(draw)
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    good = norms[:, 0] > 1e-12
-    dirs = dirs[good] / norms[good]
-    if dirs.shape[0] == 0:
-        return UniquenessResult(True, None, "pinned", 0.0, 0)
-
     if float(spec.min_eig(spec.J0[np.newaxis, :])[0]) > tol.tol_psd:
         # strictly definite base point: every null direction moves within the cone
-        tmax = spec.ray_tmax(dirs[:1], t_hi=1.0, slack=_RAY_SLACK * psd_scale)
-        t = float(tmax[0])
-        witness = spec.J0 + 0.9 * t * dirs[0]
-        return UniquenessResult(False, spec.unpack_tuple(witness), "pd-fast-path", 0.9 * t, 0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=list(seed_entropy)))
+        d_dir = spec.null_project(rng.standard_normal((1, spec.num_coords)))
+        d_dir /= np.linalg.norm(d_dir)
+        t = 0.9 * float(spec.ray_tmax(d_dir, t_hi=1.0, slack=_RAY_SLACK * psd_scale)[0])
+        witness = spec.J0 + t * d_dir[0]
+        return UniquenessResult(False, spec.unpack_tuple(witness), "pd-fast-path", t, 0)
 
-    def polish(candidate: np.ndarray) -> tuple[np.ndarray, float] | None:
-        out = _ray_polish(spec, candidate, sep_abs, psd_scale)
-        if out is None:
-            out = _face_polish(spec, candidate, sep_abs, psd_scale, scale)
-        return out
+    F, p_perp = _face(spec)
+    Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
+    check = verify_uniqueness_certificate(spec, Z, tol)
+    if check.accepted:
+        return UniquenessResult(True, None, "dual", check.mu, 0, Z)
 
-    # cheap pre-probe candidates: the min-norm affine solution and its cone
-    # projection; on a non-singleton set these often polish to an exact
-    # witness immediately, and on a singleton set both polish attempts fail
-    # fast because every exact ray from J0 has length below sep_abs
+    # on a non-singleton set these candidates polish to an exact witness; on
+    # a singleton set the polish fails fast, every exact ray being too short
+    failed = 0
     x_p = spec.particular_solution()
     for cand in (x_p, spec.psd_project(x_p[np.newaxis, :])[0]):
         if float(np.linalg.norm(cand - spec.J0)) > sep_abs:
-            out = polish(cand)
-            if out is not None:
-                witness, sep = out
-                return UniquenessResult(False, spec.unpack_tuple(witness), "pre-probe", sep, 0)
-
-    # half the chains start a small step from J0, half macroscopically far;
-    # far starts give much cleaner witness directions when the set extends
-    eps = np.where(
-        np.arange(dirs.shape[0]) % 2 == 0,
-        1e-3 * max(float(np.linalg.norm(spec.J0)), 1.0),
-        0.5 * max(float(np.linalg.norm(spec.J0)), 1.0),
-    )
-    starts = spec.J0[np.newaxis, :] + eps[:, None] * dirs
-
-    def probe(st: _DykstraState, cap: int, alive: np.ndarray, eps_vec: np.ndarray):
-        """Run in segments, retiring chains that have collapsed back into J0.
-
-        A chain is retired once it sits far below its start displacement and
-        is still shrinking geometrically: its limit is J0 (or a point below
-        the separation threshold, which counts as unique anyway), so keeping
-        it alive only burns projections.  A chain headed for a genuine
-        witness stops shrinking at the witness distance first and survives.
-        Polish is attempted on the most separated chains once they look
-        arrived (affinely converged, or no longer traveling).  Returns
-        ("witness", w, sep, ..) or ("no-witness", .., survivors, checkpoint
-        snapshots, affine residuals), plus the summed per-chain iterations.
-        """
-        n0 = last_dist.shape[0]
-        seg = max(cap // 8, 1)
-        checkpoints: list[tuple[int, np.ndarray]] = []
-        aff_full = np.full(n0, np.inf)
-        spent = 0
-        while st.iterations < cap and alive.size:
-            steps = min(seg, cap - st.iterations)
-            st.run(steps)
-            spent += steps * alive.size
-            aff = spec.affine_residual(st.X)
-            dist = np.linalg.norm(st.X - spec.J0, axis=-1)
-            last_dist[alive] = dist
-            aff_full[alive] = aff
-            checkpoints.append((st.iterations, last_dist.copy()))
-            prev = checkpoints[-3][1][alive] if len(checkpoints) >= 3 else None
-            for k in np.argsort(-dist)[:2]:
-                arrived = aff[k] <= conv_tol or (
-                    prev is not None and dist[k] > 0.8 * prev[k]
-                )
-                if dist[k] > sep_abs and arrived:
-                    out = polish(st.X[k])
-                    if out is not None:
-                        return ("witness", out[0], out[1], None, None, None, spent, st)
-            if np.all(aff <= conv_tol):
-                break
-            if prev is not None:
-                thresh = np.maximum(sep_abs, 1e-2 * eps_vec[alive])
-                dead = (dist <= thresh) & (dist <= 0.5 * prev)
-            else:
-                dead = dist <= sep_abs
-            if np.any(dead):
-                keep = np.flatnonzero(~dead)
-                alive = alive[keep]
-                if keep.size:
-                    st = st.select(keep)
-        return ("no-witness", None, 0.0, alive, checkpoints, aff_full, spent, st)
-
-    def classify(st: _DykstraState, alive, checkpoints, aff_full):
-        dist = checkpoints[-1][1]
-        mid_it = st.iterations // 2
-        half_dist = min(checkpoints, key=lambda h: abs(h[0] - mid_it))[1]
-        ambiguous = []
-        for k in np.argsort(-dist[alive]):
-            b = int(alive[k])
-            if dist[b] <= sep_abs:
-                continue
-            out = polish(st.X[k])
-            if out is not None:
-                return ("witness", out[0], out[1], None)
-            if aff_full[b] <= conv_tol:
-                # converged to a separated point no polish can certify
-                ambiguous.append(b)
-            elif dist[b] > 0.8 * max(half_dist[b], 1e-300):
-                # separated, not converged, not shrinking back to J0
-                ambiguous.append(b)
-        return ("no-witness", None, 0.0, ambiguous)
-
-    last_dist = np.full(dirs.shape[0], np.inf)
-    state = _DykstraState(spec, starts)
-    tag, witness, sep, alive, checkpoints, aff_full, total_iters, state = probe(
-        state, _PROBE_CAP, np.arange(dirs.shape[0]), eps
-    )
-    if tag == "witness":
-        return UniquenessResult(False, spec.unpack_tuple(witness), "probe", sep, total_iters)
-    verdict, witness, sep, ambiguous = classify(state, alive, checkpoints, aff_full)
-    if verdict == "witness":
-        return UniquenessResult(False, spec.unpack_tuple(witness), "probe", sep, total_iters)
-    if ambiguous:
-        idx = np.asarray(ambiguous, dtype=int)
-        last_dist = np.full(dirs.shape[0], np.inf)
-        state2 = _DykstraState(spec, starts[idx])
-        tag, witness, sep, alive2, checkpoints2, aff2, spent2, state2 = probe(
-            state2, _FULL_CAP, idx, eps
-        )
-        total_iters += spent2
-        if tag == "witness":
-            return UniquenessResult(False, spec.unpack_tuple(witness), "probe", sep, total_iters)
-        verdict, witness, sep, ambiguous2 = classify(state2, alive2, checkpoints2, aff2)
-        if verdict == "witness":
-            return UniquenessResult(False, spec.unpack_tuple(witness), "probe", sep, total_iters)
-        if ambiguous2:
-            raise InconclusiveError(
-                "uniqueness probe did not converge within the iteration cap; "
-                f"{len(ambiguous2)} of {trials} directions remain ambiguous"
+            out = _ray_polish(spec, cand, sep_abs, psd_scale) or _face_polish(
+                spec, cand, sep_abs, psd_scale, scale
             )
-    return UniquenessResult(True, None, "probe", 0.0, total_iters)
+            if out is not None:
+                return UniquenessResult(False, spec.unpack_tuple(out[0]), "pre-probe", out[1], 0)
+            failed += 1
+
+    Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
+    if Z is not None:
+        return UniquenessResult(True, None, "dual", mu, iterations, Z)
+    raise InconclusiveError(
+        f"uniqueness undecided: no dual certificate after {iterations} iterations "
+        f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e}) "
+        f"and no witness ({failed} witness polishes failed)"
+    )
 
 
 def _rank_truncated_descent(
@@ -808,33 +806,19 @@ def _feasibility_polish(
     certifies: success requires machine-precision affine residual on an
     exactly positive point.
     """
-    mats = spec.unpack_tuple(candidate)
-    eig_tops = [float(np.linalg.eigvalsh(m)[-1]) if m.size else 0.0 for m in mats]
-    global_max = max(eig_tops, default=0.0)
-    if global_max <= 0.0:
+    profiles = _rank_profiles(spec, candidate, (3e-2, 1e-3, 1e-5))
+    if not profiles:
         return None
-    profiles: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    base = profiles[0]
 
     def push(key: tuple[int, ...]) -> None:
-        if sum(key) > 0 and key not in seen:
-            seen.add(key)
+        if sum(key) > 0 and key not in profiles:
             profiles.append(key)
 
-    base: tuple[int, ...] = ()
-    for cut in (3e-2, 1e-3, 1e-5):
-        ranks = []
-        for m, top in zip(mats, eig_tops):
-            thresh = cut * max(top, 1e-3 * global_max)
-            w = np.linalg.eigvalsh(m)
-            ranks.append(int(np.count_nonzero(w > thresh)))
-        if not base and sum(ranks):
-            base = tuple(ranks)
-        push(tuple(ranks))
     if len(spec.choi_dims) == 1:
         for r in range(1, min(spec.choi_dims[0], 12) + 1):
             push((r,))
-    elif base:
+    else:
         # vary one block at a time around the sharpest eigenvalue profile
         for j, D in enumerate(spec.choi_dims):
             for r in range(1, min(D, 6) + 1):
@@ -851,7 +835,7 @@ def _feasibility_polish(
 def ucp_feasibility(
     spec: UcpSpectrahedron,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = _FULL_CAP,
+    cap: int = 50_000,
     start: np.ndarray | None = None,
 ) -> FeasibilityResult:
     """Decide whether the spectrahedron is nonempty.
@@ -873,7 +857,7 @@ def ucp_feasibility(
         return FeasibilityResult(True, [], 0.0, 0, "trivial")
     if start is None:
         start = spec.particular_solution()
-    state = _DykstraState(spec, start[np.newaxis, :].astype(np.float64))
+    state = _DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
     res_trace = []
     while state.iterations < cap:
         state.run(min(200, cap - state.iterations))

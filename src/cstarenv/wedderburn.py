@@ -315,9 +315,6 @@ class BlockIdeal:
         if not set(self.killed) <= labels:
             raise InputError(f"killed blocks {sorted(self.killed)} outside {sorted(labels)}")
 
-    def sorted_killed(self) -> tuple[int, ...]:
-        return tuple(sorted(self.killed))
-
 
 def enumerate_ideals(W: WedderburnData) -> list[BlockIdeal]:
     """All ``2**num_blocks`` ideals, ordered by cardinality then lexicographically."""

@@ -79,14 +79,21 @@ def pair_analyses(analyses, config):
 
 
 @pytest.fixture(scope="session")
-def seven_blocks():
-    """``(E, W)`` for ``span{1, g, g*}``, ``g = J_2 (+) diag(lambda)``: five
-    scalars inside the numerical range of ``J_2`` and one on the unit
-    circle, so the algebra has seven blocks (the benchmark's blocks shape)."""
+def seven_blocks_generator():
+    """``g = J_2 (+) diag(lambda)``: five scalars inside the numerical range
+    of ``J_2`` and one on the unit circle."""
     lam = [0.3, -0.2j, 0.25 * np.exp(2j), 0.1 + 0.15j, -0.35, np.exp(0.7j)]
     n = 2 + len(lam)
     g = np.zeros((n, n), dtype=complex)
     g[0, 1] = 1.0
     g[2:, 2:] = np.diag(lam)
-    E = opsys_from_generators(n, [g])
+    return g
+
+
+@pytest.fixture(scope="session")
+def seven_blocks(seven_blocks_generator):
+    """``(E, W)`` for ``span{1, g, g*}`` with ``g = seven_blocks_generator``,
+    whose algebra has seven blocks (the benchmark's blocks shape)."""
+    g = seven_blocks_generator
+    E = opsys_from_generators(g.shape[0], [g])
     return E, wedderburn_decompose(generated_cstar(E))

@@ -428,3 +428,39 @@ def test_routes_agree_under_reseeding(system, wedderburn):
         for seed in (2, 3):
             dk_killed = silov_ideal_dk(E, W, seed=seed)[0].killed
             assert dk_killed == lat_killed, (name, seed)
+
+
+def _seeded_unitary(n: int, seed: int) -> np.ndarray:
+    q, r = np.linalg.qr(random_complex(np.random.default_rng(seed), n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_generator):
+    # the representation route sees the span, not its basis: rescaled,
+    # conjugated and reordered generators give the same per-block verdicts,
+    # methods and iteration counts
+    from cstarenv.analysis import analyze_system
+    from cstarenv.specio import analysis_report
+
+    presentations = {
+        name: [np.asarray(g) for g in entries[name].spec.generators]
+        for name in ("state_sum", "state_sum_s3")
+    }
+    presentations["seven_blocks"] = [seven_blocks_generator]
+    for name, gens in presentations.items():
+        n = gens[0].shape[0]
+        U = _seeded_unitary(n, 17)
+        variants = {
+            "given": gens,
+            "unit norm": [g / np.linalg.norm(g) for g in gens],
+            "conjugated": [U @ g @ U.conj().T for g in gens],
+            "reversed": gens[::-1],
+        }
+        seen = {}
+        for key, gs in variants.items():
+            report = analysis_report(analyze_system(opsys_from_generators(n, gs), name=name))
+            seen[key] = (
+                [(b["unique"], b["method"], b["iterations"]) for b in report["certificates"]["dk"]],
+                report["timing"]["dk_iterations"],
+            )
+        assert all(v == seen["given"] for v in seen.values()), (name, seen)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cstarenv
+from cstarenv import cli, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -71,8 +72,6 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
         "3",
         "--tol-sep",
         "2e-06",
-        "--uniqueness-trials",
-        "16",
         "--json-out",
         str(out_file),
         "--quiet",
@@ -81,7 +80,16 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
     report = json.loads(out_file.read_text())
     assert report["seed"] == 3
     assert report["tolerances"]["tol_sep"] == 2e-06
-    assert report["flags"]["uniqueness_trials"] == 16
+    assert "uniqueness_trials" not in report["flags"]
+
+
+def test_uniqueness_trials_flag_is_gone(corpus_dir, capsys):
+    # uniqueness is decided by a certificate or a witness, not by probe count
+    code, _, err = run(
+        capsys, "analyze", str(corpus_dir / "full_M1.json"), "--uniqueness-trials", "16"
+    )
+    assert code == 1
+    assert "--uniqueness-trials" in err
 
 
 def test_input_errors_exit_one(capsys, tmp_path):
@@ -192,6 +200,50 @@ def test_verify_all_small_corpus(corpus_dir, capsys, tmp_path):
     assert written.count("summary.json") == 1
     assert sum(n.endswith(".analysis.json") for n in written) == 4
     assert sum(n.endswith(".tensor.json") for n in written) == 8
+
+
+def _blas_threads_now(_task) -> int | None:
+    return cli._set_blas_threads(1)
+
+
+def test_verify_all_tasks_run_on_one_blas_thread():
+    before = cli._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    try:
+        for jobs in (1, 2):
+            assert cli._run_tasks(_blas_threads_now, [(0,), (1,)], jobs) == [1, 1]
+            # the inline run restores the caller's count
+            assert cli._set_blas_threads(2) == 2
+    finally:
+        cli._set_blas_threads(before)
+
+
+def test_verify_all_reports_do_not_depend_on_jobs(corpus_dir, capsys, tmp_path):
+    outputs = {}
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        code, _, _ = run(
+            capsys, "verify-all", str(corpus_dir), "--json-out", str(out_dir), "--jobs", jobs
+        )
+        assert code == 0
+        outputs[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(outputs["1"]) == 4 + 8 + 1
+    assert outputs["1"] == outputs["2"]
+
+
+def test_verify_all_row_shows_inconclusive_uniqueness_evidence(corpus_dir, capsys, monkeypatch):
+    # without the witness polish the scalar block of state_sum has neither a
+    # certificate nor a witness; its row says how close the dual search came
+    monkeypatch.setattr(ucp, "_ray_polish", lambda *a, **k: None)
+    monkeypatch.setattr(ucp, "_face_polish", lambda *a, **k: None)
+    code, out, _ = run(capsys, "verify-all", str(corpus_dir))
+    assert code == 2
+    row = next(line for line in out.splitlines() if line.startswith("state_sum "))
+    assert "inconclusive" in row
+    detail = out.splitlines()[out.splitlines().index(row) + 1]
+    assert "best margin" in detail and "best bound/threshold" in detail
+    assert "2 witness polishes failed" in detail
 
 
 def test_verify_all_without_manifest(capsys, tmp_path):

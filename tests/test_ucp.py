@@ -10,14 +10,18 @@ from cstarenv.boundary import (
     build_extension_spectrahedron,
     build_left_inverse_spectrahedron,
 )
-from cstarenv.errors import InputError
+from cstarenv import ucp
+from cstarenv.errors import InconclusiveError, InputError
 from cstarenv.linalg import DEFAULT_TOL
+from cstarenv.opsys import generated_cstar
+from cstarenv.tensor import min_tensor, product_blocks
 from cstarenv.ucp import (
     UcpSpectrahedron,
     is_unique_ucp_extension,
     maximally_entangled,
     pack_herm,
     ucp_feasibility,
+    verify_uniqueness_certificate,
 )
 from cstarenv.ucp import _pack_jacobian
 
@@ -130,7 +134,7 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 
 # full_M2 and jordan_M2 generate simple algebras, whose only block the
 # representation route declares boundary without a probe; these two tests
-# keep the probe as the oracle for that shortcut
+# keep an exact uniqueness proof as the oracle for that shortcut
 
 
 def test_fully_pinned_block_reports_unique(system, wedderburn):
@@ -141,13 +145,145 @@ def test_fully_pinned_block_reports_unique(system, wedderburn):
     assert res.unique and res.method == "pinned" and res.iterations == 0
 
 
-def test_probe_certifies_unique_blocks(system, wedderburn):
+def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
         spec = build_extension_spectrahedron(system(name), wedderburn(name)[1], label)
         res = is_unique_ucp_extension(spec, (1, 0xB0DA, label))
-        assert res.unique and res.method == "probe"
+        assert res.unique and res.method == "dual" and res.iterations == 0
         assert res.witness is None
-        assert res.iterations > 0
+        check = verify_uniqueness_certificate(spec, res.certificate)
+        assert check.accepted and check.mu > 0.0
+        assert res.separation == check.mu
+
+
+@pytest.fixture(scope="module")
+def decisions(entries, system, wedderburn, seven_blocks):
+    """``(name, label, spec, result)`` for every block of the corpus
+    fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``."""
+    systems = [(name, system(name), wedderburn(name)[1]) for name in entries]
+    systems.append(("seven_blocks", *seven_blocks))
+    T = min_tensor(system("full_M2"), system("state_sum"))
+    P = product_blocks(
+        wedderburn("full_M2")[1],
+        wedderburn("state_sum")[1],
+        direct_algebra=generated_cstar(T.product),
+    )
+    systems.append(("full_M2*state_sum", T.product, P.wedderburn))
+    out = []
+    for name, E, W in systems:
+        for label in W.labels:
+            spec = build_extension_spectrahedron(E, W, label)
+            out.append((name, label, spec, is_unique_ucp_extension(spec, (1, 0xB0DA, label))))
+    return out
+
+
+def test_every_unique_block_carries_an_accepted_certificate(decisions):
+    methods = set()
+    for name, label, spec, res in decisions:
+        methods.add(res.method)
+        if not res.unique:
+            assert res.method == "pre-probe", (name, label)
+            assert_exact_point(spec, res.witness)
+            continue
+        assert res.method in ("pinned", "dual"), (name, label)
+        if res.method == "dual":
+            check = verify_uniqueness_certificate(spec, res.certificate)
+            assert check.accepted, (name, label, check)
+            assert res.separation == check.mu
+    assert {"dual", "pre-probe"} <= methods
+    searched = [(n, lab) for n, lab, _, r in decisions if r.method == "dual" and r.iterations]
+    assert ("state_sum_s3", 1) in searched
+
+
+def _without_witness_polish(monkeypatch):
+    monkeypatch.setattr(ucp, "_ray_polish", lambda *a, **k: None)
+    monkeypatch.setattr(ucp, "_face_polish", lambda *a, **k: None)
+
+
+def test_no_certificate_where_a_witness_exists(decisions, monkeypatch):
+    # with the witness polish disabled, a block that has a second extension
+    # must end inconclusive: neither the closed form nor the search may
+    # produce an accepted certificate there.  full_M2 (x) state_sum label 2
+    # is the trap: the other block of its closed form has an eigenvalue of
+    # about 1e-16, which a bare margin check would take as positive.
+    _without_witness_polish(monkeypatch)
+    refuted = [(n, lab, spec) for n, lab, spec, r in decisions if not r.unique]
+    assert ("full_M2*state_sum", 2) in [(n, lab) for n, lab, _ in refuted]
+    for name, label, spec in refuted:
+        with pytest.raises(InconclusiveError, match="no dual certificate"):
+            is_unique_ucp_extension(spec, (1, 0xB0DA, label))
+
+
+def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn, monkeypatch):
+    _without_witness_polish(monkeypatch)
+    spec = ec_spec(wedderburn, system, 2)
+    with pytest.raises(InconclusiveError) as info:
+        is_unique_ucp_extension(spec, (1, 0xB0DA, 2))
+    msg = str(info.value)
+    assert "after 400 iterations" in msg
+    assert "best margin -" in msg and "best bound/threshold inf" in msg
+    assert "2 witness polishes failed" in msg
+
+
+def _null_rows(M: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the nullspace of ``M``."""
+    _, s, vh = np.linalg.svd(M)
+    return vh[int(np.count_nonzero(s > 1e-10)) :]
+
+
+def test_perturbed_certificates_are_rejected(system, wedderburn):
+    spec = ec_spec(wedderburn, system, 1)
+    Z = is_unique_ucp_extension(spec, (1, 0xB0DA, 1)).certificate
+    base = verify_uniqueness_certificate(spec, Z)
+    assert base.accepted
+    (j,) = [k for k, m in enumerate(spec.unpack_tuple(spec.J0)) if np.abs(m).max() > 0]
+    D = spec.choi_dims[j]
+    lo, hi = spec.offsets[j], spec.offsets[j + 1]
+    omega = np.eye(spec.target_dim).reshape(-1) / np.sqrt(spec.target_dim)
+    others = np.linalg.qr(omega[:, None].astype(complex), mode="complete")[0][:, 1:]
+
+    def in_block(m):
+        x = np.zeros(spec.num_coords)
+        x[lo:hi] = pack_herm(m)
+        return x
+
+    def face_image(X):
+        """Real rows ``Re, Im`` of ``X_j omega`` for packed rows ``X``."""
+        img = spec.unpack_tuple(X)[j] @ omega
+        return np.concatenate([img.real, img.imag], axis=-1)
+
+    # a cross term omega v* + v omega* inside the row space of L: only eta sees it
+    cross = np.array(
+        [
+            in_block(np.outer(omega, np.conj(p * v)) + np.outer(p * v, omega))
+            for v in others.T
+            for p in (1.0, 1.0j)
+        ]
+    )
+    null = _null_rows(spec.L)
+    (c, *_) = _null_rows(cross @ null.T @ null @ cross.T)
+    term = c @ cross
+    # a nullspace direction that keeps Z_j omega = 0: only rho sees it
+    coeffs = _null_rows(face_image(null).T)
+    off_rows = coeffs[0] @ null
+    # a negative eigenvalue on the complement of omega
+    Zj = spec.unpack_tuple(Z)[j]
+    u = others[:, 0]
+    dip = in_block(-(float(np.real(np.conj(u) @ Zj @ u)) + 0.1) * np.outer(u, np.conj(u)))
+
+    perturbed = {
+        "cross": Z + 1e-3 * term / np.linalg.norm(term),
+        "off-row-space": Z + 1e-3 * off_rows / np.linalg.norm(off_rows),
+        "negative": Z + dip,
+    }
+    checks = {k: verify_uniqueness_certificate(spec, v) for k, v in perturbed.items()}
+    for name, check in checks.items():
+        assert not check.accepted, (name, check)
+    assert checks["cross"].eta > 1e-4 and checks["cross"].rho < 1e-12
+    assert checks["cross"].mu == pytest.approx(base.mu, abs=1e-12)
+    assert checks["off-row-space"].rho == pytest.approx(1e-3)
+    assert checks["off-row-space"].eta < 1e-12 and checks["off-row-space"].mu > 0.1
+    assert checks["negative"].mu < 0.0
 
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
