@@ -319,20 +319,15 @@ def _set_blas_threads(n: int) -> int | None:
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    """Every analysis runs on one BLAS thread: the matrices are too small to
-    gain from more, ``jobs`` workers would oversubscribe the cores, and the
-    report bytes stay the same for every ``jobs``."""
+    """Run ``fn`` over ``tasks`` inline, or on ``jobs`` worker processes that
+    each run on one BLAS thread, as :func:`main` does: ``jobs`` workers on
+    more threads would oversubscribe the cores."""
     if jobs > 1 and len(tasks) > 1:
         with futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_set_blas_threads, initargs=(1,)
         ) as pool:
             return list(pool.map(fn, *zip(*tasks)))
-    previous = _set_blas_threads(1)
-    try:
-        return [fn(*task) for task in tasks]
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
+    return [fn(*task) for task in tasks]
 
 
 def cmd_verify_all(args) -> int:
@@ -455,6 +450,10 @@ def cmd_verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Every subcommand runs on one BLAS thread: the matrices are too small to
+    gain from more, and a report's bytes must not depend on the pool size.
+    The caller's thread count is restored on return."""
+    previous = _set_blas_threads(1)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -470,6 +469,9 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
 
 
 if __name__ == "__main__":

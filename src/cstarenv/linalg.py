@@ -8,8 +8,11 @@ arithmetic is always Hilbert-Schmidt; the operator norm appears only where
 an isometry statement is being made.
 
 Matrices are plain complex ndarrays.  A subspace is stored as an
-orthonormal basis (stacked, shape ``(dim, n, n)``) produced by modified
-Gram-Schmidt, so membership and projection are single contractions.
+orthonormal basis (stacked, shape ``(dim, n, n)``), so membership and
+projection are single contractions.  Bases come from one ordered,
+right-looking Gram-Schmidt kernel that re-orthogonalizes each accepted
+vector once; it keeps the input order and the cutoff relative to the
+largest input norm.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class MatSubspace:
 
     def vecs(self) -> np.ndarray:
         """Basis flattened to shape ``(dim, ambient**2)``."""
-        return self.basis.reshape(self.dim, -1)
+        return self.basis.reshape(self.dim, self.ambient * self.ambient)
 
     def coefficients(self, a: np.ndarray) -> np.ndarray:
         """HS coefficients of ``a`` against the stored basis (no membership check)."""
@@ -182,37 +185,59 @@ class MatSubspace:
         )
 
 
+def _ordered_gram_schmidt(vecs: np.ndarray, threshold: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``vecs`` (shape ``(k, m)``, real
+    or complex), accepted in input order.
+
+    A row joins the basis when its residual against the rows accepted before
+    it exceeds ``threshold``.  Each round takes the first remaining row above
+    the threshold and drops the rows before it, each of which was measured
+    against the basis a row-by-row loop would have had there.  The accepted
+    row is re-orthogonalized once against the basis, normalized, and removed
+    from every later row in one rank-1 update (right-looking), so a round is
+    a few calls on the remaining rows: O(k·rank·m) flops in O(rank) calls.
+    At most ``m`` rows are accepted.
+    """
+    rest = np.array(vecs)
+    basis = np.empty((min(rest.shape), rest.shape[1]), dtype=rest.dtype)
+    rank = 0
+    while rank < basis.shape[0] and rest.shape[0]:
+        real = rest.view(np.float64)
+        above = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", real, real)) > threshold)
+        if not above.size:
+            break
+        i = above[0]
+        q = basis[:rank]
+        v = rest[i] - (np.conj(q) @ rest[i]) @ q
+        basis[rank] = v / np.linalg.norm(v)
+        rest = rest[i + 1 :]
+        rest -= np.outer(rest @ np.conj(basis[rank]), basis[rank])
+        rank += 1
+    return basis[:rank]
+
+
 def span_of(
     mats, ambient: int, tol: Tolerances = DEFAULT_TOL
 ) -> MatSubspace:
-    """Orthonormal span via modified Gram-Schmidt with re-orthogonalization.
+    """Orthonormal span by ordered, right-looking Gram-Schmidt with one
+    re-orthogonalization of each accepted vector (:func:`_ordered_gram_schmidt`).
 
-    Residuals with norm at most ``tol_rank`` times the largest input norm are
-    discarded, so near-duplicate inputs cannot inflate the dimension.  Input
-    order is preserved, which keeps the basis deterministic.
+    An input joins the basis when its residual against the basis accepted
+    before it exceeds ``tol_rank`` times the largest input norm, so
+    near-duplicate inputs cannot inflate the dimension.  Input order is
+    kept, which keeps the basis deterministic.
     """
-    stack = [np.asarray(m, dtype=np.complex128) for m in mats]
-    for m in stack:
-        if m.shape != (ambient, ambient):
-            raise InputError(f"matrix shape {m.shape} does not match ambient {ambient}")
-    if not stack:
+    try:
+        stack = np.asarray(list(mats), dtype=np.complex128)
+    except ValueError as exc:
+        raise InputError(f"inputs are not matrices of one shape: {exc}") from None
+    if not len(stack):
         return MatSubspace(ambient, np.zeros((0, ambient, ambient)))
-    norms = [hs_norm(m) for m in stack]
-    threshold = tol.tol_rank * max(norms)
-    if threshold == 0.0:
-        return MatSubspace(ambient, np.zeros((0, ambient, ambient)))
-    basis: list[np.ndarray] = []
-    for m in stack:
-        v = m.ravel().copy()
-        for _ in range(2):  # re-orthogonalize: one pass is not enough near rank decisions
-            for b in basis:
-                v -= (np.conj(b) @ v) * b
-        nrm = float(np.linalg.norm(v))
-        if nrm > threshold:
-            basis.append(v / nrm)
-    if not basis:
-        return MatSubspace(ambient, np.zeros((0, ambient, ambient)))
-    return MatSubspace(ambient, np.stack(basis).reshape(-1, ambient, ambient))
+    if stack.ndim != 3 or stack.shape[1:] != (ambient, ambient):
+        raise InputError(f"matrix shape {stack.shape[1:]} does not match ambient {ambient}")
+    vecs = stack.reshape(len(stack), -1)
+    threshold = tol.tol_rank * float(np.max(np.linalg.norm(vecs, axis=1)))
+    return MatSubspace(ambient, _ordered_gram_schmidt(vecs, threshold).reshape(-1, ambient, ambient))
 
 
 def subspace_contains(
@@ -229,17 +254,23 @@ def subspace_contains(
     return hs_norm(resid) <= tol.tol_rank * nrm
 
 
+def _rows_inside(s: MatSubspace, rows: np.ndarray, tol: Tolerances) -> bool:
+    """:func:`subspace_contains` for every row of ``rows`` in one contraction."""
+    resid = rows - (rows @ np.conj(s.vecs()).T) @ s.vecs()
+    return bool(
+        np.all(np.linalg.norm(resid, axis=1) <= tol.tol_rank * np.linalg.norm(rows, axis=1))
+    )
+
+
 def subspace_equal(
     s: MatSubspace, t: MatSubspace, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
-    """Equality by dimension plus mutual containment of spanning sets."""
+    """Equality by dimension plus mutual containment of the two bases."""
     if s.ambient != t.ambient:
         raise InputError("subspace_equal requires a common ambient dimension")
     if s.dim != t.dim:
         return False
-    return all(subspace_contains(s, b, tol) for b in t.basis) and all(
-        subspace_contains(t, b, tol) for b in s.basis
-    )
+    return _rows_inside(s, t.vecs(), tol) and _rows_inside(t, s.vecs(), tol)
 
 
 def subspace_intersection(
@@ -270,26 +301,20 @@ def hermitian_basis(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
     For adjoint-closed ``s`` the Hermitian elements form a real subspace whose
     real dimension equals the complex dimension of ``s``; this is the basis
-    UCP constraint rows are written against.
+    UCP constraint rows are written against.  It is the same ordered
+    Gram-Schmidt kernel as :func:`span_of`, run with real coefficients
+    ``Re<a, b>`` on the Hermitian and anti-Hermitian halves of each basis
+    element.
     """
-    candidates = []
-    for b in s.basis:
-        candidates.append((b + dagger(b)) / 2.0)
-        candidates.append((b - dagger(b)) / 2.0j)
-    if not candidates:
+    if s.dim == 0:
         return np.zeros((0, s.ambient, s.ambient))
-    norms = [hs_norm(m) for m in candidates]
-    threshold = tol.tol_rank * max(max(norms), 1e-300)
-    basis: list[np.ndarray] = []
-    for m in candidates:
-        v = m.ravel().copy()
-        for _ in range(2):
-            for b in basis:
-                v -= np.real(np.conj(b) @ v) * b  # real coefficients only
-        nrm = float(np.linalg.norm(v))
-        if nrm > threshold:
-            basis.append(v / nrm)
-    out = np.stack(basis).reshape(-1, s.ambient, s.ambient)
+    adj = np.conj(s.basis).transpose(0, 2, 1)
+    candidates = np.stack([(s.basis + adj) / 2.0, (s.basis - adj) / 2.0j], axis=1)
+    # the float view [Re, Im, ...] turns Re<a, b> into the real dot product
+    real = candidates.reshape(2 * s.dim, -1).view(np.float64)
+    threshold = tol.tol_rank * max(float(np.max(np.linalg.norm(real, axis=1))), 1e-300)
+    basis = _ordered_gram_schmidt(real, threshold)
+    out = basis.view(np.complex128).reshape(-1, s.ambient, s.ambient)
     if out.shape[0] != s.dim:
         raise InputError(
             "hermitian_basis requires an adjoint-closed subspace "

@@ -597,6 +597,40 @@ def _frame(spec: UcpSpectrahedron) -> tuple[int, np.ndarray, float, float]:
     return j, omega, t, float(np.linalg.norm(spec.pack_tuple(mats)))
 
 
+def _distance_bound(t: float, tau: float) -> float:
+    """``√(2τ(τ + t))``, a bound on ``‖J - t·ωω*‖`` for every PSD ``J`` with
+    ``tr J = t`` and ``tr(P⊥J) ≤ τ``, ``P⊥`` the projector onto the complement
+    of the unit vector ``ω``.
+
+    Split ``J = [[a, b*], [b, C]]`` along ``ω``.  Then ``a - t = -tr C``, so
+    ``(a - t)² ≤ τ²``; ``C ⪰ 0`` gives ``‖C‖ ≤ tr C ≤ τ``; and the 2×2
+    minors of ``J`` give ``‖b‖² ≤ a·tr C ≤ tτ``.  Summed,
+    ``‖J - t·ωω*‖² = (a - t)² + 2‖b‖² + ‖C‖² ≤ 2τ² + 2tτ``.  A rank-one
+    ``J`` comes within a factor ``√(1 + τ/t)`` of it.
+    """
+    return float(np.sqrt(2.0 * tau * (tau + t)))
+
+
+def _trace_bound(
+    t: float, offset: float, rho: float, eta: float, delta: float, mu: float
+) -> float:
+    """The largest ``x ≥ 0`` allowed by ``μx - 3ηt ≤ δ + ρ(√(2x(x + t)) + ε)``
+    (``ε = offset``), or infinity: the bound ``τ`` on ``tr(P⊥J)`` of
+    :func:`verify_uniqueness_certificate`.
+
+    With ``√(2x(x + t)) ≤ √2(x + √(xt))`` the inequality gives
+    ``a·x - b·√x - c ≤ 0`` for ``a = μ - √2ρ``, ``b = ρ√(2t)`` and
+    ``c = δ + 3ηt + ρε``, so ``√x ≤ (b + √(b² + 4ac))/2a`` when ``a > 0``.
+    Rounding in ``ρ`` thus enters only through ``c`` and ``b²``.
+    """
+    a = mu - np.sqrt(2.0) * rho
+    if a <= 0.0:
+        return np.inf
+    b = rho * np.sqrt(2.0 * t)
+    c = delta + 3.0 * eta * t + rho * offset
+    return float(((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)) ** 2)
+
+
 @dataclass(frozen=True)
 class CertificateCheck:
     """What :func:`verify_uniqueness_certificate` measured, and ``bound`` on
@@ -630,15 +664,15 @@ def verify_uniqueness_certificate(
     ``η = ‖Z_j ω‖``; ``δ = |<Z, J0>|``; and ``μ``, the least eigenvalue of
     ``Z`` compressed to the range of ``P⊥``, minus a rounding allowance.
 
-    A feasible ``J`` is PSD with ``tr J = t`` (unitality), so ``‖J‖ ≤ t`` and
-    ``‖J - J0‖ ≤ 2t``; ``J - J0`` lies in the nullspace of ``L``, which only
-    the off-row-space part of ``Z`` sees, so ``<Z, J> ≤ δ + 2ρt``.  Split
-    along ``ω``, the compression of ``Z`` gives at least ``μ·tr(P⊥J)`` and
-    the corner and the two cross terms are at most ``ηt`` each, so
-    ``<Z, J> ≥ μ·tr(P⊥J) - 3ηt``.  For ``μ > 0`` this bounds
-    ``tr(P⊥J) ≤ τ = (δ + 2ρt + 3ηt)/μ``.  In the split ``J = [[a, b*], [b, C]]``
-    with ``tr C ≤ τ``, ``a = t - tr C`` and ``‖b‖² ≤ a·tr C ≤ tτ``, so
-    ``‖J - J0‖ ≤ 2τ + 2√(tτ) + ‖J0 - t·ωω*‖``.  The certificate is accepted
+    A feasible ``J`` is PSD with ``tr J = t`` (unitality); let
+    ``x = tr(P⊥J)`` and ``ε = ‖J0 - t·ωω*‖``.  Split along ``ω``, the
+    compression of ``Z`` gives at least ``μx`` and the corner and the two
+    cross terms are at most ``ηt`` each, so ``<Z, J> ≥ μx - 3ηt``.
+    ``J - J0`` lies in the nullspace of ``L``, which only the off-row-space
+    part of ``Z`` sees, so ``<Z, J> ≤ δ + ρ‖J - J0‖``, and
+    ``‖J - J0‖ ≤ √(2x(x + t)) + ε`` by :func:`_distance_bound`.  The two
+    sides bound ``x ≤ τ`` (:func:`_trace_bound`), so
+    ``‖J - J0‖ ≤ √(2τ(τ + t)) + ε``.  The certificate is accepted
     when ``μ > 0`` and this bound is below ``tol_sep·max(1, ‖J0‖)``, the
     separation below which two feasible points count as one.  Exactly
     (``ρ = η = δ = 0``) this is strict complementarity: ``Z = Lᵀy ⪰ 0`` has
@@ -656,10 +690,7 @@ def verify_uniqueness_certificate(
     mats[j] = np.conj(complement.T) @ mats[j] @ complement
     least = min(float(np.linalg.eigvalsh(m)[0]) for m in mats if m.size)
     mu = least - 8.0 * np.finfo(float).eps * max(spec.choi_dims) * float(np.linalg.norm(Z))
-    bound = np.inf
-    if mu > 0.0:
-        tau = (delta + 2.0 * rho * t + 3.0 * eta * t) / mu
-        bound = 2.0 * tau + 2.0 * np.sqrt(t * tau) + offset
+    bound = _distance_bound(t, _trace_bound(t, offset, rho, eta, delta, mu)) + offset
     threshold = tol.tol_sep * max(1.0, float(np.linalg.norm(spec.J0)))
     return CertificateCheck(rho, eta, delta, float(mu), float(bound), threshold)
 

@@ -23,6 +23,47 @@ def span_dim(mats, tol: float = 1e-9) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
+def mgs_span_reference(mats, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal rows ``(r, n*n)`` of the span, one input at a time.
+
+    Modified Gram-Schmidt with one re-orthogonalization pass: an input joins
+    when its residual exceeds ``tol`` times the largest input norm.  This is
+    the loop ``span_of`` ran before its vectorized kernel, kept as the
+    reference for its rank decisions, input order and rounding.
+    """
+    stack = vec_stack(mats)
+    threshold = tol * max(float(np.linalg.norm(v)) for v in stack)
+    basis: list[np.ndarray] = []
+    if threshold > 0.0:
+        for m in stack:
+            v = m.copy()
+            for _ in range(2):
+                for b in basis:
+                    v -= (np.conj(b) @ v) * b
+            nrm = float(np.linalg.norm(v))
+            if nrm > threshold:
+                basis.append(v / nrm)
+    return np.array(basis, dtype=complex).reshape(len(basis), stack.shape[1])
+
+
+def mgs_real_reference(mats, tol: float = 1e-9) -> np.ndarray:
+    """:func:`mgs_span_reference` with real coefficients ``Re<b, v>``: the
+    real span of Hermitian inputs, as ``hermitian_basis`` ran it before its
+    vectorized kernel."""
+    stack = vec_stack(mats)
+    threshold = tol * max(max(float(np.linalg.norm(v)) for v in stack), 1e-300)
+    basis: list[np.ndarray] = []
+    for m in stack:
+        v = m.copy()
+        for _ in range(2):
+            for b in basis:
+                v -= np.real(np.conj(b) @ v) * b
+        nrm = float(np.linalg.norm(v))
+        if nrm > threshold:
+            basis.append(v / nrm)
+    return np.array(basis, dtype=complex).reshape(len(basis), stack.shape[1])
+
+
 def reduce_basis(mats, tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal matrix basis of the span, via one SVD."""
     stack = vec_stack(mats)

@@ -211,12 +211,63 @@ def test_verify_all_tasks_run_on_one_blas_thread():
     if before is None:
         pytest.skip("numpy bundles no OpenBLAS")
     try:
-        for jobs in (1, 2):
-            assert cli._run_tasks(_blas_threads_now, [(0,), (1,)], jobs) == [1, 1]
-            # the inline run restores the caller's count
-            assert cli._set_blas_threads(2) == 2
+        assert cli._run_tasks(_blas_threads_now, [(0,), (1,)], 2) == [1, 1]
+        # the workers leave the caller's count alone
+        assert cli._set_blas_threads(2) == 2
     finally:
         cli._set_blas_threads(before)
+
+
+def test_every_subcommand_runs_on_one_blas_thread(corpus_dir, capsys, tmp_path, monkeypatch):
+    real = cli._set_blas_threads
+    before = real(2)
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    calls = []
+
+    def record(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "_set_blas_threads", record)
+    small = tmp_path / "small"
+    commands = [
+        ["analyze", str(corpus_dir / "full_M1.json")],
+        ["tensor", str(corpus_dir / "full_M1.json"), str(corpus_dir / "full_M1.json")],
+        ["corpus", str(small), "--count", "2"],
+        ["verify-all", str(small)],
+    ]
+    try:
+        for argv in commands:
+            calls.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0, argv
+            # one thread for the run, then the caller's count back
+            assert calls == [1, 2], argv
+    finally:
+        real(before)
+
+
+def test_tensor_report_bytes_match_verify_all(corpus_dir, capsys, tmp_path):
+    before = cli._set_blas_threads(2)
+    try:
+        out_dir = tmp_path / "all"
+        code, _, _ = run(capsys, "verify-all", str(corpus_dir), "--json-out", str(out_dir))
+        assert code == 0
+        pair = tmp_path / "pair.json"
+        code, _, _ = run(
+            capsys,
+            "tensor",
+            str(corpus_dir / "full_M2.json"),
+            str(corpus_dir / "state_sum.json"),
+            "--json-out",
+            str(pair),
+        )
+        assert code == 0
+        assert pair.read_bytes() == (out_dir / "full_M2__state_sum.tensor.json").read_bytes()
+    finally:
+        if before is not None:
+            cli._set_blas_threads(before)
 
 
 def test_verify_all_reports_do_not_depend_on_jobs(corpus_dir, capsys, tmp_path):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarenv.corpus import corpus_entries
 from cstarenv.linalg import (
+    DEFAULT_TOL,
+    MatSubspace,
     hermitian_basis,
     hs_inner,
     hs_norm,
@@ -16,10 +19,13 @@ from cstarenv.linalg import (
     subspace_intersection,
 )
 from cstarenv.opsys import product_span
+from cstarenv.specio import opsys_of
 from cstarenv.tensor import subspace_kron
 
 from _oracles import (
     hermitian_part_dim,
+    mgs_real_reference,
+    mgs_span_reference,
     op_norm_ref,
     random_complex,
     random_herm,
@@ -193,3 +199,161 @@ def test_eigensolver_reconstruction_residual():
         assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() < 1e-9 * max(
             1.0, np.abs(h).max()
         )
+
+
+# --- the ordered Gram-Schmidt kernel against the one-input-at-a-time loop ---
+
+
+def assert_span_matches_reference(mats, n):
+    """Same dimension, same subspace and the same basis rows as the loop."""
+    s = span_of(mats, n)
+    ref = mgs_span_reference(mats)
+    assert s.dim == ref.shape[0]
+    assert subspace_equal(s, MatSubspace(n, ref.reshape(-1, n, n)))
+    if s.dim:
+        assert np.abs(s.vecs() - ref).max() <= 1e-12
+    return s
+
+
+def hermitian_candidates(s):
+    """The Hermitian and anti-Hermitian halves of each basis element, in order."""
+    out = []
+    for b in s.basis:
+        out += [(b + b.conj().T) / 2.0, (b - b.conj().T) / 2.0j]
+    return out
+
+
+def assert_hermitian_matches_reference(s):
+    h = hermitian_basis(s)
+    ref = mgs_real_reference(hermitian_candidates(s))
+    assert h.shape[0] == ref.shape[0] == s.dim
+    assert np.abs(h.reshape(s.dim, -1) - ref).max() <= 1e-12
+    return h
+
+
+def test_kernel_matches_loop_on_random_inputs():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, n * n + 1))
+        s = assert_span_matches_reference([random_complex(rng, n) for _ in range(k)], n)
+        assert s.dim == k
+
+
+def test_kernel_matches_loop_on_duplicates():
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        base = [random_complex(rng, n) for _ in range(int(rng.integers(1, n * n)))]
+        mats = list(base)
+        mats.insert(1, base[0].copy())  # exact duplicate
+        mats.append(base[-1] + 1e-13 * random_complex(rng, n))  # near duplicate
+        mats.append(0.5 * base[0] - 2.0j * base[-1])  # exact combination
+        s = assert_span_matches_reference(mats, n)
+        assert s.dim == len(base)
+
+
+@pytest.mark.parametrize("factor, joins", [(0.5, False), (2.0, True)])
+def test_kernel_matches_loop_at_the_threshold(factor, joins):
+    # the cutoff is tol_rank times the largest input norm, here 1 up to 1e-18
+    units = matrix_units(2)
+    step = factor * DEFAULT_TOL.tol_rank
+    mats = [units[0], units[0] + step * units[1], units[2], units[2] + step * units[3]]
+    s = assert_span_matches_reference(mats, 2)
+    assert s.dim == (4 if joins else 2)
+
+
+def test_kernel_matches_loop_on_ill_conditioned_inputs():
+    # rows of the Hilbert matrix as diagonals: condition numbers up to 1e13,
+    # so a rank decision relies on re-orthogonalizing each accepted vector.
+    # A direction accepted just above the cutoff is fixed only up to
+    # rounding over the cutoff, so only the dimensions are compared.
+    dims = []
+    for n in range(4, 11):
+        hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+        mats = [np.diag(row).astype(complex) for row in hilbert]
+        s = span_of(mats, n)
+        assert s.dim == mgs_span_reference(mats).shape[0]
+        assert np.abs(s.vecs() @ s.vecs().conj().T - np.eye(s.dim)).max() < 1e-14
+        dims.append(s.dim)
+    assert dims == [4, 5, 6, 7, 7, 8, 8]
+
+
+def test_kernel_matches_loop_on_zero_inputs():
+    rng = np.random.default_rng(23)
+    zero = np.zeros((3, 3), dtype=complex)
+    assert span_of([zero, zero], 3).dim == 0
+    assert mgs_span_reference([zero, zero]).shape[0] == 0
+    mats = [zero, random_complex(rng, 3), zero, random_complex(rng, 3), zero]
+    assert assert_span_matches_reference(mats, 3).dim == 2
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e10])
+def test_kernel_matches_loop_at_extreme_scales(scale):
+    rng = np.random.default_rng(24)
+    base = [random_complex(rng, 3) for _ in range(4)]
+    mats = [scale * m for m in base + [base[0] - base[1]]]
+    assert_span_matches_reference(mats, 3)
+
+
+def test_kernel_matches_loop_past_saturation():
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3):
+        mats = [random_complex(rng, n) for _ in range(n * n + 5)]
+        mats.insert(2, mats[0] + mats[1])
+        s = assert_span_matches_reference(mats, n)
+        assert s.dim == n * n
+
+
+def test_kernel_matches_loop_on_corpus_product_spans():
+    seen = 0
+    for entry in corpus_entries(seed=1, count=20):
+        if entry.spec.ambient_dim > 3:
+            continue
+        E = opsys_of(entry.spec, DEFAULT_TOL).space
+        mats = list(E.basis) + [a @ b for a in E.basis for b in E.basis]
+        s = assert_span_matches_reference(mats, E.ambient)
+        assert subspace_equal(s, product_span(E, E))
+        assert_hermitian_matches_reference(E)
+        assert_hermitian_matches_reference(s)
+        seen += 1
+    assert seen >= 8
+
+
+def test_hermitian_kernel_matches_loop_on_random_inputs():
+    rng = np.random.default_rng(26)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        mats = [random_complex(rng, n) for _ in range(int(rng.integers(1, n * n + 1)))]
+        mats += [m.conj().T for m in mats]
+        mats.insert(1, mats[0] + mats[-1])  # a redundant Hermitian candidate pair
+        assert_hermitian_matches_reference(span_of(mats, n))
+
+
+@st.composite
+def low_rank_stacks(draw):
+    """Seeded stacks of k matrices in M_n spanning a random r-dimensional space."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n * n))
+    k = draw(st.integers(r, r + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = np.stack([random_complex(rng, n) for _ in range(r)])
+    coeff = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    return n, list(np.tensordot(coeff, gens, axes=(1, 0)))
+
+
+@given(low_rank_stacks())
+@settings(max_examples=60, deadline=None)
+def test_span_dim_matches_svd_rank_on_low_rank_stacks(stack):
+    n, mats = stack
+    assert span_of(mats, n).dim == span_dim(mats)
+
+
+@given(low_rank_stacks())
+@settings(max_examples=60, deadline=None)
+def test_hermitian_dim_matches_real_rank_on_low_rank_stacks(stack):
+    n, mats = stack
+    mats = mats + [m.conj().T for m in mats]
+    s = span_of(mats, n)
+    h = assert_hermitian_matches_reference(s)
+    assert h.shape[0] == hermitian_part_dim(mats, n)

@@ -15,6 +15,8 @@ from cstarenv.errors import InconclusiveError, InputError
 from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.opsys import generated_cstar
 from cstarenv.tensor import min_tensor, product_blocks
+from cstarenv.corpus import corpus_entries
+from cstarenv.wedderburn import wedderburn_decompose
 from cstarenv.ucp import (
     UcpSpectrahedron,
     is_unique_ucp_extension,
@@ -23,7 +25,7 @@ from cstarenv.ucp import (
     ucp_feasibility,
     verify_uniqueness_certificate,
 )
-from cstarenv.ucp import _pack_jacobian
+from cstarenv.ucp import _distance_bound, _pack_jacobian, _trace_bound
 
 from _oracles import random_herm
 
@@ -191,8 +193,20 @@ def test_every_unique_block_carries_an_accepted_certificate(decisions):
             assert check.accepted, (name, label, check)
             assert res.separation == check.mu
     assert {"dual", "pre-probe"} <= methods
-    searched = [(n, lab) for n, lab, _, r in decisions if r.method == "dual" and r.iterations]
-    assert ("state_sum_s3", 1) in searched
+
+
+def test_dual_search_certifies_state_sum_s3_block_1():
+    # at corpus seed 2 the closed form has a negative margin on this block,
+    # so only the Dykstra search can certify it
+    from cstarenv.specio import opsys_of
+
+    spec_doc = {e.spec.name: e.spec for e in corpus_entries(seed=2, count=20)}["state_sum_s3"]
+    E = opsys_of(spec_doc, DEFAULT_TOL)
+    spec = build_extension_spectrahedron(E, wedderburn_decompose(generated_cstar(E)), 1)
+    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
+    assert res.unique and res.method == "dual" and res.iterations > 0
+    check = verify_uniqueness_certificate(spec, res.certificate)
+    assert check.accepted and res.separation == check.mu
 
 
 def _without_witness_polish(monkeypatch):
@@ -284,6 +298,70 @@ def test_perturbed_certificates_are_rejected(system, wedderburn):
     assert checks["off-row-space"].rho == pytest.approx(1e-3)
     assert checks["off-row-space"].eta < 1e-12 and checks["off-row-space"].mu > 0.1
     assert checks["negative"].mu < 0.0
+
+
+def test_distance_bound_holds_on_random_psd_points():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        D = int(rng.integers(2, 6))
+        rank = int(rng.integers(1, D + 1))
+        x = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
+        x[0] *= rng.uniform(1.0, 30.0)  # most of the trace on omega = e_0
+        J = x @ x.conj().T
+        t = float(rng.uniform(0.1, 10.0))
+        J *= t / np.trace(J).real
+        tau = t - float(J[0, 0].real)  # tr(P⊥J), the tightest admissible τ
+        target = np.zeros((D, D))
+        target[0, 0] = t
+        dist = float(np.linalg.norm(J - target))
+        for slack in (1.0, 1.5):
+            assert dist <= _distance_bound(t, slack * tau) * (1 + 1e-12)
+
+
+def _largest_admissible_trace(t, offset, rho, eta, delta, mu):
+    """Bisection for the largest x with mu x - 3 eta t <= delta + rho (sqrt(2x(x+t)) + offset);
+    the left side minus the right is convex and not positive at 0."""
+
+    def excess(x):
+        return mu * x - 3 * eta * t - delta - rho * (np.sqrt(2 * x * (x + t)) + offset)
+
+    lo, hi = 0.0, 1.0
+    while excess(hi) <= 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) <= 0 else (lo, mid)
+    return lo
+
+
+def test_trace_bound_covers_every_admissible_trace():
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        t = float(rng.uniform(0.5, 5.0))
+        rho, eta, delta, offset = 10.0 ** rng.uniform(-16, -2, size=4)
+        mu = float(10.0 ** rng.uniform(-3, 0))
+        tau = _trace_bound(t, offset, rho, eta, delta, mu)
+        if mu <= np.sqrt(2) * rho:
+            assert tau == np.inf
+            continue
+        x_max = _largest_admissible_trace(t, offset, rho, eta, delta, mu)
+        assert x_max <= tau * (1 + 1e-9)
+        if x_max < 1e-3 * t:  # the small traces a certificate can accept
+            assert tau <= 1.2 * x_max
+    # without rho it is the plain ratio; without margin there is no bound
+    assert _trace_bound(2.0, 0.0, 0.0, 1e-9, 1e-9, 0.5) == pytest.approx(1.4e-8)
+    assert _trace_bound(2.0, 0.0, 0.0, 0.0, 0.0, -0.1) == np.inf
+
+
+def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
+    e = np.array([0.6, 0.8j])
+    for t, tau in ((1.0, 1e-9), (2.0, 1e-4), (1.0, 0.3), (5.0, 1.0)):
+        x = np.concatenate([[np.sqrt(t - tau)], np.sqrt(tau) * e])
+        J = np.outer(x, x.conj())
+        target = np.zeros((3, 3))
+        target[0, 0] = t
+        dist = float(np.linalg.norm(J - target))
+        assert dist <= _distance_bound(t, tau) <= 1.5 * dist
 
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
