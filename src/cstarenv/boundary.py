@@ -14,6 +14,16 @@ Two independent routes compute the same object:
   maximum, so only the trivial ideals, the singletons and the union of the
   singletons that survive the exact norm-drop probe need a verdict.
 
+The left inverse splits by target block.  Write ``u x u* = ⊕_i 1_{m_i} ⊗
+π_i(x)``.  A UCP ψ on the kept blocks with ψ∘q = id on the system exists iff
+every killed block i has a UCP map ψ_i: ⊕_{j kept} M_{d_j} → M_{d_i} with
+ψ_i(q(h)) = π_i(h) for h in the system: compressing ψ to the first copy of
+block i gives ψ_i, and conversely ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP
+and inverts q once each kept block i takes the coordinate projection
+x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
+is fixed; only the killed blocks are searched, each in a spectrahedron of
+Choi size d_j·d_i instead of d_j·n.
+
 Both produce certificates.  :func:`cstar_envelope` runs both, insists they
 agree, builds the quotient and the enveloping block algebra, and re-checks
 the lattice route's left inverse ψ as the single isometry certificate: ψ is
@@ -75,7 +85,6 @@ __all__ = [
     "IsometryCheck",
     "EnvelopeResult",
     "build_extension_spectrahedron",
-    "build_left_inverse_spectrahedron",
     "boundary_representations",
     "silov_ideal_dk",
     "is_boundary_ideal_ucp",
@@ -112,28 +121,6 @@ def build_extension_spectrahedron(
         for j, (d, _) in enumerate(W.blocks, start=1)
     ]
     return UcpSpectrahedron.from_constraints(dims, t, constraints, J0)
-
-
-def build_left_inverse_spectrahedron(
-    E: OperatorSystem,
-    W: WedderburnData,
-    killed: frozenset[int],
-    tol: Tolerances = DEFAULT_TOL,
-) -> UcpSpectrahedron:
-    """UCP maps from the surviving blocks back to the ambient that invert the
-    quotient on the system.
-
-    Nonempty exactly when killing ``killed`` leaves the system completely
-    order-embedded, i.e. when the ideal has the boundary property.
-    """
-    kept = [j for j in W.labels if j not in killed]
-    n = E.space.ambient
-    constraints = []
-    for h in hermitian_basis(E.space, tol=tol):
-        xs = [W.irrep_apply(j, h) for j in kept]
-        constraints.append((xs, h))
-    dims = tuple(W.blocks[j - 1][0] for j in kept)
-    return UcpSpectrahedron.from_constraints(dims, n, constraints)
 
 
 @dataclass(frozen=True)
@@ -241,22 +228,36 @@ def silov_ideal_dk(
     return BlockIdeal(W, killed), cert
 
 
-def _identity_left_inverse(W: WedderburnData, n: int) -> list[np.ndarray]:
-    """Choi blocks of the canonical left inverse for the empty ideal."""
-    mats = []
+def _assemble_left_inverse(
+    W: WedderburnData, kept: list[int], parts: dict[int, list[np.ndarray]]
+) -> list[np.ndarray]:
+    """Choi blocks, one ``(d_j·n)²`` matrix per kept label j, of
+    ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u.
+
+    ``parts[i]`` holds the Choi blocks of ψ_i (one per kept label) for a
+    killed block i; a kept block i takes the coordinate projection, whose
+    Choi matrix is ``maximally_entangled(d_i)`` at source i and zero at the
+    other sources.
+    """
+    n = W.ambient
     offsets = W.block_offsets()
-    for j, (d, m) in enumerate(W.blocks, start=1):
-        off = offsets[j - 1]
-        blocks = []
-        for k in range(d):
-            row = []
-            for l in range(d):
-                big = np.zeros((n, n), dtype=complex)
-                for copy in range(m):
-                    big[off + copy * d + k, off + copy * d + l] = 1.0
-                row.append(np.conj(W.u.T) @ big @ W.u)
-            blocks.append(row)
-        mats.append(np.block(blocks))
+    mats = []
+    for pos, j in enumerate(kept):
+        dj = W.blocks[j - 1][0]
+        cells = np.zeros((dj, dj, n, n), dtype=complex)
+        for i, (di, mi) in enumerate(W.blocks, start=1):
+            if i in parts:
+                c = parts[i][pos]
+            elif i == j:
+                c = maximally_entangled(dj)
+            else:
+                continue
+            c = c.reshape(dj, di, dj, di).transpose(0, 2, 1, 3)
+            for copy in range(mi):
+                s = offsets[i - 1] + copy * di
+                cells[:, :, s : s + di, s : s + di] = c
+        cells = np.conj(W.u.T) @ cells @ W.u
+        mats.append(cells.transpose(0, 2, 1, 3).reshape(dj * n, dj * n))
     return mats
 
 
@@ -315,17 +316,21 @@ def is_boundary_ideal_ucp(
 
     The empty ideal always has the canonical left inverse.  A deterministic
     norm-drop probe then settles most infeasible ideals exactly (a drop
-    refutes any left inverse); the rest go through the feasibility engine
-    with a cone-interior warm start.  When the engine stays undecided, the
-    gradient-ascent falsifier searches for a matrix-norm drop under the
-    quotient; a found drop is again an exact refutation, and only if that
-    search also comes up empty does the inconclusive outcome propagate.
+    refutes any left inverse); the rest go through the feasibility engine,
+    one killed block at a time (:func:`_left_inverse_search`): a left
+    inverse exists iff each killed block i has a UCP ψ_i from the kept
+    blocks to M_{d_i} with ψ_i∘q = π_i on the system, because compressing a
+    left inverse to block i gives ψ_i, and the ψ_i with the coordinate
+    projections of the kept blocks assemble into one.  When the engine stays
+    undecided on a block, the gradient-ascent falsifier searches once for a
+    matrix-norm drop under the quotient; a found drop is again an exact
+    refutation, and only if that search also comes up empty does the
+    inconclusive outcome propagate.
     """
     killed = frozenset(killed)
     if not killed:
-        n = E.space.ambient
         return FeasibilityResult(
-            True, _identity_left_inverse(W, n), 0.0, 0, "identity"
+            True, _assemble_left_inverse(W, list(W.labels), {}), 0.0, 0, "identity"
         )
     kept = [j for j in W.labels if j not in killed]
     if not kept:
@@ -341,18 +346,39 @@ def is_boundary_ideal_ucp(
 def _left_inverse_search(
     E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances
 ) -> FeasibilityResult:
-    """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left standing."""
+    """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left
+    standing, searched one killed block at a time.
+
+    With ``u x u* = ⊕_i 1_{m_i} ⊗ π_i(x)``, a UCP ψ on the kept blocks with
+    ψ∘q = id on the system exists iff every killed block i has a UCP
+    ψ_i: ⊕_{j kept} M_{d_j} → M_{d_i} with ψ_i(q(h)) = π_i(h) on the
+    Hermitian basis.  (⇒) Compressing ψ to the first copy of block i gives
+    ψ_i.  (⇐) ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP and inverts q, where a
+    kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
+    only the killed blocks are searched.  Each search starts from the
+    tracial map, affinely projected; its iterations add up, a failing block
+    fails the ideal, and an undecided one sends the ideal to the falsifier.
+    """
     kept = [j for j in W.labels if j not in killed]
-    spec = build_left_inverse_spectrahedron(E, W, killed, tol)
-    n = E.space.ambient
-    k = len(kept)
-    tracial = [
-        np.eye(W.blocks[j - 1][0] * n, dtype=complex) / (W.blocks[j - 1][0] * k)
-        for j in kept
-    ]
-    start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
+    dims = tuple(W.blocks[j - 1][0] for j in kept)
+    basis = hermitian_basis(E.space, tol=tol)
+    images = [[W.irrep_apply(j, h) for j in kept] for h in basis]
+    parts = {}
+    residual, iterations, methods = 0.0, 0, set()
     try:
-        return ucp_feasibility(spec, tol=tol, cap=_STALL_CAP, start=start)
+        for i in sorted(killed):
+            d = W.blocks[i - 1][0]
+            constraints = [(xs, W.irrep_apply(i, h)) for xs, h in zip(images, basis)]
+            spec = UcpSpectrahedron.from_constraints(dims, d, constraints)
+            tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
+            start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
+            res = ucp_feasibility(spec, tol=tol, cap=_STALL_CAP, start=start)
+            iterations += res.iterations
+            if not res.feasible:
+                return FeasibilityResult(False, None, res.residual, iterations, res.method)
+            residual = max(residual, res.residual)
+            methods.add(res.method)
+            parts[i] = res.certificate
     except InconclusiveError as exc:
         q = quotient_map(BlockIdeal(W, killed))
         report = falsify_complete_isometry(E, q, seed=1, trials=64, tol=tol)
@@ -361,6 +387,9 @@ def _left_inverse_search(
                 False, None, report.gap, report.iterations, "falsifier"
             )
         raise InconclusiveError(f"ideal {sorted(killed)}: {exc}") from None
+    method = "polish" if "polish" in methods else "dykstra"
+    psi = _assemble_left_inverse(W, kept, parts)
+    return FeasibilityResult(True, psi, residual, iterations, method)
 
 
 def _interpolation_residual(

@@ -17,6 +17,7 @@ largest input norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -225,7 +226,10 @@ def span_of(
     An input joins the basis when its residual against the basis accepted
     before it exceeds ``tol_rank`` times the largest input norm, so
     near-duplicate inputs cannot inflate the dimension.  Input order is
-    kept, which keeps the basis deterministic.
+    kept, which keeps the basis deterministic.  The stack is first scaled by
+    a power of two to a largest entry in [0.5, 1): that scale is exact, so
+    the basis is the one of the unscaled stack, and the row norms of inputs
+    as small as 1e-200 no longer underflow to zero.
     """
     try:
         stack = np.asarray(list(mats), dtype=np.complex128)
@@ -235,7 +239,9 @@ def span_of(
         return MatSubspace(ambient, np.zeros((0, ambient, ambient)))
     if stack.ndim != 3 or stack.shape[1:] != (ambient, ambient):
         raise InputError(f"matrix shape {stack.shape[1:]} does not match ambient {ambient}")
-    vecs = stack.reshape(len(stack), -1)
+    real = stack.reshape(len(stack), -1).view(np.float64)
+    _, exponent = math.frexp(float(np.abs(real).max()))
+    vecs = np.ldexp(real, -exponent).view(np.complex128)
     threshold = tol.tol_rank * float(np.max(np.linalg.norm(vecs, axis=1)))
     return MatSubspace(ambient, _ordered_gram_schmidt(vecs, threshold).reshape(-1, ambient, ambient))
 

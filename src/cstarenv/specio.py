@@ -213,7 +213,9 @@ def analysis_report(sa: SystemAnalysis) -> dict:
     A report with ``agreement`` false always carries both route
     certificates; the consumer decides what to do with the disagreement.
     ``"timing"`` holds iteration counts per stage, not seconds, so that the
-    report stays byte-deterministic.  ``"isometry"`` holds the numbers of
+    report stays byte-deterministic; ``lattice_iterations`` sums the
+    feasibility searches over the tested ideals, and an ideal's count sums
+    its per-killed-block searches.  ``"isometry"`` holds the numbers of
     the left-inverse check that certifies the quotient completely
     isometric, and is None when the routes disagreed.
     """

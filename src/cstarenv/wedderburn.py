@@ -62,7 +62,10 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     Solved as one stacked null-space problem; with row-major flattening
     ``vec(xb - bx) = (I (x) b^T - b (x) I) vec(x)``.  The thin SVD still has
     all ``n**2`` right singular vectors, as the stack has at least ``n**2``
-    rows.
+    rows.  The basis is orthonormal, so the rank cutoff is relative to at
+    least 1: when every basis element is scalar the stack is zero up to
+    rounding, and a cutoff relative to its largest singular value would count
+    that noise as rank.
     """
     n = s.ambient
     eye = np.eye(n)
@@ -71,8 +74,8 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in s.basis]
     stacked = np.concatenate(rows, axis=0)
     _, sig, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol.tol_rank * (sig[0] if sig.size else 0.0)
-    rank = int(np.sum(sig > max(cutoff, 0.0)))
+    cutoff = tol.tol_rank * max(float(sig[0]) if sig.size else 0.0, 1.0)
+    rank = int(np.sum(sig > cutoff))
     null = np.conj(vh[rank:])
     mats = null.reshape(-1, n, n)
     return span_of(mats, n, tol)

@@ -2,7 +2,9 @@
 
 Everything here sticks to plain numpy on raw arrays, so a defect in the
 package's subspace machinery cannot hide inside the oracle that is supposed
-to catch it.
+to catch it.  The one exception, :func:`build_left_inverse_spectrahedron`,
+writes the left-inverse constraints in the whole ambient, a formulation the
+package's per-block search does not use.
 """
 from __future__ import annotations
 
@@ -198,3 +200,22 @@ def random_herm(rng, n: int) -> np.ndarray:
 
 def random_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def build_left_inverse_spectrahedron(E, W, killed, tol):
+    """UCP maps from the blocks ``killed`` leaves standing back to the whole
+    ambient that invert the quotient on the system, as one spectrahedron.
+
+    Nonempty exactly when the ideal has the boundary property.  The package
+    searches one killed block at a time; this full-target form is the
+    independent check of the left inverse it assembles.
+    """
+    from cstarenv.linalg import hermitian_basis
+    from cstarenv.ucp import UcpSpectrahedron
+
+    kept = [j for j in W.labels if j not in killed]
+    constraints = [
+        ([W.irrep_apply(j, h) for j in kept], h) for h in hermitian_basis(E.space, tol=tol)
+    ]
+    dims = tuple(W.blocks[j - 1][0] for j in kept)
+    return UcpSpectrahedron.from_constraints(dims, E.space.ambient, constraints)

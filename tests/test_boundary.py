@@ -14,16 +14,17 @@ import pytest
 from cstarenv import boundary
 from cstarenv.boundary import (
     boundary_representations,
-    build_left_inverse_spectrahedron,
     cstar_envelope,
     falsify_complete_isometry,
     is_boundary_ideal_ucp,
     silov_ideal_dk,
     silov_ideal_lattice,
 )
-from cstarenv.errors import VerificationError
+from cstarenv.corpus import corpus_entries
+from cstarenv.errors import InconclusiveError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, matrix_units, op_norm
 from cstarenv.opsys import generated_cstar, opsys_from_generators
+from cstarenv.specio import opsys_of
 from cstarenv.wedderburn import (
     BlockIdeal,
     enumerate_ideals,
@@ -31,7 +32,7 @@ from cstarenv.wedderburn import (
     wedderburn_decompose,
 )
 
-from _oracles import random_complex
+from _oracles import build_left_inverse_spectrahedron, random_complex
 
 # the scalar summand of every state-sum member is the non-boundary block;
 # every other structured member is already its own envelope
@@ -267,14 +268,92 @@ def test_envelope_of_state_sum(system):
         assert op_norm(env.embed.apply(x)) == pytest.approx(op_norm(x), abs=1e-8)
 
 
-def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses):
-    env = analyses("state_sum").envelope
-    product = pair_analyses("state_sum", "jordan_M2").factorization.product_envelope
-    assert env.ideal.killed and product.ideal.killed
-    for e in (env, product):
+def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses, seven_blocks):
+    # the lattice route searches one killed block at a time and assembles ψ;
+    # the assembled Choi blocks must invert the quotient in the full target
+    envs = [analyses(name).envelope for name in EXPECTED_KILLED]
+    envs += [
+        pair_analyses(*pair).factorization.product_envelope
+        for pair in (("state_sum", "jordan_M2"), ("state_sum", "state_sum"))
+    ]
+    assert all(e.ideal.killed for e in envs[-2:])
+    for e in envs:
         assert_exact_left_inverse(
             e.system, e.wedderburn, e.ideal.killed, e.lattice_certificate.witness
         )
+    E7, W7 = seven_blocks
+    ideal, cert = silov_ideal_lattice(E7, W7)
+    assert len(ideal.killed) == 5
+    assert_exact_left_inverse(E7, W7, ideal.killed, cert.witness)
+
+
+def test_multiplicity_system_in_both_presentations():
+    # g = J_2 (+) diag(0.3, 0.3, e^{0.7i}): the scalar 0.3 is one block of
+    # multiplicity 2, inside the numerical range of J_2, so it is killed; the
+    # assembled ψ repeats its part on both copies
+    n = 5
+    g = np.zeros((n, n), dtype=complex)
+    g[0, 1] = 1.0
+    g[2:, 2:] = np.diag([0.3, 0.3, np.exp(0.7j)])
+    U = _seeded_unitary(n, 17)
+    for key, gen in (("given", g), ("conjugated", U @ g @ U.conj().T)):
+        E = opsys_from_generators(n, [gen])
+        W = wedderburn_decompose(generated_cstar(E))
+        assert W.blocks == ((2, 1), (1, 2), (1, 1)), key
+        env = cstar_envelope(E, wedderburn=W)
+        assert env.ideal.killed == frozenset({2}), key
+        assert env.envelope_block_dims == (2, 1), key
+        assert_exact_left_inverse(E, W, env.ideal.killed, env.lattice_certificate.witness)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_state_sum_s3_left_inverse_ends_by_dykstra(seed):
+    # only the killed scalar block is searched, and that search is not
+    # tangential: plain Dykstra settles it without the rank polish
+    (entry,) = [e for e in corpus_entries(seed=seed) if e.spec.name == "state_sum_s3"]
+    E = opsys_of(entry.spec, DEFAULT_TOL)
+    W = wedderburn_decompose(generated_cstar(E), seed=seed)
+    res = is_boundary_ideal_ucp(E, W, frozenset({2}))
+    assert res.feasible and res.method == "dykstra", seed
+    assert_exact_left_inverse(E, W, frozenset({2}), res.certificate)
+
+
+def test_undecided_target_search_reaches_the_falsifier(seven_blocks, monkeypatch):
+    real_search = boundary.ucp_feasibility
+    searched = []
+
+    def third_undecided(spec, **kwargs):
+        searched.append(spec.target_dim)
+        if len(searched) == 3:
+            raise InconclusiveError("forced")
+        return real_search(spec, **kwargs)
+
+    def undecided(spec, **kwargs):
+        raise InconclusiveError("forced")
+
+    calls = []
+    real_falsifier = boundary.falsify_complete_isometry
+
+    def counting(E, q, **kwargs):
+        calls.append(q.ideal.killed)
+        return real_falsifier(E, q, **kwargs)
+
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", counting)
+    E7, W7 = seven_blocks
+    killed = silov_ideal_dk(E7, W7)[0].killed
+    assert len(killed) == 5
+    # two killed blocks pass, the third stays undecided: the falsifier runs
+    # once for the ideal, finds no drop (it is a boundary ideal), and the
+    # ideal stays undecided
+    monkeypatch.setattr(boundary, "ucp_feasibility", third_undecided)
+    with pytest.raises(InconclusiveError, match="forced"):
+        boundary._left_inverse_search(E7, W7, killed, DEFAULT_TOL)
+    assert len(searched) == 3 and calls == [killed]
+    # killing the matrix block drops a norm, which the falsifier finds
+    monkeypatch.setattr(boundary, "ucp_feasibility", undecided)
+    res = boundary._left_inverse_search(E7, W7, frozenset({1}), DEFAULT_TOL)
+    assert not res.feasible and res.method == "falsifier"
+    assert calls == [killed, frozenset({1})]
 
 
 def shift_psd(E, W, killed, witness):

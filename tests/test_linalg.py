@@ -290,10 +290,26 @@ def test_kernel_matches_loop_on_zero_inputs():
 
 @pytest.mark.parametrize("scale", [1e-200, 1e10])
 def test_kernel_matches_loop_at_extreme_scales(scale):
+    # at 1e-200 the row norms of the raw inputs underflow to zero; the kernel
+    # rescales by a power of two first, so it finds the SVD rank and the
+    # basis the loop gives on the inputs brought back to unit scale
     rng = np.random.default_rng(24)
     base = [random_complex(rng, 3) for _ in range(4)]
-    mats = [scale * m for m in base + [base[0] - base[1]]]
-    assert_span_matches_reference(mats, 3)
+    unscaled = base + [base[0] - base[1]]
+    s = span_of([scale * m for m in unscaled], 3)
+    ref = mgs_span_reference(unscaled)
+    assert s.dim == ref.shape[0] == span_dim(unscaled) == 4
+    assert np.abs(s.vecs() - ref).max() <= 1e-12
+
+
+def test_power_of_two_scale_leaves_the_span_bit_identical():
+    rng = np.random.default_rng(26)
+    mats = [random_complex(rng, 3) for _ in range(5)]
+    mats.insert(3, mats[0] + 2 * mats[2])
+    s = span_of(mats, 3)
+    for k in (-600, -40, 0, 7, 500):
+        scaled = [np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k) for m in mats]
+        assert np.array_equal(span_of(scaled, 3).basis, s.basis), k
 
 
 def test_kernel_matches_loop_past_saturation():

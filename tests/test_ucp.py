@@ -6,10 +6,7 @@ Witness-carrying verdicts are re-verified here from the raw certificate
 import numpy as np
 import pytest
 
-from cstarenv.boundary import (
-    build_extension_spectrahedron,
-    build_left_inverse_spectrahedron,
-)
+from cstarenv.boundary import build_extension_spectrahedron
 from cstarenv import ucp
 from cstarenv.errors import InconclusiveError, InputError
 from cstarenv.linalg import DEFAULT_TOL
@@ -27,7 +24,7 @@ from cstarenv.ucp import (
 )
 from cstarenv.ucp import _distance_bound, _pack_jacobian, _trace_bound
 
-from _oracles import random_herm
+from _oracles import build_left_inverse_spectrahedron, random_herm
 
 
 def ec_spec(wedderburn, system, label):
