@@ -29,8 +29,11 @@ agree, builds the quotient and the enveloping block algebra, and re-checks
 the lattice route's left inverse ψ as the single isometry certificate: ψ is
 UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖``
 at every matrix level m and the quotient is completely isometric there.
-The norm falsifier :func:`falsify_complete_isometry` is evidence, not proof,
-and runs only when the feasibility search for an ideal stays undecided.
+The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
+exact refutation: a deterministic level-1/2 probe whose norm drop, with the
+matrix that shows it, rules a left inverse out.  An ideal it leaves standing
+is decided by the feasibility search alone, and an undecided search is
+reported as inconclusive.
 
 Structure decides before any search does.  A simple algebra (one block) has
 Šilov ideal 0, and its only block is boundary because every
@@ -57,7 +60,6 @@ from .linalg import (
     Tolerances,
     hermitian_basis,
     matrix_units,
-    op_norm,
     span_of,
 )
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
@@ -92,12 +94,6 @@ __all__ = [
     "falsify_complete_isometry",
     "cstar_envelope",
 ]
-
-# feasibility stalls on tangential intersections are decided by polish or
-# falsifier well before this; running ucp_feasibility's default cap would
-# just burn time
-_STALL_CAP = 8_000
-
 
 def build_extension_spectrahedron(
     E: OperatorSystem, W: WedderburnData, label: int, tol: Tolerances = DEFAULT_TOL
@@ -267,19 +263,40 @@ def _cells_2x2(parts: np.ndarray) -> np.ndarray:
     return parts.reshape(B, 2, 2, m, m).transpose(0, 1, 3, 2, 4).reshape(B, 2 * m, 2 * m)
 
 
-def _norm_drop_probe(
-    E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances
-) -> float | None:
-    """Largest relative norm drop found by deterministic level-1/2 probing.
+@dataclass(frozen=True)
+class FalsifierReport:
+    """Outcome of the norm-drop probe :func:`falsify_complete_isometry`.
+
+    ``gap`` is the largest relative drop ``1 - ‖q_m(x)‖/‖x‖`` found, at
+    matrix level ``level``, and ``witness`` the matrix x that attains it,
+    scaled to operator norm one.  The probe does not iterate, so
+    ``iterations`` is 0.
+    """
+
+    violation: bool
+    level: int | None
+    gap: float
+    witness: np.ndarray | None
+    levels_searched: tuple[int, ...]
+    iterations: int
+
+
+def falsify_complete_isometry(
+    E: OperatorSystem, q: QuotientMap, tol: Tolerances = DEFAULT_TOL
+) -> FalsifierReport:
+    """Search for a matrix over the system whose norm drops under the quotient.
 
     A left inverse forces the quotient to be completely isometric on the
-    system, so any norm drop refutes feasibility outright.  Returns the drop
-    when one exceeds the norm tolerance, else None (which decides nothing).
+    system, so a drop above ``tol_norm`` refutes the ideal exactly, with the
+    witness to check.  The probe is deterministic, seeded by the killed set:
+    at level 1 the orthonormal basis and 48 random combinations of it, at
+    level 2 sixteen random 2x2 block matrices over it.  No drop decides
+    nothing.
     """
-    q = quotient_map(BlockIdeal(W, killed))
     basis = E.space.basis
     dim, n = basis.shape[:2]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[0xD209, *sorted(killed)]))
+    entropy = [0xD209, *sorted(q.ideal.killed)]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
     c1 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(48)])
     level1 = np.concatenate([basis, np.einsum("bk,kij->bij", c1, basis)])
     c2 = np.array(
@@ -295,14 +312,17 @@ def _norm_drop_probe(
         (level1, np.stack([q.apply(x) for x in level1])),
         (_cells_2x2(parts), _cells_2x2(q_parts)),
     )
-    best = 0.0
-    for x, qx in levels:
+    gap, level, witness = -np.inf, None, None
+    for m, (x, qx) in enumerate(levels, start=1):
         nx = np.linalg.svd(x, compute_uv=False)[:, 0]
-        nq = np.linalg.svd(qx, compute_uv=False)[:, 0]
-        big = nx >= tol.tol_rank
-        if big.any():
-            best = max(best, float(np.max(1.0 - nq[big] / nx[big])))
-    return best if best > tol.tol_norm else None
+        nq = np.linalg.svd(qx, compute_uv=False)[:, 0] if q.target_dim else np.zeros_like(nx)
+        big = np.flatnonzero(nx >= tol.tol_rank)
+        if big.size:
+            drops = 1.0 - nq[big] / nx[big]
+            b = int(np.argmax(drops))
+            if drops[b] > gap:
+                gap, level, witness = float(drops[b]), m, x[big[b]] / nx[big[b]]
+    return FalsifierReport(gap > tol.tol_norm, level, gap, witness, (1, 2), 0)
 
 
 def is_boundary_ideal_ucp(
@@ -314,18 +334,12 @@ def is_boundary_ideal_ucp(
 ) -> FeasibilityResult:
     """Decide the boundary property for one block ideal.
 
-    The empty ideal always has the canonical left inverse.  A deterministic
-    norm-drop probe then settles most infeasible ideals exactly (a drop
-    refutes any left inverse); the rest go through the feasibility engine,
-    one killed block at a time (:func:`_left_inverse_search`): a left
-    inverse exists iff each killed block i has a UCP ψ_i from the kept
-    blocks to M_{d_i} with ψ_i∘q = π_i on the system, because compressing a
-    left inverse to block i gives ψ_i, and the ψ_i with the coordinate
-    projections of the kept blocks assemble into one.  When the engine stays
-    undecided on a block, the gradient-ascent falsifier searches once for a
-    matrix-norm drop under the quotient; a found drop is again an exact
-    refutation, and only if that search also comes up empty does the
-    inconclusive outcome propagate.
+    The empty ideal always has the canonical left inverse.  The exact
+    norm-drop probe :func:`falsify_complete_isometry` then refutes most
+    infeasible ideals (a drop refutes any left inverse); the rest go
+    through the feasibility engine, one killed block at a time
+    (:func:`_left_inverse_search`).  An undecided search raises
+    :class:`InconclusiveError`.
     """
     killed = frozenset(killed)
     if not killed:
@@ -337,9 +351,9 @@ def is_boundary_ideal_ucp(
         # quotient to nothing cannot invert a unital system
         residual = float(np.linalg.norm(hermitian_basis(E.space, tol=tol)))
         return FeasibilityResult(False, None, residual, 0, "empty")
-    drop = _norm_drop_probe(E, W, killed, tol)
-    if drop is not None:
-        return FeasibilityResult(False, None, drop, 0, "norm-drop")
+    report = falsify_complete_isometry(E, quotient_map(BlockIdeal(W, killed)), tol)
+    if report.violation:
+        return FeasibilityResult(False, None, report.gap, 0, "norm-drop")
     return _left_inverse_search(E, W, killed, tol)
 
 
@@ -356,40 +370,34 @@ def _left_inverse_search(
     ψ_i.  (⇐) ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP and inverts q, where a
     kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
     only the killed blocks are searched.  Each search starts from the
-    tracial map, affinely projected; its iterations add up, a failing block
-    fails the ideal, and an undecided one sends the ideal to the falsifier.
+    tracial map, affinely projected; its iterations add up, and a failing
+    block fails the ideal.  An undecided block raises
+    :class:`InconclusiveError` naming the ideal and the block, and no later
+    block is searched.
     """
     kept = [j for j in W.labels if j not in killed]
     dims = tuple(W.blocks[j - 1][0] for j in kept)
     basis = hermitian_basis(E.space, tol=tol)
     images = [[W.irrep_apply(j, h) for j in kept] for h in basis]
     parts = {}
-    residual, iterations, methods = 0.0, 0, set()
-    try:
-        for i in sorted(killed):
-            d = W.blocks[i - 1][0]
-            constraints = [(xs, W.irrep_apply(i, h)) for xs, h in zip(images, basis)]
-            spec = UcpSpectrahedron.from_constraints(dims, d, constraints)
-            tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
-            start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
-            res = ucp_feasibility(spec, tol=tol, cap=_STALL_CAP, start=start)
-            iterations += res.iterations
-            if not res.feasible:
-                return FeasibilityResult(False, None, res.residual, iterations, res.method)
-            residual = max(residual, res.residual)
-            methods.add(res.method)
-            parts[i] = res.certificate
-    except InconclusiveError as exc:
-        q = quotient_map(BlockIdeal(W, killed))
-        report = falsify_complete_isometry(E, q, seed=1, trials=64, tol=tol)
-        if report.violation:
-            return FeasibilityResult(
-                False, None, report.gap, report.iterations, "falsifier"
-            )
-        raise InconclusiveError(f"ideal {sorted(killed)}: {exc}") from None
-    method = "polish" if "polish" in methods else "dykstra"
+    residual, iterations = 0.0, 0
+    for i in sorted(killed):
+        d = W.blocks[i - 1][0]
+        constraints = [(xs, W.irrep_apply(i, h)) for xs, h in zip(images, basis)]
+        spec = UcpSpectrahedron.from_constraints(dims, d, constraints)
+        tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
+        start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
+        try:
+            res = ucp_feasibility(spec, tol=tol, start=start)
+        except InconclusiveError as exc:
+            raise InconclusiveError(f"ideal {sorted(killed)}, killed block {i}: {exc}") from None
+        iterations += res.iterations
+        if not res.feasible:
+            return FeasibilityResult(False, None, res.residual, iterations, res.method)
+        residual = max(residual, res.residual)
+        parts[i] = res.certificate
     psi = _assemble_left_inverse(W, kept, parts)
-    return FeasibilityResult(True, psi, residual, iterations, method)
+    return FeasibilityResult(True, psi, residual, iterations, "dykstra")
 
 
 def _interpolation_residual(
@@ -488,11 +496,11 @@ def silov_ideal_lattice(
     if W.num_blocks > 1:
         for j in W.labels:
             single = frozenset({j})
-            drop = _norm_drop_probe(E, W, single, tol)
-            if drop is None:
-                candidates.append(single)
+            report = falsify_complete_isometry(E, quotient_map(BlockIdeal(W, single)), tol)
+            if report.violation:
+                verdicts[single] = FeasibilityResult(False, None, report.gap, 0, "norm-drop")
             else:
-                verdicts[single] = FeasibilityResult(False, None, drop, 0, "norm-drop")
+                candidates.append(single)
     union = frozenset().union(*candidates)
     if verdict(union).feasible:
         for single in candidates:
@@ -528,147 +536,6 @@ def silov_ideal_lattice(
     witness = tuple(verdicts[maximal].certificate)
     cert = LatticeCertificate(passing, failing, iterations, witness)
     return BlockIdeal(W, maximal), cert
-
-
-@dataclass(frozen=True)
-class FalsifierReport:
-    """Outcome of the matrix-level isometry falsifier."""
-
-    violation: bool
-    level: int | None
-    gap: float
-    witness: np.ndarray | None
-    levels_searched: tuple[int, ...]
-    trials: int
-    iterations: int
-
-
-def _unit_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _power_top(X: np.ndarray, v: np.ndarray, sweeps: int = 3):
-    """Approximate top singular triple of each matrix in a batch.
-
-    ``v`` carries the right-vector estimates between calls, so a few sweeps
-    per call suffice once the ascent has settled.
-    """
-    for _ in range(sweeps):
-        u = np.matmul(X, v[..., None])[..., 0]
-        u = u / np.maximum(np.linalg.norm(u, axis=-1, keepdims=True), 1e-300)
-        w = np.matmul(np.conj(np.swapaxes(X, -1, -2)), u[..., None])[..., 0]
-        s = np.linalg.norm(w, axis=-1)
-        v = w / np.maximum(s[..., None], 1e-300)
-    return u, s, v
-
-
-def falsify_complete_isometry(
-    E: OperatorSystem,
-    q: QuotientMap,
-    *,
-    seed: int = 1,
-    trials: int = 16,
-    max_level: int | None = None,
-    iters: int = 150,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FalsifierReport:
-    """Search for a matrix over the system whose norm drops under the quotient.
-
-    Projected gradient ascent of the norm ratio over the unit sphere of
-    ``M_m(E)``, batched over random starts, level by level.  A violation at
-    any level certifies (with an explicit witness, renormalized to operator
-    norm one) that the quotient is not completely isometric on the system, so
-    the killed set is too big.  No violation up to the level cap is evidence,
-    not proof; the cap is chosen so a violation must already occur there.
-
-    ``trials`` is the chain count at level one; level ``m`` runs
-    ``max(32, trials // m^2)`` chains so the total work stays bounded as the
-    amplification grows.
-    """
-    W = q.ideal.parent
-    kept_dim = sum(W.blocks[j - 1][0] for j in q.kept)
-    cap = max_level if max_level is not None else max(1, kept_dim)
-    basis = E.space.basis  # (dim, n, n), orthonormal
-    qbasis = np.stack([q.apply(b) for b in basis]) if q.target_dim else None
-
-    best_gap = -np.inf
-    best_witness = None
-    best_level = None
-    total_iters = 0
-    levels = []
-    for m in range(1, cap + 1):
-        levels.append(m)
-        chains = max(32, trials // (m * m)) if trials > 32 else trials
-        units = matrix_units(m)
-        big = np.stack([np.kron(u, b) for u in units for b in basis])
-        if qbasis is not None:
-            bigq = np.stack([np.kron(u, b) for u in units for b in qbasis])
-        else:
-            bigq = None
-        nb = big.shape[0]
-        # flattened bases keep the coefficient-to-matrix maps and the
-        # bilinear gradient forms inside BLAS matmuls
-        big_flat = big.reshape(nb, -1)
-        bigq_flat = bigq.reshape(nb, -1) if bigq is not None else None
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xFA15, m]))
-        c = rng.standard_normal((chains, nb)) + 1j * rng.standard_normal((chains, nb))
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        step = np.full(chains, 0.1)
-        ratio_prev = np.full(chains, -np.inf)
-        # warm-started power iteration tracks the top singular pairs across
-        # ascent steps at a fraction of the cost of full SVDs; only the final
-        # evaluation below uses exact norms
-        v_x = _unit_rows(rng, chains, big.shape[2])
-        v_q = _unit_rows(rng, chains, bigq.shape[2]) if bigq is not None else None
-        for _ in range(iters):
-            total_iters += 1
-            X = (c @ big_flat).reshape(chains, *big.shape[1:])
-            u_x, nx, v_x = _power_top(X, v_x)
-            if bigq is None:
-                nq = np.zeros(chains)
-            else:
-                Qm = (c @ bigq_flat).reshape(chains, *bigq.shape[1:])
-                u_q, nq, v_q = _power_top(Qm, v_q)
-            ratio = nx / np.maximum(nq, 1e-300)
-            # gradient of sigma_max in the complex coefficients:
-            # g[t, k] = <u_t, B_k v_t> as a flattened outer product
-            ouv = np.conj(u_x)[:, :, None] * np.conj(v_x)[:, None, :]
-            gx = ouv.reshape(chains, -1) @ big_flat.T
-            if bigq is None:
-                gq = np.zeros_like(gx)
-            else:
-                ouv = np.conj(u_q)[:, :, None] * np.conj(v_q)[:, None, :]
-                gq = ouv.reshape(chains, -1) @ bigq_flat.T
-            grad = (gx * np.maximum(nq, 1e-300)[:, None] - nx[:, None] * gq) / np.maximum(
-                nq, 1e-300
-            )[:, None] ** 2
-            worse = ratio < ratio_prev
-            step = np.where(worse, step * 0.5, step * 1.05)
-            ratio_prev = np.maximum(ratio, ratio_prev)
-            c = c + step[:, None] * np.conj(grad)
-            c /= np.linalg.norm(c, axis=1, keepdims=True)
-        # evaluate final points exactly
-        X = (c @ big_flat).reshape(chains, *big.shape[1:])
-        nx = np.array([op_norm(x) for x in X])
-        if bigq is None:
-            nq = np.zeros(chains)
-        else:
-            Qm = (c @ bigq_flat).reshape(chains, *bigq.shape[1:])
-            nq = np.array([op_norm(x) for x in Qm])
-        gaps = 1.0 - nq / np.maximum(nx, 1e-300)
-        b = int(np.argmax(gaps))
-        if gaps[b] > best_gap:
-            best_gap = float(gaps[b])
-            best_witness = X[b] / nx[b]
-            best_level = m
-        if best_gap > tol.tol_norm:
-            return FalsifierReport(
-                True, best_level, best_gap, best_witness, tuple(levels), trials, total_iters
-            )
-    return FalsifierReport(
-        False, None, best_gap, best_witness, tuple(levels), trials, total_iters
-    )
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,7 @@ class Tolerances:
     positivity floors, ``tol_herm`` Hermiticity checks, ``tol_sep`` the
     separation threshold between distinct points of a spectrahedron, and
     ``tol_norm`` the operator-norm drop threshold, used only by the
-    norm-drop probe of a block ideal and by the fallback falsifier for an
-    ideal test the feasibility engine leaves undecided.  Decision thresholds
+    norm-drop probe that refutes a block ideal.  Decision thresholds
     (``tol_sep``, ``tol_norm``) sit three orders of magnitude above the
     arithmetic tolerances so that rounding noise cannot flip a decision.
     """

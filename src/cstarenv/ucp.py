@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _DUAL_CAP = 400
+# Dykstra iterations before a feasibility search is reported undecided
+_FEASIBILITY_CAP = 8_000
 _CHECK_EVERY = 50
 _RAY_SLACK = 1e-14
 _GRAM_CUT = 1e-13
@@ -797,87 +799,23 @@ def is_unique_ucp_extension(
     )
 
 
-def _rank_truncated_descent(
-    spec: UcpSpectrahedron, candidate: np.ndarray, ranks, sweeps: int
-) -> np.ndarray:
-    """Drive an iterate toward the rank-``ranks`` face of the feasible set.
-
-    Alternates exact affine projection with rank-truncated positive parts.
-    Unlike Dykstra on the full cone, the truncation discards the tangential
-    junk directions outright, so a few sweeps land close enough to the face
-    for the rank-restricted refinement to take over.
-    """
-    X = candidate.copy()
-    for _ in range(sweeps):
-        X = spec.affine_project(X[np.newaxis, :])[0]
-        for j, (D, r) in enumerate(zip(spec.choi_dims, ranks)):
-            seg = slice(spec.offsets[j], spec.offsets[j + 1])
-            m = unpack_herm(X[seg], D)
-            if r:
-                w, v = np.linalg.eigh(m)
-                m = (v[:, -r:] * np.maximum(w[-r:], 0.0)) @ np.conj(v[:, -r:].T)
-            else:
-                m = np.zeros_like(m)
-            X[seg] = pack_herm(m)
-    return X
-
-
-def _feasibility_polish(
-    spec: UcpSpectrahedron, candidate: np.ndarray, scale: float
-) -> np.ndarray | None:
-    """Exact feasible point refined from a stalled iterate, or None.
-
-    A stall means the intersection is tangential, which happens exactly when
-    the feasible points live on a low-rank face of the cone.  The iterate's
-    eigenvalue profile suggests candidate face ranks, but a blurred spectrum
-    routinely overestimates them, so the low ranks are swept as well, lowest
-    first (Dykstra limits sit on the smallest face).  Each candidate profile
-    is driven toward its face by truncated descent and finished by the
-    rank-restricted refinement.  A wrong profile only fails, never falsely
-    certifies: success requires machine-precision affine residual on an
-    exactly positive point.
-    """
-    profiles = _rank_profiles(spec, candidate, (3e-2, 1e-3, 1e-5))
-    if not profiles:
-        return None
-    base = profiles[0]
-
-    def push(key: tuple[int, ...]) -> None:
-        if sum(key) > 0 and key not in profiles:
-            profiles.append(key)
-
-    if len(spec.choi_dims) == 1:
-        for r in range(1, min(spec.choi_dims[0], 12) + 1):
-            push((r,))
-    else:
-        # vary one block at a time around the sharpest eigenvalue profile
-        for j, D in enumerate(spec.choi_dims):
-            for r in range(1, min(D, 6) + 1):
-                push(base[:j] + (r,) + base[j + 1 :])
-    profiles.sort(key=sum)
-    for ranks in profiles:
-        near = _rank_truncated_descent(spec, candidate, ranks, 100)
-        X = _refine_rank_factorization(spec, near, ranks, scale)
-        if X is not None:
-            return X
-    return None
-
-
 def ucp_feasibility(
     spec: UcpSpectrahedron,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = 50_000,
     start: np.ndarray | None = None,
 ) -> FeasibilityResult:
     """Decide whether the spectrahedron is nonempty.
 
-    The affine part is checked exactly first (least-squares gap); Dykstra
-    then runs from a cone-interior warm start.  Tangential intersections
-    stall the iteration, so stalled iterates are polished into exact
-    feasible points on the identified cone face.  Infeasibility is never
-    declared from a plateau alone (slow tangential convergence looks the
-    same); when neither convergence nor a polish decides within the cap,
-    the outcome is inconclusive and the caller may bring stronger tools.
+    The affine part is checked exactly first (least-squares gap).  Dykstra
+    then runs from ``start`` (by default the min-norm affine solution) and
+    accepts its iterate at iteration 0 and every 200 iterations after, once
+    the affine residual is at most ``tol_rank·max(1, ‖rhs‖)``; at iteration
+    0 the least Choi eigenvalue must also be at least ``-tol_psd``, later
+    iterates are cone projections.  Infeasibility is never declared from a
+    plateau (slow tangential convergence looks the same): a search that
+    stays undecided for ``_FEASIBILITY_CAP`` iterations raises
+    :class:`InconclusiveError` with the start's least Choi eigenvalue and
+    the affine-residual history, the start's first.
     """
     scale = max(1.0, float(np.linalg.norm(spec.rhs)))
     conv_tol = tol.tol_rank * scale
@@ -888,25 +826,21 @@ def ucp_feasibility(
         return FeasibilityResult(True, [], 0.0, 0, "trivial")
     if start is None:
         start = spec.particular_solution()
-    state = _DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
-    res_trace = []
-    while state.iterations < cap:
-        state.run(min(200, cap - state.iterations))
-        res = float(spec.affine_residual(state.X)[0])
-        res_trace.append(res)
-        if res <= conv_tol:
+    X = start[np.newaxis, :]
+    history = [float(spec.affine_residual(X)[0])]
+    least = float(spec.min_eig(X)[0])
+    if history[0] <= conv_tol and least >= -tol.tol_psd:
+        return FeasibilityResult(True, spec.unpack_tuple(start), history[0], 0, "dykstra")
+    state = _DykstraState(spec.affine_project, spec.psd_project, X)
+    while state.iterations < _FEASIBILITY_CAP:
+        state.run(min(200, _FEASIBILITY_CAP - state.iterations))
+        history.append(float(spec.affine_residual(state.X)[0]))
+        if history[-1] <= conv_tol:
             return FeasibilityResult(
-                True, spec.unpack_tuple(state.X[0]), res, state.iterations, "dykstra"
+                True, spec.unpack_tuple(state.X[0]), history[-1], state.iterations, "dykstra"
             )
-        stalled = len(res_trace) >= 3 and res > 0.5 * res_trace[-3]
-        if stalled or state.iterations >= cap:
-            X = _feasibility_polish(spec, state.X[0], scale)
-            if X is not None:
-                resid = float(spec.affine_residual(X[np.newaxis, :])[0])
-                return FeasibilityResult(
-                    True, spec.unpack_tuple(X), resid, state.iterations, "polish"
-                )
     raise InconclusiveError(
-        f"feasibility undecided after {state.iterations} iterations "
-        f"(affine residual {res_trace[-1]:.3e}); no exact feasible point found"
+        f"feasibility undecided after {state.iterations} iterations: start least Choi "
+        f"eigenvalue {least:.3e}, affine residuals "
+        f"{', '.join(f'{r:.3e}' for r in history)} against tolerance {conv_tol:.3e}"
     )

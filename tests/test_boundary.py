@@ -1,10 +1,11 @@
-"""Minimal boundary ideals: the two routes, the falsifier, the envelope and
-the isometry check of its left inverse.
+"""Minimal boundary ideals: the two routes, the norm-drop falsifier, the
+envelope and the isometry check of its left inverse.
 
 Verdict-level expectations are frozen from independent hand analysis of the
 structured corpus members; witness-carrying results are re-verified from the
 raw certificate rather than trusted from the flag.
 """
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -197,13 +198,23 @@ def test_simple_algebras_skip_the_probe_and_the_falsifier(analyses):
         assert set(a.lattice_certificate.failing) == {frozenset({1})}, name
 
 
-def test_state_sum_still_probes_and_searches(analyses):
-    a = analyses("state_sum")
+def test_state_sum_still_probes_and_searches(system, config, monkeypatch):
+    from cstarenv.analysis import analyze_system
+
+    searched = []
+    real = boundary.ucp_feasibility
+
+    def counting(spec, **kwargs):
+        searched.append(spec.target_dim)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(boundary, "ucp_feasibility", counting)
+    a = analyze_system(system("state_sum"), config, name="state_sum")
     assert [b.label for b in a.dk_certificate.per_block] == [1, 2]
     assert all(b.method != "simple" for b in a.dk_certificate.per_block)
-    # the lattice route searched for the left inverse that certifies the
-    # quotient, and the envelope re-checked it
-    assert a.lattice_certificate.iterations > 0
+    # the lattice route searched for the left inverse of the one killed
+    # scalar block that certifies the quotient, and the envelope re-checked it
+    assert searched == [1]
     iso = a.envelope.isometry
     assert iso.residual <= interpolation_bound(a.system)
     assert iso.min_eig >= -DEFAULT_TOL.tol_psd
@@ -224,8 +235,8 @@ def test_falsifier_finds_the_known_norm_drop(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     q = quotient_map(BlockIdeal(W, frozenset({1})))
-    rep = falsify_complete_isometry(E, q, seed=1, trials=64)
-    assert rep.violation and rep.level == 1
+    rep = falsify_complete_isometry(E, q)
+    assert rep.violation and rep.level == 1 and rep.iterations == 0
     assert rep.gap > 0.5 - DEFAULT_TOL.tol_norm
     # re-derive the gap from the witness alone
     w = rep.witness
@@ -235,13 +246,17 @@ def test_falsifier_finds_the_known_norm_drop(system, wedderburn):
     assert nw == pytest.approx(1.0, abs=1e-8)
     gap = 1.0 - op_norm(lift_through(q, w, n)) / nw
     assert gap == pytest.approx(rep.gap, abs=1e-8)
+    # the quotient to nothing drops every norm to 0
+    everything = quotient_map(BlockIdeal(W, frozenset(W.labels)))
+    rep = falsify_complete_isometry(E, everything)
+    assert rep.violation and rep.gap == 1.0
 
 
 def test_falsifier_respects_the_true_quotient(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     q = quotient_map(BlockIdeal(W, frozenset({2})))
-    rep = falsify_complete_isometry(E, q, seed=1, trials=64)
+    rep = falsify_complete_isometry(E, q)
     assert not rep.violation
     assert rep.gap <= DEFAULT_TOL.tol_norm
     assert rep.levels_searched == (1, 2)
@@ -318,7 +333,7 @@ def test_state_sum_s3_left_inverse_ends_by_dykstra(seed):
     assert_exact_left_inverse(E, W, frozenset({2}), res.certificate)
 
 
-def test_undecided_target_search_reaches_the_falsifier(seven_blocks, monkeypatch):
+def test_undecided_block_search_raises_for_the_ideal(seven_blocks, monkeypatch):
     real_search = boundary.ucp_feasibility
     searched = []
 
@@ -328,32 +343,16 @@ def test_undecided_target_search_reaches_the_falsifier(seven_blocks, monkeypatch
             raise InconclusiveError("forced")
         return real_search(spec, **kwargs)
 
-    def undecided(spec, **kwargs):
-        raise InconclusiveError("forced")
-
-    calls = []
-    real_falsifier = boundary.falsify_complete_isometry
-
-    def counting(E, q, **kwargs):
-        calls.append(q.ideal.killed)
-        return real_falsifier(E, q, **kwargs)
-
-    monkeypatch.setattr(boundary, "falsify_complete_isometry", counting)
+    monkeypatch.setattr(boundary, "ucp_feasibility", third_undecided)
     E7, W7 = seven_blocks
     killed = silov_ideal_dk(E7, W7)[0].killed
     assert len(killed) == 5
-    # two killed blocks pass, the third stays undecided: the falsifier runs
-    # once for the ideal, finds no drop (it is a boundary ideal), and the
-    # ideal stays undecided
-    monkeypatch.setattr(boundary, "ucp_feasibility", third_undecided)
-    with pytest.raises(InconclusiveError, match="forced"):
+    # two killed blocks pass, the third stays undecided: the ideal is
+    # undecided, and the two blocks after it are not searched
+    message = f"ideal {sorted(killed)}, killed block {sorted(killed)[2]}: forced"
+    with pytest.raises(InconclusiveError, match=re.escape(message)):
         boundary._left_inverse_search(E7, W7, killed, DEFAULT_TOL)
-    assert len(searched) == 3 and calls == [killed]
-    # killing the matrix block drops a norm, which the falsifier finds
-    monkeypatch.setattr(boundary, "ucp_feasibility", undecided)
-    res = boundary._left_inverse_search(E7, W7, frozenset({1}), DEFAULT_TOL)
-    assert not res.feasible and res.method == "falsifier"
-    assert calls == [killed, frozenset({1})]
+    assert len(searched) == 3
 
 
 def shift_psd(E, W, killed, witness):
@@ -406,24 +405,15 @@ def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, 
         cstar_envelope(system("state_sum"))
 
 
-def test_envelope_never_runs_the_falsifier(system, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("cstar_envelope ran the falsifier")
-
-    monkeypatch.setattr(boundary, "falsify_complete_isometry", forbidden)
-    for name in ("state_sum", "full_M2"):
-        cstar_envelope(system(name))
-
-
 def test_lattice_route_probes_each_ideal_once(system, wedderburn, monkeypatch):
     probed = Counter()
-    real = boundary._norm_drop_probe
+    real = boundary.falsify_complete_isometry
 
-    def counting(E, W, killed, tol):
-        probed[frozenset(killed)] += 1
-        return real(E, W, killed, tol)
+    def counting(E, q, tol):
+        probed[q.ideal.killed] += 1
+        return real(E, q, tol)
 
-    monkeypatch.setattr(boundary, "_norm_drop_probe", counting)
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", counting)
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     ideal, _ = silov_ideal_lattice(E, W)
@@ -470,7 +460,8 @@ def test_norm_drop_probe_matches_the_per_matrix_loop(system, wedderburn, seven_b
     cases += [(E7, W7, frozenset({1, j})) for j in W7.labels[1:]]
     drops = []
     for E_, W_, killed in cases:
-        drop = boundary._norm_drop_probe(E_, W_, killed, DEFAULT_TOL)
+        rep = falsify_complete_isometry(E_, quotient_map(BlockIdeal(W_, killed)), DEFAULT_TOL)
+        drop = rep.gap if rep.violation else None
         assert drop == per_matrix_norm_drop(E_, W_, killed), killed
         drops.append(drop)
     # both outcomes occur: refuting drops and probes that decide nothing
@@ -515,9 +506,9 @@ def _seeded_unitary(n: int, seed: int) -> np.ndarray:
 
 
 def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_generator):
-    # the representation route sees the span, not its basis: rescaled,
-    # conjugated and reordered generators give the same per-block verdicts,
-    # methods and iteration counts
+    # both routes see the span, not its basis: rescaled, conjugated and
+    # reordered generators give the same per-block verdicts, methods and
+    # iteration counts, and the same lattice iterations
     from cstarenv.analysis import analyze_system
     from cstarenv.specio import analysis_report
 
@@ -528,11 +519,12 @@ def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_gener
     presentations["seven_blocks"] = [seven_blocks_generator]
     for name, gens in presentations.items():
         n = gens[0].shape[0]
-        U = _seeded_unitary(n, 17)
+        U, V = _seeded_unitary(n, 17), _seeded_unitary(n, 5)
         variants = {
             "given": gens,
             "unit norm": [g / np.linalg.norm(g) for g in gens],
             "conjugated": [U @ g @ U.conj().T for g in gens],
+            "conjugated by seed 5": [V @ g @ V.conj().T for g in gens],
             "reversed": gens[::-1],
         }
         seen = {}
@@ -541,5 +533,6 @@ def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_gener
             seen[key] = (
                 [(b["unique"], b["method"], b["iterations"]) for b in report["certificates"]["dk"]],
                 report["timing"]["dk_iterations"],
+                report["timing"]["lattice_iterations"],
             )
         assert all(v == seen["given"] for v in seen.values()), (name, seen)

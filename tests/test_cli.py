@@ -297,6 +297,23 @@ def test_verify_all_row_shows_inconclusive_uniqueness_evidence(corpus_dir, capsy
     assert "2 witness polishes failed" in detail
 
 
+def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):
+    # with no Dykstra iterations allowed, a left-inverse search is decided
+    # only when its start is feasible; the product state_sum (x) state_sum
+    # starts at least eigenvalue -0.5, and its row shows the ideal, the
+    # killed block, that eigenvalue and the start's affine residual
+    monkeypatch.setattr(ucp, "_FEASIBILITY_CAP", 0)
+    code, out, _ = run(capsys, "verify-all", str(corpus_dir))
+    assert code == 3
+    lines = out.splitlines()
+    row = next(line for line in lines if line.startswith("state_sum (x) state_sum "))
+    assert "inconclusive" in row
+    detail = lines[lines.index(row) + 1]
+    assert "ideal [" in detail and "killed block" in detail
+    assert "after 0 iterations: start least Choi eigenvalue -5.000e-01" in detail
+    assert "affine residuals" in detail and "against tolerance" in detail
+
+
 def test_verify_all_without_manifest(capsys, tmp_path):
     code, _, err = run(capsys, "verify-all", str(tmp_path))
     assert code == 1
