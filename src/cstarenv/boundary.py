@@ -108,10 +108,9 @@ def build_extension_spectrahedron(
         raise InputError(f"no block labeled {label}")
     t = W.blocks[label - 1][0]
     dims = tuple(d for d, _ in W.blocks)
-    constraints = []
-    for h in hermitian_basis(E.space, tol=tol):
-        xs = [W.irrep_apply(j, h) for j in W.labels]
-        constraints.append((xs, W.irrep_apply(label, h)))
+    basis = hermitian_basis(E.space, tol=tol)
+    images = [W.irrep_apply(j, basis) for j in W.labels]
+    constraints = list(zip(zip(*images), images[label - 1]))
     J0 = [
         maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
         for j, (d, _) in enumerate(W.blocks, start=1)
@@ -294,7 +293,7 @@ def falsify_complete_isometry(
     nothing.
     """
     basis = E.space.basis
-    dim, n = basis.shape[:2]
+    dim = basis.shape[0]
     entropy = [0xD209, *sorted(q.ideal.killed)]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
     c1 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(48)])
@@ -302,15 +301,11 @@ def falsify_complete_isometry(
     c2 = np.array(
         [rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)) for _ in range(16)]
     )
-    # level 2: the 2x2 block matrices [[p0, p1], [p2, p3]] and their images;
-    # q goes matrix by matrix, as one stacked coefficient product rounds the
-    # images differently in the last bit
+    # level 2: the 2x2 block matrices [[p0, p1], [p2, p3]] and their images
     parts = np.einsum("buk,kij->buij", c2, basis)
-    q_parts = np.stack([q.apply(p) for p in parts.reshape(-1, n, n)])
-    q_parts = q_parts.reshape(parts.shape[:2] + q_parts.shape[1:])
     levels = (
-        (level1, np.stack([q.apply(x) for x in level1])),
-        (_cells_2x2(parts), _cells_2x2(q_parts)),
+        (level1, q.apply(level1)),
+        (_cells_2x2(parts), _cells_2x2(q.apply(parts))),
     )
     gap, level, witness = -np.inf, None, None
     for m, (x, qx) in enumerate(levels, start=1):
@@ -378,12 +373,12 @@ def _left_inverse_search(
     kept = [j for j in W.labels if j not in killed]
     dims = tuple(W.blocks[j - 1][0] for j in kept)
     basis = hermitian_basis(E.space, tol=tol)
-    images = [[W.irrep_apply(j, h) for j in kept] for h in basis]
+    images = list(zip(*(W.irrep_apply(j, basis) for j in kept)))
     parts = {}
     residual, iterations = 0.0, 0
     for i in sorted(killed):
         d = W.blocks[i - 1][0]
-        constraints = [(xs, W.irrep_apply(i, h)) for xs, h in zip(images, basis)]
+        constraints = list(zip(images, W.irrep_apply(i, basis)))
         spec = UcpSpectrahedron.from_constraints(dims, d, constraints)
         tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
         start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
@@ -416,14 +411,12 @@ def _interpolation_residual(
     """
     n = E.space.ambient
     kept = [j for j in W.labels if j not in killed]
-    resid = 0.0
-    for h in hermitian_basis(E.space, tol=tol):
-        out = np.zeros((n, n), dtype=np.complex128)
-        for j, c in zip(kept, choi):
-            d = W.blocks[j - 1][0]
-            x = W.irrep_apply(j, h)
-            out += np.einsum("kl,kalb->ab", x, c.reshape(d, n, d, n))
-        resid = max(resid, float(np.linalg.norm(out - h)))
+    basis = hermitian_basis(E.space, tol=tol)
+    out = np.zeros_like(basis, dtype=np.complex128)
+    for j, c in zip(kept, choi):
+        d = W.blocks[j - 1][0]
+        out += np.einsum("hkl,kalb->hab", W.irrep_apply(j, basis), c.reshape(d, n, d, n))
+    resid = float(np.max(np.linalg.norm(out - basis, axis=(1, 2))))
     if resid > 10 * tol.tol_rank * max(1.0, float(n)):
         raise error(
             f"left inverse for the ideal {sorted(killed)} fails to interpolate "
@@ -635,8 +628,7 @@ def cstar_envelope(
         )
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
-    basis_images = [q.apply(b) for b in E.space.basis]
-    embed = LinearMap(domain=E.space, values=np.stack(basis_images), target_dim=q.target_dim)
+    embed = q.as_linear_map(E.space)
     return EnvelopeResult(
         system=E,
         algebra=A,

@@ -51,6 +51,26 @@ from .specio import (
 _ENV_TOL = "CSTARENV_TOLERANCES"
 _TOL_FLAGS = ("tol_rank", "tol_psd", "tol_sep", "tol_norm")
 
+# the one map from exceptions to a verify-all row status, an exit code and
+# the prefix of the message on stderr
+_FAILURES = (VerificationError, StructuralError, DecompositionError, RouteDisagreementError)
+_ERRORS = (
+    ((InputError, OSError), "input", 1, "error"),
+    (_FAILURES, "failed", 2, "failure"),
+    ((InconclusiveError,), "inconclusive", 3, "inconclusive"),
+)
+_HANDLED = tuple(t for types, *_ in _ERRORS for t in types)
+# verify-all pads its status column to the longest status plus one space
+_STATUS_WIDTH = max(len(s) for s in ("ok", "disagree", "skipped", *(e[1] for e in _ERRORS))) + 1
+
+
+def _classify(exc: Exception) -> tuple[str, int, str]:
+    """``(status, exit code, message prefix)`` of a handled exception."""
+    for types, status, code, prefix in _ERRORS:
+        if isinstance(exc, types):
+            return status, code, prefix
+    raise exc
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors map to the input exit code instead of argparse's 2."""
@@ -272,12 +292,8 @@ def _safe_analyze(path_str: str, config: AnalysisConfig):
         sa = analyze_system(
             opsys_of(spec, config.tol), config, name=spec.name, digest=spec_digest(spec)
         )
-    except InputError as exc:
-        return ("input", str(exc))
-    except InconclusiveError as exc:
-        return ("inconclusive", str(exc))
-    except (VerificationError, StructuralError, DecompositionError) as exc:
-        return ("failed", str(exc))
+    except _HANDLED as exc:
+        return (_classify(exc)[0], str(exc))
     if not sa.agreement:
         return ("disagree", sa)
     return ("ok", sa)
@@ -286,17 +302,8 @@ def _safe_analyze(path_str: str, config: AnalysisConfig):
 def _safe_pair(left: SystemAnalysis, right: SystemAnalysis, config: AnalysisConfig):
     try:
         pa = analyze_pair(left, right, config)
-    except InputError as exc:
-        return ("input", str(exc))
-    except InconclusiveError as exc:
-        return ("inconclusive", str(exc))
-    except (
-        VerificationError,
-        StructuralError,
-        DecompositionError,
-        RouteDisagreementError,
-    ) as exc:
-        return ("failed", str(exc))
+    except _HANDLED as exc:
+        return (_classify(exc)[0], str(exc))
     return ("failed", pa) if not pa.verified else ("ok", pa)
 
 
@@ -420,22 +427,23 @@ def cmd_verify_all(args) -> int:
 
     if not args.quiet:
         width = max((len(r["name"]) for r in sys_rows), default=4) + 2
-        print(f"{'SYSTEM':<{width}}STATUS      SILOV      PROP")
+        sw = _STATUS_WIDTH
+        print(f"{'SYSTEM':<{width}}{'STATUS':<{sw}}SILOV      PROP")
         for r in sys_rows:
             silov = r.get("silov_killed", {}).get("lattice", "-")
             prop = r.get("propagation", "-")
-            print(f"{r['name']:<{width}}{r['status']:<12}{str(silov):<11}{prop}")
+            print(f"{r['name']:<{width}}{r['status']:<{sw}}{str(silov):<11}{prop}")
             if "detail" in r:
                 print(f"{'':<{width}}  {r['detail']}")
         pw = max((len(r["left"] + r["right"]) for r in pair_rows), default=8) + 7
-        print(f"\n{'PAIR':<{pw}}STATUS      CHECKS")
+        print(f"\n{'PAIR':<{pw}}{'STATUS':<{sw}}CHECKS")
         for r in pair_rows:
             label = f"{r['left']} (x) {r['right']}"
             checks = r.get("checks")
             summary_str = (
                 "-" if checks is None else f"{sum(checks.values())}/{len(checks)}"
             )
-            print(f"{label:<{pw}}{r['status']:<12}{summary_str}")
+            print(f"{label:<{pw}}{r['status']:<{sw}}{summary_str}")
             if "detail" in r:
                 print(f"{'':<{pw}}  {r['detail']}")
         print(f"verified corpus in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
@@ -457,18 +465,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RouteDisagreementError, VerificationError, StructuralError, DecompositionError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 2
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+    except _HANDLED as exc:
+        _, code, prefix = _classify(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     finally:
         if previous is not None:
             _set_blas_threads(previous)

@@ -189,9 +189,7 @@ def _match_by_intertwiner(
     anything else means the two decompositions disagree structurally.
     """
     basis = synthetic.algebra.space.basis
-    direct_values = {
-        t: np.stack([direct.irrep_apply(t, b) for b in basis]) for t in direct.labels
-    }
+    direct_values = {t: direct.irrep_apply(t, basis) for t in direct.labels}
     taken: set[int] = set()
     matches = []
     for s in synthetic.labels:

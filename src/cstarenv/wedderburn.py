@@ -11,6 +11,13 @@ splits the component into equivalent irreducible copies, and Schur
 intertwiners align the copies.  Everything downstream (ideals, quotient
 maps, boundary computations) consumes the resulting block data.
 
+One formula gives every block representation: with ``v`` the rows of the
+unitary ``u`` for block ``i``'s first copy, π_i(x) = v x v*, the
+compression of ``u x u*`` to that copy.  It holds for elements of the
+algebra only, and applies to one matrix or to an ``(..., n, n)`` stack
+alike; the quotient by a block ideal places the kept blocks' compressions
+on the diagonal.
+
 Block labels are 1-based throughout, matching the reports.
 """
 
@@ -89,7 +96,9 @@ class WedderburnData:
     ``m_i`` adjacent identical ``d_i x d_i`` copies per block, blocks ordered
     by descending ``d_i`` with a trace fingerprint as tie-break.
     ``irreps[i-1]`` stacks the irreducible representation's values on the
-    algebra basis, shape ``(algebra.dim, d_i, d_i)``.
+    algebra basis, shape ``(algebra.dim, d_i, d_i)``; validation ties them
+    to ``u``.  :meth:`irrep_apply` evaluates π_i(x) = v x v* from ``u``
+    directly, for ``x`` in the algebra.
     """
 
     algebra: CStarAlgebra
@@ -110,17 +119,17 @@ class WedderburnData:
     def labels(self) -> tuple[int, ...]:
         return tuple(range(1, self.num_blocks + 1))
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        return self.algebra.space.coefficients(x)
-
     def irrep_apply(self, label: int, x: np.ndarray) -> np.ndarray:
         """Apply the block-``label`` irreducible representation to ``x``.
 
-        ``x`` must lie in the algebra; it is decomposed against the stored
-        basis.
+        π_i(x) = v x v*, where ``v = u[s:s+d_i]`` are the rows of ``u`` for
+        block i's first copy.  ``x`` is one matrix or an ``(..., n, n)``
+        stack and must lie in the algebra: outside it the compression is not
+        a representation.
         """
-        c = self.coefficients(x)
-        return np.tensordot(c, self.irreps[label - 1], axes=(0, 0))
+        s = self.block_offsets()[label - 1]
+        v = self.u[s : s + self.blocks[label - 1][0]]
+        return v @ x @ dagger(v)
 
     def block_offsets(self) -> list[int]:
         """Start offset of each block's isotypic component in the conjugated picture."""
@@ -223,11 +232,10 @@ def _validate_decomposition(
             off += d
     resid += float(np.max(np.linalg.norm((conjugated - expected).reshape(len(basis), -1), axis=1)))
     # representations must be multiplicative and adjoint-preserving
-    vecs = algebra.space.vecs()
+    prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
+    coeffs = np.conj(algebra.space.vecs()) @ prods.reshape(prods.shape[0], -1).T  # (dim, P)
     for rep in irreps:
         d = rep.shape[1]
-        prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
-        coeffs = np.conj(vecs) @ prods.reshape(prods.shape[0], -1).T  # (dim, P)
         rep_of_prod = np.tensordot(coeffs.T, rep, axes=(1, 0))
         rep_prod = np.einsum("aij,bjk->abik", rep, rep).reshape(-1, d, d)
         resid += float(np.max(np.linalg.norm((rep_of_prod - rep_prod).reshape(rep_prod.shape[0], -1), axis=1)))
@@ -361,9 +369,10 @@ class QuotientMap:
 
     The target is the direct sum of the surviving blocks realized as block
     diagonal matrices of size ``target_dim = sum of surviving d_i``; the map
-    is the unital *-homomorphism dropping the killed blocks.  With every
-    block killed the target is the zero algebra and the map is identically
-    the empty matrix.
+    is the unital *-homomorphism dropping the killed blocks, q(x) = ⊕ over
+    kept i of π_i(x) = v_i x v_i*.  Inputs must lie in the algebra.  With
+    every block killed the target is the zero algebra, and a stack of ``k``
+    matrices maps to shape ``(k, 0, 0)``.
     """
 
     ideal: BlockIdeal
@@ -375,24 +384,20 @@ class QuotientMap:
         return self.ideal.parent
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """q(x) for one matrix or an ``(..., n, n)`` stack of algebra elements:
+        the kept blocks' compressions placed on the diagonal."""
         W = self.parent
-        if self.target_dim == 0:
-            return np.zeros((0, 0), dtype=np.complex128)
-        out = np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
-        c = W.coefficients(x)
+        out = np.zeros(x.shape[:-2] + (self.target_dim, self.target_dim), dtype=np.complex128)
         off = 0
         for label in self.kept:
-            d, _ = W.blocks[label - 1]
-            out[off : off + d, off : off + d] = np.tensordot(c, W.irreps[label - 1], axes=(0, 0))
+            d = W.blocks[label - 1][0]
+            out[..., off : off + d, off : off + d] = W.irrep_apply(label, x)
             off += d
         return out
 
     def as_linear_map(self, domain: MatSubspace) -> LinearMap:
         """Restriction to a subspace of the algebra, as a LinearMap."""
-        values = np.stack([self.apply(b) for b in domain.basis]) if domain.dim else np.zeros(
-            (0, self.target_dim, self.target_dim), dtype=np.complex128
-        )
-        return LinearMap(domain=domain, values=values, target_dim=self.target_dim)
+        return LinearMap(domain=domain, values=self.apply(domain.basis), target_dim=self.target_dim)
 
 
 def quotient_map(ideal: BlockIdeal) -> QuotientMap:

@@ -193,6 +193,30 @@ def blockwise_quotient_norm(u, blocks, kept_labels, x) -> float:
     return best
 
 
+def coefficient_irrep(W, label: int, x) -> np.ndarray:
+    """π_label(x) through the stored irreps: Hilbert-Schmidt coefficients of
+    ``x`` against the algebra basis, contracted with ``irreps[label-1]``.
+
+    The reference for ``irrep_apply``'s compression ``v x v*``; both agree on
+    the algebra, which validation ties to the same unitary.
+    """
+    basis = W.algebra.space.basis
+    c = np.conj(basis.reshape(len(basis), -1)) @ np.asarray(x, dtype=complex).ravel()
+    return np.tensordot(c, W.irreps[label - 1], axes=(0, 0))
+
+
+def coefficient_quotient(W, kept, x) -> np.ndarray:
+    """The quotient keeping the labels ``kept``, as the block-diagonal sum of
+    :func:`coefficient_irrep` values."""
+    dims = [W.blocks[j - 1][0] for j in kept]
+    out = np.zeros((sum(dims), sum(dims)), dtype=complex)
+    off = 0
+    for j, d in zip(kept, dims):
+        out[off : off + d, off : off + d] = coefficient_irrep(W, j, x)
+        off += d
+    return out
+
+
 def random_herm(rng, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2

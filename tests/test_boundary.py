@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarenv import boundary
 from cstarenv.boundary import (
@@ -26,6 +28,7 @@ from cstarenv.errors import InconclusiveError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, matrix_units, op_norm
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
+from cstarenv.tensor import min_tensor
 from cstarenv.wedderburn import (
     BlockIdeal,
     enumerate_ideals,
@@ -536,3 +539,35 @@ def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_gener
                 report["timing"]["lattice_iterations"],
             )
         assert all(v == seen["given"] for v in seen.values()), (name, seen)
+
+
+def _invariants(sa):
+    """What the analysis says about the span: blocks, both killed sets, the
+    envelope's block and algebra dimensions, and the propagation number."""
+    env = sa.envelope
+    return (
+        sa.wedderburn.blocks,
+        sa.silov_dk,
+        sa.silov_lattice,
+        env.envelope_block_dims,
+        env.envelope.space.dim,
+        sa.prop.value,
+    )
+
+
+@given(name=st.sampled_from(["state_sum", "jordan_M2"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_invariants_ignore_conjugation_and_a_trivial_tensor_factor(
+    entries, system, analyses, name, seed
+):
+    from cstarenv.analysis import analyze_system
+
+    expected = _invariants(analyses(name))
+    gens = [np.asarray(g) for g in entries[name].spec.generators]
+    n = gens[0].shape[0]
+    V = _seeded_unitary(n, seed)
+    conjugated = opsys_from_generators(n, [V @ g @ V.conj().T for g in gens])
+    assert _invariants(analyze_system(conjugated, name=name)) == expected, seed
+    # V E V* (x) M_1 is V E V* again, reached through the tensor product
+    trivial = min_tensor(conjugated, system("full_M1")).product
+    assert _invariants(analyze_system(trivial, name=name)) == expected, seed

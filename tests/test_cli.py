@@ -307,7 +307,8 @@ def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys,
     assert code == 3
     lines = out.splitlines()
     row = next(line for line in lines if line.startswith("state_sum (x) state_sum "))
-    assert "inconclusive" in row
+    # the status is followed by whitespace, not run into the CHECKS column
+    assert "inconclusive " in row and row.split()[-2:] == ["inconclusive", "-"]
     detail = lines[lines.index(row) + 1]
     assert "ideal [" in detail and "killed block" in detail
     assert "after 0 iterations: start least Choi eigenvalue -5.000e-01" in detail

@@ -5,6 +5,7 @@ import pytest
 from cstarenv.errors import DecompositionError
 from cstarenv.linalg import DEFAULT_TOL, span_of, subspace_contains, subspace_equal
 from cstarenv.opsys import generated_cstar, opsys_from_generators
+from cstarenv.tensor import product_blocks
 from cstarenv.wedderburn import (
     BlockIdeal,
     commutant,
@@ -15,7 +16,13 @@ from cstarenv.wedderburn import (
     wedderburn_decompose,
 )
 
-from _oracles import block_layout_residual, commutant_dim, random_complex
+from _oracles import (
+    block_layout_residual,
+    coefficient_irrep,
+    coefficient_quotient,
+    commutant_dim,
+    random_complex,
+)
 
 KNOWN_BLOCKS = {
     "full_M1": ((1, 1),),
@@ -134,6 +141,68 @@ def test_quotient_is_star_homomorphism_preserving_kept_blocks(wedderburn):
         assert np.abs(q.apply(a.conj().T) - q.apply(a).conj().T).max() < 1e-7
         # the kept irrep is the quotient, up to the block embedding
         assert np.abs(q.apply(a) - W.irrep_apply(1, a)).max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def decompositions(entries, wedderburn, seven_blocks):
+    """Every corpus member's decomposition, the seven-block one and the
+    synthetic decomposition ``product_blocks`` builds for state_sum (x)
+    jordan_M2."""
+    out = {name: wedderburn(name)[1] for name in entries}
+    out["seven_blocks"] = seven_blocks[1]
+    P = product_blocks(wedderburn("state_sum")[1], wedderburn("jordan_M2")[1])
+    out["state_sum (x) jordan_M2"] = P.wedderburn
+    return out
+
+
+def _algebra_samples(W, seed: int) -> np.ndarray:
+    """The algebra basis and two random unit-norm combinations of it."""
+    basis = W.algebra.space.basis
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return np.concatenate([basis, np.einsum("bk,kij->bij", c, basis)])
+
+
+def test_compression_matches_the_coefficient_route(decompositions):
+    for name, W in decompositions.items():
+        xs = _algebra_samples(W, 35)
+        kept_sets = [W.labels] + [tuple(j for j in W.labels if j != i) for i in W.labels]
+        for x in xs:
+            for label in W.labels:
+                got = W.irrep_apply(label, x)
+                assert np.abs(got - coefficient_irrep(W, label, x)).max() < 1e-12, (name, label)
+            for kept in kept_sets:
+                q = quotient_map(BlockIdeal(W, frozenset(W.labels) - set(kept)))
+                want = coefficient_quotient(W, kept, x)
+                assert np.abs(q.apply(x) - want).max(initial=0.0) < 1e-12, (name, kept)
+
+
+def test_stacked_calls_equal_per_matrix_calls(decompositions):
+    for name, W in decompositions.items():
+        xs = _algebra_samples(W, 36)
+        for label in W.labels:
+            single = np.stack([W.irrep_apply(label, x) for x in xs])
+            assert np.array_equal(W.irrep_apply(label, xs), single), (name, label)
+            pair = W.irrep_apply(label, np.stack([xs, xs[::-1]]))
+            assert np.array_equal(pair, np.stack([single, single[::-1]])), (name, label)
+        for killed in [frozenset()] + [frozenset({j}) for j in W.labels]:
+            q = quotient_map(BlockIdeal(W, killed))
+            assert np.array_equal(q.apply(xs), np.stack([q.apply(x) for x in xs])), (name, killed)
+
+
+def test_quotient_killing_every_block_has_empty_images(wedderburn):
+    A, W = wedderburn("state_sum")
+    q = quotient_map(BlockIdeal(W, frozenset(W.labels)))
+    assert q.target_dim == 0
+    k = A.space.dim
+    assert q.apply(A.space.basis).shape == (k, 0, 0)
+    assert q.apply(A.space.basis[0]).shape == (0, 0)
+    assert q.as_linear_map(A.space).values.shape == (k, 0, 0)
+    # the zero ideal's subspace is empty, and so is every stack over it
+    empty = ideal_subspace(BlockIdeal(W, frozenset()))
+    full = quotient_map(BlockIdeal(W, frozenset()))
+    assert full.as_linear_map(empty).values.shape == (0, full.target_dim, full.target_dim)
 
 
 def test_decompose_rejects_non_algebra():
