@@ -24,11 +24,17 @@ x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
 Choi size d_j·d_i instead of d_j·n.
 
-Both produce certificates.  :func:`cstar_envelope` runs both, insists they
-agree, builds the quotient and the enveloping block algebra, and re-checks
-the lattice route's left inverse ψ as the single isometry certificate: ψ is
-UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖``
-at every matrix level m and the quotient is completely isometric there.
+Both produce certificates.  :func:`cstar_envelope` runs the lattice route
+first and checks its left inverse ψ as the single isometry certificate: ψ
+is UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤
+‖x‖`` at every matrix level m and the quotient is completely isometric
+there.  The representation route then reads its witnesses off ψ: for a
+block i that ψ kills, π_i∘ψ∘q agrees with π_i on the system and vanishes on
+block i, so it is a second UCP extension (Arveson 2008; Dritschel and
+McCullough 2005).  Each such witness is still checked on block i's own
+extension spectrahedron, and a block whose check fails, or that ψ keeps,
+needs a dual certificate.  The envelope insists the two routes agree, then
+builds the quotient and the enveloping block algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  An ideal it leaves standing
@@ -173,9 +179,40 @@ class LatticeCertificate:
         return max(self.passing, key=lambda s: (len(s), sorted(s)))
 
 
+def _left_inverse_candidate(
+    W: WedderburnData, lattice: LatticeCertificate, label: int
+) -> list[np.ndarray] | None:
+    """Choi tuple of π_i∘ψ∘q on the extension spectrahedron of block
+    ``i = label``, one ``(d_j·d_i)²`` matrix per block j, or None when the
+    lattice route keeps block i.
+
+    ψ is the lattice witness, one ``(d_j·n)²`` Choi block per kept label j.
+    At a kept source j the candidate compresses ψ's Choi block by the rows
+    v of ``u`` for block i's first copy, ``v ψ(e_kl) v*`` in cell (k, l);
+    at a killed source, which q sends to zero, it is zero.
+    """
+    if label not in lattice.maximal:
+        return None
+    n = W.ambient
+    di = W.blocks[label - 1][0]
+    s = W.block_offsets()[label - 1]
+    v = W.u[s : s + di]
+    kept = [j for j in W.labels if j not in lattice.maximal]
+    psi = dict(zip(kept, lattice.witness))
+    out = []
+    for j, (dj, _) in enumerate(W.blocks, start=1):
+        if j in psi:
+            cells = v @ psi[j].reshape(dj, n, dj, n).transpose(0, 2, 1, 3) @ np.conj(v.T)
+            out.append(cells.transpose(0, 2, 1, 3).reshape(dj * di, dj * di))
+        else:
+            out.append(np.zeros((dj * di, dj * di), dtype=complex))
+    return out
+
+
 def boundary_representations(
     E: OperatorSystem,
     W: WedderburnData,
+    lattice: LatticeCertificate,
     *,
     seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
@@ -184,13 +221,24 @@ def boundary_representations(
 
     A simple algebra needs no decision: its only block is boundary, because
     a finite-dimensional system has at least one boundary representation.
+    Every block the lattice route kills gets the witness candidate read off
+    its left inverse (:func:`_left_inverse_candidate`).  An undecided block
+    raises :class:`InconclusiveError` that names it and says whether the
+    lattice route kills it.
     """
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
     for label in W.labels:
         spec = build_extension_spectrahedron(E, W, label, tol)
-        res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol=tol)
+        witness = _left_inverse_candidate(W, lattice, label)
+        try:
+            res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol, witness)
+        except InconclusiveError as exc:
+            route = "killed" if label in lattice.maximal else "kept"
+            raise InconclusiveError(
+                f"block {label} ({route} by the lattice route): {exc}"
+            ) from None
         results.append(
             BlockUniqueness(
                 label, res.unique, res.method, res.separation, res.iterations, res.witness
@@ -202,6 +250,7 @@ def boundary_representations(
 def silov_ideal_dk(
     E: OperatorSystem,
     W: WedderburnData,
+    lattice: LatticeCertificate,
     *,
     seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
@@ -209,10 +258,12 @@ def silov_ideal_dk(
     """Minimal boundary ideal via boundary representations.
 
     The ideal kills exactly the blocks that are not boundary representations.
-    An empty boundary set is impossible for a finite-dimensional system, so
-    it is reported as a structural failure rather than an ideal.
+    ``lattice`` supplies the witness candidates (see
+    :func:`boundary_representations`).  An empty boundary set is impossible
+    for a finite-dimensional system, so it is reported as a structural
+    failure rather than an ideal.
     """
-    cert = boundary_representations(E, W, seed=seed, tol=tol)
+    cert = boundary_representations(E, W, lattice, seed=seed, tol=tol)
     boundary = cert.boundary_labels
     if not boundary:
         raise StructuralError(
@@ -598,18 +649,28 @@ def cstar_envelope(
 ) -> EnvelopeResult:
     """Compute the minimal quotient by the two independent routes.
 
-    Raises :class:`RouteDisagreementError` when the routes disagree, and
-    :class:`VerificationError` when the lattice witness ψ, the isometry
-    certificate of the quotient, fails its check: ψ∘q = id on the system's
-    Hermitian basis within ``10·tol_rank·max(1, n)``, and every Choi block
-    of ψ with least eigenvalue at least ``-tol_psd``.
+    The lattice route runs first.  Its witness ψ, the isometry certificate
+    of the quotient, is checked before the representation route reads its
+    witnesses off it: ψ∘q = id on the system's Hermitian basis within
+    ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
+    eigenvalue at least ``-tol_psd``; a failure raises
+    :class:`VerificationError`.  Raises :class:`RouteDisagreementError` when
+    the routes disagree.
     """
     from .errors import RouteDisagreementError
 
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, seed=seed, tol=tol)
-    dk_ideal, dk_cert = silov_ideal_dk(E, W, seed=seed, tol=tol)
     lat_ideal, lat_cert = silov_ideal_lattice(E, W, tol=tol)
+    witness = lat_cert.witness
+    residual = _interpolation_residual(E, W, lat_ideal.killed, witness, tol, VerificationError)
+    min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
+    if min_eig < -tol.tol_psd:
+        raise VerificationError(
+            f"left inverse for the ideal {sorted(lat_ideal.killed)} is not completely "
+            f"positive (least Choi eigenvalue {min_eig:.3e})"
+        )
+    dk_ideal, dk_cert = silov_ideal_dk(E, W, lat_cert, seed=seed, tol=tol)
     if dk_ideal.killed != lat_ideal.killed:
         raise RouteDisagreementError(
             "representation route and lattice route disagree: "
@@ -618,14 +679,6 @@ def cstar_envelope(
             lattice_certificate=lat_cert,
         )
     ideal = dk_ideal
-    witness = lat_cert.witness
-    residual = _interpolation_residual(E, W, ideal.killed, witness, tol, VerificationError)
-    min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
-    if min_eig < -tol.tol_psd:
-        raise VerificationError(
-            f"left inverse for the ideal {sorted(ideal.killed)} is not completely "
-            f"positive (least Choi eigenvalue {min_eig:.3e})"
-        )
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
     embed = q.as_linear_map(E.space)

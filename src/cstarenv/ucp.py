@@ -14,10 +14,13 @@ of a UCP extension), and is it nonempty (existence of a UCP left inverse).
 
 Uniqueness is decided by a certificate or a witness: a dual certificate
 (strict complementarity) checked with an explicit rounding bound, or a
-second feasible point certified by an eigenvalue line search along a ray
-from the base point inside the nullspace of ``L``.  Dykstra alternating
-projections between an affine set and the cone decide feasibility, and
-search for a dual certificate when its closed form fails.
+second feasible point.  The caller supplies the witness candidate (for a
+block the lattice route kills, the compression of its UCP left inverse);
+it is projected exactly onto the affine set and accepted when it lies
+farther than ``tol_sep`` from the base point with least Choi eigenvalue at
+least ``-tol_psd``, the rule the left inverse itself is held to.  Dykstra
+alternating projections between an affine set and the cone decide
+feasibility, and search for a dual certificate when its closed form fails.
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -59,7 +62,6 @@ _DUAL_CAP = 400
 # Dykstra iterations before a feasibility search is reported undecided
 _FEASIBILITY_CAP = 8_000
 _CHECK_EVERY = 50
-_RAY_SLACK = 1e-14
 _GRAM_CUT = 1e-13
 # singular values of Z -> Z_j ω below this span the face: rounding, not a constraint
 _FACE_CUT = 1e-12
@@ -368,25 +370,6 @@ class UcpSpectrahedron:
             return np.zeros(X.shape[:-1])
         return np.min(np.concatenate(least, axis=-1), axis=-1)
 
-    def ray_tmax(self, D_dirs: np.ndarray, t_hi: float, slack: float) -> np.ndarray:
-        """Largest ``t`` in ``[0, t_hi]`` with ``J0 + t D`` PSD up to ``slack``.
-
-        Bisection on batched eigenvalues; directions are expected to lie in
-        the nullspace of ``L`` so the affine constraints are exact along the
-        ray.
-        """
-        B = D_dirs.shape[0]
-        lo = np.zeros(B)
-        hi = np.full(B, float(t_hi))
-        feas_hi = self.min_eig(self.J0 + hi[:, None] * D_dirs) >= -slack
-        lo[feas_hi] = hi[feas_hi]
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            feas = self.min_eig(self.J0 + mid[:, None] * D_dirs) >= -slack
-            lo = np.where(feas, mid, lo)
-            hi = np.where(feas, hi, mid)
-        return lo
-
 
 @dataclass(frozen=True)
 class UniquenessResult:
@@ -429,162 +412,6 @@ class _DykstraState:
             X = Z
         self.X, self.P, self.Q = X, P, Q
         self.iterations += steps
-
-
-def _ray_polish(
-    spec: UcpSpectrahedron,
-    candidate: np.ndarray,
-    sep_abs: float,
-    psd_scale: float,
-) -> tuple[np.ndarray, float] | None:
-    """Exact witness from a clean candidate direction, or None.
-
-    Projects the direction from ``J0`` into the nullspace of ``L`` and runs
-    the eigenvalue line search.  Only succeeds when the direction is feasible
-    to near machine precision; contaminated directions fall through to the
-    face polish.
-    """
-    d_dir = spec.null_project((candidate - spec.J0)[np.newaxis, :])
-    nrm = float(np.linalg.norm(d_dir))
-    if nrm < 1e-14:
-        return None
-    d_dir = d_dir / nrm
-    tmax = spec.ray_tmax(d_dir, t_hi=2.0 * max(nrm, 1.0), slack=_RAY_SLACK * psd_scale)
-    t = float(tmax[0])
-    return None if t < sep_abs else (spec.J0 + t * d_dir[0], t)
-
-
-def _rank_profiles(spec: UcpSpectrahedron, candidate: np.ndarray, cuts) -> list[tuple]:
-    """Distinct nonzero block-rank profiles of ``candidate``, one per cut: a
-    block's rank counts its eigenvalues above ``cut·max(top, 1e-3·global
-    top)``.  Empty when no block has a positive eigenvalue."""
-    eigs = [np.linalg.eigvalsh(m) for m in spec.unpack_tuple(candidate)]
-    tops = [float(w[-1]) if w.size else 0.0 for w in eigs]
-    global_max = max(tops, default=0.0)
-    profiles: list[tuple[int, ...]] = []
-    for cut in cuts if global_max > 0.0 else ():
-        floor = 1e-3 * global_max
-        key = tuple(int(np.count_nonzero(w > cut * max(top, floor))) for w, top in zip(eigs, tops))
-        if sum(key) and key not in profiles:
-            profiles.append(key)
-    return profiles
-
-
-def _face_polish(
-    spec: UcpSpectrahedron,
-    candidate: np.ndarray,
-    sep_abs: float,
-    psd_scale: float,
-    scale: float,
-) -> tuple[np.ndarray, float] | None:
-    """Exact witness via rank-restricted refinement, or None.
-
-    A candidate near the feasible set (the cone projection of the min-norm
-    affine solution, say) has a direction from ``J0`` that carries junk along
-    infeasible nullspace directions, which kills the plain ray search (the
-    junk violates positivity linearly).  The candidate's eigenvalue profile,
-    however, identifies the rank of the face the nearby feasible points live
-    on.  The rank-restricted refinement converges geometrically to a
-    machine-precision feasible point on that face, which the exact ray
-    search then certifies.  False faces
-    cannot produce false witnesses: the final certificate is always the ray
-    search from ``J0``.
-    """
-    for ranks in _rank_profiles(spec, candidate, (3e-2, 1e-3)):
-        X = _refine_rank_factorization(spec, candidate, ranks, scale)
-        if X is None or float(np.linalg.norm(X - spec.J0)) < sep_abs:
-            continue
-        polished = _ray_polish(spec, X, sep_abs, psd_scale)
-        if polished is not None:
-            return polished
-    return None
-
-
-def _pack_jacobian(V: np.ndarray) -> np.ndarray:
-    """Rows ``pack_herm(dV V* + V dV*)``, one per unit direction ``dV`` of the
-    ``(D, r)`` factor ``V``: real parts first, then imaginary parts, each
-    over ``(p, q)`` row-major."""
-    D, r = V.shape
-    unit = np.eye(D * r).reshape(D * r, D, r)
-    dV = np.concatenate([unit, 1j * unit])
-    return pack_herm(dV @ np.conj(V.T) + V @ np.conj(np.swapaxes(dV, 1, 2)))
-
-
-def _refine_rank_factorization(
-    spec: UcpSpectrahedron,
-    candidate: np.ndarray,
-    ranks,
-    scale: float,
-) -> np.ndarray | None:
-    """Gauss-Newton solve of ``L(V V*) = rhs`` with fixed block ranks.
-
-    Returns coordinates of an exactly-PSD point with affine residual near
-    machine precision, or None if the iteration does not converge.
-    """
-    Vs = []
-    for j, (D, r) in enumerate(zip(spec.choi_dims, ranks)):
-        seg = candidate[spec.offsets[j] : spec.offsets[j + 1]]
-        A = unpack_herm(seg, D)
-        w, v = np.linalg.eigh(A)
-        if r:
-            Vs.append(v[:, -r:] * np.sqrt(np.maximum(w[-r:], 0.0)))
-        else:
-            Vs.append(np.zeros((D, 0), dtype=np.complex128))
-
-    def assemble(Vs):
-        parts = [
-            pack_herm(V @ np.conj(V.T)) if V.shape[1] else np.zeros(D * D)
-            for V, D in zip(Vs, spec.choi_dims)
-        ]
-        return np.concatenate(parts)
-
-    def res_vec(X):
-        return X @ spec.L.T - spec.rhs
-
-    X = assemble(Vs)
-    rn = float(np.linalg.norm(res_vec(X)))
-    rn0 = rn
-    for it in range(40):
-        if rn <= 1e-13 * scale:
-            return X
-        # wrong rank profiles stagnate instead of converging quadratically;
-        # give up on them early, the caller will try the next profile
-        if it == 5 and rn > 0.5 * rn0:
-            return None
-        # Jacobian of pack(V V*) in the real/imaginary entries of every V_j
-        cols = []
-        meta = []
-        for j, (D, r) in enumerate(zip(spec.choi_dims, ranks)):
-            if r == 0:
-                continue
-            base = np.zeros((2 * D * r, spec.num_coords))
-            base[:, spec.offsets[j] : spec.offsets[j + 1]] = _pack_jacobian(Vs[j])
-            cols.append(base)
-            meta.append((j, D, r))
-        if not cols:
-            return None
-        jac = np.concatenate(cols, axis=0) @ spec.L.T  # (P, R)
-        step, *_ = np.linalg.lstsq(jac.T, res_vec(X), rcond=None)
-        alpha = 1.0
-        improved = False
-        for _ in range(8):
-            new_Vs = [V.copy() for V in Vs]
-            pos = 0
-            for j, D, r in meta:
-                block = step[pos : pos + 2 * D * r]
-                pos += 2 * D * r
-                delta = block[: D * r].reshape(D, r) + 1j * block[D * r :].reshape(D, r)
-                new_Vs[j] = Vs[j] - alpha * delta
-            X_new = assemble(new_Vs)
-            rn_new = float(np.linalg.norm(res_vec(X_new)))
-            if rn_new < rn:
-                Vs, X, rn = new_Vs, X_new, rn_new
-                improved = True
-                break
-            alpha /= 2.0
-        if not improved:
-            break
-    return X if rn <= 1e-10 * scale else None
 
 
 def _frame(spec: UcpSpectrahedron) -> tuple[int, np.ndarray, float, float]:
@@ -739,36 +566,42 @@ def is_unique_ucp_extension(
     spec: UcpSpectrahedron,
     seed_entropy,
     tol: Tolerances = DEFAULT_TOL,
+    witness: list | None = None,
 ) -> UniquenessResult:
     """Decide whether the spectrahedron is the singleton ``{J0}``.
 
     Every verdict is proved, in this order: a pinned affine set
-    (``"pinned"``); a strictly definite base point, left along one seeded
-    nullspace direction (``"pd-fast-path"``); the closed-form dual
-    certificate (``"dual"``, see :func:`verify_uniqueness_certificate`); a
-    witness polished from the min-norm affine solution or its cone
-    projection (``"pre-probe"``); a Dykstra search for a dual certificate
-    (``"dual"``, with its iterations).  A ``"dual"`` verdict's separation
-    is the certificate's margin μ.  Without a certificate or a witness it
-    raises :class:`InconclusiveError` with the best margin and bound reached.
+    (``"pinned"``); a strictly definite base point, left by 0.9 times its
+    least eigenvalue along one seeded nullspace direction when that step
+    exceeds the separation threshold (``"pd-fast-path"``); the closed-form dual
+    certificate (``"dual"``, see :func:`verify_uniqueness_certificate`); the
+    candidate second point ``witness``, a Choi tuple such as the one a UCP
+    left inverse gives (``"left-inverse"``); a Dykstra search for a dual
+    certificate (``"dual"``, with its iterations).
+
+    The candidate is projected exactly onto the affine set,
+    ``x = J0 + null_project(witness - J0)``, and accepted when
+    ``‖x - J0‖ > tol_sep·max(1, ‖J0‖)`` and its least Choi eigenvalue is at
+    least ``-tol_psd``.  A ``"dual"`` verdict's separation is the
+    certificate's margin μ, a witness's its distance from ``J0``.  Without
+    a certificate or a witness it raises :class:`InconclusiveError` with the
+    best margin and bound reached and why there is no witness.
     """
     if spec.J0 is None:
         raise InputError("uniqueness requires the base point J0")
-    scale = max(1.0, float(np.linalg.norm(spec.J0)))
-    psd_scale = max(1.0, float(np.max(np.abs(spec.J0))))
-    sep_abs = tol.tol_sep * scale
+    sep_abs = tol.tol_sep * max(1.0, float(np.linalg.norm(spec.J0)))
 
     if spec.null_dim == 0:
         return UniquenessResult(True, None, "pinned", 0.0, 0)
 
-    if float(spec.min_eig(spec.J0[np.newaxis, :])[0]) > tol.tol_psd:
-        # strictly definite base point: every null direction moves within the cone
+    t = 0.9 * float(spec.min_eig(spec.J0[np.newaxis, :])[0])
+    if t > sep_abs:
+        # J0 ⪰ λ·1 with λ = t/0.9, and a unit direction has Choi blocks of
+        # operator norm at most 1, so J0 + t·d ⪰ 0.1λ·1
         rng = np.random.default_rng(np.random.SeedSequence(entropy=list(seed_entropy)))
-        d_dir = spec.null_project(rng.standard_normal((1, spec.num_coords)))
-        d_dir /= np.linalg.norm(d_dir)
-        t = 0.9 * float(spec.ray_tmax(d_dir, t_hi=1.0, slack=_RAY_SLACK * psd_scale)[0])
-        witness = spec.J0 + t * d_dir[0]
-        return UniquenessResult(False, spec.unpack_tuple(witness), "pd-fast-path", t, 0)
+        d_dir = spec.null_project(rng.standard_normal((1, spec.num_coords)))[0]
+        x = spec.J0 + t * (d_dir / np.linalg.norm(d_dir))
+        return UniquenessResult(False, spec.unpack_tuple(x), "pd-fast-path", t, 0)
 
     F, p_perp = _face(spec)
     Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
@@ -776,18 +609,16 @@ def is_unique_ucp_extension(
     if check.accepted:
         return UniquenessResult(True, None, "dual", check.mu, 0, Z)
 
-    # on a non-singleton set these candidates polish to an exact witness; on
-    # a singleton set the polish fails fast, every exact ray being too short
-    failed = 0
-    x_p = spec.particular_solution()
-    for cand in (x_p, spec.psd_project(x_p[np.newaxis, :])[0]):
-        if float(np.linalg.norm(cand - spec.J0)) > sep_abs:
-            out = _ray_polish(spec, cand, sep_abs, psd_scale) or _face_polish(
-                spec, cand, sep_abs, psd_scale, scale
-            )
-            if out is not None:
-                return UniquenessResult(False, spec.unpack_tuple(out[0]), "pre-probe", out[1], 0)
-            failed += 1
+    no_witness = "no candidate"
+    if witness is not None:
+        x = spec.J0 + spec.null_project((spec.pack_tuple(witness) - spec.J0)[np.newaxis, :])[0]
+        dist = float(np.linalg.norm(x - spec.J0))
+        least = float(spec.min_eig(x[np.newaxis, :])[0])
+        if dist > sep_abs and least >= -tol.tol_psd:
+            return UniquenessResult(False, spec.unpack_tuple(x), "left-inverse", dist, 0)
+        no_witness = (
+            f"candidate rejected: least Choi eigenvalue {least:.3e}, distance {dist:.3e}"
+        )
 
     Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
     if Z is not None:
@@ -795,7 +626,7 @@ def is_unique_ucp_extension(
     raise InconclusiveError(
         f"uniqueness undecided: no dual certificate after {iterations} iterations "
         f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e}) "
-        f"and no witness ({failed} witness polishes failed)"
+        f"and no witness ({no_witness})"
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cstarenv
-from cstarenv import cli, ucp
+from cstarenv import boundary, cli, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -284,17 +284,18 @@ def test_verify_all_reports_do_not_depend_on_jobs(corpus_dir, capsys, tmp_path):
 
 
 def test_verify_all_row_shows_inconclusive_uniqueness_evidence(corpus_dir, capsys, monkeypatch):
-    # without the witness polish the scalar block of state_sum has neither a
-    # certificate nor a witness; its row says how close the dual search came
-    monkeypatch.setattr(ucp, "_ray_polish", lambda *a, **k: None)
-    monkeypatch.setattr(ucp, "_face_polish", lambda *a, **k: None)
+    # given no witness, the scalar block of state_sum has neither a
+    # certificate nor a witness; its row names the block and its lattice
+    # verdict, says how close the dual search came and why no witness
+    monkeypatch.setattr(boundary, "_left_inverse_candidate", lambda *a, **k: None)
     code, out, _ = run(capsys, "verify-all", str(corpus_dir))
     assert code == 2
     row = next(line for line in out.splitlines() if line.startswith("state_sum "))
     assert "inconclusive" in row
     detail = out.splitlines()[out.splitlines().index(row) + 1]
+    assert "block 2 (killed by the lattice route)" in detail
     assert "best margin" in detail and "best bound/threshold" in detail
-    assert "2 witness polishes failed" in detail
+    assert "no witness (no candidate)" in detail
 
 
 def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):

@@ -4,8 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+from cstarenv.analysis import analyze_pair, analyze_system
+from cstarenv.corpus import corpus_entries
 from cstarenv.errors import InputError
 from cstarenv.linalg import DEFAULT_TOL, op_norm, subspace_contains
+from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
     family_sup_seminorm,
     kernel_of_tensor_quotients,
@@ -261,3 +264,30 @@ def test_boundary_pairs_stay_boundary(pair_analyses):
         assert rep.expected_pairs <= rep.product_boundary
         assert rep.left_boundary == frozenset({1})
         assert rep.right_boundary == frozenset({1})
+
+
+@pytest.fixture(scope="module")
+def seed3_analyses():
+    entries = {e.spec.name: e for e in corpus_entries(seed=3, count=20)}
+    names = ("state_sum", "state_sum_s2", "random_01", "random_07")
+    return {
+        name: analyze_system(opsys_of(entries[name].spec, DEFAULT_TOL), name=name)
+        for name in names
+    }
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("state_sum_s2", "random_01"), ("random_07", "state_sum"), ("random_07", "state_sum_s2")],
+)
+def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
+    # a state sum's non-boundary scalar block against a factor with a
+    # 3-dimensional boundary block: the pair block (scalar, 3-dimensional)
+    # has no dual certificate, and its witness is read off the product's
+    # left inverse
+    pa = analyze_pair(seed3_analyses[left], seed3_analyses[right])
+    assert pa.verified
+    rep = pa.factorization
+    assert rep.product_killed_pairs == rep.expected_killed_pairs != frozenset()
+    for b in rep.product_envelope.dk_certificate.per_block:
+        assert b.method == ("dual" if b.unique else "left-inverse"), b

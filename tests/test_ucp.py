@@ -24,7 +24,7 @@ from cstarenv.ucp import (
     ucp_feasibility,
     verify_uniqueness_certificate,
 )
-from cstarenv.ucp import _distance_bound, _pack_jacobian, _trace_bound
+from cstarenv.ucp import _distance_bound, _trace_bound
 
 from _oracles import build_left_inverse_spectrahedron, random_herm
 
@@ -33,6 +33,14 @@ def ec_spec(wedderburn, system, label):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     return build_extension_spectrahedron(E, W, label)
+
+
+def state_sum_candidate(wedderburn, system, label):
+    """The witness candidate the representation route reads off the lattice
+    route's left inverse for block ``label`` of state_sum."""
+    E = system("state_sum")
+    _, W = wedderburn("state_sum")
+    return boundary._left_inverse_candidate(W, boundary.silov_ideal_lattice(E, W)[1], label)
 
 
 def assert_exact_point(spec, mats, scale=1.0):
@@ -160,7 +168,8 @@ def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
 @pytest.fixture(scope="module")
 def decisions(entries, system, wedderburn, seven_blocks):
     """``(name, label, spec, result)`` for every block of the corpus
-    fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``."""
+    fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``, each
+    decided with the witness candidate of the lattice route's left inverse."""
     systems = [(name, system(name), wedderburn(name)[1]) for name in entries]
     systems.append(("seven_blocks", *seven_blocks))
     T = min_tensor(system("full_M2"), system("state_sum"))
@@ -172,9 +181,12 @@ def decisions(entries, system, wedderburn, seven_blocks):
     systems.append(("full_M2*state_sum", T.product, P.wedderburn))
     out = []
     for name, E, W in systems:
+        lattice = boundary.silov_ideal_lattice(E, W)[1]
         for label in W.labels:
             spec = build_extension_spectrahedron(E, W, label)
-            out.append((name, label, spec, is_unique_ucp_extension(spec, (1, 0xB0DA, label))))
+            witness = boundary._left_inverse_candidate(W, lattice, label)
+            res = is_unique_ucp_extension(spec, (1, 0xB0DA, label), witness=witness)
+            out.append((name, label, spec, res))
     return out
 
 
@@ -183,7 +195,7 @@ def test_every_unique_block_carries_an_accepted_certificate(decisions):
     for name, label, spec, res in decisions:
         methods.add(res.method)
         if not res.unique:
-            assert res.method == "pre-probe", (name, label)
+            assert res.method == "left-inverse", (name, label)
             assert_exact_point(spec, res.witness)
             continue
         assert res.method in ("pinned", "dual"), (name, label)
@@ -191,7 +203,7 @@ def test_every_unique_block_carries_an_accepted_certificate(decisions):
             check = verify_uniqueness_certificate(spec, res.certificate)
             assert check.accepted, (name, label, check)
             assert res.separation == check.mu
-    assert {"dual", "pre-probe"} <= methods
+    assert {"dual", "left-inverse"} <= methods
 
 
 def test_dual_search_certifies_state_sum_s3_block_1():
@@ -208,18 +220,12 @@ def test_dual_search_certifies_state_sum_s3_block_1():
     assert check.accepted and res.separation == check.mu
 
 
-def _without_witness_polish(monkeypatch):
-    monkeypatch.setattr(ucp, "_ray_polish", lambda *a, **k: None)
-    monkeypatch.setattr(ucp, "_face_polish", lambda *a, **k: None)
-
-
-def test_no_certificate_where_a_witness_exists(decisions, monkeypatch):
-    # with the witness polish disabled, a block that has a second extension
-    # must end inconclusive: neither the closed form nor the search may
-    # produce an accepted certificate there.  full_M2 (x) state_sum label 2
-    # is the trap: the other block of its closed form has an eigenvalue of
-    # about 1e-16, which a bare margin check would take as positive.
-    _without_witness_polish(monkeypatch)
+def test_no_certificate_where_a_witness_exists(decisions):
+    # given no witness, a block that has a second extension must end
+    # inconclusive: neither the closed form nor the search may produce an
+    # accepted certificate there.  full_M2 (x) state_sum label 2 is the
+    # trap: the other block of its closed form has an eigenvalue of about
+    # 1e-16, which a bare margin check would take as positive.
     refuted = [(n, lab, spec) for n, lab, spec, r in decisions if not r.unique]
     assert ("full_M2*state_sum", 2) in [(n, lab) for n, lab, _ in refuted]
     for name, label, spec in refuted:
@@ -227,15 +233,31 @@ def test_no_certificate_where_a_witness_exists(decisions, monkeypatch):
             is_unique_ucp_extension(spec, (1, 0xB0DA, label))
 
 
-def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn, monkeypatch):
-    _without_witness_polish(monkeypatch)
+def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
     with pytest.raises(InconclusiveError) as info:
         is_unique_ucp_extension(spec, (1, 0xB0DA, 2))
     msg = str(info.value)
     assert "after 400 iterations" in msg
     assert "best margin -" in msg and "best bound/threshold inf" in msg
-    assert "2 witness polishes failed" in msg
+    assert msg.endswith("and no witness (no candidate)")
+
+
+def test_a_rejected_candidate_is_named_in_the_evidence(system, wedderburn):
+    # the base point itself is at distance 0, and the left inverse's
+    # candidate pushed past the cone has a negative eigenvalue: both are
+    # rejected, and the message gives the candidate's eigenvalue and distance
+    spec = ec_spec(wedderburn, system, 2)
+    good = state_sum_candidate(wedderburn, system, 2)
+    J0 = spec.unpack_tuple(spec.J0)
+    beyond = [3.0 * c - 2.0 * j for c, j in zip(good, J0)]
+    evidence = r"candidate rejected: least Choi eigenvalue (\S+), distance (\S+)\)$"
+    for mats, negative, far in ((J0, False, False), (beyond, True, True)):
+        with pytest.raises(InconclusiveError, match=evidence) as info:
+            is_unique_ucp_extension(spec, (1, 0xB0DA, 2), witness=mats)
+        least, dist = (float(x) for x in re.search(evidence, str(info.value)).groups())
+        assert (least < -DEFAULT_TOL.tol_psd) == negative
+        assert (dist > DEFAULT_TOL.tol_sep) == far
 
 
 def _null_rows(M: np.ndarray) -> np.ndarray:
@@ -365,8 +387,9 @@ def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
-    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 2))
-    assert not res.unique
+    witness = state_sum_candidate(wedderburn, system, 2)
+    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 2), witness=witness)
+    assert not res.unique and res.method == "left-inverse"
     assert res.witness is not None
     assert_exact_point(spec, res.witness)
     packed = spec.pack_tuple(res.witness)
@@ -377,8 +400,9 @@ def test_non_unique_block_carries_exact_witness(system, wedderburn):
 
 def test_uniqueness_probe_is_deterministic(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
-    a = is_unique_ucp_extension(spec, (7, 0xB0DA, 2))
-    b = is_unique_ucp_extension(spec, (7, 0xB0DA, 2))
+    witness = state_sum_candidate(wedderburn, system, 2)
+    a = is_unique_ucp_extension(spec, (7, 0xB0DA, 2), witness=witness)
+    b = is_unique_ucp_extension(spec, (7, 0xB0DA, 2), witness=witness)
     assert a.unique == b.unique and a.method == b.method
     assert a.iterations == b.iterations
     if a.witness is not None:
@@ -397,6 +421,8 @@ def test_strictly_definite_base_point_fast_path():
     )
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
     assert not res.unique and res.method == "pd-fast-path"
+    # the step is 0.9 times the base point's least eigenvalue 1/2
+    assert res.separation == pytest.approx(0.45, rel=1e-12)
     assert_exact_point(spec, res.witness)
     assert float(np.linalg.norm(spec.pack_tuple(res.witness) - spec.J0)) > DEFAULT_TOL.tol_sep
 
@@ -427,21 +453,6 @@ def test_left_inverse_feasible_by_iteration(system, wedderburn):
     res = ucp_feasibility(spec)
     assert res.feasible and res.method == "dykstra"
     assert_exact_point(spec, res.certificate, scale=float(np.linalg.norm(spec.rhs)))
-
-
-def test_pack_jacobian_matches_the_per_direction_loop():
-    # reference: one unit direction at a time, in the refinement's column order
-    rng = np.random.default_rng(4)
-    for D, r in ((1, 1), (2, 1), (4, 2), (6, 3)):
-        V = rng.standard_normal((D, r)) + 1j * rng.standard_normal((D, r))
-        rows = []
-        for part in (1.0, 1.0j):
-            for p in range(D):
-                for q in range(r):
-                    dV = np.zeros((D, r), dtype=np.complex128)
-                    dV[p, q] = part
-                    rows.append(pack_herm(dV @ np.conj(V.T) + V @ np.conj(dV.T)))
-        assert np.array_equal(_pack_jacobian(V), np.array(rows)), (D, r)
 
 
 def test_feasibility_never_reports_gap_from_plateau(system, wedderburn, monkeypatch):
