@@ -1,19 +1,21 @@
 """End-to-end pipelines for single systems and tensor pairs.
 
 :func:`analyze_system` runs the whole single-system pipeline (generated
-algebra, block decomposition, both minimal-ideal routes, quotient with the
-isometry check of its left inverse, propagation) and keeps every
-intermediate object, so that pair pipelines can reuse the factor work
-instead of recomputing it.  A route disagreement does not raise here: it is
-recorded with both certificates so the caller can serialize them, as
-required of every report.
+algebra with its power spans, block decomposition, both minimal-ideal
+routes, quotient with the isometry check of its left inverse, propagation)
+and keeps every intermediate object, so that pair pipelines can reuse the
+factor work instead of recomputing it.  A route disagreement does not raise
+here: it is recorded with both certificates so the caller can serialize
+them, as required of every report.
 
 :func:`analyze_pair` runs the four tensor-pair checks against two cached
 factor analyses: quotient factorization, boundary-pair closure, power-span
 compatibility, and the propagation maximum.  The factorization check takes
 the two factor envelopes and builds the tensor system, the pair blocks and
 the product envelope once; the other three checks take its report (and the
-factor propagation numbers) and recompute none of it.
+factor propagation numbers) and recompute none of it.  Each power chain is
+built once, by the generated algebra that keeps it: propagation and power
+compatibility read those chains and multiply nothing.
 """
 
 from __future__ import annotations
@@ -206,6 +208,6 @@ def analyze_pair(
         config=config,
         factorization=factorization,
         boundary_pairs=verify_boundary_pair_closure(factorization),
-        power=verify_power_compatibility(factorization.tensor, n_max, config.tol),
+        power=verify_power_compatibility(factorization, n_max, config.tol),
         prop_max=verify_propagation_max(factorization, left.prop, right.prop, config.tol),
     )

@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import (
     InconclusiveError,
-    InputError,
     StructuralError,
     VerificationError,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "FalsifierReport",
     "IsometryCheck",
     "EnvelopeResult",
-    "build_extension_spectrahedron",
+    "build_extension_spectrahedra",
     "boundary_representations",
     "silov_ideal_dk",
     "is_boundary_ideal_ucp",
@@ -101,27 +100,30 @@ __all__ = [
     "cstar_envelope",
 ]
 
-def build_extension_spectrahedron(
-    E: OperatorSystem, W: WedderburnData, label: int, tol: Tolerances = DEFAULT_TOL
-) -> UcpSpectrahedron:
-    """UCP maps from the generated algebra to block ``label`` that restrict to
-    the block's representation on the system.
+def build_extension_spectrahedra(
+    E: OperatorSystem, W: WedderburnData, tol: Tolerances = DEFAULT_TOL
+) -> dict[int, UcpSpectrahedron]:
+    """For each block label, the UCP maps from the generated algebra to that
+    block that restrict to the block's representation on the system.
 
-    The base point is the representation itself; the spectrahedron is the
-    singleton around it exactly when the block is a boundary representation.
+    The base point is the representation itself; a spectrahedron is the
+    singleton around it exactly when its block is a boundary representation.
+    Every block's constraints are written against the same Hermitian basis
+    and the same images of it under each block.
     """
-    if label not in W.labels:
-        raise InputError(f"no block labeled {label}")
-    t = W.blocks[label - 1][0]
     dims = tuple(d for d, _ in W.blocks)
     basis = hermitian_basis(E.space, tol=tol)
     images = [W.irrep_apply(j, basis) for j in W.labels]
-    constraints = list(zip(zip(*images), images[label - 1]))
-    J0 = [
-        maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
-        for j, (d, _) in enumerate(W.blocks, start=1)
-    ]
-    return UcpSpectrahedron.from_constraints(dims, t, constraints, J0)
+    sources = list(zip(*images))
+    out = {}
+    for label, t in zip(W.labels, dims):
+        constraints = list(zip(sources, images[label - 1]))
+        J0 = [
+            maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
+            for j, d in enumerate(dims, start=1)
+        ]
+        out[label] = UcpSpectrahedron.from_constraints(dims, t, constraints, J0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,7 @@ def boundary_representations(
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
-    for label in W.labels:
-        spec = build_extension_spectrahedron(E, W, label, tol)
+    for label, spec in build_extension_spectrahedra(E, W, tol).items():
         witness = _left_inverse_candidate(W, lattice, label)
         try:
             res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol, witness)
@@ -636,7 +637,7 @@ def _envelope_algebra(W: WedderburnData, killed: frozenset[int]) -> CStarAlgebra
             mats.append(big)
         off += d
     space = span_of(mats, t)
-    return CStarAlgebra(space=space, chain=(space.dim,))
+    return CStarAlgebra(space=space)
 
 
 def cstar_envelope(

@@ -5,12 +5,14 @@ presented by generators.  The generated C*-algebra is computed as the
 stabilizing member of the chain of power spans ``E, span(E.E), ...``;
 in finite dimensions the chain stabilizes after at most ``n**2`` steps
 and the stable subspace is automatically multiplication- and
-adjoint-closed.
+adjoint-closed.  The algebra keeps the chain's subspaces, so the
+propagation number and the power-compatibility check read them instead of
+multiplying again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "OperatorSystem",
     "CStarAlgebra",
     "opsys_from_generators",
-    "power_span",
     "generated_cstar",
     "product_span",
 ]
@@ -61,11 +62,16 @@ class OperatorSystem:
 
 @dataclass(frozen=True)
 class CStarAlgebra:
-    """Unital *-subalgebra of ``M_n``; ``chain`` records the power-span dims
-    up to and including stabilization."""
+    """Unital *-subalgebra of ``M_n``.
+
+    ``powers`` is the power-span chain ``E, E^2, ..., E^k`` of the system
+    that generated it, where ``E^k`` is the first power equal to the next
+    one, so ``powers[-1]`` is ``space``.  An algebra built directly from a
+    basis, such as a block algebra, has no powers.
+    """
 
     space: MatSubspace
-    chain: tuple[int, ...] = field(default=())
+    powers: tuple[MatSubspace, ...] = ()
 
     @property
     def ambient(self) -> int:
@@ -148,29 +154,15 @@ def product_span(
     return span_of(mats, n, tol)
 
 
-def power_span(E: OperatorSystem, k: int, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
-    """The k-th power span ``E^{(k)} = span(E^{(k-1)} . E)``, with ``E^{(1)} = E``."""
-    if k < 1:
-        raise InputError(f"power must be at least 1, got {k}")
-    current = E.space
-    for _ in range(k - 1):
-        current = product_span(current, E.space, tol)
-    return current
-
-
 def generated_cstar(E: OperatorSystem, tol: Tolerances = DEFAULT_TOL) -> CStarAlgebra:
-    """Generated C*-algebra: iterate power spans until the dimension stabilizes."""
-    chain = [E.dim]
-    current = E.space
-    limit = E.ambient ** 2
+    """Generated C*-algebra: iterate power spans until the dimension stabilizes,
+    keeping each power."""
+    powers = [E.space]
     while True:
-        nxt = product_span(current, E.space, tol)
-        chain.append(nxt.dim)
-        if nxt.dim == current.dim:
+        nxt = product_span(powers[-1], E.space, tol)
+        if nxt.dim == powers[-1].dim:
             break
-        if nxt.dim > limit:
-            raise StructuralError("power span chain exceeded the ambient dimension bound")
-        current = nxt
-    algebra = CStarAlgebra(space=current, chain=tuple(chain))
+        powers.append(nxt)
+    algebra = CStarAlgebra(space=powers[-1], powers=tuple(powers))
     algebra.validate(tol)
     return algebra

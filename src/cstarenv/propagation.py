@@ -2,12 +2,14 @@
 minimal enveloping algebra.
 
 The normative chain lives inside the envelope: the system is carried over by
-the minimal quotient (a complete order embedding, so nothing about the system
-itself changes) and its power spans are iterated there until they exhaust the
-envelope.  The same chain computed in the original ambient algebra is easy to
-confuse with it; it stabilizes at the generated algebra instead and generally
-gives a different number, so it is reported separately and never used in the
-verified identities.
+the minimal quotient q (a complete order embedding, so nothing about the
+system itself changes), and its k-th power span there is q(E)^k.  q is a
+*-homomorphism, so q(E)^k = q(E^k): the chain is read off the power spans
+the generated algebra already keeps, as the dimensions of their images,
+until they exhaust the envelope.  The same chain in the original ambient
+algebra is easy to confuse with it; it stabilizes at the generated algebra
+instead and generally gives a different number, so it is reported
+separately and never used in the verified identities.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 from .boundary import EnvelopeResult
 from .errors import InputError, StructuralError
-from .linalg import DEFAULT_TOL, Tolerances, span_of, subspace_equal
-from .opsys import OperatorSystem, product_span
-from .tensor import TensorFactorizationReport, TensorSystem, subspace_kron
+from .linalg import DEFAULT_TOL, MatSubspace, Tolerances, span_of, subspace_equal
+from .tensor import TensorFactorizationReport, subspace_kron
 
 __all__ = [
     "PropResult",
@@ -48,50 +49,50 @@ class PropResult:
     ambient_chain: tuple[int, ...]
 
 
+def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
+    """The power-span chain of ``env.system`` kept by its generated algebra."""
+    powers = env.algebra.powers
+    if not powers or powers[0].dim != env.system.dim:
+        raise StructuralError(
+            f"the envelope's algebra carries no power-span chain of the system "
+            f"(chain {tuple(P.dim for P in powers)}, system dimension {env.system.dim})"
+        )
+    return powers
+
+
 def propagation_number(env: EnvelopeResult, tol: Tolerances = DEFAULT_TOL) -> PropResult:
     """First power of the embedded system ``env.system`` that spans the envelope.
 
-    The chain must strictly increase until it hits the envelope dimension;
-    stabilizing below it would contradict the quotient generating the
-    envelope and raises.
+    The k-th entry of the chain is ``dim q(E^k)``, taken over the generated
+    algebra's power spans.  The chain must strictly increase until it hits
+    the envelope dimension; stabilizing below it would contradict the
+    quotient generating the envelope and raises.
     """
-    E = env.system
-    t = env.quotient.target_dim
-    image = OperatorSystem(
-        space=span_of(list(env.embed.values), t, tol), label=E.label
-    )
-    image.validate(tol)
+    powers = _powers(env)
+    q = env.quotient
     env_dim = env.envelope.dim
-    chain = [image.dim]
-    current = image.space
-    while chain[-1] < env_dim:
-        nxt = product_span(current, image.space, tol)
-        if nxt.dim == chain[-1]:
-            raise StructuralError(
-                f"power spans stabilized at dimension {nxt.dim} below the "
-                f"envelope dimension {env_dim}"
-            )
-        chain.append(nxt.dim)
-        current = nxt
+    chain = []
+    for P in powers:
+        dim = span_of(q.apply(P.basis), q.target_dim, tol).dim
+        if chain and dim == chain[-1]:
+            break
+        chain.append(dim)
+        if dim >= env_dim:
+            break
+    if chain[-1] < env_dim:
+        raise StructuralError(
+            f"power spans stabilized at dimension {chain[-1]} below the "
+            f"envelope dimension {env_dim}"
+        )
     if chain[-1] != env_dim:
         raise StructuralError(
             f"power span dimension {chain[-1]} overshot the envelope dimension {env_dim}"
         )
-
-    # the generated algebra's chain is this iteration in the ambient, ending
-    # with the repeated dimension that showed it had stabilized
-    ambient_chain = env.algebra.chain[:-1]
-    if len(env.algebra.chain) < 2 or ambient_chain[0] != E.dim:
-        raise StructuralError(
-            f"the envelope's algebra carries no power-span chain of the system "
-            f"(chain {env.algebra.chain}, system dimension {E.dim})"
-        )
-
     return PropResult(
         value=len(chain),
         chain=tuple(chain),
         envelope_dim=env_dim,
-        ambient_chain=ambient_chain,
+        ambient_chain=tuple(P.dim for P in powers),
     )
 
 
@@ -108,27 +109,28 @@ class PowerCompatibilityReport:
 
 
 def verify_power_compatibility(
-    T: TensorSystem, n_max: int, tol: Tolerances = DEFAULT_TOL
+    fac: TensorFactorizationReport, n_max: int, tol: Tolerances = DEFAULT_TOL
 ) -> PowerCompatibilityReport:
     """Check that power spans factor through the minimal tensor product.
 
     For each ``n`` up to ``n_max`` the tensor of the two n-th power spans
     must equal the n-th power span of the tensor system, as subspaces of the
-    product ambient.  The three power chains grow together, one
-    :func:`product_span` per chain and step.  Pair pipelines pass one past
-    the larger factor propagation number, so the interesting range is always
-    covered.
+    product ambient.  The three chains are the ones the generated algebras
+    of ``fac``'s three envelopes keep, each repeating its last power past
+    stabilization.  The product's chain comes from concrete products in the
+    tensor system, so the check does not lean on the factor chains.  Pair
+    pipelines pass one past the larger factor propagation number, so the
+    interesting range is always covered.
     """
     if n_max < 1:
         raise InputError(f"power cap must be at least 1, got {n_max}")
-    left, right, direct = T.left.space, T.right.space, T.product.space
+    chains = [
+        _powers(env) for env in (fac.left_envelope, fac.right_envelope, fac.product_envelope)
+    ]
     rows = []
     ok = True
     for n in range(1, n_max + 1):
-        if n > 1:
-            left = product_span(left, T.left.space, tol)
-            right = product_span(right, T.right.space, tol)
-            direct = product_span(direct, T.product.space, tol)
+        left, right, direct = (c[min(n, len(c)) - 1] for c in chains)
         equal = subspace_equal(subspace_kron(left, right), direct, tol)
         ok = ok and equal
         rows.append((n, left.dim, right.dim, direct.dim, equal))

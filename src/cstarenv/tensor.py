@@ -240,7 +240,7 @@ def product_blocks(
     disagreement raises.
     """
     space = subspace_kron(W_A.algebra.space, W_B.algebra.space)
-    algebra = CStarAlgebra(space=space, chain=(space.dim,))
+    algebra = CStarAlgebra(space=space)
 
     order = sorted(
         ((i, j) for i in W_A.labels for j in W_B.labels),
@@ -394,8 +394,9 @@ def verify_envelope_tensor_factorization(
         T.product,
         seed=seed,
         tol=tol,
-        # the generated algebra, not the synthetic one: it carries the power-span
-        # chain that the product's propagation number reports
+        # the generated algebra, not the synthetic one: it keeps the power spans
+        # of the tensor system, which the product's propagation number and the
+        # power-compatibility check read
         algebra=prod_alg,
         wedderburn=P.wedderburn,
     )

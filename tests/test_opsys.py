@@ -5,7 +5,7 @@ import pytest
 from cstarenv.analysis import analyze_system
 from cstarenv.errors import InputError
 from cstarenv.linalg import hermitian_basis, subspace_contains, subspace_equal
-from cstarenv.opsys import generated_cstar, opsys_from_generators, power_span
+from cstarenv.opsys import generated_cstar, opsys_from_generators, product_span
 
 from _oracles import algebra_dim, power_span_dims, random_complex
 
@@ -86,13 +86,20 @@ def test_algebra_is_star_closed_and_multiplicative(wedderburn):
             assert subspace_contains(A.space, a.conj().T)
 
 
-def test_algebra_chain_is_strictly_increasing_then_stable(wedderburn):
-    # the chain ends with the repeated dim that witnessed stabilization
+def test_algebra_chain_is_strictly_increasing_then_stable(system, wedderburn):
+    # the kept powers rise strictly to the algebra, and one more product
+    # leaves the last one's dimension unchanged
     for name in ("jordan_M3_k1", "state_sum"):
         A, _ = wedderburn(name)
-        dims = list(A.chain)
-        assert all(a < b for a, b in zip(dims[:-2], dims[1:-1]))
-        assert dims[-1] == dims[-2] == A.space.dim
+        dims = [P.dim for P in A.powers]
+        assert all(a < b for a, b in zip(dims, dims[1:]))
+        assert dims[-1] == A.space.dim
+        assert product_span(A.powers[-1], system(name).space).dim == A.space.dim
+
+
+def power(A, k):
+    """The k-th power span kept by ``A``, its last power past stabilization."""
+    return A.powers[min(k, len(A.powers)) - 1]
 
 
 def test_power_span_dims_match_word_oracle(entries, system):
@@ -101,16 +108,16 @@ def test_power_span_dims_match_word_oracle(entries, system):
         gens = entry.spec.generators
         n = entry.spec.ambient_dim
         dims = power_span_dims(gens, n, 4)
-        E = system(name)
+        A = generated_cstar(system(name))
         for k in range(1, 5):
-            assert power_span(E, k).dim == dims[k - 1], (name, k)
+            assert power(A, k).dim == dims[k - 1], (name, k)
 
 
 def test_power_spans_are_nested(system):
-    E = system("jordan_M4_k1")
-    prev = power_span(E, 1)
+    A = generated_cstar(system("jordan_M4_k1"))
+    prev = power(A, 1)
     for k in range(2, 5):
-        cur = power_span(E, k)
+        cur = power(A, k)
         for b in prev.basis:
             assert subspace_contains(cur, b)
         prev = cur
@@ -118,7 +125,7 @@ def test_power_spans_are_nested(system):
 
 def test_power_one_is_the_system(system):
     E = system("state_sum")
-    assert subspace_equal(power_span(E, 1), E.space)
+    assert subspace_equal(generated_cstar(E).powers[0], E.space)
 
 
 def test_system_hermitian_dim_counts(system):

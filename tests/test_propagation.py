@@ -1,14 +1,14 @@
 """Propagation numbers and the two tensor-compatibility identities."""
-import numpy as np
+import dataclasses
+
 import pytest
 
-from cstarenv import analysis, propagation, tensor
+from cstarenv import analysis, opsys, propagation, tensor
 from cstarenv.analysis import analyze_pair
-from cstarenv.boundary import cstar_envelope
-from cstarenv.errors import InputError
+from cstarenv.corpus import standard_pairs
+from cstarenv.errors import InputError, StructuralError
 from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.propagation import propagation_number, verify_power_compatibility
-from cstarenv.tensor import min_tensor
 
 from _oracles import power_span_dims
 
@@ -67,13 +67,28 @@ def test_prop_result_invariants(analyses):
         assert p.ambient_chain[-1] == a.algebra.space.dim
 
 
-def test_envelope_chain_matches_word_span_oracle(system):
-    env = cstar_envelope(system("jordan_M3_k1"))
-    p = propagation_number(env)
-    assert p.value == 3 and p.chain == (3, 7, 9)
-    gens = list(env.embed.values)
-    dims = power_span_dims(gens, env.quotient.target_dim, len(p.chain))
-    assert tuple(dims) == p.chain
+def test_envelope_chain_matches_word_span_oracle(analyses):
+    # the chain is read off the ambient powers through the quotient; the
+    # word spans of the embedded system, multiplied in the envelope, must
+    # give the same dimensions
+    assert analyses("jordan_M3_k1").prop.chain == (3, 7, 9)
+    for name in EXPECTED_PROP:
+        env, p = analyses(name).envelope, analyses(name).prop
+        gens = list(env.embed.values)
+        dims = power_span_dims(gens, env.quotient.target_dim, len(p.chain))
+        assert tuple(dims) == p.chain, name
+
+
+def test_propagation_needs_the_algebra_powers(pair_analyses):
+    # a block algebra built from its basis keeps no powers to read the
+    # chain from
+    fac = pair_analyses("state_sum", "jordan_M2").factorization
+    env = dataclasses.replace(
+        fac.product_envelope, algebra=fac.blocks.wedderburn.algebra
+    )
+    assert env.algebra.powers == ()
+    with pytest.raises(StructuralError):
+        propagation_number(env)
 
 
 def test_power_compatibility_rows(pair_analyses):
@@ -85,16 +100,32 @@ def test_power_compatibility_rows(pair_analyses):
         assert direct_dim == left_dim * right_dim
 
 
-def test_power_compatibility_explicit_cap(system):
-    T = min_tensor(system("full_M2"), system("full_M1"))
-    rep = verify_power_compatibility(T, n_max=2)
+def test_power_compatibility_explicit_cap(analyses):
+    fac = tensor.verify_envelope_tensor_factorization(
+        analyses("full_M2").envelope, analyses("full_M1").envelope
+    )
+    rep = verify_power_compatibility(fac, n_max=2)
     assert rep.verified and rep.n_max == 2
     assert rep.per_power[0][1:] == (4, 1, 4, True)
     with pytest.raises(InputError):
-        verify_power_compatibility(T, n_max=0)
+        verify_power_compatibility(fac, n_max=0)
 
 
-def test_pair_checks_build_the_tensor_once_and_grow_the_power_chains(
+def test_power_compatibility_rows_match_word_span_oracle(entries, pair_analyses):
+    # every standard pair of the seed-1 corpus: each row's three dimensions
+    # are the word-span dimensions of the left, right and tensor systems
+    for left, right in standard_pairs(entries):
+        pa = pair_analyses(left, right)
+        n_max = pa.power.n_max
+        T = pa.factorization.tensor
+        specs = (entries[left].spec, entries[right].spec)
+        factor_dims = [power_span_dims(s.generators, s.ambient_dim, n_max) for s in specs]
+        product_dims = power_span_dims(list(T.product.space.basis), T.product.ambient, n_max)
+        expected = tuple(zip(range(1, n_max + 1), *factor_dims, product_dims))
+        assert tuple(row[:4] for row in pa.power.per_power) == expected, (left, right)
+
+
+def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
     analyses, config, monkeypatch
 ):
     calls = {"min_tensor": 0, "product_span": 0}
@@ -107,24 +138,31 @@ def test_pair_checks_build_the_tensor_once_and_grow_the_power_chains(
         return wrapper
 
     monkeypatch.setattr(tensor, "min_tensor", counted("min_tensor", tensor.min_tensor))
+    monkeypatch.setattr(opsys, "product_span", counted("product_span", opsys.product_span))
+    in_readers = []
+
+    def reading(fn):
+        def wrapper(*args, **kwargs):
+            before = calls["product_span"]
+            out = fn(*args, **kwargs)
+            in_readers.append(calls["product_span"] - before)
+            return out
+
+        return wrapper
+
     monkeypatch.setattr(
-        propagation, "product_span", counted("product_span", propagation.product_span)
+        analysis, "verify_power_compatibility", reading(analysis.verify_power_compatibility)
     )
-    power_check = analysis.verify_power_compatibility
-    in_power = []
-
-    def power(*args, **kwargs):
-        before = calls["product_span"]
-        rep = power_check(*args, **kwargs)
-        in_power.append(calls["product_span"] - before)
-        return rep
-
-    monkeypatch.setattr(analysis, "verify_power_compatibility", power)
+    monkeypatch.setattr(
+        propagation, "propagation_number", reading(propagation.propagation_number)
+    )
     pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
     assert pa.verified and pa.power.n_max == 3
     assert calls["min_tensor"] == 1
-    # one product span per chain (left, right, product) for each power n > 1
-    assert in_power == [3 * (pa.power.n_max - 1)]
+    # the product's generated algebra builds its power chain; the power check
+    # and the product's propagation number only read it
+    assert calls["product_span"] > 0
+    assert in_readers == [0, 0]
 
 
 def test_propagation_max_on_equal_factors(pair_analyses):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cstarenv import boundary, ucp
-from cstarenv.boundary import build_extension_spectrahedron
+from cstarenv.boundary import build_extension_spectrahedra
 from cstarenv.errors import InconclusiveError, InputError
 from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.opsys import generated_cstar
@@ -32,7 +32,7 @@ from _oracles import build_left_inverse_spectrahedron, random_herm
 def ec_spec(wedderburn, system, label):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    return build_extension_spectrahedron(E, W, label)
+    return build_extension_spectrahedra(E, W)[label]
 
 
 def state_sum_candidate(wedderburn, system, label):
@@ -147,16 +147,14 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 
 
 def test_fully_pinned_block_reports_unique(system, wedderburn):
-    spec = build_extension_spectrahedron(
-        system("full_M2"), wedderburn("full_M2")[1], 1
-    )
+    spec = build_extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
     assert res.unique and res.method == "pinned" and res.iterations == 0
 
 
 def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
-        spec = build_extension_spectrahedron(system(name), wedderburn(name)[1], label)
+        spec = build_extension_spectrahedra(system(name), wedderburn(name)[1])[label]
         res = is_unique_ucp_extension(spec, (1, 0xB0DA, label))
         assert res.unique and res.method == "dual" and res.iterations == 0
         assert res.witness is None
@@ -182,8 +180,7 @@ def decisions(entries, system, wedderburn, seven_blocks):
     out = []
     for name, E, W in systems:
         lattice = boundary.silov_ideal_lattice(E, W)[1]
-        for label in W.labels:
-            spec = build_extension_spectrahedron(E, W, label)
+        for label, spec in build_extension_spectrahedra(E, W).items():
             witness = boundary._left_inverse_candidate(W, lattice, label)
             res = is_unique_ucp_extension(spec, (1, 0xB0DA, label), witness=witness)
             out.append((name, label, spec, res))
@@ -213,7 +210,7 @@ def test_dual_search_certifies_state_sum_s3_block_1():
 
     spec_doc = {e.spec.name: e.spec for e in corpus_entries(seed=2, count=20)}["state_sum_s3"]
     E = opsys_of(spec_doc, DEFAULT_TOL)
-    spec = build_extension_spectrahedron(E, wedderburn_decompose(generated_cstar(E)), 1)
+    spec = build_extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
     assert res.unique and res.method == "dual" and res.iterations > 0
     check = verify_uniqueness_certificate(spec, res.certificate)

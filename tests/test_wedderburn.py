@@ -213,7 +213,7 @@ def test_decompose_rejects_non_algebra():
     rng = np.random.default_rng(35)
     h = random_complex(rng, 3)
     h = h + h.conj().T
-    fake = CStarAlgebra(space=span_of([np.eye(3, dtype=complex), h], 3), chain=(2, 2))
+    fake = CStarAlgebra(space=span_of([np.eye(3, dtype=complex), h], 3))
     with pytest.raises(DecompositionError):
         wedderburn_decompose(fake)
 
