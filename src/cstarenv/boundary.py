@@ -24,6 +24,14 @@ x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
 Choi size d_j·d_i instead of d_j·n.
 
+Both routes and the isometry check read one basis and one image stack,
+built once per envelope by :func:`block_images`: the system's Hermitian
+basis h and its images π_j(h) under every block j.  The representation
+route's spectrahedron for block i holds the UCP maps φ on all blocks with
+φ(⊕_j π_j(h)) = π_i(h), the lattice route's for a killed block i the UCP
+maps ψ_i on the kept blocks with ψ_i(q(h)) = π_i(h), and the isometry check
+measures ψ(q(h)) − h.
+
 Both produce certificates.  :func:`cstar_envelope` runs the lattice route
 first and checks its left inverse ψ as the single isometry certificate: ψ
 is UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤
@@ -60,7 +68,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    LinearMap,
     MatSubspace,
     Tolerances,
     hermitian_basis,
@@ -91,6 +98,8 @@ __all__ = [
     "FalsifierReport",
     "IsometryCheck",
     "EnvelopeResult",
+    "BlockImages",
+    "block_images",
     "build_extension_spectrahedra",
     "boundary_representations",
     "silov_ideal_dk",
@@ -100,29 +109,48 @@ __all__ = [
     "cstar_envelope",
 ]
 
+
+@dataclass(frozen=True)
+class BlockImages:
+    """The data every UCP constraint on a system is written from: its
+    Hermitian basis, a ``(k, n, n)`` stack, and the image stack
+    ``π_j(basis)``, ``(k, d_j, d_j)``, under every block j."""
+
+    basis: np.ndarray
+    images: tuple[np.ndarray, ...]
+
+    def image(self, label: int) -> np.ndarray:
+        """The stack ``π_label(basis)``."""
+        return self.images[label - 1]
+
+
+def block_images(E: OperatorSystem, W: WedderburnData, tol: Tolerances) -> BlockImages:
+    """The Hermitian basis of ``E`` and its images under every block of ``W``."""
+    basis = hermitian_basis(E.space, tol=tol)
+    return BlockImages(basis, tuple(W.irrep_apply(j, basis) for j in W.labels))
+
+
 def build_extension_spectrahedra(
-    E: OperatorSystem, W: WedderburnData, tol: Tolerances = DEFAULT_TOL
+    W: WedderburnData, data: BlockImages
 ) -> dict[int, UcpSpectrahedron]:
     """For each block label, the UCP maps from the generated algebra to that
     block that restrict to the block's representation on the system.
 
     The base point is the representation itself; a spectrahedron is the
     singleton around it exactly when its block is a boundary representation.
-    Every block's constraints are written against the same Hermitian basis
-    and the same images of it under each block.
+    Every block's constraints are written from the one basis and image stack
+    ``data`` that the lattice route and the isometry check also read: the
+    sources are every block's images, the values block ``label``'s.
     """
     dims = tuple(d for d, _ in W.blocks)
-    basis = hermitian_basis(E.space, tol=tol)
-    images = [W.irrep_apply(j, basis) for j in W.labels]
-    sources = list(zip(*images))
+    sources = [data.image(j) for j in W.labels]
     out = {}
     for label, t in zip(W.labels, dims):
-        constraints = list(zip(sources, images[label - 1]))
         J0 = [
             maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
             for j, d in enumerate(dims, start=1)
         ]
-        out[label] = UcpSpectrahedron.from_constraints(dims, t, constraints, J0)
+        out[label] = UcpSpectrahedron.from_constraints(dims, t, sources, data.image(label), J0)
     return out
 
 
@@ -212,8 +240,8 @@ def _left_inverse_candidate(
 
 
 def boundary_representations(
-    E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     lattice: LatticeCertificate,
     *,
     seed: int = 1,
@@ -231,7 +259,7 @@ def boundary_representations(
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
-    for label, spec in build_extension_spectrahedra(E, W, tol).items():
+    for label, spec in build_extension_spectrahedra(W, data).items():
         witness = _left_inverse_candidate(W, lattice, label)
         try:
             res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol, witness)
@@ -249,8 +277,8 @@ def boundary_representations(
 
 
 def silov_ideal_dk(
-    E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     lattice: LatticeCertificate,
     *,
     seed: int = 1,
@@ -260,11 +288,12 @@ def silov_ideal_dk(
 
     The ideal kills exactly the blocks that are not boundary representations.
     ``lattice`` supplies the witness candidates (see
-    :func:`boundary_representations`).  An empty boundary set is impossible
+    :func:`boundary_representations`) and ``data``, the system's
+    :func:`block_images`, every block's constraints.  An empty boundary set is impossible
     for a finite-dimensional system, so it is reported as a structural
     failure rather than an ideal.
     """
-    cert = boundary_representations(E, W, lattice, seed=seed, tol=tol)
+    cert = boundary_representations(W, data, lattice, seed=seed, tol=tol)
     boundary = cert.boundary_labels
     if not boundary:
         raise StructuralError(
@@ -375,6 +404,7 @@ def falsify_complete_isometry(
 def is_boundary_ideal_ucp(
     E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     killed: frozenset[int],
     *,
     tol: Tolerances = DEFAULT_TOL,
@@ -396,16 +426,16 @@ def is_boundary_ideal_ucp(
     kept = [j for j in W.labels if j not in killed]
     if not kept:
         # quotient to nothing cannot invert a unital system
-        residual = float(np.linalg.norm(hermitian_basis(E.space, tol=tol)))
+        residual = float(np.linalg.norm(data.basis))
         return FeasibilityResult(False, None, residual, 0, "empty")
     report = falsify_complete_isometry(E, quotient_map(BlockIdeal(W, killed)), tol)
     if report.violation:
         return FeasibilityResult(False, None, report.gap, 0, "norm-drop")
-    return _left_inverse_search(E, W, killed, tol)
+    return _left_inverse_search(W, data, killed, tol)
 
 
 def _left_inverse_search(
-    E: OperatorSystem, W: WedderburnData, killed: frozenset[int], tol: Tolerances
+    W: WedderburnData, data: BlockImages, killed: frozenset[int], tol: Tolerances
 ) -> FeasibilityResult:
     """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left
     standing, searched one killed block at a time.
@@ -424,14 +454,12 @@ def _left_inverse_search(
     """
     kept = [j for j in W.labels if j not in killed]
     dims = tuple(W.blocks[j - 1][0] for j in kept)
-    basis = hermitian_basis(E.space, tol=tol)
-    images = list(zip(*(W.irrep_apply(j, basis) for j in kept)))
+    sources = [data.image(j) for j in kept]
     parts = {}
     residual, iterations = 0.0, 0
     for i in sorted(killed):
         d = W.blocks[i - 1][0]
-        constraints = list(zip(images, W.irrep_apply(i, basis)))
-        spec = UcpSpectrahedron.from_constraints(dims, d, constraints)
+        spec = UcpSpectrahedron.from_constraints(dims, d, sources, data.image(i))
         tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
         start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
         try:
@@ -448,8 +476,8 @@ def _left_inverse_search(
 
 
 def _interpolation_residual(
-    E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     killed: frozenset[int],
     choi: list[np.ndarray] | tuple[np.ndarray, ...],
     tol: Tolerances,
@@ -461,14 +489,13 @@ def _interpolation_residual(
     Returns the largest Hilbert-Schmidt residual and raises ``error`` when
     it exceeds ``10·tol_rank·max(1, n)``.
     """
-    n = E.space.ambient
+    n = W.ambient
     kept = [j for j in W.labels if j not in killed]
-    basis = hermitian_basis(E.space, tol=tol)
-    out = np.zeros_like(basis, dtype=np.complex128)
+    out = np.zeros_like(data.basis, dtype=np.complex128)
     for j, c in zip(kept, choi):
         d = W.blocks[j - 1][0]
-        out += np.einsum("hkl,kalb->hab", W.irrep_apply(j, basis), c.reshape(d, n, d, n))
-    resid = float(np.max(np.linalg.norm(out - basis, axis=(1, 2))))
+        out += np.einsum("hkl,kalb->hab", data.image(j), c.reshape(d, n, d, n))
+    resid = float(np.max(np.linalg.norm(out - data.basis, axis=(1, 2))))
     if resid > 10 * tol.tol_rank * max(1.0, float(n)):
         raise error(
             f"left inverse for the ideal {sorted(killed)} fails to interpolate "
@@ -478,8 +505,8 @@ def _interpolation_residual(
 
 
 def _restricted_left_inverse(
-    E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     killed: frozenset[int],
     sup_killed: frozenset[int],
     sup_res: FeasibilityResult,
@@ -493,7 +520,7 @@ def _restricted_left_inverse(
     labels.  The interpolation property of the assembled certificate is
     re-checked directly on the Hermitian basis.
     """
-    n = E.space.ambient
+    n = W.ambient
     kept = [j for j in W.labels if j not in killed]
     kept_sup = [j for j in W.labels if j not in sup_killed]
     by_label = dict(zip(kept_sup, sup_res.certificate))
@@ -501,13 +528,14 @@ def _restricted_left_inverse(
     for j in kept:
         d = W.blocks[j - 1][0]
         cert.append(by_label.get(j, np.zeros((d * n, d * n), dtype=np.complex128)))
-    resid = _interpolation_residual(E, W, killed, cert, tol, StructuralError)
+    resid = _interpolation_residual(W, data, killed, cert, tol, StructuralError)
     return FeasibilityResult(True, cert, resid, 0, "restriction")
 
 
 def silov_ideal_lattice(
     E: OperatorSystem,
     W: WedderburnData,
+    data: BlockImages,
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[BlockIdeal, LatticeCertificate]:
@@ -523,7 +551,8 @@ def silov_ideal_lattice(
     must pass.  Over the tested ideals the verdicts must be monotone
     (subsets of boundary ideals are boundary ideals) with a maximum
     containing every passer; violations indicate broken numerics, not
-    mathematics, and raise.
+    mathematics, and raise.  Every search and restriction check reads
+    ``data``, the system's :func:`block_images`.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
     candidates = []  # singletons the norm-drop probe already left standing
@@ -531,9 +560,9 @@ def silov_ideal_lattice(
     def verdict(killed: frozenset[int]) -> FeasibilityResult:
         if killed not in verdicts:
             if killed in candidates:
-                verdicts[killed] = _left_inverse_search(E, W, killed, tol)
+                verdicts[killed] = _left_inverse_search(W, data, killed, tol)
             else:
-                verdicts[killed] = is_boundary_ideal_ucp(E, W, killed, tol=tol)
+                verdicts[killed] = is_boundary_ideal_ucp(E, W, data, killed, tol=tol)
         return verdicts[killed]
 
     verdict(frozenset())
@@ -551,7 +580,7 @@ def silov_ideal_lattice(
         for single in candidates:
             if single != union:
                 verdicts[single] = _restricted_left_inverse(
-                    E, W, single, union, verdicts[union], tol
+                    W, data, single, union, verdicts[union], tol
                 )
     else:
         union = frozenset().union(*(s for s in candidates if verdict(s).feasible))
@@ -602,7 +631,6 @@ class EnvelopeResult:
     ideal: BlockIdeal
     quotient: QuotientMap
     envelope: CStarAlgebra
-    embed: LinearMap
     dk_certificate: DkCertificate
     lattice_certificate: LatticeCertificate
     isometry: IsometryCheck
@@ -662,16 +690,17 @@ def cstar_envelope(
 
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, seed=seed, tol=tol)
-    lat_ideal, lat_cert = silov_ideal_lattice(E, W, tol=tol)
+    data = block_images(E, W, tol)
+    lat_ideal, lat_cert = silov_ideal_lattice(E, W, data, tol=tol)
     witness = lat_cert.witness
-    residual = _interpolation_residual(E, W, lat_ideal.killed, witness, tol, VerificationError)
+    residual = _interpolation_residual(W, data, lat_ideal.killed, witness, tol, VerificationError)
     min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
     if min_eig < -tol.tol_psd:
         raise VerificationError(
             f"left inverse for the ideal {sorted(lat_ideal.killed)} is not completely "
             f"positive (least Choi eigenvalue {min_eig:.3e})"
         )
-    dk_ideal, dk_cert = silov_ideal_dk(E, W, lat_cert, seed=seed, tol=tol)
+    dk_ideal, dk_cert = silov_ideal_dk(W, data, lat_cert, seed=seed, tol=tol)
     if dk_ideal.killed != lat_ideal.killed:
         raise RouteDisagreementError(
             "representation route and lattice route disagree: "
@@ -682,7 +711,6 @@ def cstar_envelope(
     ideal = dk_ideal
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
-    embed = q.as_linear_map(E.space)
     return EnvelopeResult(
         system=E,
         algebra=A,
@@ -690,7 +718,6 @@ def cstar_envelope(
         ideal=ideal,
         quotient=q,
         envelope=envelope,
-        embed=embed,
         dk_certificate=dk_cert,
         lattice_certificate=lat_cert,
         isometry=IsometryCheck(residual, min_eig),

@@ -206,7 +206,14 @@ def write_corpus(out_dir, seed: int = 1, count: int = 20) -> dict:
 
 
 def load_manifest(corpus_dir) -> dict:
-    """Read and validate the manifest of a corpus directory."""
+    """Read and validate the manifest of a corpus directory.
+
+    Every system entry has non-empty string fields ``name`` and ``file``, and
+    its name is a plain file name (no path separator, not ``.`` or ``..``)
+    that no other entry has, because its report is written under it and
+    pairs find it by it; every pair is a list of two strings.  Anything else
+    raises :class:`InputError`.
+    """
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
         raise InputError(f"{corpus_dir}: missing manifest.json")
@@ -221,4 +228,19 @@ def load_manifest(corpus_dir) -> dict:
     for key in ("systems", "pairs"):
         if not isinstance(doc.get(key), list):
             raise InputError(f"{path}: missing field {key!r}")
+    for entry in doc["systems"]:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) and entry[key] for key in ("name", "file")
+        ):
+            raise InputError(f"{path}: malformed system entry {entry!r}")
+        if entry["name"] in (".", "..") or any(c in entry["name"] for c in "/\\\0"):
+            raise InputError(f"{path}: system name {entry['name']!r} is not a plain file name")
+    names = [entry["name"] for entry in doc["systems"]]
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise InputError(f"{path}: system names {repeated} occur more than once")
+    for pair in doc["pairs"]:
+        pair_of_two = isinstance(pair, list) and len(pair) == 2
+        if not (pair_of_two and all(isinstance(x, str) for x in pair)):
+            raise InputError(f"{path}: malformed pair entry {pair!r}")
     return doc

@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    DkCertificate,
-    EnvelopeResult,
-    cstar_envelope,
-)
+from .boundary import EnvelopeResult, cstar_envelope
 from .errors import InputError, StructuralError, VerificationError
 from .linalg import (
     DEFAULT_TOL,
@@ -452,9 +448,6 @@ class BoundaryPairReport:
     expected_pairs: frozenset[tuple[int, int]]
     closed: bool
     verified: bool
-    left_certificate: DkCertificate
-    right_certificate: DkCertificate
-    product_certificate: DkCertificate
 
 
 def verify_boundary_pair_closure(fac: TensorFactorizationReport) -> BoundaryPairReport:
@@ -462,8 +455,9 @@ def verify_boundary_pair_closure(fac: TensorFactorizationReport) -> BoundaryPair
 
     Every pair ``(i, j)`` with ``i`` boundary for ``E`` and ``j`` boundary
     for ``F`` must be a boundary block of ``E (x) F``; the converse is not
-    asserted.  The three certificates are those of the factorization's
-    envelopes, the product one over the pair-indexed ``fac.blocks``.
+    asserted.  The boundary sets are read off the dk certificates of the
+    factorization's envelopes, the product's over the pair-indexed
+    ``fac.blocks``.
     """
     P = fac.blocks
     cert_E = fac.left_envelope.dk_certificate
@@ -483,9 +477,6 @@ def verify_boundary_pair_closure(fac: TensorFactorizationReport) -> BoundaryPair
         expected_pairs=expected,
         closed=closed,
         verified=closed,
-        left_certificate=cert_E,
-        right_certificate=cert_F,
-        product_certificate=cert_T,
     )
 
 

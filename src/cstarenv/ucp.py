@@ -194,53 +194,48 @@ class UcpSpectrahedron:
         cls,
         source_dims,
         target_dim: int,
-        constraints,
+        sources,
+        values,
         J0_mats=None,
     ) -> "UcpSpectrahedron":
-        """Build from interpolation constraints.
+        """Build from ``k`` interpolation constraints given as image stacks.
 
-        ``constraints`` is a list of ``(xs, rhs_mat)`` pairs: ``xs[j]`` is the
-        Hermitian image of the constrained element in source block ``j`` and
-        ``rhs_mat`` the required Hermitian value in ``M_t``.  Each pair
-        contributes ``t**2`` real rows through the identity
+        ``sources[j]`` is the ``(k, d_j, d_j)`` stack of the constrained
+        elements' Hermitian images in source block ``j``, and ``values`` the
+        ``(k, t, t)`` stack of their required Hermitian values in ``M_t``.
+        Constraint ``c`` contributes ``t**2`` real rows, rows ``c·t**2`` to
+        ``(c + 1)·t**2 - 1``, through the identity
         ``<G, Phi(x)> = <conj(x) (x) G, C>`` over an orthonormal Hermitian
         basis ``G`` of the target.
         """
         t = int(target_dim)
         source_dims = tuple(int(d) for d in source_dims)
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 3 or values.shape[1:] != (t, t):
+            raise InputError(f"value stack shape {values.shape}, expected (k, {t}, {t})")
+        k = values.shape[0]
+        if len(sources) != len(source_dims):
+            raise InputError(
+                f"{len(sources)} source image stacks for {len(source_dims)} source blocks"
+            )
         gbasis = hermitian_units(t)  # (t^2, t, t)
-        nrows_per = t * t
-        row_blocks = []
-        rhs_parts = []
-        for xs, rhs_mat in constraints:
-            if len(xs) != len(source_dims):
-                raise InputError("constraint has wrong number of block images")
-            cols = []
-            for d, x in zip(source_dims, xs):
-                x = np.asarray(x, dtype=np.complex128)
-                if x.shape != (d, d):
-                    raise InputError(f"block image shape {x.shape}, expected {(d, d)}")
-                if t == 0:
-                    continue
-                xc = np.conj(x)
-                # kron(xc, G_beta) for all beta at once
-                kr = (
-                    xc[np.newaxis, :, np.newaxis, :, np.newaxis]
-                    * gbasis[:, np.newaxis, :, np.newaxis, :]
-                ).reshape(nrows_per, d * t, d * t)
-                cols.append(pack_herm(kr))
-            if t == 0:
-                continue
-            row_blocks.append(np.concatenate(cols, axis=1) if cols else np.zeros((nrows_per, 0)))
-            rhs_mat = np.asarray(rhs_mat, dtype=np.complex128)
-            rhs_parts.append(np.real(np.einsum("bpq,pq->b", np.conj(gbasis), rhs_mat)))
-        N = sum((d * t) ** 2 for d in source_dims)
-        if row_blocks:
-            L = np.concatenate(row_blocks, axis=0)
-            rhs = np.concatenate(rhs_parts)
-        else:
-            L = np.zeros((0, N))
-            rhs = np.zeros(0)
+        cols = []
+        for d, xs in zip(source_dims, sources):
+            xc = np.conj(np.asarray(xs, dtype=np.complex128))
+            if xc.shape != (k, d, d):
+                raise InputError(f"block image stack shape {xc.shape}, expected {(k, d, d)}")
+            # kron(xc[c], G_beta) for every constraint c and every beta at once
+            kr = (
+                xc[:, np.newaxis, :, np.newaxis, :, np.newaxis]
+                * gbasis[np.newaxis, :, np.newaxis, :, np.newaxis, :]
+            ).reshape(k * t * t, d * t, d * t)
+            cols.append(pack_herm(kr))
+        L = np.concatenate(cols, axis=1)
+        # BLAS rounds L Lᵀ by memory layout, so L matches the one-constraint-
+        # at-a-time reference build in layout as well as in bits: row-major
+        # for a scalar target, column-major otherwise
+        L = np.ascontiguousarray(L) if t == 1 else L
+        rhs = np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
         spec = cls(source_dims, t, L, rhs)
         if J0_mats is not None:
             spec.J0 = spec.pack_tuple(J0_mats)

@@ -238,8 +238,37 @@ def build_left_inverse_spectrahedron(E, W, killed, tol):
     from cstarenv.ucp import UcpSpectrahedron
 
     kept = [j for j in W.labels if j not in killed]
-    constraints = [
-        ([W.irrep_apply(j, h) for j in kept], h) for h in hermitian_basis(E.space, tol=tol)
-    ]
+    basis = hermitian_basis(E.space, tol=tol)
     dims = tuple(W.blocks[j - 1][0] for j in kept)
-    return UcpSpectrahedron.from_constraints(dims, E.space.ambient, constraints)
+    sources = [W.irrep_apply(j, basis) for j in kept]
+    return UcpSpectrahedron.from_constraints(dims, E.space.ambient, sources, basis)
+
+
+def constraint_rows(source_dims, t: int, constraints) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, rhs)`` of ``UcpSpectrahedron.from_constraints``, one constraint at
+    a time: the reference for its stacked rows.
+
+    ``constraints`` is a list of ``(xs, value)`` pairs, ``xs[j]`` the image
+    of one constrained element in source block ``j`` and ``value`` its
+    required value in ``M_t``.  Each pair contributes ``t**2`` rows
+    ``<conj(x) (x) G, C>`` over the orthonormal Hermitian basis ``G`` of
+    ``M_t``.
+    """
+    from cstarenv.linalg import hermitian_units
+    from cstarenv.ucp import pack_herm
+
+    gbasis = hermitian_units(t)
+    row_blocks, rhs_parts = [], []
+    for xs, value in constraints:
+        cols = []
+        for d, x in zip(source_dims, xs):
+            xc = np.conj(np.asarray(x, dtype=np.complex128))
+            kr = (
+                xc[np.newaxis, :, np.newaxis, :, np.newaxis]
+                * gbasis[:, np.newaxis, :, np.newaxis, :]
+            ).reshape(t * t, d * t, d * t)
+            cols.append(pack_herm(kr))
+        row_blocks.append(np.concatenate(cols, axis=1))
+        value = np.asarray(value, dtype=np.complex128)
+        rhs_parts.append(np.real(np.einsum("bpq,pq->b", np.conj(gbasis), value)))
+    return np.concatenate(row_blocks, axis=0), np.concatenate(rhs_parts)

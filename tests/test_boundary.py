@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarenv import boundary
+from cstarenv import boundary, tensor
+from cstarenv.analysis import analyze_pair
 from cstarenv.boundary import (
+    block_images,
     boundary_representations,
     cstar_envelope,
     falsify_complete_isometry,
@@ -77,17 +79,18 @@ def lift_through(q, x, n):
 def test_boundary_ideal_methods_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    empty = is_boundary_ideal_ucp(E, W, frozenset())
+    data = block_images(E, W, DEFAULT_TOL)
+    empty = is_boundary_ideal_ucp(E, W, data, frozenset())
     assert empty.feasible and empty.method == "identity" and empty.iterations == 0
     spec0 = build_left_inverse_spectrahedron(E, W, frozenset(), DEFAULT_TOL)
     packed = spec0.pack_tuple(empty.certificate)
     assert float(spec0.affine_residual(packed[np.newaxis, :])[0]) < 1e-9
 
-    kill_matrix = is_boundary_ideal_ucp(E, W, frozenset({1}))
+    kill_matrix = is_boundary_ideal_ucp(E, W, data, frozenset({1}))
     assert not kill_matrix.feasible and kill_matrix.method == "norm-drop"
     assert kill_matrix.residual > 0.5 - DEFAULT_TOL.tol_norm
 
-    kill_scalar = is_boundary_ideal_ucp(E, W, frozenset({2}))
+    kill_scalar = is_boundary_ideal_ucp(E, W, data, frozenset({2}))
     assert kill_scalar.feasible and kill_scalar.method == "dykstra"
     spec = build_left_inverse_spectrahedron(E, W, frozenset({2}), DEFAULT_TOL)
     packed = spec.pack_tuple(kill_scalar.certificate)
@@ -96,14 +99,15 @@ def test_boundary_ideal_methods_on_state_sum(system, wedderburn):
     for m in kill_scalar.certificate:
         assert float(np.linalg.eigvalsh(m)[0]) > -1e-9
 
-    kill_all = is_boundary_ideal_ucp(E, W, frozenset({1, 2}))
+    kill_all = is_boundary_ideal_ucp(E, W, data, frozenset({1, 2}))
     assert not kill_all.feasible and kill_all.method == "empty"
 
 
 def test_representation_route_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    ideal, cert = silov_ideal_dk(E, W, silov_ideal_lattice(E, W)[1])
+    data = block_images(E, W, DEFAULT_TOL)
+    ideal, cert = silov_ideal_dk(W, data, silov_ideal_lattice(E, W, data)[1])
     assert ideal.killed == frozenset({2})
     assert cert.boundary_labels == frozenset({1})
     assert tuple(b.label for b in cert.per_block) == (1, 2)
@@ -114,7 +118,7 @@ def test_representation_route_on_state_sum(system, wedderburn):
 def test_lattice_route_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    ideal, cert = silov_ideal_lattice(E, W)
+    ideal, cert = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
     assert ideal.killed == frozenset({2})
     assert set(cert.passing) == {frozenset(), frozenset({2})}
     assert set(cert.failing) == {frozenset({1}), frozenset({1, 2})}
@@ -157,7 +161,8 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
     )
     assert len(inner_labels) == 3
 
-    ideal, cert = silov_ideal_lattice(E, W)
+    data = block_images(E, W, DEFAULT_TOL)
+    ideal, cert = silov_ideal_lattice(E, W, data)
     assert ideal.killed == cert.maximal == inner_labels
     # only the trivial ideals, the five singletons and their surviving union
     singles = {frozenset({j}) for j in W.labels}
@@ -171,7 +176,7 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
     oracle = {
         i.killed
         for i in enumerate_ideals(W)
-        if is_boundary_ideal_ucp(E, W, i.killed).feasible
+        if is_boundary_ideal_ucp(E, W, data, i.killed).feasible
     }
     assert oracle == {i.killed for i in enumerate_ideals(W) if i.killed <= cert.maximal}
 
@@ -227,7 +232,7 @@ def test_passing_set_is_downward_closed(system, wedderburn):
     for name in ("state_sum", "state_sum_s3"):
         E = system(name)
         _, W = wedderburn(name)
-        _, cert = silov_ideal_lattice(E, W)
+        _, cert = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
         passing = set(cert.passing)
         for s in passing:
             for j in s:
@@ -273,17 +278,14 @@ def test_envelope_of_state_sum(system):
     assert env.quotient.target_dim == 2
     assert env.isometry.residual <= interpolation_bound(env.system)
     assert env.isometry.min_eig >= -DEFAULT_TOL.tol_psd
-    # the embedding is the quotient on the system, isometric at level one
+    # the quotient is isometric on the system at level one
     rng = np.random.default_rng(11)
-    n = env.system.space.ambient
-    for b in env.system.space.basis:
-        assert np.abs(env.embed.apply(b) - env.quotient.apply(b)).max() < 1e-12
     for _ in range(25):
         c = rng.standard_normal(env.system.space.dim) + 1j * rng.standard_normal(
             env.system.space.dim
         )
         x = np.einsum("k,kij->ij", c, env.system.space.basis)
-        assert op_norm(env.embed.apply(x)) == pytest.approx(op_norm(x), abs=1e-8)
+        assert op_norm(env.quotient.apply(x)) == pytest.approx(op_norm(x), abs=1e-8)
 
 
 def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses, seven_blocks):
@@ -300,9 +302,40 @@ def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses, seven
             e.system, e.wedderburn, e.ideal.killed, e.lattice_certificate.witness
         )
     E7, W7 = seven_blocks
-    ideal, cert = silov_ideal_lattice(E7, W7)
+    ideal, cert = silov_ideal_lattice(E7, W7, block_images(E7, W7, DEFAULT_TOL))
     assert len(ideal.killed) == 5
     assert_exact_left_inverse(E7, W7, ideal.killed, cert.witness)
+
+
+def test_each_envelope_builds_its_constraint_data_once(
+    seven_blocks, analyses, config, monkeypatch
+):
+    # both routes and the isometry check read one Hermitian basis and one
+    # image stack, on the seven-block system and on a pair's product
+    calls = []
+    real = boundary.hermitian_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "hermitian_basis", counted)
+    E7, W7 = seven_blocks
+    env = cstar_envelope(E7, wedderburn=W7)
+    assert len(env.ideal.killed) == 5 and len(calls) == 1
+    per_envelope = []
+
+    def reading(*args, **kwargs):
+        before = len(calls)
+        out = real_envelope(*args, **kwargs)
+        per_envelope.append(len(calls) - before)
+        return out
+
+    real_envelope = tensor.cstar_envelope
+    monkeypatch.setattr(tensor, "cstar_envelope", reading)
+    pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
+    assert pa.verified and pa.factorization.product_envelope.ideal.killed
+    assert per_envelope == [1]
 
 
 def test_multiplicity_system_in_both_presentations():
@@ -331,7 +364,7 @@ def test_state_sum_s3_left_inverse_ends_by_dykstra(seed):
     (entry,) = [e for e in corpus_entries(seed=seed) if e.spec.name == "state_sum_s3"]
     E = opsys_of(entry.spec, DEFAULT_TOL)
     W = wedderburn_decompose(generated_cstar(E), seed=seed)
-    res = is_boundary_ideal_ucp(E, W, frozenset({2}))
+    res = is_boundary_ideal_ucp(E, W, block_images(E, W, DEFAULT_TOL), frozenset({2}))
     assert res.feasible and res.method == "dykstra", seed
     assert_exact_left_inverse(E, W, frozenset({2}), res.certificate)
 
@@ -347,15 +380,16 @@ def test_undecided_block_search_raises_for_the_ideal(seven_blocks, monkeypatch):
         return real_search(spec, **kwargs)
 
     E7, W7 = seven_blocks
-    lattice = silov_ideal_lattice(E7, W7)[1]
+    data = block_images(E7, W7, DEFAULT_TOL)
+    lattice = silov_ideal_lattice(E7, W7, data)[1]
     monkeypatch.setattr(boundary, "ucp_feasibility", third_undecided)
-    killed = silov_ideal_dk(E7, W7, lattice)[0].killed
+    killed = silov_ideal_dk(W7, data, lattice)[0].killed
     assert len(killed) == 5
     # two killed blocks pass, the third stays undecided: the ideal is
     # undecided, and the two blocks after it are not searched
     message = f"ideal {sorted(killed)}, killed block {sorted(killed)[2]}: forced"
     with pytest.raises(InconclusiveError, match=re.escape(message)):
-        boundary._left_inverse_search(E7, W7, killed, DEFAULT_TOL)
+        boundary._left_inverse_search(W7, data, killed, DEFAULT_TOL)
     assert len(searched) == 3
 
 
@@ -399,8 +433,8 @@ def indefinite_null_shift(E, W, killed, witness):
 def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, message):
     real = boundary.silov_ideal_lattice
 
-    def corrupted(E, W, **kwargs):
-        ideal, cert = real(E, W, **kwargs)
+    def corrupted(E, W, data, **kwargs):
+        ideal, cert = real(E, W, data, **kwargs)
         witness = corrupt(E, W, ideal.killed, list(cert.witness))
         return ideal, replace(cert, witness=tuple(witness))
 
@@ -420,7 +454,7 @@ def test_lattice_route_probes_each_ideal_once(system, wedderburn, monkeypatch):
     monkeypatch.setattr(boundary, "falsify_complete_isometry", counting)
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    ideal, _ = silov_ideal_lattice(E, W)
+    ideal, _ = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
     assert ideal.killed == frozenset({2})
     assert probed == Counter({frozenset({1}): 1, frozenset({2}): 1})
 
@@ -501,10 +535,11 @@ def test_routes_agree_under_reseeding(system, wedderburn):
     for name in ("jordan_M2", "state_sum", "state_sum_s3"):
         E = system(name)
         A, W = wedderburn(name)
-        lat_ideal, lattice = silov_ideal_lattice(E, W)
+        data = block_images(E, W, DEFAULT_TOL)
+        lat_ideal, lattice = silov_ideal_lattice(E, W, data)
         verdicts = set()
         for seed in (1, 2, 3):
-            dk_ideal, cert = silov_ideal_dk(E, W, lattice, seed=seed)
+            dk_ideal, cert = silov_ideal_dk(W, data, lattice, seed=seed)
             assert dk_ideal.killed == lat_ideal.killed, (name, seed)
             verdicts.add(tuple((b.unique, b.method) for b in cert.per_block))
         assert len(verdicts) == 1, (name, verdicts)

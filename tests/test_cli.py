@@ -333,6 +333,39 @@ def test_verify_all_with_a_corrupted_member(capsys, tmp_path):
     assert "skipped" in out
 
 
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda m: m["pairs"].append(["full_M1"]),
+        lambda m: m["pairs"].append([["x"], "full_M1"]),
+        lambda m: m["systems"][0].update(file=5),
+        lambda m: m["pairs"].append("ab"),
+        lambda m: m["systems"][0].update(name="../escaped"),
+        lambda m: m["systems"][1].update(name=m["systems"][0]["name"]),
+    ],
+    ids=[
+        "one-name-pair",
+        "list-in-pair",
+        "numeric-file",
+        "string-pair",
+        "escaping-name",
+        "repeated-name",
+    ],
+)
+def test_verify_all_rejects_a_malformed_manifest(capsys, tmp_path, malform):
+    # every entry is checked before anything runs: the run ends as an input
+    # error, and no report is written, inside --json-out or next to it
+    corpus = tmp_path / "corpus"
+    manifest = write_corpus(corpus, seed=1, count=4)
+    malform(manifest)
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "verify-all", str(corpus), "--json-out", str(out / "reports"))
+    assert code == 1
+    assert err.startswith(f"error: {corpus / 'manifest.json'}: ")
+    assert not out.exists()
+
+
 def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_sep=1e-05, tol_norm=2e-06")
     out_file = tmp_path / "r.json"

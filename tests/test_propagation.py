@@ -74,7 +74,7 @@ def test_envelope_chain_matches_word_span_oracle(analyses):
     assert analyses("jordan_M3_k1").prop.chain == (3, 7, 9)
     for name in EXPECTED_PROP:
         env, p = analyses(name).envelope, analyses(name).prop
-        gens = list(env.embed.values)
+        gens = list(env.quotient.apply(env.system.space.basis))
         dims = power_span_dims(gens, env.quotient.target_dim, len(p.chain))
         assert tuple(dims) == p.chain, name
 

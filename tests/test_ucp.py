@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from cstarenv import boundary, ucp
-from cstarenv.boundary import build_extension_spectrahedra
+from cstarenv.boundary import block_images, build_extension_spectrahedra
 from cstarenv.errors import InconclusiveError, InputError
-from cstarenv.linalg import DEFAULT_TOL
+from cstarenv.linalg import DEFAULT_TOL, hermitian_basis
 from cstarenv.opsys import generated_cstar
 from cstarenv.tensor import min_tensor, product_blocks
 from cstarenv.corpus import corpus_entries
@@ -26,13 +26,17 @@ from cstarenv.ucp import (
 )
 from cstarenv.ucp import _distance_bound, _trace_bound
 
-from _oracles import build_left_inverse_spectrahedron, random_herm
+from _oracles import build_left_inverse_spectrahedron, constraint_rows, random_herm
+
+
+def extension_spectrahedra(E, W):
+    return build_extension_spectrahedra(W, block_images(E, W, DEFAULT_TOL))
 
 
 def ec_spec(wedderburn, system, label):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    return build_extension_spectrahedra(E, W)[label]
+    return extension_spectrahedra(E, W)[label]
 
 
 def state_sum_candidate(wedderburn, system, label):
@@ -40,7 +44,8 @@ def state_sum_candidate(wedderburn, system, label):
     route's left inverse for block ``label`` of state_sum."""
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    return boundary._left_inverse_candidate(W, boundary.silov_ideal_lattice(E, W)[1], label)
+    lattice = boundary.silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))[1]
+    return boundary._left_inverse_candidate(W, lattice, label)
 
 
 def assert_exact_point(spec, mats, scale=1.0):
@@ -61,9 +66,8 @@ def test_maximally_entangled_is_identity_choi():
 
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(41)
-    spec = UcpSpectrahedron.from_constraints(
-        (2,), 2, [([np.eye(2, dtype=complex)], np.eye(2, dtype=complex))]
-    )
+    unit = np.eye(2, dtype=complex)[np.newaxis]
+    spec = UcpSpectrahedron.from_constraints((2,), 2, [unit], unit)
     for _ in range(20):
         m = random_herm(rng, 4)
         packed = spec.pack_tuple([m])
@@ -73,9 +77,8 @@ def test_pack_unpack_roundtrip():
 
 def test_psd_projection_matches_eigenvalue_clip():
     rng = np.random.default_rng(42)
-    spec = UcpSpectrahedron.from_constraints(
-        (2,), 2, [([np.eye(2, dtype=complex)], np.eye(2, dtype=complex))]
-    )
+    unit = np.eye(2, dtype=complex)[np.newaxis]
+    spec = UcpSpectrahedron.from_constraints((2,), 2, [unit], unit)
     for _ in range(20):
         m = random_herm(rng, 4)
         packed = spec.pack_tuple([m])[np.newaxis, :]
@@ -147,14 +150,14 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 
 
 def test_fully_pinned_block_reports_unique(system, wedderburn):
-    spec = build_extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
+    spec = extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
     assert res.unique and res.method == "pinned" and res.iterations == 0
 
 
 def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
-        spec = build_extension_spectrahedra(system(name), wedderburn(name)[1])[label]
+        spec = extension_spectrahedra(system(name), wedderburn(name)[1])[label]
         res = is_unique_ucp_extension(spec, (1, 0xB0DA, label))
         assert res.unique and res.method == "dual" and res.iterations == 0
         assert res.witness is None
@@ -179,8 +182,9 @@ def decisions(entries, system, wedderburn, seven_blocks):
     systems.append(("full_M2*state_sum", T.product, P.wedderburn))
     out = []
     for name, E, W in systems:
-        lattice = boundary.silov_ideal_lattice(E, W)[1]
-        for label, spec in build_extension_spectrahedra(E, W).items():
+        data = block_images(E, W, DEFAULT_TOL)
+        lattice = boundary.silov_ideal_lattice(E, W, data)[1]
+        for label, spec in build_extension_spectrahedra(W, data).items():
             witness = boundary._left_inverse_candidate(W, lattice, label)
             res = is_unique_ucp_extension(spec, (1, 0xB0DA, label), witness=witness)
             out.append((name, label, spec, res))
@@ -210,7 +214,7 @@ def test_dual_search_certifies_state_sum_s3_block_1():
 
     spec_doc = {e.spec.name: e.spec for e in corpus_entries(seed=2, count=20)}["state_sum_s3"]
     E = opsys_of(spec_doc, DEFAULT_TOL)
-    spec = build_extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
+    spec = extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
     assert res.unique and res.method == "dual" and res.iterations > 0
     check = verify_uniqueness_certificate(spec, res.certificate)
@@ -413,7 +417,8 @@ def test_strictly_definite_base_point_fast_path():
     spec = UcpSpectrahedron.from_constraints(
         (2,),
         1,
-        [([np.eye(2, dtype=complex)], np.array([[1.0]], dtype=complex))],
+        [np.eye(2, dtype=complex)[np.newaxis]],
+        np.ones((1, 1, 1), dtype=complex),
         J0_mats=[np.eye(2, dtype=complex) / 2],
     )
     res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
@@ -426,7 +431,7 @@ def test_strictly_definite_base_point_fast_path():
 
 def test_uniqueness_requires_base_point():
     spec = UcpSpectrahedron.from_constraints(
-        (2,), 1, [([np.eye(2, dtype=complex)], np.array([[1.0]], dtype=complex))]
+        (2,), 1, [np.eye(2, dtype=complex)[np.newaxis]], np.ones((1, 1, 1), dtype=complex)
     )
     with pytest.raises(InputError):
         is_unique_ucp_extension(spec, (1, 2, 3))
@@ -468,10 +473,69 @@ def test_feasibility_never_reports_gap_from_plateau(system, wedderburn, monkeypa
     assert start <= tolerance < last
 
 
+def assert_rows_match_the_loop(spec, sources, values):
+    """``spec``'s stacked rows equal the one-constraint-at-a-time reference,
+    in bits and in memory layout (BLAS rounds ``L Lᵀ`` by layout)."""
+    constraints = list(zip(zip(*sources), values))
+    L, rhs = constraint_rows(spec.source_dims, spec.target_dim, constraints)
+    assert np.array_equal(spec.L, L) and np.array_equal(spec.rhs, rhs)
+    assert spec.L.strides == L.strides
+
+
+def test_stacked_rows_match_the_per_constraint_loop(
+    entries, system, wedderburn, seven_blocks, monkeypatch
+):
+    # the reference images come straight from the Hermitian basis and
+    # irrep_apply, not from block_images
+    for name in entries:
+        E = system(name)
+        _, W = wedderburn(name)
+        basis = hermitian_basis(E.space)
+        images = [W.irrep_apply(j, basis) for j in W.labels]
+        for label, spec in extension_spectrahedra(E, W).items():
+            assert_rows_match_the_loop(spec, images, images[label - 1])
+    # the left-inverse search builds one spectrahedron per killed block, in
+    # label order, each from the kept blocks' images
+    E7, W7 = seven_blocks
+    data = block_images(E7, W7, DEFAULT_TOL)
+    killed = boundary.silov_ideal_lattice(E7, W7, data)[0].killed
+    built = []
+    real = boundary.ucp_feasibility
+
+    def recording(spec, **kwargs):
+        built.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(boundary, "ucp_feasibility", recording)
+    boundary._left_inverse_search(W7, data, killed, DEFAULT_TOL)
+    basis = hermitian_basis(E7.space)
+    kept = [W7.irrep_apply(j, basis) for j in W7.labels if j not in killed]
+    assert len(built) == len(killed) == 5
+    for i, spec in zip(sorted(killed), built):
+        assert_rows_match_the_loop(spec, kept, W7.irrep_apply(i, basis))
+    # the full-target oracle's rows, of an 8x8 target
+    spec = build_left_inverse_spectrahedron(E7, W7, killed, DEFAULT_TOL)
+    assert_rows_match_the_loop(spec, kept, basis)
+
+
+def test_constraint_stacks_of_the_wrong_shape_are_input_errors():
+    unit = np.eye(2, dtype=complex)[np.newaxis]
+    for sources, values in (
+        ([unit, unit], unit),  # two stacks for one source block
+        ([unit[0]], unit),  # a matrix, not a stack
+        ([np.concatenate([unit, unit])], unit),  # two images, one value
+        ([unit], unit[0]),  # a value matrix, not a stack
+        ([unit], np.eye(3, dtype=complex)[np.newaxis]),  # values in M_3, target M_2
+    ):
+        with pytest.raises(InputError):
+            UcpSpectrahedron.from_constraints((2,), 2, sources, values)
+
+
 def test_feasibility_accepts_a_feasible_start_without_iterating(seven_blocks):
     # the tracial start of every killed block of the seven-block system is
     # strictly positive once affinely projected, so no Dykstra step runs
     E7, W7 = seven_blocks
-    killed = boundary.silov_ideal_lattice(E7, W7)[0].killed
-    res = boundary._left_inverse_search(E7, W7, killed, DEFAULT_TOL)
+    data = block_images(E7, W7, DEFAULT_TOL)
+    killed = boundary.silov_ideal_lattice(E7, W7, data)[0].killed
+    res = boundary._left_inverse_search(W7, data, killed, DEFAULT_TOL)
     assert res.feasible and res.iterations == 0
