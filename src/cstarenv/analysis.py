@@ -118,13 +118,7 @@ def analyze_system(
     A = generated_cstar(E, tol=config.tol)
     W = wedderburn_decompose(A, seed=config.seed, tol=config.tol)
     try:
-        env = cstar_envelope(
-            E,
-            seed=config.seed,
-            tol=config.tol,
-            algebra=A,
-            wedderburn=W,
-        )
+        env = cstar_envelope(E, tol=config.tol, algebra=A, wedderburn=W)
     except RouteDisagreementError as exc:
         return SystemAnalysis(
             name=name,
@@ -197,7 +191,6 @@ def analyze_pair(
     factorization = verify_envelope_tensor_factorization(
         left.envelope,
         right.envelope,
-        seed=config.seed,
         tol=config.tol,
         max_ambient_product=config.max_ambient_product,
     )

@@ -244,7 +244,6 @@ def boundary_representations(
     data: BlockImages,
     lattice: LatticeCertificate,
     *,
-    seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DkCertificate:
     """Decide the unique-extension property for every block.
@@ -262,7 +261,7 @@ def boundary_representations(
     for label, spec in build_extension_spectrahedra(W, data).items():
         witness = _left_inverse_candidate(W, lattice, label)
         try:
-            res = is_unique_ucp_extension(spec, (seed, 0xB0DA, label), tol, witness)
+            res = is_unique_ucp_extension(spec, tol, witness)
         except InconclusiveError as exc:
             route = "killed" if label in lattice.maximal else "kept"
             raise InconclusiveError(
@@ -281,7 +280,6 @@ def silov_ideal_dk(
     data: BlockImages,
     lattice: LatticeCertificate,
     *,
-    seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[BlockIdeal, DkCertificate]:
     """Minimal boundary ideal via boundary representations.
@@ -293,7 +291,7 @@ def silov_ideal_dk(
     for a finite-dimensional system, so it is reported as a structural
     failure rather than an ideal.
     """
-    cert = boundary_representations(W, data, lattice, seed=seed, tol=tol)
+    cert = boundary_representations(W, data, lattice, tol=tol)
     boundary = cert.boundary_labels
     if not boundary:
         raise StructuralError(
@@ -684,7 +682,8 @@ def cstar_envelope(
     ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
     eigenvalue at least ``-tol_psd``; a failure raises
     :class:`VerificationError`.  Raises :class:`RouteDisagreementError` when
-    the routes disagree.
+    the routes disagree.  ``seed`` reaches only :func:`wedderburn_decompose`,
+    when no ``wedderburn`` is given; both routes are deterministic.
     """
     from .errors import RouteDisagreementError
 
@@ -700,7 +699,7 @@ def cstar_envelope(
             f"left inverse for the ideal {sorted(lat_ideal.killed)} is not completely "
             f"positive (least Choi eigenvalue {min_eig:.3e})"
         )
-    dk_ideal, dk_cert = silov_ideal_dk(W, data, lat_cert, seed=seed, tol=tol)
+    dk_ideal, dk_cert = silov_ideal_dk(W, data, lat_cert, tol=tol)
     if dk_ideal.killed != lat_ideal.killed:
         raise RouteDisagreementError(
             "representation route and lattice route disagree: "

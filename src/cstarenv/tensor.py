@@ -5,9 +5,13 @@ For subspaces of matrix algebras the minimal tensor product is concrete:
 decomposition of the generated algebra then factors: blocks are indexed by
 pairs of factor blocks, with dimensions and multiplicities multiplying.
 :func:`product_blocks` builds that pair-indexed decomposition directly from
-the factor decompositions and validates it against an independent
-decomposition of the product algebra, so every downstream computation on a
-tensor product is cross-checked at the structural level.
+the factor decompositions and certifies it structurally.  The check proves
+that u is unitary, that ``u x u*`` is the pattern ⊕ 1_{m_k} ⊗ ρ_k(x) on the
+product basis, that every ρ_k is multiplicative with values spanning
+``M_{d_k}``, and that Σ d_k² is the algebra dimension.  So x ↦ ⊕ ρ_k(x) is
+an injective *-homomorphism onto ⊕ M_{d_k}: the ρ_k are pairwise
+inequivalent irreducibles, the pattern fixes their multiplicities, and any
+other decomposition finds the same blocks in another order.
 
 The verification entry points compare the minimal quotient of a tensor
 product against the kernel ideal predicted by the factor quotients, check
@@ -37,13 +41,7 @@ from .linalg import (
     subspace_equal,
 )
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
-from .wedderburn import (
-    BlockIdeal,
-    WedderburnData,
-    ideal_subspace,
-    quotient_map,
-    wedderburn_decompose,
-)
+from .wedderburn import BlockIdeal, WedderburnData, ideal_subspace, quotient_map
 from .wedderburn import _VALIDATION_TOL, _validate_decomposition
 
 __all__ = [
@@ -123,17 +121,15 @@ class ProductBlocks:
     """Pair-indexed block decomposition of a tensor product algebra.
 
     ``wedderburn`` is built over the exact tensor basis, with block ``label``
-    corresponding to the factor-block pair ``pairs[label - 1]``.  ``direct``
-    is the independent decomposition the pair structure was validated
-    against, with ``direct_labels[label - 1]`` the matching direct block.
+    corresponding to the factor-block pair ``pairs[label - 1]``.  Its
+    structural validation is the certificate that these are all the blocks
+    of the product algebra (see the module docstring).
     """
 
     left: WedderburnData
     right: WedderburnData
     wedderburn: WedderburnData
     pairs: tuple[tuple[int, int], ...]
-    direct: WedderburnData
-    direct_labels: tuple[int, ...]
 
     def label_of(self, pair: tuple[int, int]) -> int:
         try:
@@ -172,58 +168,9 @@ def _pair_permutation(W_A: WedderburnData, W_B: WedderburnData, order) -> np.nda
     return np.asarray(perm, dtype=int)
 
 
-def _match_by_intertwiner(
-    synthetic: WedderburnData,
-    direct: WedderburnData,
-    tol: Tolerances,
-) -> tuple[int, ...]:
-    """Match each synthetic block to its unitarily equivalent direct block.
-
-    Equivalence is decided by the existence of a nonzero intertwiner on the
-    synthetic algebra basis.  Each synthetic block must match exactly one
-    direct block of the same shape and the matching must be a bijection;
-    anything else means the two decompositions disagree structurally.
-    """
-    basis = synthetic.algebra.space.basis
-    direct_values = {t: direct.irrep_apply(t, basis) for t in direct.labels}
-    taken: set[int] = set()
-    matches = []
-    for s in synthetic.labels:
-        shape = synthetic.blocks[s - 1]
-        rep_s = synthetic.irreps[s - 1]
-        d = shape[0]
-        eye = np.eye(d)
-        found = []
-        for t in direct.labels:
-            if t in taken or direct.blocks[t - 1] != shape:
-                continue
-            rep_t = direct_values[t]
-            rows = [
-                np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(rep_s, rep_t)
-            ]
-            sig = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
-            cutoff = max(tol.tol_rank * sig[0], 1e-12) if sig.size else 0.0
-            if int(np.sum(sig <= cutoff)) >= 1:
-                found.append(t)
-        if len(found) != 1:
-            raise StructuralError(
-                f"pair block {s} matches {len(found)} direct blocks; "
-                "decompositions disagree"
-            )
-        taken.add(found[0])
-        matches.append(found[0])
-    if len(taken) != direct.num_blocks:
-        raise StructuralError("direct decomposition has unmatched blocks")
-    return tuple(matches)
-
-
 def product_blocks(
     W_A: WedderburnData,
     W_B: WedderburnData,
-    *,
-    direct_algebra: CStarAlgebra | None = None,
-    seed: int = 1,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ProductBlocks:
     """Block decomposition of ``A (x) B`` from the factor decompositions.
 
@@ -231,9 +178,10 @@ def product_blocks(
     multiplicity ``m_i * m_j``; the conjugating unitary is the tensor of the
     factor unitaries followed by the copy-gathering permutation, and the
     irreducible representations are the tensors of the factor ones.  The
-    construction is validated structurally and then matched block-by-block
-    against an independent decomposition of the product algebra; any
-    disagreement raises.
+    structural validation is the certificate: it makes x ↦ ⊕ ρ_k(x) an
+    injective *-homomorphism onto ⊕ M_{d_k}, so the pairs are exactly the
+    product's irreducible blocks, with the multiplicities the pattern fixes.
+    A failed validation raises :class:`StructuralError`.
     """
     space = subspace_kron(W_A.algebra.space, W_B.algebra.space)
     algebra = CStarAlgebra(space=space)
@@ -263,29 +211,13 @@ def product_blocks(
         raise StructuralError(
             f"pair decomposition failed structural validation (residual {resid:.3e})"
         )
-    synthetic = WedderburnData(
-        algebra=algebra,
-        u=u,
-        blocks=tuple(blocks),
-        irreps=tuple(irreps),
-        seed=seed,
-    )
-    direct = wedderburn_decompose(
-        direct_algebra if direct_algebra is not None else algebra, seed=seed, tol=tol
-    )
-    if sorted(synthetic.blocks) != sorted(direct.blocks):
-        raise StructuralError(
-            f"pair blocks {sorted(synthetic.blocks)} disagree with the direct "
-            f"decomposition {sorted(direct.blocks)}"
-        )
-    matches = _match_by_intertwiner(synthetic, direct, tol)
     return ProductBlocks(
         left=W_A,
         right=W_B,
-        wedderburn=synthetic,
+        wedderburn=WedderburnData(
+            algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps)
+        ),
         pairs=tuple(order),
-        direct=direct,
-        direct_labels=matches,
     )
 
 
@@ -355,7 +287,6 @@ def verify_envelope_tensor_factorization(
     env_E: EnvelopeResult,
     env_F: EnvelopeResult,
     *,
-    seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
     max_ambient_product: int = 36,
 ) -> TensorFactorizationReport:
@@ -383,12 +314,9 @@ def verify_envelope_tensor_factorization(
             "the algebra generated by the tensor system is not the tensor of "
             "the generated algebras"
         )
-    P = product_blocks(
-        env_E.wedderburn, env_F.wedderburn, direct_algebra=prod_alg, seed=seed, tol=tol
-    )
+    P = product_blocks(env_E.wedderburn, env_F.wedderburn)
     env_T = cstar_envelope(
         T.product,
-        seed=seed,
         tol=tol,
         # the generated algebra, not the synthetic one: it keeps the power spans
         # of the tensor system, which the product's propagation number and the

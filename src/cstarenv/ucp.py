@@ -559,20 +559,20 @@ def _dual_search(spec, F, p_perp, Z, mu, ratio, tol):
 
 def is_unique_ucp_extension(
     spec: UcpSpectrahedron,
-    seed_entropy,
     tol: Tolerances = DEFAULT_TOL,
     witness: list | None = None,
 ) -> UniquenessResult:
     """Decide whether the spectrahedron is the singleton ``{J0}``.
 
     Every verdict is proved, in this order: a pinned affine set
-    (``"pinned"``); a strictly definite base point, left by 0.9 times its
-    least eigenvalue along one seeded nullspace direction when that step
-    exceeds the separation threshold (``"pd-fast-path"``); the closed-form dual
-    certificate (``"dual"``, see :func:`verify_uniqueness_certificate`); the
-    candidate second point ``witness``, a Choi tuple such as the one a UCP
-    left inverse gives (``"left-inverse"``); a Dykstra search for a dual
-    certificate (``"dual"``, with its iterations).
+    (``"pinned"``); the closed-form dual certificate (``"dual"``, see
+    :func:`verify_uniqueness_certificate`); the candidate second point
+    ``witness``, a Choi tuple such as the one a UCP left inverse gives
+    (``"left-inverse"``); a Dykstra search for a dual certificate
+    (``"dual"``, with its iterations).  No step is random.  No step looks
+    for room around a strictly definite ``J0`` either: the extension
+    spectrahedron of a block of a multi-block algebra has ``J0`` zero at
+    every other source, and a simple algebra decides no uniqueness.
 
     The candidate is projected exactly onto the affine set,
     ``x = J0 + null_project(witness - J0)``, and accepted when
@@ -588,15 +588,6 @@ def is_unique_ucp_extension(
 
     if spec.null_dim == 0:
         return UniquenessResult(True, None, "pinned", 0.0, 0)
-
-    t = 0.9 * float(spec.min_eig(spec.J0[np.newaxis, :])[0])
-    if t > sep_abs:
-        # J0 ⪰ λ·1 with λ = t/0.9, and a unit direction has Choi blocks of
-        # operator norm at most 1, so J0 + t·d ⪰ 0.1λ·1
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=list(seed_entropy)))
-        d_dir = spec.null_project(rng.standard_normal((1, spec.num_coords)))[0]
-        x = spec.J0 + t * (d_dir / np.linalg.norm(d_dir))
-        return UniquenessResult(False, spec.unpack_tuple(x), "pd-fast-path", t, 0)
 
     F, p_perp = _face(spec)
     Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S

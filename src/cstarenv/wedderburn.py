@@ -105,7 +105,6 @@ class WedderburnData:
     u: np.ndarray = field(repr=False)
     blocks: tuple[tuple[int, int], ...]
     irreps: tuple[np.ndarray, ...] = field(repr=False)
-    seed: int
 
     @property
     def ambient(self) -> int:
@@ -213,7 +212,14 @@ def _validate_decomposition(
     irreps: list[np.ndarray],
     comm_dim: int,
 ) -> float:
-    """Residual of the structural invariants; large values reject the attempt."""
+    """Residual of the structural invariants; large values reject the attempt.
+
+    ``comm_dim`` is the commutant dimension Σ m_i².  A decomposition built
+    without computing the commutant, such as the pair decomposition of a
+    tensor product, passes Σ m_i² of its own ``blocks``: that count then
+    checks nothing, and the multiplicities are fixed by the pattern check
+    instead, which demands exactly ``m_i`` identical copies of each block.
+    """
     n = algebra.ambient
     resid = hs_norm(u @ dagger(u) - np.eye(n)) + hs_norm(dagger(u) @ u - np.eye(n))
     if sum(d * d for d, _ in blocks) != algebra.dim:
@@ -231,7 +237,8 @@ def _validate_decomposition(
             expected[:, off : off + d, off : off + d] = rep
             off += d
     resid += float(np.max(np.linalg.norm((conjugated - expected).reshape(len(basis), -1), axis=1)))
-    # representations must be multiplicative and adjoint-preserving
+    # representations must be multiplicative; adjoints follow from the pattern,
+    # as u x* u* = (u x u*)*
     prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
     coeffs = np.conj(algebra.space.vecs()) @ prods.reshape(prods.shape[0], -1).T  # (dim, P)
     for rep in irreps:
@@ -300,7 +307,6 @@ def wedderburn_decompose(
                 u=u,
                 blocks=tuple(blocks),
                 irreps=tuple(irreps),
-                seed=seed,
             )
         failures.append(f"attempt {attempt}: validation residual {resid:.3e}")
     raise DecompositionError(

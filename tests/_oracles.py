@@ -272,3 +272,45 @@ def constraint_rows(source_dims, t: int, constraints) -> tuple[np.ndarray, np.nd
         value = np.asarray(value, dtype=np.complex128)
         rhs_parts.append(np.real(np.einsum("bpq,pq->b", np.conj(gbasis), value)))
     return np.concatenate(row_blocks, axis=0), np.concatenate(rhs_parts)
+
+
+def match_by_intertwiner(synthetic, direct, tol: float = 1e-9) -> tuple[int, ...]:
+    """Match every block of the decomposition ``synthetic`` to the unique
+    block of ``direct``, a decomposition of the same algebra, that it is
+    unitarily equivalent to: ``matches[label - 1]`` is the direct label.
+
+    Two blocks of one shape ``(d, m)`` are equivalent exactly when a nonzero
+    T solves ρ_s(a) T = T ρ_t(a) on the synthetic algebra basis, i.e. the
+    stacked ``I (x) ρ_t(a)^T - ρ_s(a) (x) I`` has a null vector.  Both block
+    representations are read straight off the unitaries, as the compression
+    ``v a v*`` to the block's first copy.  Anything but a bijection fails
+    the assertion.
+    """
+
+    def values(W, label):
+        d = W.blocks[label - 1][0]
+        s = sum(dd * mm for dd, mm in W.blocks[: label - 1])
+        v = np.asarray(W.u)[s : s + d]
+        return v @ basis @ v.conj().T
+
+    basis = np.asarray(synthetic.algebra.space.basis, dtype=complex)
+    direct_labels = range(1, len(direct.blocks) + 1)
+    direct_values = {t: values(direct, t) for t in direct_labels}
+    taken: set[int] = set()
+    matches = []
+    for s, shape in enumerate(synthetic.blocks, start=1):
+        rep_s = values(synthetic, s)
+        eye = np.eye(shape[0])
+        found = []
+        for t in direct_labels:
+            if t in taken or tuple(direct.blocks[t - 1]) != tuple(shape):
+                continue
+            rows = [np.kron(eye, b.T) - np.kron(a, eye) for a, b in zip(rep_s, direct_values[t])]
+            sig = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
+            if sig[-1] <= max(tol * sig[0], 1e-12):
+                found.append(t)
+        assert len(found) == 1, f"block {s} {shape} matches direct blocks {found}"
+        taken.add(found[0])
+        matches.append(found[0])
+    assert len(taken) == len(direct.blocks), "direct decomposition has unmatched blocks"
+    return tuple(matches)

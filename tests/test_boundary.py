@@ -527,22 +527,23 @@ def test_expected_ideals_across_structured_corpus(analyses):
 
 
 def test_routes_agree_under_reseeding(system, wedderburn):
-    # the seed reaches only the representation route's pd-fast-path
-    # direction, and no block of a multi-block algebra takes that path (its
-    # base point vanishes at every other source); the witnesses come from
-    # the lattice route's left inverse and the certificates are
-    # deterministic, so reseeding leaves every verdict and method as it is
-    for name in ("jordan_M2", "state_sum", "state_sum_s3"):
+    # the seed reaches only wedderburn_decompose's splitting elements: both
+    # routes are deterministic, so a reseeded decomposition gives the same
+    # blocks, the same killed set and the same per-block verdicts and methods
+    for name in ("jordan_M2", "state_sum", "state_sum_s3", "random_01"):
         E = system(name)
-        A, W = wedderburn(name)
-        data = block_images(E, W, DEFAULT_TOL)
-        lat_ideal, lattice = silov_ideal_lattice(E, W, data)
-        verdicts = set()
-        for seed in (1, 2, 3):
-            dk_ideal, cert = silov_ideal_dk(W, data, lattice, seed=seed)
-            assert dk_ideal.killed == lat_ideal.killed, (name, seed)
-            verdicts.add(tuple((b.unique, b.method) for b in cert.per_block))
-        assert len(verdicts) == 1, (name, verdicts)
+        A, _ = wedderburn(name)
+        outcomes = set()
+        for seed in (1, 2, 3, 11, 12):
+            env = cstar_envelope(E, seed=seed, algebra=A)
+            outcomes.add(
+                (
+                    env.wedderburn.blocks,
+                    env.ideal.killed,
+                    tuple((b.unique, b.method) for b in env.dk_certificate.per_block),
+                )
+            )
+        assert len(outcomes) == 1, (name, outcomes)
 
 
 def _seeded_unitary(n: int, seed: int) -> np.ndarray:

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cstarenv
-from cstarenv import boundary, cli, ucp
+from cstarenv import analysis, boundary, cli, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -166,6 +167,44 @@ def test_tensor_pair_passes_all_checks(corpus_dir, capsys, tmp_path):
     assert out.count("PASS") == 4 and "FAIL" not in out
     report = json.loads(out_file.read_text())
     assert report["kind"] == "tensor" and report["passed"] is True
+
+
+def test_failed_factorization_exits_two_with_its_report(
+    corpus_dir, capsys, tmp_path, monkeypatch
+):
+    # a factorization that does not verify is a theorem failure, not an
+    # input error: the pair still gets its report, with the failed check and
+    # the propagation identity failed with it, and verify-all rows read failed
+    real = analysis.verify_envelope_tensor_factorization
+
+    def unverified(*args, **kwargs):
+        return replace(real(*args, **kwargs), verified=False)
+
+    monkeypatch.setattr(analysis, "verify_envelope_tensor_factorization", unverified)
+    out_file = tmp_path / "pair.json"
+    code, out, err = run(
+        capsys,
+        "tensor",
+        str(corpus_dir / "full_M2.json"),
+        str(corpus_dir / "full_M1.json"),
+        "--json-out",
+        str(out_file),
+    )
+    assert code == 2 and "error" not in err
+    report = json.loads(out_file.read_text())
+    assert report["passed"] is False
+    checks = report["checks"]
+    assert checks["envelope_tensor_factorization"]["verified"] is False
+    assert checks["propagation_max"]["verified"] is False
+    assert checks["propagation_max"]["product"] == 1
+    assert "envelope_tensor_factorization: FAIL" in out
+
+    out_dir = tmp_path / "all"
+    code, _, _ = run(capsys, "verify-all", str(corpus_dir), "--quiet", "--json-out", str(out_dir))
+    assert code == 2
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["pairs"]] == ["failed"] * 8
+    assert summary["failures"]["input"] == 0 and summary["failures"]["failed"] == 8
 
 
 def test_corpus_subcommand(capsys, tmp_path):

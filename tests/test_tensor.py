@@ -1,13 +1,15 @@
 """Tensor products: pair blocks, kernel ideals, and the quotient identities."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cstarenv.analysis import analyze_pair, analyze_system
-from cstarenv.corpus import corpus_entries
-from cstarenv.errors import InputError
+from cstarenv.corpus import corpus_entries, standard_pairs
+from cstarenv.errors import InputError, StructuralError
 from cstarenv.linalg import DEFAULT_TOL, op_norm, subspace_contains
+from cstarenv.opsys import generated_cstar
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
     family_sup_seminorm,
@@ -18,9 +20,14 @@ from cstarenv.tensor import (
     tensor_map,
     verify_quotient_family_intersection,
 )
-from cstarenv.wedderburn import BlockIdeal, ideal_subspace, quotient_map
+from cstarenv.wedderburn import (
+    BlockIdeal,
+    ideal_subspace,
+    quotient_map,
+    wedderburn_decompose,
+)
 
-from _oracles import random_complex
+from _oracles import match_by_intertwiner, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +89,50 @@ def test_product_blocks_of_a_state_sum_square(pair_P):
         P.label_of((3, 1))
     with pytest.raises(InputError):
         P.pair_of(5)
-    # the matched direct blocks carry the same dimensions
-    assert sorted(P.direct.blocks) == sorted(P.wedderburn.blocks)
-    assert sorted(P.direct_labels) == sorted(P.direct.labels)
-    for label in P.wedderburn.labels:
-        d = P.wedderburn.blocks[label - 1][0]
-        assert P.direct.blocks[P.direct_labels[label - 1] - 1][0] == d
+    # a decomposition of the product algebra from scratch finds the same
+    # blocks, one to one and with the same shapes
+    direct = wedderburn_decompose(P.wedderburn.algebra)
+    matches = match_by_intertwiner(P.wedderburn, direct)
+    assert [direct.blocks[t - 1] for t in matches] == list(P.wedderburn.blocks)
+
+
+def test_pair_blocks_match_a_direct_decomposition(entries, system, wedderburn):
+    # the pair decomposition stands on its structural validation alone; a
+    # second decomposition of the tensor system's generated algebra, matched
+    # by intertwiners, finds exactly the pair blocks on every standard pair
+    pairs = standard_pairs(entries)
+    assert len(pairs) == 9 and ("state_sum", "state_sum") in pairs
+    for left, right in pairs:
+        P = product_blocks(wedderburn(left)[1], wedderburn(right)[1])
+        T = min_tensor(system(left), system(right))
+        direct = wedderburn_decompose(generated_cstar(T.product))
+        matches = match_by_intertwiner(P.wedderburn, direct)
+        shapes = [direct.blocks[t - 1] for t in matches]
+        assert shapes == list(P.wedderburn.blocks), (left, right)
+
+
+def _swap_block_1_rows(W):
+    u = W.u.copy()
+    u[[0, 1]] = u[[1, 0]]
+    return replace(W, u=u)
+
+
+def _transpose_block_1_irreps(W):
+    return replace(W, irreps=(W.irreps[0].transpose(0, 2, 1), *W.irreps[1:]))
+
+
+@pytest.mark.parametrize("tamper", [_swap_block_1_rows, _transpose_block_1_irreps])
+def test_product_blocks_rejects_a_broken_pair_decomposition(wedderburn, tamper):
+    # block 1 of state_sum is 2-dimensional: swapping its two rows of u, or
+    # transposing its irreps, breaks the pattern u x u* = ⊕ 1 (x) ρ(x) that
+    # the structural validation, the pair decomposition's only certificate,
+    # demands
+    _, W = wedderburn("state_sum")
+    assert W.blocks[0] == (2, 1)
+    broken = tamper(W)
+    _, W_jordan = wedderburn("jordan_M2")
+    with pytest.raises(StructuralError, match="pair decomposition failed structural validation"):
+        product_blocks(broken, W_jordan)
 
 
 def test_product_irreps_are_tensors_of_factor_irreps(pair_P):

@@ -151,14 +151,14 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 
 def test_fully_pinned_block_reports_unique(system, wedderburn):
     spec = extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
-    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
+    res = is_unique_ucp_extension(spec)
     assert res.unique and res.method == "pinned" and res.iterations == 0
 
 
 def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
         spec = extension_spectrahedra(system(name), wedderburn(name)[1])[label]
-        res = is_unique_ucp_extension(spec, (1, 0xB0DA, label))
+        res = is_unique_ucp_extension(spec)
         assert res.unique and res.method == "dual" and res.iterations == 0
         assert res.witness is None
         check = verify_uniqueness_certificate(spec, res.certificate)
@@ -174,11 +174,7 @@ def decisions(entries, system, wedderburn, seven_blocks):
     systems = [(name, system(name), wedderburn(name)[1]) for name in entries]
     systems.append(("seven_blocks", *seven_blocks))
     T = min_tensor(system("full_M2"), system("state_sum"))
-    P = product_blocks(
-        wedderburn("full_M2")[1],
-        wedderburn("state_sum")[1],
-        direct_algebra=generated_cstar(T.product),
-    )
+    P = product_blocks(wedderburn("full_M2")[1], wedderburn("state_sum")[1])
     systems.append(("full_M2*state_sum", T.product, P.wedderburn))
     out = []
     for name, E, W in systems:
@@ -186,7 +182,7 @@ def decisions(entries, system, wedderburn, seven_blocks):
         lattice = boundary.silov_ideal_lattice(E, W, data)[1]
         for label, spec in build_extension_spectrahedra(W, data).items():
             witness = boundary._left_inverse_candidate(W, lattice, label)
-            res = is_unique_ucp_extension(spec, (1, 0xB0DA, label), witness=witness)
+            res = is_unique_ucp_extension(spec, witness=witness)
             out.append((name, label, spec, res))
     return out
 
@@ -215,7 +211,7 @@ def test_dual_search_certifies_state_sum_s3_block_1():
     spec_doc = {e.spec.name: e.spec for e in corpus_entries(seed=2, count=20)}["state_sum_s3"]
     E = opsys_of(spec_doc, DEFAULT_TOL)
     spec = extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
-    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
+    res = is_unique_ucp_extension(spec)
     assert res.unique and res.method == "dual" and res.iterations > 0
     check = verify_uniqueness_certificate(spec, res.certificate)
     assert check.accepted and res.separation == check.mu
@@ -231,13 +227,13 @@ def test_no_certificate_where_a_witness_exists(decisions):
     assert ("full_M2*state_sum", 2) in [(n, lab) for n, lab, _ in refuted]
     for name, label, spec in refuted:
         with pytest.raises(InconclusiveError, match="no dual certificate"):
-            is_unique_ucp_extension(spec, (1, 0xB0DA, label))
+            is_unique_ucp_extension(spec)
 
 
 def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
     with pytest.raises(InconclusiveError) as info:
-        is_unique_ucp_extension(spec, (1, 0xB0DA, 2))
+        is_unique_ucp_extension(spec)
     msg = str(info.value)
     assert "after 400 iterations" in msg
     assert "best margin -" in msg and "best bound/threshold inf" in msg
@@ -255,7 +251,7 @@ def test_a_rejected_candidate_is_named_in_the_evidence(system, wedderburn):
     evidence = r"candidate rejected: least Choi eigenvalue (\S+), distance (\S+)\)$"
     for mats, negative, far in ((J0, False, False), (beyond, True, True)):
         with pytest.raises(InconclusiveError, match=evidence) as info:
-            is_unique_ucp_extension(spec, (1, 0xB0DA, 2), witness=mats)
+            is_unique_ucp_extension(spec, witness=mats)
         least, dist = (float(x) for x in re.search(evidence, str(info.value)).groups())
         assert (least < -DEFAULT_TOL.tol_psd) == negative
         assert (dist > DEFAULT_TOL.tol_sep) == far
@@ -269,7 +265,7 @@ def _null_rows(M: np.ndarray) -> np.ndarray:
 
 def test_perturbed_certificates_are_rejected(system, wedderburn):
     spec = ec_spec(wedderburn, system, 1)
-    Z = is_unique_ucp_extension(spec, (1, 0xB0DA, 1)).certificate
+    Z = is_unique_ucp_extension(spec).certificate
     base = verify_uniqueness_certificate(spec, Z)
     assert base.accepted
     (j,) = [k for k, m in enumerate(spec.unpack_tuple(spec.J0)) if np.abs(m).max() > 0]
@@ -389,7 +385,7 @@ def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
     witness = state_sum_candidate(wedderburn, system, 2)
-    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 2), witness=witness)
+    res = is_unique_ucp_extension(spec, witness=witness)
     assert not res.unique and res.method == "left-inverse"
     assert res.witness is not None
     assert_exact_point(spec, res.witness)
@@ -402,8 +398,8 @@ def test_non_unique_block_carries_exact_witness(system, wedderburn):
 def test_uniqueness_probe_is_deterministic(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
     witness = state_sum_candidate(wedderburn, system, 2)
-    a = is_unique_ucp_extension(spec, (7, 0xB0DA, 2), witness=witness)
-    b = is_unique_ucp_extension(spec, (7, 0xB0DA, 2), witness=witness)
+    a = is_unique_ucp_extension(spec, witness=witness)
+    b = is_unique_ucp_extension(spec, witness=witness)
     assert a.unique == b.unique and a.method == b.method
     assert a.iterations == b.iterations
     if a.witness is not None:
@@ -411,30 +407,12 @@ def test_uniqueness_probe_is_deterministic(system, wedderburn):
             assert np.array_equal(x, y)
 
 
-def test_strictly_definite_base_point_fast_path():
-    # states on M_2 with only unitality pinned: a 3-parameter ball around
-    # the maximally mixed state, which is strictly definite
-    spec = UcpSpectrahedron.from_constraints(
-        (2,),
-        1,
-        [np.eye(2, dtype=complex)[np.newaxis]],
-        np.ones((1, 1, 1), dtype=complex),
-        J0_mats=[np.eye(2, dtype=complex) / 2],
-    )
-    res = is_unique_ucp_extension(spec, (1, 0xB0DA, 1))
-    assert not res.unique and res.method == "pd-fast-path"
-    # the step is 0.9 times the base point's least eigenvalue 1/2
-    assert res.separation == pytest.approx(0.45, rel=1e-12)
-    assert_exact_point(spec, res.witness)
-    assert float(np.linalg.norm(spec.pack_tuple(res.witness) - spec.J0)) > DEFAULT_TOL.tol_sep
-
-
 def test_uniqueness_requires_base_point():
     spec = UcpSpectrahedron.from_constraints(
         (2,), 1, [np.eye(2, dtype=complex)[np.newaxis]], np.ones((1, 1, 1), dtype=complex)
     )
     with pytest.raises(InputError):
-        is_unique_ucp_extension(spec, (1, 2, 3))
+        is_unique_ucp_extension(spec)
 
 
 def test_affinely_impossible_left_inverse_is_linear(system, wedderburn):
