@@ -24,12 +24,13 @@ x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
 Choi size d_j·d_i instead of d_j·n.
 
-Both routes and the isometry check read one basis and one image stack,
-built once per envelope by :func:`block_images`: the system's Hermitian
-basis h and its images π_j(h) under every block j.  The representation
-route's spectrahedron for block i holds the UCP maps φ on all blocks with
-φ(⊕_j π_j(h)) = π_i(h), the lattice route's for a killed block i the UCP
-maps ψ_i on the kept blocks with ψ_i(q(h)) = π_i(h), and the isometry check
+Both routes, the norm-drop probe and the isometry check read one basis
+and one image stack, built once per envelope by :func:`block_images`: the
+system's Hermitian basis h and its images π_j(h) under every block j.  The
+representation route's spectrahedron for block i holds the UCP maps φ on
+all blocks with φ(⊕_j π_j(h)) = π_i(h), the lattice route's for a killed
+block i the UCP maps ψ_i on the kept blocks with ψ_i(q(h)) = π_i(h), the
+norm-drop probe takes combinations of the h, and the isometry check
 measures ψ(q(h)) − h.
 
 Both produce certificates.  :func:`cstar_envelope` runs the lattice route
@@ -45,9 +46,13 @@ needs a dual certificate.  The envelope insists the two routes agree, then
 builds the quotient and the enveloping block algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
-matrix that shows it, rules a left inverse out.  An ideal it leaves standing
-is decided by the feasibility search alone, and an undecided search is
-reported as inconclusive.
+matrix that shows it, rules a left inverse out.  The probe is drawn once
+per system and its norms are taken once per block (:func:`norm_table`):
+for x over A, ‖x‖ = max_j ‖π_j(x)‖ and ‖q(x)‖ is the same maximum over the
+kept blocks, so one table decides the probe for every ideal, and a larger
+ideal never shows a smaller drop.  An ideal it leaves standing is decided
+by the feasibility search alone, and an undecided search is reported as
+inconclusive.
 
 Structure decides before any search does.  A simple algebra (one block) has
 Šilov ideal 0, and its only block is boundary because every
@@ -57,7 +62,9 @@ representation route decides no uniqueness there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +106,9 @@ __all__ = [
     "IsometryCheck",
     "EnvelopeResult",
     "BlockImages",
+    "NormTable",
     "block_images",
+    "norm_table",
     "build_extension_spectrahedra",
     "boundary_representations",
     "silov_ideal_dk",
@@ -112,9 +121,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockImages:
-    """The data every UCP constraint on a system is written from: its
-    Hermitian basis, a ``(k, n, n)`` stack, and the image stack
-    ``π_j(basis)``, ``(k, d_j, d_j)``, under every block j."""
+    """The data every UCP constraint and the norm-drop probe on a system
+    are written from: its Hermitian basis, a ``(k, n, n)`` stack, and the
+    image stack ``π_j(basis)``, ``(k, d_j, d_j)``, under every block j."""
 
     basis: np.ndarray
     images: tuple[np.ndarray, ...]
@@ -122,6 +131,12 @@ class BlockImages:
     def image(self, label: int) -> np.ndarray:
         """The stack ``π_label(basis)``."""
         return self.images[label - 1]
+
+    @cached_property
+    def norms(self) -> "NormTable":
+        """The norm-drop probe's :func:`norm_table`, built on first use and
+        read by every ideal the lattice route probes."""
+        return norm_table(self)
 
 
 def block_images(E: OperatorSystem, W: WedderburnData, tol: Tolerances) -> BlockImages:
@@ -335,10 +350,59 @@ def _assemble_left_inverse(
     return mats
 
 
-def _cells_2x2(parts: np.ndarray) -> np.ndarray:
-    """``(B, 4, m, m)`` cells to the ``(B, 2m, 2m)`` matrices ``[[p0, p1], [p2, p3]]``."""
-    B, _, m, _ = parts.shape
-    return parts.reshape(B, 2, 2, m, m).transpose(0, 1, 3, 2, 4).reshape(B, 2 * m, 2 * m)
+def _cells(parts: np.ndarray) -> np.ndarray:
+    """``(B, m*m, d, d)`` cells to the ``(B, m*d, m*d)`` block matrices whose
+    cell (r, s) is ``parts[:, r*m + s]``."""
+    B, mm, d, _ = parts.shape
+    m = math.isqrt(mm)
+    return parts.reshape(B, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(B, m * d, m * d)
+
+
+@dataclass(frozen=True)
+class NormTable:
+    """The norm-drop probe of one system and its norms under every block.
+
+    Probe b of level m is the m×m block matrix whose cell (r, s) is
+    ``Σ_k coeffs[m-1][b, r·m + s, k]·basis[k]``, and ``norms[m-1][j-1, b]``
+    is the operator norm of its image under block j, taken cell by cell.
+    """
+
+    basis: np.ndarray
+    coeffs: tuple[np.ndarray, ...]
+    norms: tuple[np.ndarray, ...]
+
+    def probe(self, level: int, b: int) -> np.ndarray:
+        """Probe ``b`` of level ``level`` as an ambient ``(level·n)²`` matrix."""
+        parts = np.einsum("uk,kij->uij", self.coeffs[level - 1][b], self.basis)
+        return _cells(parts[np.newaxis])[0]
+
+
+def norm_table(data: BlockImages) -> NormTable:
+    """Draw the norm-drop probe once and take its norm under every block.
+
+    The probe is deterministic, seeded by ``0xD209`` alone: at level 1 the
+    Hermitian basis and 48 random combinations of it, at level 2 sixteen
+    random 2×2 block matrices over it.  Each π_j is linear, so block j's
+    probe images are the same combinations of ``data.image(j)``: one batched
+    SVD per block and level, of ``d_j``- and ``2d_j``-sized matrices.
+    """
+    k = data.basis.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0xD209))
+    # the same stream as drawing each combination's real, then imaginary parts
+    re_im = rng.standard_normal((48, 2, k))
+    c1 = re_im[:, 0] + 1j * re_im[:, 1]
+    re_im = rng.standard_normal((16, 2, 4, k))
+    coeffs = (np.concatenate([np.eye(k), c1])[:, np.newaxis, :], re_im[:, 0] + 1j * re_im[:, 1])
+    norms = tuple(
+        np.array(
+            [
+                np.linalg.svd(_cells(np.einsum("buk,kij->buij", c, img)), compute_uv=False)[:, 0]
+                for img in data.images
+            ]
+        )
+        for c in coeffs
+    )
+    return NormTable(data.basis, coeffs, norms)
 
 
 @dataclass(frozen=True)
@@ -360,42 +424,34 @@ class FalsifierReport:
 
 
 def falsify_complete_isometry(
-    E: OperatorSystem, q: QuotientMap, tol: Tolerances = DEFAULT_TOL
+    table: NormTable, killed: frozenset[int], tol: Tolerances = DEFAULT_TOL
 ) -> FalsifierReport:
-    """Search for a matrix over the system whose norm drops under the quotient.
+    """Search for a matrix over the system whose norm drops in the quotient
+    that kills the blocks ``killed``.
 
     A left inverse forces the quotient to be completely isometric on the
     system, so a drop above ``tol_norm`` refutes the ideal exactly, with the
-    witness to check.  The probe is deterministic, seeded by the killed set:
-    at level 1 the orthonormal basis and 48 random combinations of it, at
-    level 2 sixteen random 2x2 block matrices over it.  No drop decides
-    nothing.
+    witness to check.  Every ideal reads the system's one probe and its
+    per-block norms, ``table`` (:func:`norm_table`): for x in M_m(A), ‖x‖ is
+    the largest norm over all blocks and ‖q_m(x)‖ the largest over the kept
+    blocks (0 when none is kept).  The witness is the ambient probe scaled
+    by ‖x‖.  No drop decides nothing.
     """
-    basis = E.space.basis
-    dim = basis.shape[0]
-    entropy = [0xD209, *sorted(q.ideal.killed)]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-    c1 = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(48)])
-    level1 = np.concatenate([basis, np.einsum("bk,kij->bij", c1, basis)])
-    c2 = np.array(
-        [rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)) for _ in range(16)]
-    )
-    # level 2: the 2x2 block matrices [[p0, p1], [p2, p3]] and their images
-    parts = np.einsum("buk,kij->buij", c2, basis)
-    levels = (
-        (level1, q.apply(level1)),
-        (_cells_2x2(parts), _cells_2x2(q.apply(parts))),
-    )
-    gap, level, witness = -np.inf, None, None
-    for m, (x, qx) in enumerate(levels, start=1):
-        nx = np.linalg.svd(x, compute_uv=False)[:, 0]
-        nq = np.linalg.svd(qx, compute_uv=False)[:, 0] if q.target_dim else np.zeros_like(nx)
+    kept = [j for j in range(table.norms[0].shape[0]) if j + 1 not in killed]
+    gap, best = -np.inf, None
+    for m, norms in enumerate(table.norms, start=1):
+        nx = norms.max(axis=0)
+        nq = norms[kept].max(axis=0) if kept else np.zeros_like(nx)
         big = np.flatnonzero(nx >= tol.tol_rank)
         if big.size:
             drops = 1.0 - nq[big] / nx[big]
             b = int(np.argmax(drops))
             if drops[b] > gap:
-                gap, level, witness = float(drops[b]), m, x[big[b]] / nx[big[b]]
+                gap, best = float(drops[b]), (m, int(big[b]), float(nx[big[b]]))
+    level, witness = None, None
+    if best is not None:
+        level, b, nx_b = best
+        witness = table.probe(level, b) / nx_b
     return FalsifierReport(gap > tol.tol_norm, level, gap, witness, (1, 2), 0)
 
 
@@ -410,8 +466,9 @@ def is_boundary_ideal_ucp(
     """Decide the boundary property for one block ideal.
 
     The empty ideal always has the canonical left inverse.  The exact
-    norm-drop probe :func:`falsify_complete_isometry` then refutes most
-    infeasible ideals (a drop refutes any left inverse); the rest go
+    norm-drop probe :func:`falsify_complete_isometry`, read off the system's
+    one norm table ``data.norms``, then refutes most infeasible ideals (a
+    drop refutes any left inverse); the rest go
     through the feasibility engine, one killed block at a time
     (:func:`_left_inverse_search`).  An undecided search raises
     :class:`InconclusiveError`.
@@ -426,7 +483,7 @@ def is_boundary_ideal_ucp(
         # quotient to nothing cannot invert a unital system
         residual = float(np.linalg.norm(data.basis))
         return FeasibilityResult(False, None, residual, 0, "empty")
-    report = falsify_complete_isometry(E, quotient_map(BlockIdeal(W, killed)), tol)
+    report = falsify_complete_isometry(data.norms, killed, tol)
     if report.violation:
         return FeasibilityResult(False, None, report.gap, 0, "norm-drop")
     return _left_inverse_search(W, data, killed, tol)
@@ -444,9 +501,11 @@ def _left_inverse_search(
     Hermitian basis.  (⇒) Compressing ψ to the first copy of block i gives
     ψ_i.  (⇐) ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP and inverts q, where a
     kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
-    only the killed blocks are searched.  Each search starts from the
-    tracial map, affinely projected; its iterations add up, and a failing
-    block fails the ideal.  An undecided block raises
+    only the killed blocks are searched.  Killed blocks of one size share
+    the sources and the target size, so they share ``L`` and its
+    factorization (:meth:`UcpSpectrahedron.with_values`); only ``rhs``
+    differs.  Each search starts from the tracial map, affinely projected;
+    its iterations add up, and a failing block fails the ideal.  An undecided block raises
     :class:`InconclusiveError` naming the ideal and the block, and no later
     block is searched.
     """
@@ -455,9 +514,13 @@ def _left_inverse_search(
     sources = [data.image(j) for j in kept]
     parts = {}
     residual, iterations = 0.0, 0
+    by_size: dict[int, UcpSpectrahedron] = {}  # one L per target size
     for i in sorted(killed):
         d = W.blocks[i - 1][0]
-        spec = UcpSpectrahedron.from_constraints(dims, d, sources, data.image(i))
+        if d in by_size:
+            spec = by_size[d].with_values(data.image(i))
+        else:
+            spec = by_size[d] = UcpSpectrahedron.from_constraints(dims, d, sources, data.image(i))
         tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
         start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
         try:
@@ -549,8 +612,9 @@ def silov_ideal_lattice(
     must pass.  Over the tested ideals the verdicts must be monotone
     (subsets of boundary ideals are boundary ideals) with a maximum
     containing every passer; violations indicate broken numerics, not
-    mathematics, and raise.  Every search and restriction check reads
-    ``data``, the system's :func:`block_images`.
+    mathematics, and raise.  Every probe, search and restriction check
+    reads ``data``, the system's :func:`block_images`, and every probe the
+    one norm table it builds on first use.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
     candidates = []  # singletons the norm-drop probe already left standing
@@ -566,9 +630,10 @@ def silov_ideal_lattice(
     verdict(frozenset())
     verdict(frozenset(W.labels))
     if W.num_blocks > 1:
+        table = data.norms
         for j in W.labels:
             single = frozenset({j})
-            report = falsify_complete_isometry(E, quotient_map(BlockIdeal(W, single)), tol)
+            report = falsify_complete_isometry(table, single, tol)
             if report.violation:
                 verdicts[single] = FeasibilityResult(False, None, report.gap, 0, "norm-drop")
             else:

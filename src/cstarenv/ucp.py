@@ -15,12 +15,18 @@ of a UCP extension), and is it nonempty (existence of a UCP left inverse).
 Uniqueness is decided by a certificate or a witness: a dual certificate
 (strict complementarity) checked with an explicit rounding bound, or a
 second feasible point.  The caller supplies the witness candidate (for a
-block the lattice route kills, the compression of its UCP left inverse);
-it is projected exactly onto the affine set and accepted when it lies
-farther than ``tol_sep`` from the base point with least Choi eigenvalue at
-least ``-tol_psd``, the rule the left inverse itself is held to.  Dykstra
-alternating projections between an affine set and the cone decide
-feasibility, and search for a dual certificate when its closed form fails.
+block the lattice route kills, the compression of its UCP left inverse),
+and it is checked first: it is projected exactly onto the affine set and
+accepted when it lies farther than ``tol_sep`` from the base point with
+least Choi eigenvalue at least ``-tol_psd``, the rule the left inverse
+itself is held to.  Dykstra alternating projections between an affine set
+and the cone decide feasibility, stopping at the first iterate that meets
+the affine tolerance, and search for a dual certificate when its closed
+form fails.
+
+Spectrahedra with the same sources and target size share ``L`` and its
+Gram factorization; only ``rhs`` depends on the required values
+(:meth:`UcpSpectrahedron.with_values`).
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -61,6 +67,8 @@ __all__ = [
 _DUAL_CAP = 400
 # Dykstra iterations before a feasibility search is reported undecided
 _FEASIBILITY_CAP = 8_000
+# an undecided feasibility search reports its residual every this many iterations
+_HISTORY_EVERY = 200
 _CHECK_EVERY = 50
 _GRAM_CUT = 1e-13
 # singular values of Z -> Z_j ω below this span the face: rounding, not a constraint
@@ -153,6 +161,14 @@ def _psd_part_2x2(x: np.ndarray) -> np.ndarray:
     return np.where(keep[..., np.newaxis], x, scale[..., np.newaxis] * shifted)
 
 
+def _constraint_rhs(gbasis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``rhs`` of the constraints with required values ``values``, ``(k, t,
+    t)``: ``<G_β, value>`` over the orthonormal Hermitian basis ``gbasis`` of
+    ``M_t``, ``t**2`` reals per constraint."""
+    k, t, _ = values.shape
+    return np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
+
+
 @dataclass
 class UcpSpectrahedron:
     """Affine-in-Choi-coordinates slice of the blockwise PSD cone.
@@ -235,10 +251,24 @@ class UcpSpectrahedron:
         # at-a-time reference build in layout as well as in bits: row-major
         # for a scalar target, column-major otherwise
         L = np.ascontiguousarray(L) if t == 1 else L
-        rhs = np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
-        spec = cls(source_dims, t, L, rhs)
+        spec = cls(source_dims, t, L, _constraint_rhs(gbasis, values))
         if J0_mats is not None:
             spec.J0 = spec.pack_tuple(J0_mats)
+        return spec
+
+    def with_values(self, values) -> "UcpSpectrahedron":
+        """The same constraints with the required values ``values``, a
+        ``(k, t, t)`` stack: a spectrahedron sharing ``L`` and its Gram
+        factorization, which depend on the sources alone, with new ``rhs``."""
+        t = self.target_dim
+        k = self.rhs.size // (t * t)
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (k, t, t):
+            raise InputError(f"value stack shape {values.shape}, expected ({k}, {t}, {t})")
+        spec = UcpSpectrahedron(
+            self.source_dims, t, self.L, _constraint_rhs(hermitian_units(t), values)
+        )
+        spec._fact = self._factorization()
         return spec
 
     # ---------- coordinates ----------
@@ -565,14 +595,17 @@ def is_unique_ucp_extension(
     """Decide whether the spectrahedron is the singleton ``{J0}``.
 
     Every verdict is proved, in this order: a pinned affine set
-    (``"pinned"``); the closed-form dual certificate (``"dual"``, see
-    :func:`verify_uniqueness_certificate`); the candidate second point
-    ``witness``, a Choi tuple such as the one a UCP left inverse gives
-    (``"left-inverse"``); a Dykstra search for a dual certificate
-    (``"dual"``, with its iterations).  No step is random.  No step looks
-    for room around a strictly definite ``J0`` either: the extension
-    spectrahedron of a block of a multi-block algebra has ``J0`` zero at
-    every other source, and a simple algebra decides no uniqueness.
+    (``"pinned"``); the candidate second point ``witness``, a Choi tuple
+    such as the one a UCP left inverse gives (``"left-inverse"``); the
+    closed-form dual certificate (``"dual"``, see
+    :func:`verify_uniqueness_certificate`); a Dykstra search for a dual
+    certificate (``"dual"``, with its iterations).  The witness goes before
+    the dual because a block with a second extension has no certificate: the
+    dual's face SVD and its check would only fail there.  No step is
+    random.  No step looks for room around a strictly definite ``J0``
+    either: the extension spectrahedron of a block of a multi-block algebra
+    has ``J0`` zero at every other source, and a simple algebra decides no
+    uniqueness.
 
     The candidate is projected exactly onto the affine set,
     ``x = J0 + null_project(witness - J0)``, and accepted when
@@ -589,12 +622,6 @@ def is_unique_ucp_extension(
     if spec.null_dim == 0:
         return UniquenessResult(True, None, "pinned", 0.0, 0)
 
-    F, p_perp = _face(spec)
-    Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
-    check = verify_uniqueness_certificate(spec, Z, tol)
-    if check.accepted:
-        return UniquenessResult(True, None, "dual", check.mu, 0, Z)
-
     no_witness = "no candidate"
     if witness is not None:
         x = spec.J0 + spec.null_project((spec.pack_tuple(witness) - spec.J0)[np.newaxis, :])[0]
@@ -605,6 +632,12 @@ def is_unique_ucp_extension(
         no_witness = (
             f"candidate rejected: least Choi eigenvalue {least:.3e}, distance {dist:.3e}"
         )
+
+    F, p_perp = _face(spec)
+    Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
+    check = verify_uniqueness_certificate(spec, Z, tol)
+    if check.accepted:
+        return UniquenessResult(True, None, "dual", check.mu, 0, Z)
 
     Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
     if Z is not None:
@@ -625,14 +658,16 @@ def ucp_feasibility(
 
     The affine part is checked exactly first (least-squares gap).  Dykstra
     then runs from ``start`` (by default the min-norm affine solution) and
-    accepts its iterate at iteration 0 and every 200 iterations after, once
-    the affine residual is at most ``tol_rank·max(1, ‖rhs‖)``; at iteration
-    0 the least Choi eigenvalue must also be at least ``-tol_psd``, later
-    iterates are cone projections.  Infeasibility is never declared from a
-    plateau (slow tangential convergence looks the same): a search that
-    stays undecided for ``_FEASIBILITY_CAP`` iterations raises
-    :class:`InconclusiveError` with the start's least Choi eigenvalue and
-    the affine-residual history, the start's first.
+    returns its first iterate, counting the start as iteration 0, whose
+    affine residual is at most ``tol_rank·max(1, ‖rhs‖)``; the residual is
+    one product with ``L`` per iteration, against two projections.  At
+    iteration 0 the least Choi eigenvalue must also be at least
+    ``-tol_psd``; later iterates are cone projections.  Infeasibility is
+    never declared from a plateau (slow tangential convergence looks the
+    same): a search that stays undecided for ``_FEASIBILITY_CAP`` iterations
+    raises :class:`InconclusiveError` with the start's least Choi eigenvalue
+    and the affine-residual history: the start's, every 200th iteration's
+    and the last one's.
     """
     scale = max(1.0, float(np.linalg.norm(spec.rhs)))
     conv_tol = tol.tol_rank * scale
@@ -650,12 +685,14 @@ def ucp_feasibility(
         return FeasibilityResult(True, spec.unpack_tuple(start), history[0], 0, "dykstra")
     state = _DykstraState(spec.affine_project, spec.psd_project, X)
     while state.iterations < _FEASIBILITY_CAP:
-        state.run(min(200, _FEASIBILITY_CAP - state.iterations))
-        history.append(float(spec.affine_residual(state.X)[0]))
-        if history[-1] <= conv_tol:
+        state.run(1)
+        resid = float(spec.affine_residual(state.X)[0])
+        if resid <= conv_tol:
             return FeasibilityResult(
-                True, spec.unpack_tuple(state.X[0]), history[-1], state.iterations, "dykstra"
+                True, spec.unpack_tuple(state.X[0]), resid, state.iterations, "dykstra"
             )
+        if state.iterations % _HISTORY_EVERY == 0 or state.iterations == _FEASIBILITY_CAP:
+            history.append(resid)
     raise InconclusiveError(
         f"feasibility undecided after {state.iterations} iterations: start least Choi "
         f"eigenvalue {least:.3e}, affine residuals "

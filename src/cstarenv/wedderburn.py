@@ -66,6 +66,10 @@ _MAX_ATTEMPTS = 3
 def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     """Commutant ``{x : xb = bx for every basis element b}`` inside ``M_n``.
 
+    An operator system E has the same commutant as the C*-algebra it
+    generates: x commutes with every product of elements it commutes with,
+    and E = E* holds the adjoints already.  So E's basis is enough, and it
+    is shorter than the algebra's.
     Solved as one stacked null-space problem; with row-major flattening
     ``vec(xb - bx) = (I (x) b^T - b (x) I) vec(x)``.  The thin SVD still has
     all ``n**2`` right singular vectors, as the stack has at least ``n**2``
@@ -258,10 +262,13 @@ def wedderburn_decompose(
 
     Retries with fresh derived seeds (at most 3 attempts) when a random
     splitting element fails to separate eigenvalue clusters; raises
-    ``DecompositionError`` if validation never passes.
+    ``DecompositionError`` if validation never passes.  The commutant is
+    solved over the generating system ``algebra.powers[0]`` when the
+    algebra records its powers (see :func:`commutant`), and over its basis
+    otherwise.
     """
     n = algebra.ambient
-    comm = commutant(algebra.space, tol)
+    comm = commutant(algebra.powers[0] if algebra.powers else algebra.space, tol)
     center = subspace_intersection(algebra.space, comm, tol)
     num_blocks = center.dim
     if num_blocks == 0:

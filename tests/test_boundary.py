@@ -27,7 +27,7 @@ from cstarenv.boundary import (
 )
 from cstarenv.corpus import corpus_entries
 from cstarenv.errors import InconclusiveError, VerificationError
-from cstarenv.linalg import DEFAULT_TOL, matrix_units, op_norm
+from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import min_tensor
@@ -242,8 +242,9 @@ def test_passing_set_is_downward_closed(system, wedderburn):
 def test_falsifier_finds_the_known_norm_drop(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
+    data = block_images(E, W, DEFAULT_TOL)
     q = quotient_map(BlockIdeal(W, frozenset({1})))
-    rep = falsify_complete_isometry(E, q)
+    rep = falsify_complete_isometry(data.norms, frozenset({1}))
     assert rep.violation and rep.level == 1 and rep.iterations == 0
     assert rep.gap > 0.5 - DEFAULT_TOL.tol_norm
     # re-derive the gap from the witness alone
@@ -255,16 +256,14 @@ def test_falsifier_finds_the_known_norm_drop(system, wedderburn):
     gap = 1.0 - op_norm(lift_through(q, w, n)) / nw
     assert gap == pytest.approx(rep.gap, abs=1e-8)
     # the quotient to nothing drops every norm to 0
-    everything = quotient_map(BlockIdeal(W, frozenset(W.labels)))
-    rep = falsify_complete_isometry(E, everything)
+    rep = falsify_complete_isometry(data.norms, frozenset(W.labels))
     assert rep.violation and rep.gap == 1.0
 
 
 def test_falsifier_respects_the_true_quotient(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    q = quotient_map(BlockIdeal(W, frozenset({2})))
-    rep = falsify_complete_isometry(E, q)
+    rep = falsify_complete_isometry(block_images(E, W, DEFAULT_TOL).norms, frozenset({2}))
     assert not rep.violation
     assert rep.gap <= DEFAULT_TOL.tol_norm
     assert rep.levels_searched == (1, 2)
@@ -443,29 +442,47 @@ def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, 
         cstar_envelope(system("state_sum"))
 
 
-def test_lattice_route_probes_each_ideal_once(system, wedderburn, monkeypatch):
-    probed = Counter()
-    real = boundary.falsify_complete_isometry
+def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, monkeypatch):
+    # one norm table per lattice run, and one read of it per probed ideal
+    built, probed = [], Counter()
+    real_table, real_probe = boundary.norm_table, boundary.falsify_complete_isometry
 
-    def counting(E, q, tol):
-        probed[q.ideal.killed] += 1
-        return real(E, q, tol)
+    def counting_table(data):
+        built.append(data)
+        return real_table(data)
 
-    monkeypatch.setattr(boundary, "falsify_complete_isometry", counting)
+    def counting_probe(table, killed, tol):
+        probed[killed] += 1
+        return real_probe(table, killed, tol)
+
+    monkeypatch.setattr(boundary, "norm_table", counting_table)
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", counting_probe)
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    ideal, _ = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
+    data = block_images(E, W, DEFAULT_TOL)
+    ideal, _ = silov_ideal_lattice(E, W, data)
     assert ideal.killed == frozenset({2})
+    assert built == [data]
     assert probed == Counter({frozenset({1}): 1, frozenset({2}): 1})
+    # seven blocks: the singletons, then the union of the five left standing
+    built.clear()
+    probed.clear()
+    E7, W7 = seven_blocks
+    data = block_images(E7, W7, DEFAULT_TOL)
+    ideal, _ = silov_ideal_lattice(E7, W7, data)
+    assert len(ideal.killed) == 5
+    assert built == [data]
+    assert probed == Counter({frozenset({j}): 1 for j in W7.labels} | {ideal.killed: 1})
 
 
 def per_matrix_norm_drop(E, W, killed, tol=DEFAULT_TOL):
-    """The norm-drop probe as one ``op_norm`` per matrix: the reference for
-    the stacked norms."""
+    """The norm-drop probe as one ambient ``op_norm`` per matrix over the
+    Hermitian basis, with the table's seed: the reference for the per-block
+    norms.  Returns the largest drop when it refutes the ideal, else None."""
     q = quotient_map(BlockIdeal(W, killed))
-    basis = E.space.basis
+    basis = hermitian_basis(E.space)
     dim = basis.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[0xD209, *sorted(killed)]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0xD209))
     level1 = list(basis)
     for _ in range(48):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -498,9 +515,13 @@ def test_norm_drop_probe_matches_the_per_matrix_loop(system, wedderburn, seven_b
     cases += [(E7, W7, frozenset({1, j})) for j in W7.labels[1:]]
     drops = []
     for E_, W_, killed in cases:
-        rep = falsify_complete_isometry(E_, quotient_map(BlockIdeal(W_, killed)), DEFAULT_TOL)
+        rep = falsify_complete_isometry(block_images(E_, W_, DEFAULT_TOL).norms, killed)
         drop = rep.gap if rep.violation else None
-        assert drop == per_matrix_norm_drop(E_, W_, killed), killed
+        expected = per_matrix_norm_drop(E_, W_, killed)
+        # the verdicts agree exactly; a maximum over blocks rounds unlike
+        # one ambient SVD, so the drops agree to rounding
+        assert (drop is None) == (expected is None), killed
+        assert drop == pytest.approx(expected, rel=1e-12, abs=0.0), killed
         drops.append(drop)
     # both outcomes occur: refuting drops and probes that decide nothing
     assert None in drops and any(d is not None for d in drops)
@@ -508,7 +529,21 @@ def test_norm_drop_probe_matches_the_per_matrix_loop(system, wedderburn, seven_b
     rng = np.random.default_rng(5)
     parts = rng.standard_normal((3, 4, 3, 3)) + 1j * rng.standard_normal((3, 4, 3, 3))
     kron_sums = [sum(np.kron(u, p) for u, p in zip(matrix_units(2), ps)) for ps in parts]
-    assert np.array_equal(boundary._cells_2x2(parts), np.array(kron_sums))
+    assert np.array_equal(boundary._cells(parts), np.array(kron_sums))
+
+
+def test_norm_drop_grows_with_the_ideal(system, wedderburn, seven_blocks):
+    # one probe for every ideal: killing more blocks never shows less drop
+    cases = [(system(name), wedderburn(name)[1]) for name in ("state_sum", "state_sum_s3")]
+    cases.append(seven_blocks)
+    for E, W in cases:
+        table = block_images(E, W, DEFAULT_TOL).norms
+        gaps = {i.killed: falsify_complete_isometry(table, i.killed).gap for i in enumerate_ideals(W)}
+        for small in gaps:
+            for big in gaps:
+                if small <= big:
+                    assert gaps[small] <= gaps[big], (sorted(small), sorted(big))
+        assert gaps[frozenset()] == 0.0 and gaps[frozenset(W.labels)] == 1.0
 
 
 def test_envelope_of_an_irreducible_system(system):

@@ -12,7 +12,7 @@ from cstarenv import boundary, ucp
 from cstarenv.boundary import block_images, build_extension_spectrahedra
 from cstarenv.errors import InconclusiveError, InputError
 from cstarenv.linalg import DEFAULT_TOL, hermitian_basis
-from cstarenv.opsys import generated_cstar
+from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.tensor import min_tensor, product_blocks
 from cstarenv.corpus import corpus_entries
 from cstarenv.wedderburn import wedderburn_decompose
@@ -228,6 +228,37 @@ def test_no_certificate_where_a_witness_exists(decisions):
     for name, label, spec in refuted:
         with pytest.raises(InconclusiveError, match="no dual certificate"):
             is_unique_ucp_extension(spec)
+
+
+def test_the_witness_goes_before_the_dual(seven_blocks, monkeypatch):
+    # a block the lattice route kills is decided by its witness, so the
+    # closed-form dual (its face SVD) runs on the kept blocks only, and every
+    # verdict and method stays what it was with the dual first
+    E7, W7 = seven_blocks
+    data = block_images(E7, W7, DEFAULT_TOL)
+    lattice = boundary.silov_ideal_lattice(E7, W7, data)[1]
+    specs, faced = {}, []
+    real_build, real_face = boundary.build_extension_spectrahedra, ucp._face
+
+    def recording_build(W, data):
+        specs.update(real_build(W, data))
+        return specs
+
+    def recording_face(spec):
+        faced.append(spec)
+        return real_face(spec)
+
+    monkeypatch.setattr(boundary, "build_extension_spectrahedra", recording_build)
+    monkeypatch.setattr(ucp, "_face", recording_face)
+    cert = boundary.boundary_representations(W7, data, lattice)
+    faced_labels = [label for label, spec in specs.items() if any(spec is f for f in faced)]
+    assert len(faced) == len(faced_labels)
+    assert faced_labels == sorted(set(W7.labels) - lattice.maximal) == [1, 7]
+    assert [(b.label, b.unique, b.method) for b in cert.per_block] == [
+        (1, True, "dual"),
+        *((j, False, "left-inverse") for j in range(2, 7)),
+        (7, True, "dual"),
+    ]
 
 
 def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
@@ -496,6 +527,30 @@ def test_stacked_rows_match_the_per_constraint_loop(
     assert_rows_match_the_loop(spec, kept, basis)
 
 
+def test_killed_blocks_of_one_size_share_one_L(seven_blocks, monkeypatch):
+    # the five killed scalar blocks have the same sources and target size:
+    # one L and one Gram factorization, five right-hand sides
+    E7, W7 = seven_blocks
+    data = block_images(E7, W7, DEFAULT_TOL)
+    killed = boundary.silov_ideal_lattice(E7, W7, data)[0].killed
+    built = []
+    real = boundary.ucp_feasibility
+
+    def recording(spec, **kwargs):
+        built.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(boundary, "ucp_feasibility", recording)
+    assert boundary._left_inverse_search(W7, data, killed, DEFAULT_TOL).feasible
+    assert len(built) == 5
+    assert all(spec.L is built[0].L for spec in built)
+    assert all(spec._factorization() is built[0]._factorization() for spec in built)
+    rhs = {spec.rhs.tobytes() for spec in built}
+    assert len(rhs) == 5
+    with pytest.raises(InputError):
+        built[0].with_values(np.eye(2, dtype=complex)[np.newaxis])
+
+
 def test_constraint_stacks_of_the_wrong_shape_are_input_errors():
     unit = np.eye(2, dtype=complex)[np.newaxis]
     for sources, values in (
@@ -517,3 +572,39 @@ def test_feasibility_accepts_a_feasible_start_without_iterating(seven_blocks):
     killed = boundary.silov_ideal_lattice(E7, W7, data)[0].killed
     res = boundary._left_inverse_search(W7, data, killed, DEFAULT_TOL)
     assert res.feasible and res.iterations == 0
+
+
+def test_feasibility_returns_its_first_converged_iterate(monkeypatch):
+    # g = J_2 (+) diag(-0.378 - 0.11i, 0.991 + 0.135i): the inner scalar's
+    # block is killed, and its affinely projected tracial start is not PSD,
+    # so its search takes Dykstra steps and stops at the first iterate
+    # within the affine tolerance
+    g = np.zeros((4, 4), dtype=complex)
+    g[0, 1] = 1.0
+    g[2:, 2:] = np.diag([-0.378 - 0.11j, 0.991 + 0.135j])
+    E = opsys_from_generators(4, [g])
+    W = wedderburn_decompose(generated_cstar(E))
+    data = block_images(E, W, DEFAULT_TOL)
+    killed = boundary.silov_ideal_lattice(E, W, data)[0].killed
+    assert len(killed) == 1
+    searches = []
+    real = boundary.ucp_feasibility
+
+    def recording(spec, **kwargs):
+        res = real(spec, **kwargs)
+        searches.append((spec, kwargs["start"], res))
+        return res
+
+    monkeypatch.setattr(boundary, "ucp_feasibility", recording)
+    boundary._left_inverse_search(W, data, killed, DEFAULT_TOL)
+    ((spec, start, res),) = searches
+    k = res.iterations
+    assert res.feasible and k > 1
+
+    def residual_after(steps):
+        state = ucp._DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
+        state.run(steps)
+        return float(spec.affine_residual(state.X)[0])
+
+    tolerance = DEFAULT_TOL.tol_rank * max(1.0, float(np.linalg.norm(spec.rhs)))
+    assert residual_after(k) == res.residual <= tolerance < residual_after(k - 1)

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from cstarenv.corpus import corpus_entries
 from cstarenv.errors import DecompositionError
 from cstarenv.linalg import DEFAULT_TOL, span_of, subspace_contains, subspace_equal
-from cstarenv.opsys import generated_cstar, opsys_from_generators
+from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
+from cstarenv.specio import opsys_of
 from cstarenv.tensor import product_blocks
 from cstarenv.wedderburn import (
     BlockIdeal,
@@ -236,3 +238,24 @@ def test_commutant_matches_the_full_svd_null_space(entries, wedderburn, seven_bl
     for space in algebras:
         thin = commutant(space)
         assert subspace_equal(thin, full_svd_commutant(space)), space.ambient
+
+
+def test_the_system_has_the_commutant_of_its_algebra(seven_blocks):
+    # E = E* and 1 ∈ E, so {x : xb = bx for b in E} is the commutant of
+    # C*(E): wedderburn_decompose solves it over the shorter basis of E
+    algebras = [seven_blocks[1].algebra]
+    for seed in (1, 2, 3):
+        for e in corpus_entries(seed=seed, count=20):
+            if e.spec.ambient_dim <= 4:
+                algebras.append(generated_cstar(opsys_of(e.spec, DEFAULT_TOL)))
+    for A in algebras:
+        over_system, over_algebra = commutant(A.powers[0]), commutant(A.space)
+        assert over_system.dim == over_algebra.dim, A.ambient
+        assert subspace_equal(over_system, over_algebra), A.ambient
+
+
+def test_an_algebra_built_from_a_basis_alone_decomposes(seven_blocks):
+    W = seven_blocks[1]
+    bare = CStarAlgebra(space=W.algebra.space)
+    assert bare.powers == ()
+    assert wedderburn_decompose(bare).blocks == W.blocks
