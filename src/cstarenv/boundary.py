@@ -1,6 +1,6 @@
 """Boundary representations, boundary ideals, and the minimal quotient.
 
-Two independent routes compute the same object:
+Two routes compute the same object:
 
 * the *representation route* decides, for every irreducible block of the
   generated algebra, whether the identity map on the operator system has a
@@ -42,8 +42,12 @@ block i that ψ kills, π_i∘ψ∘q agrees with π_i on the system and vanishes
 block i, so it is a second UCP extension (Arveson 2008; Dritschel and
 McCullough 2005).  Each such witness is still checked on block i's own
 extension spectrahedron, and a block whose check fails, or that ψ keeps,
-needs a dual certificate.  The envelope insists the two routes agree, then
-builds the quotient and the enveloping block algebra.
+needs a dual certificate.  The witness is checked before the dual, so a
+block ψ kills gets no dual of its own while its witness holds: there the
+representation route checks ψ rather than deciding on its own, and only a
+kept block, or a killed block whose witness is rejected, is decided
+independently of the lattice route.  The envelope insists the two routes
+agree, then builds the quotient and the enveloping block algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  The probe is drawn once
@@ -456,7 +460,6 @@ def falsify_complete_isometry(
 
 
 def is_boundary_ideal_ucp(
-    E: OperatorSystem,
     W: WedderburnData,
     data: BlockImages,
     killed: frozenset[int],
@@ -501,11 +504,9 @@ def _left_inverse_search(
     Hermitian basis.  (⇒) Compressing ψ to the first copy of block i gives
     ψ_i.  (⇐) ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP and inverts q, where a
     kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
-    only the killed blocks are searched.  Killed blocks of one size share
-    the sources and the target size, so they share ``L`` and its
-    factorization (:meth:`UcpSpectrahedron.with_values`); only ``rhs``
-    differs.  Each search starts from the tracial map, affinely projected;
-    its iterations add up, and a failing block fails the ideal.  An undecided block raises
+    only the killed blocks are searched.  Each search starts from the
+    tracial map, affinely projected; its iterations add up, and a failing
+    block fails the ideal.  An undecided block raises
     :class:`InconclusiveError` naming the ideal and the block, and no later
     block is searched.
     """
@@ -514,13 +515,9 @@ def _left_inverse_search(
     sources = [data.image(j) for j in kept]
     parts = {}
     residual, iterations = 0.0, 0
-    by_size: dict[int, UcpSpectrahedron] = {}  # one L per target size
     for i in sorted(killed):
         d = W.blocks[i - 1][0]
-        if d in by_size:
-            spec = by_size[d].with_values(data.image(i))
-        else:
-            spec = by_size[d] = UcpSpectrahedron.from_constraints(dims, d, sources, data.image(i))
+        spec = UcpSpectrahedron.from_constraints(dims, d, sources, data.image(i))
         tracial = [np.eye(dj * d, dtype=complex) / (dj * len(kept)) for dj in dims]
         start = spec.affine_project(spec.pack_tuple(tracial)[np.newaxis, :])[0]
         try:
@@ -594,7 +591,6 @@ def _restricted_left_inverse(
 
 
 def silov_ideal_lattice(
-    E: OperatorSystem,
     W: WedderburnData,
     data: BlockImages,
     *,
@@ -624,7 +620,7 @@ def silov_ideal_lattice(
             if killed in candidates:
                 verdicts[killed] = _left_inverse_search(W, data, killed, tol)
             else:
-                verdicts[killed] = is_boundary_ideal_ucp(E, W, data, killed, tol=tol)
+                verdicts[killed] = is_boundary_ideal_ucp(W, data, killed, tol=tol)
         return verdicts[killed]
 
     verdict(frozenset())
@@ -739,7 +735,7 @@ def cstar_envelope(
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
 ) -> EnvelopeResult:
-    """Compute the minimal quotient by the two independent routes.
+    """Compute the minimal quotient by the two routes.
 
     The lattice route runs first.  Its witness ψ, the isometry certificate
     of the quotient, is checked before the representation route reads its
@@ -747,7 +743,10 @@ def cstar_envelope(
     ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
     eigenvalue at least ``-tol_psd``; a failure raises
     :class:`VerificationError`.  Raises :class:`RouteDisagreementError` when
-    the routes disagree.  ``seed`` reaches only :func:`wedderburn_decompose`,
+    the routes disagree.  They are independent on the blocks ψ keeps; a
+    block ψ kills is decided by the witness read off ψ, and gets its own
+    dual certificate, which can then disagree, only when that witness is
+    rejected.  ``seed`` reaches only :func:`wedderburn_decompose`,
     when no ``wedderburn`` is given; both routes are deterministic.
     """
     from .errors import RouteDisagreementError
@@ -755,7 +754,7 @@ def cstar_envelope(
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, seed=seed, tol=tol)
     data = block_images(E, W, tol)
-    lat_ideal, lat_cert = silov_ideal_lattice(E, W, data, tol=tol)
+    lat_ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
     witness = lat_cert.witness
     residual = _interpolation_residual(W, data, lat_ideal.killed, witness, tol, VerificationError)
     min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)

@@ -22,11 +22,9 @@ least Choi eigenvalue at least ``-tol_psd``, the rule the left inverse
 itself is held to.  Dykstra alternating projections between an affine set
 and the cone decide feasibility, stopping at the first iterate that meets
 the affine tolerance, and search for a dual certificate when its closed
-form fails.
-
-Spectrahedra with the same sources and target size share ``L`` and its
-Gram factorization; only ``rhs`` depends on the required values
-(:meth:`UcpSpectrahedron.with_values`).
+form fails.  The feasibility search reads each iterate's residual off the
+next affine projection, which computes it anyway (see
+:func:`ucp_feasibility`).
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -161,14 +159,6 @@ def _psd_part_2x2(x: np.ndarray) -> np.ndarray:
     return np.where(keep[..., np.newaxis], x, scale[..., np.newaxis] * shifted)
 
 
-def _constraint_rhs(gbasis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``rhs`` of the constraints with required values ``values``, ``(k, t,
-    t)``: ``<G_β, value>`` over the orthonormal Hermitian basis ``gbasis`` of
-    ``M_t``, ``t**2`` reals per constraint."""
-    k, t, _ = values.shape
-    return np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
-
-
 @dataclass
 class UcpSpectrahedron:
     """Affine-in-Choi-coordinates slice of the blockwise PSD cone.
@@ -251,24 +241,10 @@ class UcpSpectrahedron:
         # at-a-time reference build in layout as well as in bits: row-major
         # for a scalar target, column-major otherwise
         L = np.ascontiguousarray(L) if t == 1 else L
-        spec = cls(source_dims, t, L, _constraint_rhs(gbasis, values))
+        rhs = np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
+        spec = cls(source_dims, t, L, rhs)
         if J0_mats is not None:
             spec.J0 = spec.pack_tuple(J0_mats)
-        return spec
-
-    def with_values(self, values) -> "UcpSpectrahedron":
-        """The same constraints with the required values ``values``, a
-        ``(k, t, t)`` stack: a spectrahedron sharing ``L`` and its Gram
-        factorization, which depend on the sources alone, with new ``rhs``."""
-        t = self.target_dim
-        k = self.rhs.size // (t * t)
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (k, t, t):
-            raise InputError(f"value stack shape {values.shape}, expected ({k}, {t}, {t})")
-        spec = UcpSpectrahedron(
-            self.source_dims, t, self.L, _constraint_rhs(hermitian_units(t), values)
-        )
-        spec._fact = self._factorization()
         return spec
 
     # ---------- coordinates ----------
@@ -317,11 +293,18 @@ class UcpSpectrahedron:
             return np.zeros_like(y)
         return ((y @ w) / lam) @ w.T
 
+    def affine_step(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(affine_project(X), a)``, with ``a = (X Lᵀ - rhs) w`` the
+        residual of ``X`` in the kept eigenvectors ``w`` of ``L Lᵀ``.  The
+        step moves ``X`` by ``c L`` with ``(c L) Lᵀ w = a``."""
+        w, lam = self._factorization()
+        a = (X @ self.L.T - self.rhs) @ w
+        return X - ((a / lam) @ w.T) @ self.L, a
+
     def affine_project(self, X: np.ndarray) -> np.ndarray:
         if self.L.shape[0] == 0:
             return X
-        resid = X @ self.L.T - self.rhs
-        return X - self._gram_solve(resid) @ self.L
+        return self.affine_step(X)[0]
 
     def null_project(self, Z: np.ndarray) -> np.ndarray:
         if self.L.shape[0] == 0:
@@ -601,11 +584,14 @@ def is_unique_ucp_extension(
     :func:`verify_uniqueness_certificate`); a Dykstra search for a dual
     certificate (``"dual"``, with its iterations).  The witness goes before
     the dual because a block with a second extension has no certificate: the
-    dual's face SVD and its check would only fail there.  No step is
-    random.  No step looks for room around a strictly definite ``J0``
-    either: the extension spectrahedron of a block of a multi-block algebra
-    has ``J0`` zero at every other source, and a simple algebra decides no
-    uniqueness.
+    dual's face SVD and its check would only fail there.  So an accepted
+    witness ends the decision: when it comes from another computation, such
+    as the lattice route's left inverse, the verdict checks that computation
+    and is not an independent one.  The dual runs only when no witness is
+    given or it is rejected.  No step is random.  No step looks for room
+    around a strictly definite ``J0`` either: the extension spectrahedron of
+    a block of a multi-block algebra has ``J0`` zero at every other source,
+    and a simple algebra decides no uniqueness.
 
     The candidate is projected exactly onto the affine set,
     ``x = J0 + null_project(witness - J0)``, and accepted when
@@ -659,15 +645,25 @@ def ucp_feasibility(
     The affine part is checked exactly first (least-squares gap).  Dykstra
     then runs from ``start`` (by default the min-norm affine solution) and
     returns its first iterate, counting the start as iteration 0, whose
-    affine residual is at most ``tol_rank·max(1, ‖rhs‖)``; the residual is
-    one product with ``L`` per iteration, against two projections.  At
-    iteration 0 the least Choi eigenvalue must also be at least
-    ``-tol_psd``; later iterates are cone projections.  Infeasibility is
-    never declared from a plateau (slow tangential convergence looks the
-    same): a search that stays undecided for ``_FEASIBILITY_CAP`` iterations
-    raises :class:`InconclusiveError` with the start's least Choi eigenvalue
-    and the affine-residual history: the start's, every 200th iteration's
-    and the last one's.
+    affine residual ``‖X Lᵀ - rhs‖`` is at most ``tol_rank·max(1, ‖rhs‖)``.
+    At iteration 0 the least Choi eigenvalue must also be at least
+    ``-tol_psd``; later iterates are cone projections.
+
+    Each iterate's residual comes almost free from the next step.  That
+    step projects ``X + P`` and computes ``a' = ((X + P) Lᵀ - rhs) w`` on
+    the kept eigenvectors ``w`` of ``L Lᵀ``.  The correction ``P`` is the
+    last projection's move ``c L``, with ``P Lᵀ w = a``, that projection's
+    own coordinates.  So ``a' - a`` is the part of X's residual in the range
+    of ``w``, a lower bound on its norm.  Only when that bound is within
+    twice the tolerance, far above its rounding, is the residual taken
+    exactly, one product with ``L``.  The returned iterate is the first
+    whose exact residual meets the tolerance.
+
+    Infeasibility is never declared from a plateau (slow tangential
+    convergence looks the same).  A search that stays undecided for
+    ``_FEASIBILITY_CAP`` iterations raises :class:`InconclusiveError` with
+    the start's least Choi eigenvalue and the affine-residual history: the
+    start's, every 200th iteration's and the last one's.
     """
     scale = max(1.0, float(np.linalg.norm(spec.rhs)))
     conv_tol = tol.tol_rank * scale
@@ -683,18 +679,31 @@ def ucp_feasibility(
     least = float(spec.min_eig(X)[0])
     if history[0] <= conv_tol and least >= -tol.tol_psd:
         return FeasibilityResult(True, spec.unpack_tuple(start), history[0], 0, "dykstra")
-    state = _DykstraState(spec.affine_project, spec.psd_project, X)
-    while state.iterations < _FEASIBILITY_CAP:
-        state.run(1)
-        resid = float(spec.affine_residual(state.X)[0])
-        if resid <= conv_tol:
-            return FeasibilityResult(
-                True, spec.unpack_tuple(state.X[0]), resid, state.iterations, "dykstra"
-            )
-        if state.iterations % _HISTORY_EVERY == 0 or state.iterations == _FEASIBILITY_CAP:
-            history.append(resid)
+    # Dykstra as in _DykstraState, with each affine step's coordinates kept
+    P, Q = np.zeros_like(X), np.zeros_like(X)
+    a_prev = 0.0  # P = 0 before the first step
+    iterations = 0
+    while True:
+        V = X + P
+        Y, a = spec.affine_step(V)
+        if iterations:
+            exact = None
+            if np.linalg.norm(a - a_prev) <= 2.0 * conv_tol:
+                exact = float(spec.affine_residual(X)[0])
+                if exact <= conv_tol:
+                    return FeasibilityResult(
+                        True, spec.unpack_tuple(X[0]), exact, iterations, "dykstra"
+                    )
+            if iterations % _HISTORY_EVERY == 0 or iterations == _FEASIBILITY_CAP:
+                history.append(exact if exact is not None else float(spec.affine_residual(X)[0]))
+        if iterations == _FEASIBILITY_CAP:
+            break
+        P, a_prev = V - Y, a
+        X = spec.psd_project(Y + Q)
+        Q = Y + Q - X
+        iterations += 1
     raise InconclusiveError(
-        f"feasibility undecided after {state.iterations} iterations: start least Choi "
+        f"feasibility undecided after {iterations} iterations: start least Choi "
         f"eigenvalue {least:.3e}, affine residuals "
         f"{', '.join(f'{r:.3e}' for r in history)} against tolerance {conv_tol:.3e}"
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarenv import boundary, tensor
+from cstarenv import boundary, tensor, ucp
 from cstarenv.analysis import analyze_pair
 from cstarenv.boundary import (
     block_images,
@@ -26,7 +26,7 @@ from cstarenv.boundary import (
     silov_ideal_lattice,
 )
 from cstarenv.corpus import corpus_entries
-from cstarenv.errors import InconclusiveError, VerificationError
+from cstarenv.errors import InconclusiveError, RouteDisagreementError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
@@ -80,17 +80,17 @@ def test_boundary_ideal_methods_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     data = block_images(E, W, DEFAULT_TOL)
-    empty = is_boundary_ideal_ucp(E, W, data, frozenset())
+    empty = is_boundary_ideal_ucp(W, data, frozenset())
     assert empty.feasible and empty.method == "identity" and empty.iterations == 0
     spec0 = build_left_inverse_spectrahedron(E, W, frozenset(), DEFAULT_TOL)
     packed = spec0.pack_tuple(empty.certificate)
     assert float(spec0.affine_residual(packed[np.newaxis, :])[0]) < 1e-9
 
-    kill_matrix = is_boundary_ideal_ucp(E, W, data, frozenset({1}))
+    kill_matrix = is_boundary_ideal_ucp(W, data, frozenset({1}))
     assert not kill_matrix.feasible and kill_matrix.method == "norm-drop"
     assert kill_matrix.residual > 0.5 - DEFAULT_TOL.tol_norm
 
-    kill_scalar = is_boundary_ideal_ucp(E, W, data, frozenset({2}))
+    kill_scalar = is_boundary_ideal_ucp(W, data, frozenset({2}))
     assert kill_scalar.feasible and kill_scalar.method == "dykstra"
     spec = build_left_inverse_spectrahedron(E, W, frozenset({2}), DEFAULT_TOL)
     packed = spec.pack_tuple(kill_scalar.certificate)
@@ -99,7 +99,7 @@ def test_boundary_ideal_methods_on_state_sum(system, wedderburn):
     for m in kill_scalar.certificate:
         assert float(np.linalg.eigvalsh(m)[0]) > -1e-9
 
-    kill_all = is_boundary_ideal_ucp(E, W, data, frozenset({1, 2}))
+    kill_all = is_boundary_ideal_ucp(W, data, frozenset({1, 2}))
     assert not kill_all.feasible and kill_all.method == "empty"
 
 
@@ -107,7 +107,7 @@ def test_representation_route_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     data = block_images(E, W, DEFAULT_TOL)
-    ideal, cert = silov_ideal_dk(W, data, silov_ideal_lattice(E, W, data)[1])
+    ideal, cert = silov_ideal_dk(W, data, silov_ideal_lattice(W, data)[1])
     assert ideal.killed == frozenset({2})
     assert cert.boundary_labels == frozenset({1})
     assert tuple(b.label for b in cert.per_block) == (1, 2)
@@ -118,7 +118,7 @@ def test_representation_route_on_state_sum(system, wedderburn):
 def test_lattice_route_on_state_sum(system, wedderburn):
     E = system("state_sum")
     _, W = wedderburn("state_sum")
-    ideal, cert = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
+    ideal, cert = silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))
     assert ideal.killed == frozenset({2})
     assert set(cert.passing) == {frozenset(), frozenset({2})}
     assert set(cert.failing) == {frozenset({1}), frozenset({1, 2})}
@@ -162,7 +162,7 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
     assert len(inner_labels) == 3
 
     data = block_images(E, W, DEFAULT_TOL)
-    ideal, cert = silov_ideal_lattice(E, W, data)
+    ideal, cert = silov_ideal_lattice(W, data)
     assert ideal.killed == cert.maximal == inner_labels
     # only the trivial ideals, the five singletons and their surviving union
     singles = {frozenset({j}) for j in W.labels}
@@ -176,7 +176,7 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
     oracle = {
         i.killed
         for i in enumerate_ideals(W)
-        if is_boundary_ideal_ucp(E, W, data, i.killed).feasible
+        if is_boundary_ideal_ucp(W, data, i.killed).feasible
     }
     assert oracle == {i.killed for i in enumerate_ideals(W) if i.killed <= cert.maximal}
 
@@ -232,7 +232,7 @@ def test_passing_set_is_downward_closed(system, wedderburn):
     for name in ("state_sum", "state_sum_s3"):
         E = system(name)
         _, W = wedderburn(name)
-        _, cert = silov_ideal_lattice(E, W, block_images(E, W, DEFAULT_TOL))
+        _, cert = silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))
         passing = set(cert.passing)
         for s in passing:
             for j in s:
@@ -301,7 +301,7 @@ def test_lattice_witness_is_an_exact_left_inverse(analyses, pair_analyses, seven
             e.system, e.wedderburn, e.ideal.killed, e.lattice_certificate.witness
         )
     E7, W7 = seven_blocks
-    ideal, cert = silov_ideal_lattice(E7, W7, block_images(E7, W7, DEFAULT_TOL))
+    ideal, cert = silov_ideal_lattice(W7, block_images(E7, W7, DEFAULT_TOL))
     assert len(ideal.killed) == 5
     assert_exact_left_inverse(E7, W7, ideal.killed, cert.witness)
 
@@ -363,7 +363,7 @@ def test_state_sum_s3_left_inverse_ends_by_dykstra(seed):
     (entry,) = [e for e in corpus_entries(seed=seed) if e.spec.name == "state_sum_s3"]
     E = opsys_of(entry.spec, DEFAULT_TOL)
     W = wedderburn_decompose(generated_cstar(E), seed=seed)
-    res = is_boundary_ideal_ucp(E, W, block_images(E, W, DEFAULT_TOL), frozenset({2}))
+    res = is_boundary_ideal_ucp(W, block_images(E, W, DEFAULT_TOL), frozenset({2}))
     assert res.feasible and res.method == "dykstra", seed
     assert_exact_left_inverse(E, W, frozenset({2}), res.certificate)
 
@@ -380,7 +380,7 @@ def test_undecided_block_search_raises_for_the_ideal(seven_blocks, monkeypatch):
 
     E7, W7 = seven_blocks
     data = block_images(E7, W7, DEFAULT_TOL)
-    lattice = silov_ideal_lattice(E7, W7, data)[1]
+    lattice = silov_ideal_lattice(W7, data)[1]
     monkeypatch.setattr(boundary, "ucp_feasibility", third_undecided)
     killed = silov_ideal_dk(W7, data, lattice)[0].killed
     assert len(killed) == 5
@@ -430,16 +430,48 @@ def indefinite_null_shift(E, W, killed, witness):
     ],
 )
 def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, message):
+    E = system("state_sum")
     real = boundary.silov_ideal_lattice
 
-    def corrupted(E, W, data, **kwargs):
-        ideal, cert = real(E, W, data, **kwargs)
+    def corrupted(W, data, **kwargs):
+        ideal, cert = real(W, data, **kwargs)
         witness = corrupt(E, W, ideal.killed, list(cert.witness))
         return ideal, replace(cert, witness=tuple(witness))
 
     monkeypatch.setattr(boundary, "silov_ideal_lattice", corrupted)
     with pytest.raises(VerificationError, match=message):
-        cstar_envelope(system("state_sum"))
+        cstar_envelope(E)
+
+
+def test_a_dual_accepted_on_a_killed_block_fails_the_envelope(system, monkeypatch):
+    # the representation route checks a killed block's witness before its
+    # dual, so the dual meets a killed block only once the witness is
+    # rejected; a dual accepted there (here by a forced check) still makes
+    # the routes disagree
+    E = system("state_sum")
+    real_unique, real_check = boundary.is_unique_ucp_extension, ucp.verify_uniqueness_certificate
+    forced = []
+
+    def rejecting(spec, tol, witness):
+        if witness is not None:
+            forced.append(spec)
+            witness = spec.unpack_tuple(spec.J0)  # at distance 0: rejected
+        return real_unique(spec, tol, witness)
+
+    def accepting(spec, Z, tol=DEFAULT_TOL):
+        if any(spec is f for f in forced):
+            return ucp.CertificateCheck(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+        return real_check(spec, Z, tol)
+
+    monkeypatch.setattr(boundary, "is_unique_ucp_extension", rejecting)
+    monkeypatch.setattr(ucp, "verify_uniqueness_certificate", accepting)
+    with pytest.raises(RouteDisagreementError, match=r"killed \[\] vs \[2\]") as info:
+        cstar_envelope(E)
+    assert len(forced) == 1
+    assert [(b.label, b.unique, b.method) for b in info.value.dk_certificate.per_block] == [
+        (1, True, "dual"),
+        (2, True, "dual"),
+    ]
 
 
 def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, monkeypatch):
@@ -460,7 +492,7 @@ def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, 
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     data = block_images(E, W, DEFAULT_TOL)
-    ideal, _ = silov_ideal_lattice(E, W, data)
+    ideal, _ = silov_ideal_lattice(W, data)
     assert ideal.killed == frozenset({2})
     assert built == [data]
     assert probed == Counter({frozenset({1}): 1, frozenset({2}): 1})
@@ -469,7 +501,7 @@ def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, 
     probed.clear()
     E7, W7 = seven_blocks
     data = block_images(E7, W7, DEFAULT_TOL)
-    ideal, _ = silov_ideal_lattice(E7, W7, data)
+    ideal, _ = silov_ideal_lattice(W7, data)
     assert len(ideal.killed) == 5
     assert built == [data]
     assert probed == Counter({frozenset({j}): 1 for j in W7.labels} | {ideal.killed: 1})
@@ -538,7 +570,8 @@ def test_norm_drop_grows_with_the_ideal(system, wedderburn, seven_blocks):
     cases.append(seven_blocks)
     for E, W in cases:
         table = block_images(E, W, DEFAULT_TOL).norms
-        gaps = {i.killed: falsify_complete_isometry(table, i.killed).gap for i in enumerate_ideals(W)}
+        ideals = [i.killed for i in enumerate_ideals(W)]
+        gaps = {k: falsify_complete_isometry(table, k).gap for k in ideals}
         for small in gaps:
             for big in gaps:
                 if small <= big:
