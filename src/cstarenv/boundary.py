@@ -730,7 +730,6 @@ def _envelope_algebra(W: WedderburnData, killed: frozenset[int]) -> CStarAlgebra
 def cstar_envelope(
     E: OperatorSystem,
     *,
-    seed: int = 1,
     tol: Tolerances = DEFAULT_TOL,
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
@@ -746,13 +745,13 @@ def cstar_envelope(
     the routes disagree.  They are independent on the blocks ψ keeps; a
     block ψ kills is decided by the witness read off ψ, and gets its own
     dual certificate, which can then disagree, only when that witness is
-    rejected.  ``seed`` reaches only :func:`wedderburn_decompose`,
-    when no ``wedderburn`` is given; both routes are deterministic.
+    rejected.  Both routes are deterministic; a missing ``wedderburn`` is
+    computed with :func:`wedderburn_decompose`'s default seed.
     """
     from .errors import RouteDisagreementError
 
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
-    W = wedderburn if wedderburn is not None else wedderburn_decompose(A, seed=seed, tol=tol)
+    W = wedderburn if wedderburn is not None else wedderburn_decompose(A, tol=tol)
     data = block_images(E, W, tol)
     lat_ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
     witness = lat_cert.witness

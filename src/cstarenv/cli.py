@@ -103,7 +103,13 @@ def _env_tol_defaults() -> dict:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1, help="base seed for every probe (default 1)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=1,
+        help="seed of the corpus generator and of the block decomposition's "
+        "splitting elements; the probes use a fixed seed (default 1)",
+    )
     p.add_argument("--tol-rank", type=float, default=None, help="rank/membership tolerance")
     p.add_argument("--tol-psd", type=float, default=None, help="positivity tolerance")
     p.add_argument("--tol-sep", type=float, default=None, help="point-separation threshold")

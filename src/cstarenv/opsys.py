@@ -3,11 +3,11 @@
 An operator system here is a unital adjoint-closed subspace of ``M_n``,
 presented by generators.  The generated C*-algebra is computed as the
 stabilizing member of the chain of power spans ``E, span(E.E), ...``;
-in finite dimensions the chain stabilizes after at most ``n**2`` steps
-and the stable subspace is automatically multiplication- and
-adjoint-closed.  The algebra keeps the chain's subspaces, so the
-propagation number and the power-compatibility check read them instead of
-multiplying again.
+in finite dimensions the chain stabilizes after at most ``n**2`` steps.
+Closure comes from the construction, and nothing here re-checks it: the
+block decomposition's pattern check certifies each algebra.  The algebra
+keeps the chain's subspaces, so the propagation number and the
+power-compatibility check read them instead of multiplying again.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
     MatSubspace,
@@ -64,10 +64,12 @@ class OperatorSystem:
 class CStarAlgebra:
     """Unital *-subalgebra of ``M_n``.
 
-    ``powers`` is the power-span chain ``E, E^2, ..., E^k`` of the system
-    that generated it, where ``E^k`` is the first power equal to the next
-    one, so ``powers[-1]`` is ``space``.  An algebra built directly from a
-    basis, such as a block algebra, has no powers.
+    No method checks closure.  :func:`generated_cstar` builds it in, and
+    the block pattern of :func:`cstarenv.wedderburn.wedderburn_decompose`
+    certifies it.  ``powers`` is the power-span chain ``E, E^2, ..., E^k``
+    of the system that generated it, where ``E^k`` is the first power equal
+    to the next one, so ``powers[-1]`` is ``space``.  An algebra built
+    directly from a basis, such as a block algebra, has no powers.
     """
 
     space: MatSubspace
@@ -80,27 +82,6 @@ class CStarAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
-        n = self.ambient
-        if not subspace_contains(self.space, np.eye(n), tol):
-            raise StructuralError("algebra does not contain the identity")
-        basis = self.space.basis
-        if basis.shape[0] == 0:
-            raise StructuralError("algebra is zero-dimensional")
-        # adjoint closure
-        for b in basis:
-            if not subspace_contains(self.space, dagger(b), tol):
-                raise StructuralError("algebra is not adjoint-closed")
-        # multiplicative closure, all pairwise basis products at once
-        prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
-        vecs = self.space.vecs()
-        flat = prods.reshape(prods.shape[0], -1)
-        resid = flat - (flat @ np.conj(vecs).T) @ vecs
-        norms = np.linalg.norm(flat, axis=1)
-        bad = np.linalg.norm(resid, axis=1) > tol.tol_rank * np.maximum(norms, 1.0)
-        if np.any(bad):
-            raise StructuralError("algebra basis is not closed under multiplication")
 
 
 def opsys_from_generators(
@@ -156,13 +137,20 @@ def product_span(
 
 def generated_cstar(E: OperatorSystem, tol: Tolerances = DEFAULT_TOL) -> CStarAlgebra:
     """Generated C*-algebra: iterate power spans until the dimension stabilizes,
-    keeping each power."""
+    keeping each power.
+
+    Closure holds by construction.  1 ∈ E = E* makes every power E^k
+    adjoint-closed and contain the one before.  The loop stops at the first
+    k with E^k·E ⊆ E^k, so E^k·E^j ⊆ E^k for every j.  These are rank
+    decisions, certified downstream by a block pattern: the decomposition's
+    for a single system, and for a tensor product ``product_blocks``'s, on
+    the tensor of the factor algebras that ``algebra_factors`` equates with
+    this one.
+    """
     powers = [E.space]
     while True:
         nxt = product_span(powers[-1], E.space, tol)
         if nxt.dim == powers[-1].dim:
             break
         powers.append(nxt)
-    algebra = CStarAlgebra(space=powers[-1], powers=tuple(powers))
-    algebra.validate(tol)
-    return algebra
+    return CStarAlgebra(space=powers[-1], powers=tuple(powers))

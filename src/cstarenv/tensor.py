@@ -5,26 +5,25 @@ For subspaces of matrix algebras the minimal tensor product is concrete:
 decomposition of the generated algebra then factors: blocks are indexed by
 pairs of factor blocks, with dimensions and multiplicities multiplying.
 :func:`product_blocks` builds that pair-indexed decomposition directly from
-the factor decompositions and certifies it structurally.  The check proves
-that u is unitary, that ``u x u*`` is the pattern ⊕ 1_{m_k} ⊗ ρ_k(x) on the
-product basis, that every ρ_k is multiplicative with values spanning
-``M_{d_k}``, and that Σ d_k² is the algebra dimension.  So x ↦ ⊕ ρ_k(x) is
-an injective *-homomorphism onto ⊕ M_{d_k}: the ρ_k are pairwise
-inequivalent irreducibles, the pattern fixes their multiplicities, and any
-other decomposition finds the same blocks in another order.
+the factor decompositions and certifies it by the block pattern alone: u is
+unitary, ``u x u*`` is ⊕ 1_{m_k} ⊗ ρ_k(x) on the product basis, and
+Σ d_k² is the algebra dimension.  The pattern puts the conjugated algebra
+inside ⊕ M_{d_k} and the count makes it all of it, so multiplicativity and
+spanning follow: x ↦ ⊕ ρ_k(x) is a *-isomorphism onto ⊕ M_{d_k}, the ρ_k
+are pairwise inequivalent irreducibles, the pattern fixes their
+multiplicities, and any other decomposition finds the same blocks in
+another order.
 
 The verification entry points compare the minimal quotient of a tensor
-product against the kernel ideal predicted by the factor quotients, check
-that boundary blocks stay boundary in pairs, and check the intersection and
-seminorm identities for families of quotients.  Each takes the analyses it
-verifies: the factorization check takes the two factor envelopes, and the
-boundary-pair check takes the factorization report, whose tensor system,
-pair blocks and three envelopes every later pair check reads.
+product against the kernel ideal predicted by the factor quotients, and
+check that boundary blocks stay boundary in pairs.  Each takes the analyses
+it verifies: the factorization check takes the two factor envelopes, and
+the boundary-pair check takes the factorization report, whose tensor
+system, pair blocks and three envelopes every later pair check reads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ from .linalg import (
     LinearMap,
     MatSubspace,
     Tolerances,
-    op_norm,
     subspace_contains,
     subspace_equal,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "ProductBlocks",
     "TensorFactorizationReport",
     "BoundaryPairReport",
-    "FamilyIntersectionReport",
     "subspace_kron",
     "min_tensor",
     "tensor_map",
@@ -57,8 +54,6 @@ __all__ = [
     "kernel_of_tensor_quotients",
     "verify_envelope_tensor_factorization",
     "verify_boundary_pair_closure",
-    "verify_quotient_family_intersection",
-    "family_sup_seminorm",
 ]
 
 
@@ -121,9 +116,11 @@ class ProductBlocks:
     """Pair-indexed block decomposition of a tensor product algebra.
 
     ``wedderburn`` is built over the exact tensor basis, with block ``label``
-    corresponding to the factor-block pair ``pairs[label - 1]``.  Its
-    structural validation is the certificate that these are all the blocks
-    of the product algebra (see the module docstring).
+    corresponding to the factor-block pair ``pairs[label - 1]``.  Its block
+    pattern, with Σ d_k² equal to the algebra dimension, is the certificate
+    that these are all the blocks of the product algebra: multiplicativity
+    and spanning follow from the pattern and the count (see the module
+    docstring).
     """
 
     left: WedderburnData
@@ -178,10 +175,12 @@ def product_blocks(
     multiplicity ``m_i * m_j``; the conjugating unitary is the tensor of the
     factor unitaries followed by the copy-gathering permutation, and the
     irreducible representations are the tensors of the factor ones.  The
-    structural validation is the certificate: it makes x ↦ ⊕ ρ_k(x) an
-    injective *-homomorphism onto ⊕ M_{d_k}, so the pairs are exactly the
-    product's irreducible blocks, with the multiplicities the pattern fixes.
-    A failed validation raises :class:`StructuralError`.
+    block pattern is the certificate: u unitary, u x u* = ⊕ 1_{m_k} ⊗ ρ_k(x)
+    on the product basis, and Σ d_k² = dim A.  No product of basis elements
+    is formed; the pattern and the count make x ↦ ⊕ ρ_k(x) a *-isomorphism
+    onto ⊕ M_{d_k}, so the ρ_k are multiplicative and onto, and the pairs
+    are exactly the product's irreducible blocks, with the multiplicities
+    the pattern fixes.  A failed check raises :class:`StructuralError`.
     """
     space = subspace_kron(W_A.algebra.space, W_B.algebra.space)
     algebra = CStarAlgebra(space=space)
@@ -406,135 +405,3 @@ def verify_boundary_pair_closure(fac: TensorFactorizationReport) -> BoundaryPair
         closed=closed,
         verified=closed,
     )
-
-
-@dataclass(frozen=True)
-class FamilyIntersectionReport:
-    """Outcome of checking kernels against intersections of quotient families."""
-
-    left_intersection: frozenset[int]
-    right_intersection: frozenset[int]
-    kernel_killed: frozenset[int]
-    family_killed: frozenset[int]
-    verified: bool
-
-
-def verify_quotient_family_intersection(
-    P: ProductBlocks,
-    K_family,
-    L_family,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FamilyIntersectionReport:
-    """Check ``ker(q_I (x) q_J) = intersection of ker(q_K (x) q_L)``.
-
-    Here ``I`` and ``J`` are the intersections of the two families, i.e. the
-    ideals killing exactly the blocks every family member kills.  The
-    identity is exact at the level of killed sets, so the comparison is
-    exact set equality, with the kernel side going through the subspace
-    cross-check in :func:`kernel_of_tensor_quotients`.
-    """
-    K_family = list(K_family)
-    L_family = list(L_family)
-    if not K_family or not L_family:
-        raise InputError("families of quotients must be nonempty")
-    for K in K_family:
-        if K.parent is not P.left:
-            raise InputError("left family must live over the left decomposition")
-    for L in L_family:
-        if L.parent is not P.right:
-            raise InputError("right family must live over the right decomposition")
-    killed_I = frozenset.intersection(*(K.killed for K in K_family))
-    killed_J = frozenset.intersection(*(L.killed for L in L_family))
-    I = BlockIdeal(parent=P.left, killed=killed_I)
-    J = BlockIdeal(parent=P.right, killed=killed_J)
-    kernel = kernel_of_tensor_quotients(P, I, J, tol)
-    family = frozenset.intersection(
-        *(
-            kernel_of_tensor_quotients(P, K, L, tol).killed
-            for K, L in itertools.product(K_family, L_family)
-        )
-    )
-    return FamilyIntersectionReport(
-        left_intersection=killed_I,
-        right_intersection=killed_J,
-        kernel_killed=kernel.killed,
-        family_killed=family,
-        verified=kernel.killed == family,
-    )
-
-
-def family_sup_seminorm(
-    P: ProductBlocks,
-    I: BlockIdeal,
-    J: BlockIdeal,
-    K_family,
-    L_family,
-    x: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Sup of ``norm((q_K/I (x) q_L/J)(x))`` over the two families.
-
-    ``x`` lives in the tensor of the two quotient targets, block diagonal
-    over the surviving pairs.  When the families intersect to exactly ``I``
-    and ``J`` the sup recovers the norm of ``x``; that is the identity the
-    callers verify.  Families that intersect to something else are rejected,
-    as the further quotients ``q_K/I`` would not all be defined.
-    """
-    K_family = list(K_family)
-    L_family = list(L_family)
-    if not K_family or not L_family:
-        raise InputError("families of quotients must be nonempty")
-    if frozenset.intersection(*(K.killed for K in K_family)) != I.killed:
-        raise InputError("left family does not intersect to the left ideal")
-    if frozenset.intersection(*(L.killed for L in L_family)) != J.killed:
-        raise InputError("right family does not intersect to the right ideal")
-
-    kept_I = [i for i in P.left.labels if i not in I.killed]
-    kept_J = [j for j in P.right.labels if j not in J.killed]
-    dims_I = [P.left.blocks[i - 1][0] for i in kept_I]
-    dims_J = [P.right.blocks[j - 1][0] for j in kept_J]
-    t_A = sum(dims_I)
-    t_B = sum(dims_J)
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (t_A * t_B, t_A * t_B):
-        raise InputError(
-            f"element shape {x.shape} does not match the quotient tensor "
-            f"dimension {t_A * t_B}"
-        )
-    offs_I = dict(zip(kept_I, itertools.accumulate([0] + dims_I[:-1])))
-    offs_J = dict(zip(kept_J, itertools.accumulate([0] + dims_J[:-1])))
-
-    def rows_of(i: int, j: int) -> list[int]:
-        return [
-            (offs_I[i] + k) * t_B + offs_J[j] + l
-            for k in range(P.left.blocks[i - 1][0])
-            for l in range(P.right.blocks[j - 1][0])
-        ]
-
-    def block(i: int, j: int) -> np.ndarray:
-        rows = rows_of(i, j)
-        return x[np.ix_(rows, rows)]
-
-    # the element must be supported on the diagonal pair blocks; measure the
-    # off-pattern remainder directly, no cancellation against the total mass
-    resid = x.copy()
-    for i in kept_I:
-        for j in kept_J:
-            rows = rows_of(i, j)
-            resid[np.ix_(rows, rows)] = 0.0
-    fro = float(np.linalg.norm(x))
-    if float(np.linalg.norm(resid)) > tol.tol_rank * max(fro, 1.0):
-        raise InputError("element is not supported on the surviving pair blocks")
-
-    best = 0.0
-    for K, L in itertools.product(K_family, L_family):
-        val = 0.0
-        for i in kept_I:
-            if i in K.killed:
-                continue
-            for j in kept_J:
-                if j in L.killed:
-                    continue
-                val = max(val, op_norm(block(i, j)))
-        best = max(best, val)
-    return best

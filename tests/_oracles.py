@@ -149,6 +149,105 @@ def block_layout_residual(u, mats, blocks) -> float:
     return worst
 
 
+def pattern_radius(W) -> float:
+    """r = δ + √D·η of a decomposition, recomputed from its raw arrays.
+
+    δ = ‖uu* − 1‖ + ‖u*u − 1‖, and η is the largest ‖u a u* − P(a)‖ over
+    the orthonormal algebra basis, P(a) the copies of ``irreps`` on the
+    diagonal; D = dim A (Hilbert–Schmidt norms).  For r ≤ 1/100 the block
+    pattern bounds :func:`closure_residual` by 4r and
+    :func:`multiplicativity_residual` by 8r, and makes ``√m_k`` times each
+    block's least singular value at least 1 − 3r (:func:`spanning_margin`).
+
+    Proof, with Φ(x) = u x u*, T(a) = P(a) extended linearly from the basis
+    and unit-norm x, y in A (so ‖x‖_op ≤ 1):
+    ‖u‖²_op ≤ 1 + δ, so ‖Φx‖ ≤ 1 + δ.  From
+    x − u*Φ(x)u = (1 − u*u)x + u*u x (1 − u*u), ‖x‖ ≤ ‖Φx‖/(1 − 3δ).
+    Cauchy–Schwarz on the coefficients gives ‖Φx − Tx‖ ≤ s = √D·η, so
+    ‖Tx‖ ≥ 1 − 3r: T is injective, and as dim A = Σ d_k² = dim B it maps A
+    onto B = ⊕ 1_{m_k} ⊗ M_{d_k}.  Then
+    ‖Φ(xy) − Φx·Φy‖ = ‖ux(1 − u*u)yu*‖ ≤ 1.01δ and
+    ‖Φx·Φy − Tx·Ty‖ ≤ s(1 + δ) + (1 + r)s ≤ 2.02s.  Tx·Ty ∈ B is Tz for a z in
+    A with ‖z‖ ≤ (1 + r)²/(1 − 3r) ≤ 1.052, and ‖Φz − Tz‖ ≤ 1.052s, so
+    ‖xy − z‖ ≤ (1.01δ + 3.072s)/(1 − 3δ) ≤ 3.2r.  For p = xy and its
+    projection p_A, T(p_A) − Tx·Ty ∈ B is at most
+    s + 1.01·3.2r + 1.01δ + 2.02s ≤ 6.3r, and ρ_k reads one block copy of
+    it.  Finally 1_{m_k} ⊗ Y = Tx with ‖x‖ ≤ √m_k‖Y‖/(1 − 3r).
+    """
+    u = np.asarray(W.u, dtype=complex)
+    basis = np.asarray(W.algebra.space.basis, dtype=complex)
+    n = u.shape[0]
+    eye = np.eye(n)
+    delta = np.linalg.norm(u @ u.conj().T - eye) + np.linalg.norm(u.conj().T @ u - eye)
+    eta = 0.0
+    for k, a in enumerate(basis):
+        expected = np.zeros((n, n), dtype=complex)
+        pos = 0
+        for (d, m), rep in zip(W.blocks, W.irreps):
+            for _ in range(m):
+                expected[pos : pos + d, pos : pos + d] = rep[k]
+                pos += d
+        eta = max(eta, float(np.linalg.norm(u @ a @ u.conj().T - expected)))
+    return float(delta) + np.sqrt(len(basis)) * eta
+
+
+def closure_residual(basis) -> float:
+    """Largest distance from a product ``a @ b`` of two elements of the
+    orthonormal ``basis`` to its span, over all pairs: the all-pairs closure
+    check the generated algebra once ran, kept as the reference."""
+    basis = np.asarray(basis, dtype=complex)
+    k = basis.shape[0]
+    vecs = basis.reshape(k, -1)
+    prods = np.einsum("aij,bjk->abik", basis, basis).reshape(k * k, -1)
+    resid = prods - (prods @ vecs.conj().T) @ vecs
+    return float(np.linalg.norm(resid, axis=1).max())
+
+
+def multiplicativity_residual(W) -> float:
+    """Largest ‖ρ(Π(ab)) − ρ(a)ρ(b)‖ over every block and every pair of basis
+    elements, each ρ evaluated through the stored ``irreps`` on the
+    coefficients of the projection Π(ab) onto the algebra: the all-pairs
+    multiplicativity check the decomposition once ran, kept as the
+    reference."""
+    basis = np.asarray(W.algebra.space.basis, dtype=complex)
+    k = basis.shape[0]
+    prods = np.einsum("aij,bjk->abik", basis, basis).reshape(k * k, -1)
+    coeffs = prods @ basis.reshape(k, -1).conj().T
+    worst = 0.0
+    for rep in W.irreps:
+        rep = np.asarray(rep, dtype=complex)
+        of_prod = np.tensordot(coeffs, rep, axes=(1, 0))
+        prod_of = np.einsum("aij,bjk->abik", rep, rep).reshape(k * k, *rep.shape[1:])
+        worst = max(worst, float(np.linalg.norm(of_prod - prod_of, axis=(1, 2)).max()))
+    return worst
+
+
+def spanning_margin(W) -> float:
+    """Smallest ``√m_k · σ_{d_k²}`` over the blocks, σ the singular values of
+    the ``(dim A, d_k²)`` stack of ``irreps[k]``: 1 for an exact
+    decomposition, 0 when some block is not onto ``M_{d_k}``."""
+    margins = []
+    for (d, m), rep in zip(W.blocks, W.irreps):
+        sig = np.linalg.svd(np.asarray(rep).reshape(len(rep), -1), compute_uv=False)
+        margins.append(np.sqrt(m) * float(sig[d * d - 1]) if len(sig) >= d * d else 0.0)
+    return min(margins)
+
+
+# what the oracles' own products and projections may round by
+_ORACLE_ROUNDING = 1e-14
+
+
+def check_pattern_bounds(W, label) -> None:
+    """Assert the bounds the block pattern proves (:func:`pattern_radius`):
+    closure within 4r, multiplicativity within 8r and spanning margin at
+    least 1 − 3r, each up to the oracles' own rounding."""
+    r = pattern_radius(W)
+    assert r <= 0.01, (label, r)
+    assert closure_residual(W.algebra.space.basis) <= 4 * r + _ORACLE_ROUNDING, label
+    assert multiplicativity_residual(W) <= 8 * r + _ORACLE_ROUNDING, label
+    assert spanning_margin(W) >= 1 - 3 * r - _ORACLE_ROUNDING, label
+
+
 def commutant_dim(rep_mats, d: int, tol: float = 1e-9) -> int:
     """Dimension of {X : X A_i = A_i X for all i} inside M_d."""
     rows = []

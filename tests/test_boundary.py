@@ -603,7 +603,7 @@ def test_routes_agree_under_reseeding(system, wedderburn):
         A, _ = wedderburn(name)
         outcomes = set()
         for seed in (1, 2, 3, 11, 12):
-            env = cstar_envelope(E, seed=seed, algebra=A)
+            env = cstar_envelope(E, algebra=A, wedderburn=wedderburn_decompose(A, seed=seed))
             outcomes.add(
                 (
                     env.wedderburn.blocks,

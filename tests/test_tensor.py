@@ -1,5 +1,6 @@
 """Tensor products: pair blocks, kernel ideals, and the quotient identities."""
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,17 +9,15 @@ import pytest
 from cstarenv.analysis import analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import InputError, StructuralError
-from cstarenv.linalg import DEFAULT_TOL, op_norm, subspace_contains
+from cstarenv.linalg import DEFAULT_TOL, subspace_contains
 from cstarenv.opsys import generated_cstar
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
-    family_sup_seminorm,
     kernel_of_tensor_quotients,
     min_tensor,
     product_blocks,
     subspace_kron,
     tensor_map,
-    verify_quotient_family_intersection,
 )
 from cstarenv.wedderburn import (
     BlockIdeal,
@@ -27,7 +26,7 @@ from cstarenv.wedderburn import (
     wedderburn_decompose,
 )
 
-from _oracles import match_by_intertwiner, random_complex
+from _oracles import check_pattern_bounds, match_by_intertwiner
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +96,16 @@ def test_product_blocks_of_a_state_sum_square(pair_P):
 
 
 def test_pair_blocks_match_a_direct_decomposition(entries, system, wedderburn):
-    # the pair decomposition stands on its structural validation alone; a
-    # second decomposition of the tensor system's generated algebra, matched
-    # by intertwiners, finds exactly the pair blocks on every standard pair
+    # the pair decomposition stands on its block pattern alone; a second
+    # decomposition of the tensor system's generated algebra, matched by
+    # intertwiners, finds exactly the pair blocks on every standard pair, and
+    # the all-pairs closure and multiplicativity checks stay within the
+    # bounds the pattern proves
     pairs = standard_pairs(entries)
     assert len(pairs) == 9 and ("state_sum", "state_sum") in pairs
     for left, right in pairs:
         P = product_blocks(wedderburn(left)[1], wedderburn(right)[1])
+        check_pattern_bounds(P.wedderburn, (left, right))
         T = min_tensor(system(left), system(right))
         direct = wedderburn_decompose(generated_cstar(T.product))
         matches = match_by_intertwiner(P.wedderburn, direct)
@@ -133,6 +135,20 @@ def test_product_blocks_rejects_a_broken_pair_decomposition(wedderburn, tamper):
     _, W_jordan = wedderburn("jordan_M2")
     with pytest.raises(StructuralError, match="pair decomposition failed structural validation"):
         product_blocks(broken, W_jordan)
+
+
+def test_product_blocks_forms_no_basis_products(wedderburn):
+    # full_M3 (x) jordan_M4_k2: ambient 12, an algebra of dimension 144.  Its
+    # 144² basis products need hundreds of MiB; the block pattern needs the
+    # 144 conjugated basis elements, about 2 MiB at peak
+    left, right = wedderburn("full_M3")[1], wedderburn("jordan_M4_k2")[1]
+    tracemalloc.start()
+    try:
+        product_blocks(left, right)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_product_irreps_are_tensors_of_factor_irreps(pair_P):
@@ -189,97 +205,6 @@ def test_kernel_rejects_foreign_ideals(pair_P, wedderburn):
             BlockIdeal(W_other, frozenset()),
             BlockIdeal(pair_P.right, frozenset()),
         )
-
-
-def test_family_intersection_identity(pair_P):
-    P = pair_P
-    K_family = [BlockIdeal(P.left, frozenset({2})), BlockIdeal(P.left, frozenset({1, 2}))]
-    L_family = [BlockIdeal(P.right, frozenset({1, 2})), BlockIdeal(P.right, frozenset({2}))]
-    rep = verify_quotient_family_intersection(P, K_family, L_family)
-    assert rep.verified
-    assert rep.left_intersection == frozenset({2})
-    assert rep.right_intersection == frozenset({2})
-    assert rep.kernel_killed == rep.family_killed
-    single = verify_quotient_family_intersection(
-        P, [BlockIdeal(P.left, frozenset())], [BlockIdeal(P.right, frozenset())]
-    )
-    assert single.verified and single.kernel_killed == frozenset()
-
-
-def pair_rows(P, I_killed, J_killed):
-    """Row indices of each surviving diagonal pair block of the quotient target."""
-    kept_I = [i for i in P.left.labels if i not in I_killed]
-    kept_J = [j for j in P.right.labels if j not in J_killed]
-    dims_I = [P.left.blocks[i - 1][0] for i in kept_I]
-    dims_J = [P.right.blocks[j - 1][0] for j in kept_J]
-    t_B = sum(dims_J)
-    offs_I = dict(zip(kept_I, itertools.accumulate([0] + dims_I[:-1])))
-    offs_J = dict(zip(kept_J, itertools.accumulate([0] + dims_J[:-1])))
-    out = {}
-    for i in kept_I:
-        for j in kept_J:
-            out[(i, j)] = [
-                (offs_I[i] + k) * t_B + offs_J[j] + l
-                for k in range(P.left.blocks[i - 1][0])
-                for l in range(P.right.blocks[j - 1][0])
-            ]
-    return out, sum(dims_I) * t_B
-
-
-def test_family_sup_recovers_the_quotient_norm(pair_P):
-    P = pair_P
-    I = BlockIdeal(P.left, frozenset())
-    J = BlockIdeal(P.right, frozenset())
-    rows, t = pair_rows(P, I.killed, J.killed)
-    rng = np.random.default_rng(8)
-    # families whose members each drop blocks but whose pairs jointly keep all
-    K_family = [BlockIdeal(P.left, frozenset({1})), BlockIdeal(P.left, frozenset({2}))]
-    L_family = [BlockIdeal(P.right, frozenset())]
-    for _ in range(10):
-        x = np.zeros((t, t), dtype=complex)
-        norms = []
-        for idx in rows.values():
-            blk = random_complex(rng, len(idx))
-            x[np.ix_(idx, idx)] = blk
-            norms.append(op_norm(blk))
-        got = family_sup_seminorm(P, I, J, K_family, L_family, x)
-        assert got == pytest.approx(max(norms), abs=1e-10)
-        assert got == pytest.approx(op_norm(x), abs=1e-10)
-
-
-def test_family_sup_on_a_proper_quotient(pair_P):
-    P = pair_P
-    I = BlockIdeal(P.left, frozenset({2}))
-    J = BlockIdeal(P.right, frozenset({2}))
-    K_family = [BlockIdeal(P.left, frozenset({2})), BlockIdeal(P.left, frozenset({1, 2}))]
-    L_family = [BlockIdeal(P.right, frozenset({2}))]
-    rng = np.random.default_rng(9)
-    x = random_complex(rng, 4)  # the single surviving pair block fills the target
-    got = family_sup_seminorm(P, I, J, K_family, L_family, x)
-    assert got == pytest.approx(op_norm(x), abs=1e-10)
-
-
-def test_family_sup_input_validation(pair_P):
-    P = pair_P
-    I = BlockIdeal(P.left, frozenset())
-    J = BlockIdeal(P.right, frozenset())
-    rows, t = pair_rows(P, I.killed, J.killed)
-    good_K = [BlockIdeal(P.left, frozenset())]
-    good_L = [BlockIdeal(P.right, frozenset())]
-    x = np.zeros((t, t), dtype=complex)
-    for idx in rows.values():
-        x[np.ix_(idx, idx)] = np.eye(len(idx))
-    with pytest.raises(InputError):
-        family_sup_seminorm(P, I, J, [], good_L, x)
-    with pytest.raises(InputError):
-        # intersection {2} does not match the trivial ideal
-        family_sup_seminorm(P, I, J, [BlockIdeal(P.left, frozenset({2}))], good_L, x)
-    with pytest.raises(InputError):
-        family_sup_seminorm(P, I, J, good_K, good_L, np.eye(t + 1, dtype=complex))
-    bad = x.copy()
-    bad[rows[(1, 1)][0], rows[(2, 2)][0]] = 1.0  # off the diagonal pair pattern
-    with pytest.raises(InputError):
-        family_sup_seminorm(P, I, J, good_K, good_L, bad)
 
 
 def test_factorization_report_on_a_mixed_pair(pair_analyses):

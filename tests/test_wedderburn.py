@@ -9,7 +9,9 @@ from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import product_blocks
 from cstarenv.wedderburn import (
+    _VALIDATION_TOL,
     BlockIdeal,
+    _validate_decomposition,
     commutant,
     enumerate_ideals,
     ideal_subspace,
@@ -20,6 +22,8 @@ from cstarenv.wedderburn import (
 
 from _oracles import (
     block_layout_residual,
+    check_pattern_bounds,
+    closure_residual,
     coefficient_irrep,
     coefficient_quotient,
     commutant_dim,
@@ -51,6 +55,9 @@ def test_unitary_and_block_layout_corpus_wide(entries, wedderburn):
         assert resid < 1e-8, (name, resid)
         # copies of a block are equal, so multiplicities add no dimension
         assert sum(d * d for d, _ in W.blocks) == A.space.dim, name
+        # the pattern is the only structural certificate: the all-pairs
+        # closure and multiplicativity checks stay within its proved bounds
+        check_pattern_bounds(W, name)
 
 
 def test_blocks_sorted_by_descending_dimension(entries, wedderburn):
@@ -218,6 +225,26 @@ def test_decompose_rejects_non_algebra():
     fake = CStarAlgebra(space=span_of([np.eye(3, dtype=complex), h], 3))
     with pytest.raises(DecompositionError):
         wedderburn_decompose(fake)
+
+
+def test_a_space_off_the_pattern_fails_validation(wedderburn):
+    # the right dimension is not enough: move state_sum's last basis element
+    # off the pattern, towards the (1, 3) matrix unit of the conjugated
+    # picture, and orthonormalize again.  The space keeps dimension 5 but is
+    # no algebra, and the pattern check rejects it with the real u, blocks
+    # and irreps
+    A, W = wedderburn("state_sum")
+    n = A.ambient
+    off = np.zeros((n, n), dtype=complex)
+    off[0, 2] = 1.0
+    basis = A.space.basis.copy()
+    basis[-1] += 1e-3 * W.u.conj().T @ off @ W.u
+    moved = CStarAlgebra(space=span_of(list(basis), n))
+    assert moved.dim == A.dim
+    assert closure_residual(moved.space.basis) > 1e-4
+    args = (W.u, list(W.blocks), list(W.irreps), sum(m * m for _, m in W.blocks))
+    assert _validate_decomposition(A, *args) <= _VALIDATION_TOL
+    assert _validate_decomposition(moved, *args) > 1e-4
 
 
 def full_svd_commutant(s, tol=DEFAULT_TOL):
