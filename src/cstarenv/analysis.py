@@ -13,9 +13,11 @@ factor analyses: quotient factorization, boundary-pair closure, power-span
 compatibility, and the propagation maximum.  The factorization check takes
 the two factor envelopes and builds the tensor system, the pair blocks and
 the product envelope once; the other three checks take its report (and the
-factor propagation numbers) and recompute none of it.  Each power chain is
-built once, by the generated algebra that keeps it: propagation and power
-compatibility read those chains and multiply nothing.
+factor propagation numbers) and recompute none of it.  Each factor's power
+chain is built once, by the generated algebra that keeps it.  The product's
+chain is not rebuilt: the factorization check reads it off the factor chains
+and certifies it once on concrete products in the tensor system.
+Propagation and power compatibility read those chains and multiply nothing.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ from .linalg import (
     Tolerances,
     hermitian_basis,
     matrix_units,
-    span_of,
 )
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .ucp import (
@@ -723,8 +722,9 @@ def _envelope_algebra(W: WedderburnData, killed: frozenset[int]) -> CStarAlgebra
             big[off : off + d, off : off + d] = u
             mats.append(big)
         off += d
-    space = span_of(mats, t)
-    return CStarAlgebra(space=space)
+    # matrix units in distinct places are already orthonormal: span_of would
+    # return these rows unchanged
+    return CStarAlgebra(space=MatSubspace(t, np.stack(mats)))
 
 
 def cstar_envelope(

@@ -7,7 +7,9 @@ in finite dimensions the chain stabilizes after at most ``n**2`` steps.
 Closure comes from the construction, and nothing here re-checks it: the
 block decomposition's pattern check certifies each algebra.  The algebra
 keeps the chain's subspaces, so the propagation number and the
-power-compatibility check read them instead of multiplying again.
+power-compatibility check read them instead of multiplying again.  A tensor
+product's algebra keeps the chain the pair pipeline verified against the
+factor chains instead (see :mod:`cstarenv.tensor`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     MatSubspace,
     Tolerances,
+    _rows_inside,
     dagger,
     hs_norm,
     span_of,
@@ -55,9 +58,9 @@ class OperatorSystem:
         n = self.ambient
         if not subspace_contains(self.space, np.eye(n), tol):
             raise InputError(f"operator system {self.label!r} does not contain the identity")
-        for b in self.space.basis:
-            if not subspace_contains(self.space, dagger(b), tol):
-                raise InputError(f"operator system {self.label!r} is not adjoint-closed")
+        adjoints = np.conj(self.space.basis).transpose(0, 2, 1).reshape(self.dim, n * n)
+        if not _rows_inside(self.space, adjoints, tol):
+            raise InputError(f"operator system {self.label!r} is not adjoint-closed")
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,10 @@ class CStarAlgebra:
     the block pattern of :func:`cstarenv.wedderburn.wedderburn_decompose`
     certifies it.  ``powers`` is the power-span chain ``E, E^2, ..., E^k``
     of the system that generated it, where ``E^k`` is the first power equal
-    to the next one, so ``powers[-1]`` is ``space``.  An algebra built
-    directly from a basis, such as a block algebra, has no powers.
+    to the next one, so ``powers[-1]`` is ``space``.  The chain is built by
+    :func:`generated_cstar`, or for a tensor product verified against the
+    factor chains.  An algebra built directly from a basis, such as a block
+    algebra, has no powers.
     """
 
     space: MatSubspace
@@ -142,10 +147,11 @@ def generated_cstar(E: OperatorSystem, tol: Tolerances = DEFAULT_TOL) -> CStarAl
     Closure holds by construction.  1 ∈ E = E* makes every power E^k
     adjoint-closed and contain the one before.  The loop stops at the first
     k with E^k·E ⊆ E^k, so E^k·E^j ⊆ E^k for every j.  These are rank
-    decisions, certified downstream by a block pattern: the decomposition's
-    for a single system, and for a tensor product ``product_blocks``'s, on
-    the tensor of the factor algebras that ``algebra_factors`` equates with
-    this one.
+    decisions, certified downstream by the decomposition's block pattern.
+    This builds the chain of a single system.  A tensor product's chain is
+    not rebuilt here: the pair pipeline reads it off the factor chains as
+    E^k ⊗ F^k and certifies it on concrete products
+    (:mod:`cstarenv.tensor`), and this function is the test oracle for it.
     """
     powers = [E.space]
     while True:

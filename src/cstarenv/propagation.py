@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .boundary import EnvelopeResult
 from .errors import InputError, StructuralError
-from .linalg import DEFAULT_TOL, MatSubspace, Tolerances, span_of, subspace_equal
-from .tensor import TensorFactorizationReport, subspace_kron
+from .linalg import DEFAULT_TOL, Tolerances, span_of
+from .tensor import TensorFactorizationReport, _chain_certifies, _powers
 
 __all__ = [
     "PropResult",
@@ -47,17 +47,6 @@ class PropResult:
     chain: tuple[int, ...]
     envelope_dim: int
     ambient_chain: tuple[int, ...]
-
-
-def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
-    """The power-span chain of ``env.system`` kept by its generated algebra."""
-    powers = env.algebra.powers
-    if not powers or powers[0].dim != env.system.dim:
-        raise StructuralError(
-            f"the envelope's algebra carries no power-span chain of the system "
-            f"(chain {tuple(P.dim for P in powers)}, system dimension {env.system.dim})"
-        )
-    return powers
 
 
 def propagation_number(env: EnvelopeResult, tol: Tolerances = DEFAULT_TOL) -> PropResult:
@@ -113,28 +102,33 @@ def verify_power_compatibility(
 ) -> PowerCompatibilityReport:
     """Check that power spans factor through the minimal tensor product.
 
-    For each ``n`` up to ``n_max`` the tensor of the two n-th power spans
-    must equal the n-th power span of the tensor system, as subspaces of the
+    For each ``n`` up to ``n_max`` the n-th power span of the tensor system
+    must equal the tensor of the two n-th power spans, as subspaces of the
     product ambient.  The three chains are the ones the generated algebras
     of ``fac``'s three envelopes keep, each repeating its last power past
-    stabilization.  The product's chain comes from concrete products in the
-    tensor system, so the check does not lean on the factor chains.  Pair
-    pipelines pass one past the larger factor propagation number, so the
-    interesting range is always covered.
+    stabilization.  The product's chain is the one ``fac`` verified, whose
+    members are those tensors: row ``n`` reads its certificate, the
+    residuals and margins of the first ``min(n - 1, K)`` induction steps,
+    and forms no subspace.  What stays independent of the factor chains is
+    the certificate itself: the products are concrete products in the
+    tensor system, and their membership in each member and their spanning
+    of it are checked.  Pair pipelines pass one past the larger factor
+    propagation number, so the interesting range is always covered.
     """
     if n_max < 1:
         raise InputError(f"power cap must be at least 1, got {n_max}")
     chains = [
         _powers(env) for env in (fac.left_envelope, fac.right_envelope, fac.product_envelope)
     ]
+    K = len(chains[2])
     rows = []
-    ok = True
     for n in range(1, n_max + 1):
         left, right, direct = (c[min(n, len(c)) - 1] for c in chains)
-        equal = subspace_equal(subspace_kron(left, right), direct, tol)
-        ok = ok and equal
+        equal = _chain_certifies(fac.power_residuals, fac.power_margins, min(n - 1, K), tol)
         rows.append((n, left.dim, right.dim, direct.dim, equal))
-    return PowerCompatibilityReport(n_max=n_max, per_power=tuple(rows), verified=ok)
+    return PowerCompatibilityReport(
+        n_max=n_max, per_power=tuple(rows), verified=all(row[4] for row in rows)
+    )
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,24 @@ are pairwise inequivalent irreducibles, the pattern fixes their
 multiplicities, and any other decomposition finds the same blocks in
 another order.
 
+The product's power chain is not rebuilt: (E ⊗ F)^k = E^k ⊗ F^k, so its
+members are G_k = E^{min(k,a)} ⊗ F^{min(k,b)}, k = 1..K = max(a, b), read
+off the chains E^1..E^a and F^1..F^b the factor algebras keep, and
+:func:`_verified_power_chain` certifies them by induction on concrete
+products in the tensor system S.  G_1 is S itself.  For each k the products
+G_k·S lie in G_{min(k+1,K)} (a projection residual; at k = K that is
+closure), and for k < K they span G_{k+1} together with G_k (the least
+singular value of their coefficients, kept as a margin).  Then
+span(G_k·S) = G_{k+1}, so G_k is the k-th power of S and G_K the algebra it
+generates; no Gram–Schmidt runs on the product.
+
 The verification entry points compare the minimal quotient of a tensor
 product against the kernel ideal predicted by the factor quotients, and
 check that boundary blocks stay boundary in pairs.  Each takes the analyses
 it verifies: the factorization check takes the two factor envelopes, and
 the boundary-pair check takes the factorization report, whose tensor
-system, pair blocks and three envelopes every later pair check reads.
+system, pair blocks, power chain and three envelopes every later pair
+check reads.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .linalg import (
     subspace_contains,
     subspace_equal,
 )
-from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
+from .opsys import CStarAlgebra, OperatorSystem
 from .wedderburn import BlockIdeal, WedderburnData, ideal_subspace, quotient_map
 from .wedderburn import _VALIDATION_TOL, _validate_decomposition
 
@@ -252,9 +264,83 @@ def kernel_of_tensor_quotients(
     return result
 
 
+def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
+    """The power-span chain of ``env.system`` kept by its generated algebra."""
+    powers = env.algebra.powers
+    if not powers or powers[0].dim != env.system.dim:
+        raise StructuralError(
+            f"the envelope's algebra carries no power-span chain of the system "
+            f"(chain {tuple(P.dim for P in powers)}, system dimension {env.system.dim})"
+        )
+    return powers
+
+
+def _verified_power_chain(
+    S: MatSubspace,
+    left: tuple[MatSubspace, ...],
+    right: tuple[MatSubspace, ...],
+) -> tuple[tuple[MatSubspace, ...], tuple[float, ...], tuple[float, ...]]:
+    """The power chain of the tensor system ``S`` with its certificate.
+
+    ``left`` and ``right`` are the factor chains E^1..E^a and F^1..F^b.
+    Returns the members G_1 = S, G_k = E^{min(k,a)} ⊗ F^{min(k,b)} for
+    k = 2..K = max(a, b); ``residuals[k-1]``, the largest projection
+    residual of a product G_k·S off G_{min(k+1,K)} relative to its norm;
+    and ``margins[k-1]`` for k < K, σ_min/σ_max of the coefficients of G_k's
+    basis and those products on G_{k+1}.  The products are formed in
+    :func:`cstarenv.opsys.product_span`'s order.  Residuals at most
+    ``tol_rank`` and margins above it certify G_k = S^k for every k and
+    G_K·S ⊆ G_K (see the module docstring); the caller decides.
+    """
+    n = S.ambient
+    K = max(len(left), len(right))
+    chain = [S] + [
+        subspace_kron(left[min(k, len(left)) - 1], right[min(k, len(right)) - 1])
+        for k in range(2, K + 1)
+    ]
+    residuals = []
+    margins = []
+    for k, G in enumerate(chain, start=1):
+        target = chain[min(k, K - 1)].vecs()
+        prods = np.matmul(G.basis[:, None], S.basis[None]).reshape(-1, n * n)
+        coeffs = prods @ np.conj(target).T
+        resid = np.linalg.norm(prods - coeffs @ target, axis=1)
+        norms = np.linalg.norm(prods, axis=1)
+        # a zero product has a zero residual, which passes the rule
+        # resid <= tol_rank * norm; 0/0 is read as 0
+        ratios = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
+        residuals.append(float(ratios.max(initial=0.0)))
+        if k < K:
+            stacked = np.concatenate([G.vecs() @ np.conj(target).T, coeffs])
+            sig = np.linalg.svd(stacked, compute_uv=False)
+            # fewer rows than G_{k+1}'s dimension cannot span it
+            d = target.shape[0]
+            margins.append(float(sig[d - 1] / sig[0]) if sig.size >= d else 0.0)
+    return tuple(chain), tuple(residuals), tuple(margins)
+
+
+def _chain_certifies(
+    residuals: tuple[float, ...], margins: tuple[float, ...], steps: int, tol: Tolerances
+) -> bool:
+    """Whether the first ``steps`` induction steps of a verified chain pass.
+
+    Step k passes when its residual is at most ``tol_rank`` and, for k < K,
+    its margin is above it; steps 1..k-1 certify G_k = S^k, and all K
+    steps certify every power past K as well.
+    """
+    return all(r <= tol.tol_rank for r in residuals[:steps]) and all(
+        m > tol.tol_rank for m in margins[:steps]
+    )
+
+
 @dataclass(frozen=True)
 class TensorFactorizationReport:
-    """Outcome of checking that the minimal quotient factors over a tensor."""
+    """Outcome of checking that the minimal quotient factors over a tensor.
+
+    ``power_residuals`` and ``power_margins`` certify the product's power
+    chain, ``product_envelope.algebra.powers`` (see
+    :func:`_verified_power_chain`).
+    """
 
     left_killed: frozenset[int]
     right_killed: frozenset[int]
@@ -267,6 +353,8 @@ class TensorFactorizationReport:
     expected_envelope_dims: tuple[int, ...]
     dims_match: bool
     verified: bool
+    power_residuals: tuple[float, ...]
+    power_margins: tuple[float, ...]
     tensor: TensorSystem
     blocks: ProductBlocks
     left_envelope: EnvelopeResult
@@ -297,6 +385,13 @@ def verify_envelope_tensor_factorization(
     computed by the two independent routes and compared against that
     prediction, first as a subspace containment, then as exact equality of
     killed sets, and finally through the surviving block dimensions.
+
+    The product's generated algebra comes with its power chain, verified
+    against the tensors of the factor chains (see the module docstring).
+    ``algebra_factors`` is that chain's verdict together with each factor
+    chain ending at its factor algebra, so the product algebra is the tensor
+    of the factor algebras; a failure raises :class:`VerificationError`, and
+    a factor algebra that keeps no power chain :class:`StructuralError`.
     """
     n = env_E.system.ambient * env_F.system.ambient
     if n > max_ambient_product:
@@ -305,22 +400,25 @@ def verify_envelope_tensor_factorization(
         )
     T = min_tensor(env_E.system, env_F.system, tol)
 
-    prod_alg = generated_cstar(T.product, tol)
-    factored = subspace_kron(env_E.algebra.space, env_F.algebra.space)
-    algebra_factors = subspace_equal(prod_alg.space, factored, tol)
+    left, right = _powers(env_E), _powers(env_F)
+    chain, residuals, margins = _verified_power_chain(T.product.space, left, right)
+    algebra_factors = _chain_certifies(residuals, margins, len(chain), tol) and all(
+        powers[-1] is env.algebra.space or subspace_equal(powers[-1], env.algebra.space, tol)
+        for powers, env in ((left, env_E), (right, env_F))
+    )
     if not algebra_factors:
         raise VerificationError(
             "the algebra generated by the tensor system is not the tensor of "
-            "the generated algebras"
+            f"the generated algebras (power chain residuals {residuals}, "
+            f"margins {margins})"
         )
     P = product_blocks(env_E.wedderburn, env_F.wedderburn)
     env_T = cstar_envelope(
         T.product,
         tol=tol,
-        # the generated algebra, not the synthetic one: it keeps the power spans
-        # of the tensor system, which the product's propagation number and the
-        # power-compatibility check read
-        algebra=prod_alg,
+        # the verified chain, not the synthetic algebra: the product's
+        # propagation number and the power-compatibility check read its powers
+        algebra=CStarAlgebra(space=chain[-1], powers=chain),
         wedderburn=P.wedderburn,
     )
     K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal, tol)
@@ -357,6 +455,8 @@ def verify_envelope_tensor_factorization(
         expected_envelope_dims=tuple(expected_dims),
         dims_match=dims_match,
         verified=verified,
+        power_residuals=residuals,
+        power_margins=margins,
         tensor=T,
         blocks=P,
         left_envelope=env_E,

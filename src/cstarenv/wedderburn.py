@@ -63,6 +63,20 @@ _CLUSTER_GAP = 1e-6
 _MAX_ATTEMPTS = 3
 
 
+def _sylvester_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Stacked ``I (x) r^T - l (x) I`` over the pairs ``(l, r)`` of two
+    ``(c, d, d)`` stacks, shape ``(c*d*d, d*d)``: with row-major flattening
+    its null space is ``{x : x r = l x for every pair}``.  One broadcast of
+    the products ``np.kron`` forms gives its entries bit for bit, signed
+    zeros included."""
+    c, d, _ = left.shape
+    eye = np.eye(d)
+    right_t = np.ascontiguousarray(right.transpose(0, 2, 1))
+    rows = eye[None, :, None, :, None] * right_t[:, None, :, None, :]
+    rows -= left[:, :, None, :, None] * eye[None, None, :, None, :]
+    return rows.reshape(c * d * d, d * d)
+
+
 def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     """Commutant ``{x : xb = bx for every basis element b}`` inside ``M_n``.
 
@@ -79,12 +93,9 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     that noise as rank.
     """
     n = s.ambient
-    eye = np.eye(n)
     if s.dim == 0:
         return MatSubspace(n, matrix_units(n).copy())
-    rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in s.basis]
-    stacked = np.concatenate(rows, axis=0)
-    _, sig, vh = np.linalg.svd(stacked, full_matrices=False)
+    _, sig, vh = np.linalg.svd(_sylvester_rows(s.basis, s.basis), full_matrices=False)
     cutoff = tol.tol_rank * max(float(sig[0]) if sig.size else 0.0, 1.0)
     rank = int(np.sum(sig > cutoff))
     null = np.conj(vh[rank:])
@@ -184,12 +195,7 @@ def _split_component(
         cur = copy_cols[j]
         cur_rep = np.einsum("pi,kpq,qj->kij", np.conj(cur), algebra_basis, cur)
         # solve T with cur_rep(a) T = T base_rep(a) for all basis a
-        rows = [
-            np.kron(eye_d, a_base.T) - np.kron(a_cur, eye_d)
-            for a_cur, a_base in zip(cur_rep, base_rep)
-        ]
-        stacked = np.concatenate(rows, axis=0)
-        _, sig, vh = np.linalg.svd(stacked, full_matrices=False)
+        _, sig, vh = np.linalg.svd(_sylvester_rows(cur_rep, base_rep), full_matrices=False)
         cutoff = max(tol.tol_rank * sig[0], 1e-12)
         null_dim = int(np.sum(sig <= cutoff))
         if null_dim < 1:

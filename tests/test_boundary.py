@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cstarenv import boundary, tensor, ucp
 from cstarenv.analysis import analyze_pair
 from cstarenv.boundary import (
+    _envelope_algebra,
     block_images,
     boundary_representations,
     cstar_envelope,
@@ -27,7 +28,7 @@ from cstarenv.boundary import (
 )
 from cstarenv.corpus import corpus_entries
 from cstarenv.errors import InconclusiveError, RouteDisagreementError, VerificationError
-from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm
+from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm, span_of
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import min_tensor
@@ -715,3 +716,16 @@ def test_invariants_ignore_redundant_reordered_and_shifted_generators(
     }
     E = opsys_from_generators(n, variants[kind]())
     assert _invariants(analyze_system(E, name=name)) == _invariants(analyses(name)), (kind, seed)
+
+
+def test_envelope_algebra_is_the_span_of_its_matrix_units(wedderburn, seven_blocks):
+    # the block-diagonal matrix units are orthonormal already, so the
+    # envelope's basis is the one span_of would return, bit for bit
+    patterns = [(wedderburn("state_sum")[1], frozenset()), (seven_blocks[1], frozenset())]
+    patterns.append((wedderburn("state_sum")[1], frozenset({2})))
+    patterns.append((seven_blocks[1], frozenset({2, 3, 5})))
+    patterns.append((wedderburn("full_M3")[1], frozenset()))
+    for W, killed in patterns:
+        space = _envelope_algebra(W, killed).space
+        assert np.array_equal(space.basis, span_of(list(space.basis), space.ambient).basis)
+        assert space.dim == sum(W.blocks[j - 1][0] ** 2 for j in W.labels if j not in killed)

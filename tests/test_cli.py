@@ -449,13 +449,14 @@ def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point(corpus_dir):
+    src = Path(cstarenv.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "cstarenv.cli", "analyze", str(corpus_dir / "full_M1.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "CSTARENV_TOLERANCES": ""},
+        env={**os.environ, "PYTHONPATH": str(src), "CSTARENV_TOLERANCES": ""},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "full_M1" in proc.stdout
 
 

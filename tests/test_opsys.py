@@ -4,8 +4,15 @@ import pytest
 
 from cstarenv.analysis import analyze_system
 from cstarenv.errors import InputError
-from cstarenv.linalg import hermitian_basis, subspace_contains, subspace_equal
-from cstarenv.opsys import generated_cstar, opsys_from_generators, product_span
+from cstarenv.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    hermitian_basis,
+    span_of,
+    subspace_contains,
+    subspace_equal,
+)
+from cstarenv.opsys import OperatorSystem, generated_cstar, opsys_from_generators, product_span
 
 from _oracles import algebra_dim, power_span_dims, random_complex
 
@@ -25,6 +32,29 @@ def test_system_contains_unit_generators_and_adjoints():
 def test_system_rejects_mismatched_shapes():
     with pytest.raises(InputError):
         opsys_from_generators(2, [np.eye(3)])
+
+
+def test_validate_rejects_non_unital_and_non_adjoint_closed_spans():
+    # the stacked adjoint check decides as the per-element loop of
+    # subspace_contains does, on both sides of the tolerance
+    rng = np.random.default_rng(4)
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InputError, match="does not contain the identity"):
+        OperatorSystem(span_of([e12, e12.T], 2), label="off").validate()
+    for eps, closed in ((0.0, True), (1e-12, True), (1e-6, False), (1.0, False)):
+        for _ in range(5):
+            n = 3
+            g = random_complex(rng, n)
+            tilt = random_complex(rng, n)
+            mats = [np.eye(n), g, dagger(g) + eps * tilt]
+            E = OperatorSystem(span_of(mats, n), label="tilted")
+            loop = all(subspace_contains(E.space, dagger(b), DEFAULT_TOL) for b in E.space.basis)
+            assert loop == closed, eps
+            if closed:
+                E.validate()
+            else:
+                with pytest.raises(InputError, match="not adjoint-closed"):
+                    E.validate()
 
 
 def test_system_rejects_non_finite_generators():

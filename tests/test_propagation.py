@@ -100,6 +100,21 @@ def test_power_compatibility_rows(pair_analyses):
         assert direct_dim == left_dim * right_dim
 
 
+def test_power_compatibility_rows_read_the_chain_certificate(pair_analyses):
+    # row n rests on the first min(n - 1, K) induction steps of the
+    # product's verified chain: a failed step k fails rows k + 1 onwards
+    fac = pair_analyses("state_sum", "jordan_M2").factorization
+    assert len(fac.power_residuals) == 2 and len(fac.power_margins) == 1
+    for broken, first_bad in (
+        (dataclasses.replace(fac, power_residuals=(1.0, 0.0)), 2),
+        (dataclasses.replace(fac, power_margins=(0.0,)), 2),
+        (dataclasses.replace(fac, power_residuals=(0.0, 1.0)), 3),
+    ):
+        rep = verify_power_compatibility(broken, n_max=4)
+        assert [row[4] for row in rep.per_power] == [n < first_bad for n in range(1, 5)]
+        assert not rep.verified
+
+
 def test_power_compatibility_explicit_cap(analyses):
     fac = tensor.verify_envelope_tensor_factorization(
         analyses("full_M2").envelope, analyses("full_M1").envelope
@@ -128,7 +143,7 @@ def test_power_compatibility_rows_match_word_span_oracle(entries, pair_analyses)
 def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
     analyses, config, monkeypatch
 ):
-    calls = {"min_tensor": 0, "product_span": 0}
+    calls = {"min_tensor": 0, "product_span": 0, "chain": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -139,13 +154,16 @@ def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
 
     monkeypatch.setattr(tensor, "min_tensor", counted("min_tensor", tensor.min_tensor))
     monkeypatch.setattr(opsys, "product_span", counted("product_span", opsys.product_span))
+    monkeypatch.setattr(
+        tensor, "_verified_power_chain", counted("chain", tensor._verified_power_chain)
+    )
     in_readers = []
 
     def reading(fn):
         def wrapper(*args, **kwargs):
-            before = calls["product_span"]
+            before = calls["product_span"] + calls["chain"]
             out = fn(*args, **kwargs)
-            in_readers.append(calls["product_span"] - before)
+            in_readers.append(calls["product_span"] + calls["chain"] - before)
             return out
 
         return wrapper
@@ -159,9 +177,11 @@ def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
     pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
     assert pa.verified and pa.power.n_max == 3
     assert calls["min_tensor"] == 1
-    # the product's generated algebra builds its power chain; the power check
-    # and the product's propagation number only read it
-    assert calls["product_span"] > 0
+    # the product's power chain is verified once against the tensors of the
+    # factor chains, with no power span rebuilt; the power check and the
+    # product's propagation number only read it
+    assert calls["product_span"] == 0
+    assert calls["chain"] == 1
     assert in_readers == [0, 0]
 
 

@@ -8,16 +8,19 @@ import pytest
 
 from cstarenv.analysis import analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries, standard_pairs
-from cstarenv.errors import InputError, StructuralError
-from cstarenv.linalg import DEFAULT_TOL, subspace_contains
-from cstarenv.opsys import generated_cstar
+from cstarenv.errors import InputError, StructuralError, VerificationError
+from cstarenv.linalg import DEFAULT_TOL, subspace_contains, subspace_equal
+from cstarenv.opsys import CStarAlgebra, generated_cstar
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
+    _chain_certifies,
+    _verified_power_chain,
     kernel_of_tensor_quotients,
     min_tensor,
     product_blocks,
     subspace_kron,
     tensor_map,
+    verify_envelope_tensor_factorization,
 )
 from cstarenv.wedderburn import (
     BlockIdeal,
@@ -261,3 +264,70 @@ def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
     assert rep.product_killed_pairs == rep.expected_killed_pairs != frozenset()
     for b in rep.product_envelope.dk_certificate.per_block:
         assert b.method == ("dual" if b.unique else "left-inverse"), b
+
+
+def test_verified_power_chain_matches_the_generated_chain(entries, system, wedderburn):
+    # the chain read off the factor chains and certified on concrete
+    # products is the chain generated_cstar builds from the tensor system:
+    # the same dimensions and the same subspaces, member by member, on the
+    # standard pairs and on every unordered seed-1 pair up to product
+    # ambient 9 (the chain treats the two factors alike)
+    names = list(entries)
+    pairs = set(standard_pairs(entries)) | {
+        (left, right)
+        for i, left in enumerate(names)
+        for right in names[i:]
+        if system(left).ambient * system(right).ambient <= 9
+    }
+    margins = []
+    for left, right in sorted(pairs):
+        T = min_tensor(system(left), system(right))
+        chain, residuals, step_margins = _verified_power_chain(
+            T.product.space, wedderburn(left)[0].powers, wedderburn(right)[0].powers
+        )
+        assert _chain_certifies(residuals, step_margins, len(chain), DEFAULT_TOL)
+        assert chain[0] is T.product.space
+        direct = generated_cstar(T.product).powers
+        assert [G.dim for G in chain] == [P.dim for P in direct], (left, right)
+        for G, P in zip(chain, direct):
+            assert subspace_equal(G, P), (left, right)
+        margins.extend(step_margins)
+    # far from tol_rank: the smallest spanning margin here is 0.024 (and
+    # 0.0099 over every seed-1 pair up to product ambient 12)
+    assert min(margins) > 0.01
+
+
+def _drop_last_power(powers):
+    return powers[:-1]
+
+
+def _square_is_the_system(powers):
+    return (powers[0], powers[0], *powers[2:])
+
+
+@pytest.mark.parametrize("tamper", [_drop_last_power, _square_is_the_system])
+@pytest.mark.parametrize("left", ["jordan_M2", "jordan_M3_k1"])
+def test_a_wrong_factor_chain_fails_the_pair(analyses, left, tamper):
+    # the product chain is read off the factor chains; a truncated factor
+    # chain, or one whose E^2 is E, must fail the concrete products'
+    # certificate and the pair, never pass
+    env = analyses(left).envelope
+    broken = replace(env, algebra=replace(env.algebra, powers=tamper(env.algebra.powers)))
+    other = analyses("jordan_M2").envelope
+    T = min_tensor(broken.system, other.system)
+    chain, residuals, margins = _verified_power_chain(
+        T.product.space, broken.algebra.powers, other.algebra.powers
+    )
+    assert not _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL)
+    with pytest.raises(VerificationError, match="not the tensor of the generated algebras"):
+        verify_envelope_tensor_factorization(broken, other)
+    with pytest.raises(VerificationError, match="not the tensor of the generated algebras"):
+        verify_envelope_tensor_factorization(other, broken)
+
+
+def test_a_factor_without_powers_is_a_structural_error(analyses):
+    # an algebra built from its basis alone keeps no power chain to read
+    env = analyses("jordan_M2").envelope
+    bare = replace(env, algebra=CStarAlgebra(space=env.algebra.space))
+    with pytest.raises(StructuralError, match="no power-span chain"):
+        verify_envelope_tensor_factorization(bare, analyses("full_M2").envelope)

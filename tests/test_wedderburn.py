@@ -11,6 +11,7 @@ from cstarenv.tensor import product_blocks
 from cstarenv.wedderburn import (
     _VALIDATION_TOL,
     BlockIdeal,
+    _sylvester_rows,
     _validate_decomposition,
     commutant,
     enumerate_ideals,
@@ -286,3 +287,27 @@ def test_an_algebra_built_from_a_basis_alone_decomposes(seven_blocks):
     bare = CStarAlgebra(space=W.algebra.space)
     assert bare.powers == ()
     assert wedderburn_decompose(bare).blocks == W.blocks
+
+
+def kron_rows(left, right):
+    """``I (x) r^T - l (x) I`` stacked one ``np.kron`` pair at a time, as the
+    commutant and the Schur intertwiners were solved before the broadcast."""
+    eye = np.eye(left.shape[1])
+    return np.concatenate(
+        [np.kron(eye, r.T) - np.kron(l, eye) for l, r in zip(left, right)], axis=0
+    )
+
+
+def test_sylvester_rows_match_the_kron_loop_bit_for_bit(wedderburn, seven_blocks):
+    rng = np.random.default_rng(5)
+    stacks = [wedderburn(name)[0].space.basis for name in ("state_sum", "full_M3", "jordan_M4_k2")]
+    stacks.append(seven_blocks[1].algebra.powers[0].basis)
+    for d in (1, 2, 3, 8):
+        pair = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        # signed zeros: the products np.kron forms keep their signs
+        pair[0, 0] = np.where(rng.random((d, d)) < 0.5, -0.0, pair[0, 0])
+        pair[1, 1] = pair[1, 1].real - 0j
+        stacks.append(pair)
+    for stack in stacks:
+        left, right = (stack[0], stack[1]) if stack.ndim == 4 else (stack, stack)
+        assert _sylvester_rows(left, right).tobytes() == kron_rows(left, right).tobytes()
