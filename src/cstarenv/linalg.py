@@ -9,10 +9,14 @@ an isometry statement is being made.
 
 Matrices are plain complex ndarrays.  A subspace is stored as an
 orthonormal basis (stacked, shape ``(dim, n, n)``), so membership and
-projection are single contractions.  Bases come from one ordered,
-right-looking Gram-Schmidt kernel that re-orthogonalizes each accepted
-vector once; it keeps the input order and the cutoff relative to the
-largest input norm.
+projection are single contractions.  Where no orthonormal basis is given,
+bases come from one ordered, right-looking Gram-Schmidt kernel that
+re-orthogonalizes each accepted vector once; it keeps the input order and
+the cutoff relative to the largest input norm.  Where structure gives one,
+the kernel does not run: the right singular vectors of an SVD are
+orthonormal rows already (:func:`subspace_intersection`,
+:meth:`LinearMap.null_space`), and a bitwise-Hermitian orthonormal basis is
+its own :func:`hermitian_basis`.
 """
 
 from __future__ import annotations
@@ -278,14 +282,13 @@ def subspace_equal(
     return _rows_inside(s, t.vecs(), tol) and _rows_inside(t, s.vecs(), tol)
 
 
-def subspace_intersection(
-    s: MatSubspace, t: MatSubspace, tol: Tolerances = DEFAULT_TOL
-) -> MatSubspace:
+def subspace_intersection(s: MatSubspace, t: MatSubspace) -> MatSubspace:
     """Intersection via principal angles between the two bases.
 
     Directions whose principal cosine is within ``1e-8`` of one are kept;
     genuine transversal angles sit far below that for the algebra/commutant
-    pairs this is used on.
+    pairs this is used on.  They are orthonormal right singular vectors
+    taken over the orthonormal basis of ``s``, so they are the basis.
     """
     if s.ambient != t.ambient:
         raise InputError("subspace_intersection requires a common ambient dimension")
@@ -296,9 +299,10 @@ def subspace_intersection(
     keep = sig >= 1.0 - 1e-8
     if not np.any(keep):
         return MatSubspace(s.ambient, np.zeros((0, s.ambient, s.ambient)))
-    coeffs = np.conj(vh[keep])  # rows: coefficients against basis of s
-    mats = (coeffs @ s.vecs()).reshape(-1, s.ambient, s.ambient)
-    return span_of(mats, s.ambient, tol)
+    # orthonormal coefficient rows against the orthonormal basis of s:
+    # the directions are orthonormal already
+    coeffs = np.conj(vh[keep])
+    return MatSubspace(s.ambient, (coeffs @ s.vecs()).reshape(-1, s.ambient, s.ambient))
 
 
 def hermitian_basis(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -306,14 +310,18 @@ def hermitian_basis(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
     For adjoint-closed ``s`` the Hermitian elements form a real subspace whose
     real dimension equals the complex dimension of ``s``; this is the basis
-    UCP constraint rows are written against.  It is the same ordered
-    Gram-Schmidt kernel as :func:`span_of`, run with real coefficients
-    ``Re<a, b>`` on the Hermitian and anti-Hermitian halves of each basis
-    element.
+    UCP constraint rows are written against.  A stored basis that is
+    Hermitian bit for bit is such a basis already and is returned as it is;
+    operator systems store one (:func:`cstarenv.opsys.opsys_from_generators`).
+    Any other basis runs the same ordered Gram-Schmidt kernel as
+    :func:`span_of`, with real coefficients ``Re<a, b>``, on the Hermitian
+    and anti-Hermitian halves of each basis element.
     """
     if s.dim == 0:
         return np.zeros((0, s.ambient, s.ambient))
     adj = np.conj(s.basis).transpose(0, 2, 1)
+    if np.array_equal(s.basis, adj):
+        return s.basis
     candidates = np.stack([(s.basis + adj) / 2.0, (s.basis - adj) / 2.0j], axis=1)
     # the float view [Re, Im, ...] turns Re<a, b> into the real dot product
     real = candidates.reshape(2 * s.dim, -1).view(np.float64)
@@ -396,7 +404,10 @@ class LinearMap:
         return self.values.reshape(self.domain.dim, -1).T
 
     def null_space(self, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
-        """Kernel of the map as a subspace of the domain's ambient."""
+        """Kernel of the map as a subspace of the domain's ambient.
+
+        Its basis is the SVD's trailing right singular vectors taken over
+        the domain's orthonormal basis, orthonormal by construction."""
         m = self.matrix()
         if self.domain.dim == 0:
             return MatSubspace(self.domain.ambient, np.zeros((0, self.domain.ambient, self.domain.ambient)))
@@ -407,8 +418,9 @@ class LinearMap:
             cutoff = tol.tol_rank * (sig[0] if sig.size else 0.0)
             rank = int(np.sum(sig > cutoff))
             coeffs = np.conj(vh[rank:])
-        mats = (coeffs @ self.domain.vecs()).reshape(-1, self.domain.ambient, self.domain.ambient)
-        return span_of(mats, self.domain.ambient, tol)
+        # orthonormal coefficient rows against an orthonormal basis
+        n = self.domain.ambient
+        return MatSubspace(n, (coeffs @ self.domain.vecs()).reshape(-1, n, n))
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,19 @@
 """Operator systems and the C*-algebras they generate.
 
 An operator system here is a unital adjoint-closed subspace of ``M_n``,
-presented by generators.  The generated C*-algebra is computed as the
-stabilizing member of the chain of power spans ``E, span(E.E), ...``;
-in finite dimensions the chain stabilizes after at most ``n**2`` steps.
-Closure comes from the construction, and nothing here re-checks it: the
-block decomposition's pattern check certifies each algebra.  The algebra
-keeps the chain's subspaces, so the propagation number and the
-power-compatibility check read them instead of multiplying again.  A tensor
-product's algebra keeps the chain the pair pipeline verified against the
-factor chains instead (see :mod:`cstarenv.tensor`).
+presented by generators.  Its stored basis is Hermitian and orthonormal,
+Hermitian bit for bit, so every UCP constraint is written against that
+basis with no further Gram-Schmidt (:func:`cstarenv.linalg.hermitian_basis`
+returns it as it is), and a tensor product inherits one.  The generated
+C*-algebra is computed as the stabilizing member of the chain of power
+spans ``E, span(E.E), ...``; in finite dimensions the chain stabilizes
+after at most ``n**2`` steps.  Closure comes from the construction, and
+nothing here re-checks it: the block decomposition's pattern check
+certifies each algebra.  The algebra keeps the chain's subspaces, so the
+propagation number and the power-compatibility check read them instead of
+multiplying again.  A tensor product's algebra keeps the chain the pair
+pipeline verified against the factor chains instead (see
+:mod:`cstarenv.tensor`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .linalg import (
     Tolerances,
     _rows_inside,
     dagger,
+    hermitian_basis,
     hs_norm,
     span_of,
     subspace_contains,
@@ -99,7 +104,9 @@ def opsys_from_generators(
 
     The identity and each generator are scaled to unit Hilbert-Schmidt norm
     before the span is taken; zero generators are skipped and non-finite
-    entries raise :class:`InputError`.
+    entries raise :class:`InputError`.  The span is validated, and the
+    system stores its Hermitian orthonormal basis, made Hermitian bit for bit
+    by ``(h + h*)/2``, a no-op on a basis that is Hermitian already.
     """
     if n < 1:
         raise InputError(f"ambient dimension must be positive, got {n}")
@@ -119,9 +126,11 @@ def opsys_from_generators(
     mats = [np.eye(n, dtype=np.complex128) / np.sqrt(n)]
     mats.extend(units)
     mats.extend(dagger(g) for g in units)
-    system = OperatorSystem(space=span_of(mats, n, tol), label=label)
-    system.validate(tol)
-    return system
+    space = span_of(mats, n, tol)
+    OperatorSystem(space=space, label=label).validate(tol)
+    herm = hermitian_basis(space, tol)
+    herm = (herm + np.conj(herm).transpose(0, 2, 1)) / 2.0
+    return OperatorSystem(space=MatSubspace(n, herm), label=label)
 
 
 def product_span(

@@ -6,19 +6,23 @@ the minimal quotient q (a complete order embedding, so nothing about the
 system itself changes), and its k-th power span there is q(E)^k.  q is a
 *-homomorphism, so q(E)^k = q(E^k): the chain is read off the power spans
 the generated algebra already keeps, as the dimensions of their images,
-until they exhaust the envelope.  The same chain in the original ambient
-algebra is easy to confuse with it; it stabilizes at the generated algebra
-instead and generally gives a different number, so it is reported
-separately and never used in the verified identities.
+until they exhaust the envelope.  A dimension is a rank, taken from the
+singular values of the stacked images; no basis of an image is built.  The
+same chain in the original ambient algebra is easy to confuse with it; it
+stabilizes at the generated algebra instead and generally gives a different
+number, so it is reported separately and never used in the verified
+identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boundary import EnvelopeResult
 from .errors import InputError, StructuralError
-from .linalg import DEFAULT_TOL, Tolerances, span_of
+from .linalg import DEFAULT_TOL, Tolerances
 from .tensor import TensorFactorizationReport, _chain_certifies, _powers
 
 __all__ = [
@@ -53,16 +57,20 @@ def propagation_number(env: EnvelopeResult, tol: Tolerances = DEFAULT_TOL) -> Pr
     """First power of the embedded system ``env.system`` that spans the envelope.
 
     The k-th entry of the chain is ``dim q(E^k)``, taken over the generated
-    algebra's power spans.  The chain must strictly increase until it hits
-    the envelope dimension; stabilizing below it would contradict the
-    quotient generating the envelope and raises.
+    algebra's power spans as the rank of the stacked images ``q(P)``: the
+    number of singular values above ``tol_rank`` times the largest.  The
+    chain must strictly increase until it hits the envelope dimension;
+    stabilizing below it would contradict the quotient generating the
+    envelope and raises.
     """
     powers = _powers(env)
     q = env.quotient
     env_dim = env.envelope.dim
     chain = []
     for P in powers:
-        dim = span_of(q.apply(P.basis), q.target_dim, tol).dim
+        images = q.apply(P.basis).reshape(P.dim, -1)
+        sig = np.linalg.svd(images, compute_uv=False)
+        dim = int(np.count_nonzero(sig > tol.tol_rank * sig[0]))
         if chain and dim == chain[-1]:
             break
         chain.append(dim)

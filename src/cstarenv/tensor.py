@@ -1,9 +1,13 @@
 """Minimal tensor products of operator systems and their block structure.
 
 For subspaces of matrix algebras the minimal tensor product is concrete:
-``E (x) F`` is the span of elementary tensors inside ``M_(nm)``.  The block
-decomposition of the generated algebra then factors: blocks are indexed by
-pairs of factor blocks, with dimensions and multiplicities multiplying.
+``E (x) F`` is the span of elementary tensors inside ``M_(nm)``.  The tensor
+of two Hermitian orthonormal bases is a Hermitian orthonormal basis of it,
+Hermitian bit for bit when the factors' are, so the product system inherits
+the stored basis the factors carry (:mod:`cstarenv.opsys`) and its
+constraint data runs no Gram–Schmidt.  The block decomposition of the
+generated algebra then factors: blocks are indexed by pairs of factor
+blocks, with dimensions and multiplicities multiplying.
 :func:`product_blocks` builds that pair-indexed decomposition directly from
 the factor decompositions and certifies it by the block pattern alone: u is
 unitary, ``u x u*`` is ⊕ 1_{m_k} ⊗ ρ_k(x) on the product basis, and
@@ -75,7 +79,9 @@ def subspace_kron(s: MatSubspace, t: MatSubspace) -> MatSubspace:
     The tensor of two HS-orthonormal bases is HS-orthonormal, so the basis is
     assembled directly instead of re-orthonormalizing; basis order is
     ``(a, b) -> a * t.dim + b``, which every pair-indexed computation in this
-    module relies on.
+    module relies on.  Each entry is one product ``a_ij·b_kl``, and
+    ``conj(a)·conj(b) = conj(a·b)`` holds in floating point, so the tensor of
+    two bitwise-Hermitian bases is bitwise Hermitian.
     """
     n = s.ambient * t.ambient
     if s.dim == 0 or t.dim == 0:

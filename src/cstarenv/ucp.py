@@ -596,8 +596,16 @@ def is_unique_ucp_extension(
     The candidate is projected exactly onto the affine set,
     ``x = J0 + null_project(witness - J0)``, and accepted when
     ``‖x - J0‖ > tol_sep·max(1, ‖J0‖)`` and its least Choi eigenvalue is at
-    least ``-tol_psd``.  A ``"dual"`` verdict's separation is the
-    certificate's margin μ, a witness's its distance from ``J0``.  Without
+    least ``-tol_psd``.  When only its eigenvalue fails, the midpoint
+    ``J0 + (x - J0)/2`` is tried: it lies in the same affine set, and since
+    ``J0 ⪰ 0`` and the least eigenvalue is concave, its least eigenvalue is
+    at least half of x's.  This absorbs the affine residual the candidate's
+    own search stopped at, which the exact projection can turn into a
+    negative eigenvalue of the size of ``tol_psd``.  The accepted point is
+    held to the same rule as any witness, distance and eigenvalue, and is
+    the reported witness; the evidence of a rejection names x.  A
+    ``"dual"`` verdict's separation is the certificate's margin μ, a
+    witness's its distance from ``J0``.  Without
     a certificate or a witness it raises :class:`InconclusiveError` with the
     best margin and bound reached and why there is no witness.
     """
@@ -610,14 +618,19 @@ def is_unique_ucp_extension(
 
     no_witness = "no candidate"
     if witness is not None:
-        x = spec.J0 + spec.null_project((spec.pack_tuple(witness) - spec.J0)[np.newaxis, :])[0]
-        dist = float(np.linalg.norm(x - spec.J0))
-        least = float(spec.min_eig(x[np.newaxis, :])[0])
-        if dist > sep_abs and least >= -tol.tol_psd:
-            return UniquenessResult(False, spec.unpack_tuple(x), "left-inverse", dist, 0)
-        no_witness = (
-            f"candidate rejected: least Choi eigenvalue {least:.3e}, distance {dist:.3e}"
-        )
+        step = spec.null_project((spec.pack_tuple(witness) - spec.J0)[np.newaxis, :])[0]
+        for scale in (1.0, 0.5):
+            point = spec.J0 + scale * step
+            dist = float(np.linalg.norm(point - spec.J0))
+            least = float(spec.min_eig(point[np.newaxis, :])[0])
+            if dist > sep_abs and least >= -tol.tol_psd:
+                return UniquenessResult(False, spec.unpack_tuple(point), "left-inverse", dist, 0)
+            if scale == 1.0:
+                no_witness = (
+                    f"candidate rejected: least Choi eigenvalue {least:.3e}, distance {dist:.3e}"
+                )
+            if least >= -tol.tol_psd:
+                break  # too close to J0, and the midpoint is closer still
 
     F, p_perp = _face(spec)
     Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S

@@ -8,8 +8,11 @@ matrix.  The decomposition is found numerically: a seeded random
 Hermitian element of the center splits the algebra into isotypic
 components, a random Hermitian element of each component's commutant
 splits the component into equivalent irreducible copies, and Schur
-intertwiners align the copies.  Everything downstream (ideals, quotient
-maps, boundary computations) consumes the resulting block data.
+intertwiners align the copies.  An algebra of dimension n² is M_n itself
+and needs none of this: it is one block (n, 1) with u = 1, whose irrep is
+the algebra's own basis, so its decomposition is exact.  Everything
+downstream (ideals, quotient maps, boundary computations) consumes the
+resulting block data.
 
 One formula gives every block representation: with ``v`` the rows of the
 unitary ``u`` for block ``i``'s first copy, π_i(x) = v x v*, the
@@ -90,7 +93,8 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     rows.  The basis is orthonormal, so the rank cutoff is relative to at
     least 1: when every basis element is scalar the stack is zero up to
     rounding, and a cutoff relative to its largest singular value would count
-    that noise as rank.
+    that noise as rank.  The trailing right singular vectors are orthonormal,
+    so they are the returned basis as they stand.
     """
     n = s.ambient
     if s.dim == 0:
@@ -98,9 +102,7 @@ def commutant(s: MatSubspace, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     _, sig, vh = np.linalg.svd(_sylvester_rows(s.basis, s.basis), full_matrices=False)
     cutoff = tol.tol_rank * max(float(sig[0]) if sig.size else 0.0, 1.0)
     rank = int(np.sum(sig > cutoff))
-    null = np.conj(vh[rank:])
-    mats = null.reshape(-1, n, n)
-    return span_of(mats, n, tol)
+    return MatSubspace(n, np.conj(vh[rank:]).reshape(-1, n, n))
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,26 @@ def wedderburn_decompose(
     solved over the generating system ``algebra.powers[0]`` when the
     algebra records its powers (see :func:`commutant`), and over its basis
     otherwise.
+
+    An algebra of dimension ``n**2`` is all of ``M_n``: it is decomposed as
+    one block ``(n, 1)`` with ``u = 1`` and its own basis as the irrep,
+    with no commutant, center, random element or split.  The block pattern
+    still certifies it, with Σ m² = 1 the pattern's own count.  So the
+    decomposition of a full matrix algebra, and every witness read off it,
+    does not depend on rounding.
     """
     n = algebra.ambient
+    if algebra.dim == n * n:
+        blocks, irreps = [(n, 1)], [algebra.space.basis]
+        u = np.eye(n, dtype=np.complex128)
+        resid = _validate_decomposition(algebra, u, blocks, irreps, 1)
+        if resid > _VALIDATION_TOL * max(1.0, float(n)):
+            raise DecompositionError(
+                f"full matrix algebra failed validation (residual {resid:.3e})"
+            )
+        return WedderburnData(algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps))
     comm = commutant(algebra.powers[0] if algebra.powers else algebra.space, tol)
-    center = subspace_intersection(algebra.space, comm, tol)
+    center = subspace_intersection(algebra.space, comm)
     num_blocks = center.dim
     if num_blocks == 0:
         raise DecompositionError("algebra has an empty center; not a unital algebra?")

@@ -2,9 +2,13 @@
 
 Everything here sticks to plain numpy on raw arrays, so a defect in the
 package's subspace machinery cannot hide inside the oracle that is supposed
-to catch it.  The one exception, :func:`build_left_inverse_spectrahedron`,
-writes the left-inverse constraints in the whole ambient, a formulation the
-package's per-block search does not use.
+to catch it.  Two kinds of exception call the package.
+:func:`build_left_inverse_spectrahedron` writes the left-inverse
+constraints in the whole ambient, a formulation the package's per-block
+search does not use.  And the Gram–Schmidt computations the package ran
+before structure gave their answers (:func:`gram_schmidt_system_space`,
+:func:`gram_schmidt_chain`) are kept as the references for what replaced
+them.
 """
 from __future__ import annotations
 
@@ -413,3 +417,47 @@ def match_by_intertwiner(synthetic, direct, tol: float = 1e-9) -> tuple[int, ...
         matches.append(found[0])
     assert len(taken) == len(direct.blocks), "direct decomposition has unmatched blocks"
     return tuple(matches)
+
+
+def gram_schmidt_system_space(n: int, generators, tol=None):
+    """The span ``opsys_from_generators`` stored before it kept a Hermitian
+    basis: ``span_of`` of 1/√n and the unit generators and their adjoints,
+    a basis that is generally not Hermitian."""
+    from cstarenv.linalg import DEFAULT_TOL, span_of
+
+    units = []
+    for g in generators:
+        g = np.asarray(g, dtype=np.complex128)
+        peak = float(np.max(np.abs(g)))
+        if peak > 0.0:
+            g = g / peak
+            units.append(g / np.linalg.norm(g))
+    mats = [np.eye(n, dtype=np.complex128) / np.sqrt(n)]
+    mats += units + [g.conj().T for g in units]
+    return span_of(mats, n, tol or DEFAULT_TOL)
+
+
+def gram_schmidt_chain(env, tol=None) -> tuple[int, ...]:
+    """The propagation chain of an envelope with each ``dim q(P)`` read off
+    a ``span_of`` basis of the images, as ``propagation_number`` took it
+    before it took ranks: the same early stops, no error checks."""
+    from cstarenv.linalg import DEFAULT_TOL, span_of
+
+    q = env.quotient
+    chain: list[int] = []
+    for P in env.algebra.powers:
+        dim = span_of(q.apply(P.basis), q.target_dim, tol or DEFAULT_TOL).dim
+        if chain and dim == chain[-1]:
+            break
+        chain.append(dim)
+        if dim >= env.envelope.dim:
+            break
+    return tuple(chain)
+
+
+def orthonormality_residual(basis) -> float:
+    """Largest entry of ``B B* - 1`` for the flattened rows ``B`` of a
+    ``(k, n, n)`` basis: 0 for exactly orthonormal rows."""
+    b = np.asarray(basis, dtype=complex)
+    b = b.reshape(len(b), int(np.prod(b.shape[1:])))
+    return float(np.abs(b @ b.conj().T - np.eye(len(b))).max(initial=0.0))

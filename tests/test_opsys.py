@@ -6,6 +6,7 @@ from cstarenv.analysis import analyze_system
 from cstarenv.errors import InputError
 from cstarenv.linalg import (
     DEFAULT_TOL,
+    MatSubspace,
     dagger,
     hermitian_basis,
     span_of,
@@ -14,7 +15,13 @@ from cstarenv.linalg import (
 )
 from cstarenv.opsys import OperatorSystem, generated_cstar, opsys_from_generators, product_span
 
-from _oracles import algebra_dim, power_span_dims, random_complex
+from _oracles import (
+    algebra_dim,
+    gram_schmidt_system_space,
+    orthonormality_residual,
+    power_span_dims,
+    random_complex,
+)
 
 
 def test_system_contains_unit_generators_and_adjoints():
@@ -27,6 +34,22 @@ def test_system_contains_unit_generators_and_adjoints():
         for g in gens:
             assert subspace_contains(E.space, g)
             assert subspace_contains(E.space, g.conj().T)
+
+
+def test_systems_store_a_bitwise_hermitian_basis(entries, system):
+    # the stored basis is Hermitian bit for bit, so hermitian_basis returns
+    # it as it is; it spans what the Gram–Schmidt span did, and it is the
+    # kernel's Hermitian basis of that span
+    for name, e in entries.items():
+        E = system(name)
+        basis = E.space.basis
+        assert np.array_equal(basis, np.conj(basis).transpose(0, 2, 1)), name
+        assert hermitian_basis(E.space) is basis, name
+        assert orthonormality_residual(basis) <= 1e-13, name
+        old = gram_schmidt_system_space(e.spec.ambient_dim, e.spec.generators)
+        assert old.dim == E.dim and subspace_equal(old, E.space), name
+        kernel = MatSubspace(E.ambient, hermitian_basis(old))
+        assert subspace_equal(kernel, E.space), name
 
 
 def test_system_rejects_mismatched_shapes():

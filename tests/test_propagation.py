@@ -10,7 +10,7 @@ from cstarenv.errors import InputError, StructuralError
 from cstarenv.linalg import DEFAULT_TOL
 from cstarenv.propagation import propagation_number, verify_power_compatibility
 
-from _oracles import power_span_dims
+from _oracles import gram_schmidt_chain, power_span_dims
 
 # frozen from hand analysis of the structured members: a k-banded Jordan-type
 # generator of M_d needs ceil((d-1)/k) multiplications, a state-sum quotient
@@ -77,6 +77,19 @@ def test_envelope_chain_matches_word_span_oracle(analyses):
         gens = list(env.quotient.apply(env.system.space.basis))
         dims = power_span_dims(gens, env.quotient.target_dim, len(p.chain))
         assert tuple(dims) == p.chain, name
+
+
+def test_rank_chain_equals_the_gram_schmidt_chain(entries, analyses, pair_analyses):
+    # dimensions are ranks of the stacked images; the span_of bases they
+    # replaced give the same chain on every seed-1 member and standard pair
+    envs = [(name, analyses(name).envelope) for name in entries]
+    envs += [
+        (pair, pair_analyses(*pair).factorization.product_envelope)
+        for pair in standard_pairs(entries)
+    ]
+    assert len(envs) == 29
+    for label, env in envs:
+        assert propagation_number(env).chain == gram_schmidt_chain(env), label
 
 
 def test_propagation_needs_the_algebra_powers(pair_analyses):

@@ -6,10 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cstarenv import linalg
 from cstarenv.analysis import analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import InputError, StructuralError, VerificationError
-from cstarenv.linalg import DEFAULT_TOL, subspace_contains, subspace_equal
+from cstarenv.linalg import (
+    DEFAULT_TOL,
+    MatSubspace,
+    hermitian_basis,
+    subspace_contains,
+    subspace_equal,
+)
 from cstarenv.opsys import CStarAlgebra, generated_cstar
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
@@ -29,7 +36,12 @@ from cstarenv.wedderburn import (
     wedderburn_decompose,
 )
 
-from _oracles import check_pattern_bounds, match_by_intertwiner
+from _oracles import (
+    check_pattern_bounds,
+    gram_schmidt_system_space,
+    match_by_intertwiner,
+    orthonormality_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +276,61 @@ def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
     assert rep.product_killed_pairs == rep.expected_killed_pairs != frozenset()
     for b in rep.product_envelope.dk_certificate.per_block:
         assert b.method == ("dual" if b.unique else "left-inverse"), b
+
+
+@pytest.mark.parametrize("left, right", [("state_sum", "random_01"), ("random_01", "state_sum")])
+def test_a_witness_past_the_cone_by_the_search_tolerance_verifies(pair_analyses, left, right):
+    # the killed pair block's candidate, exactly projected onto the affine
+    # set, has least Choi eigenvalue -1.014e-9 against tol_psd = 1e-9: the
+    # lattice search's own stopping residual.  Its midpoint towards the
+    # representation passes at half the distance
+    pa = pair_analyses(left, right)
+    assert pa.verified
+    per_block = pa.factorization.product_envelope.dk_certificate.per_block
+    (killed,) = [b for b in per_block if not b.unique]
+    assert (killed.label, killed.method) == (2, "left-inverse")
+    assert killed.separation == pytest.approx(3 / np.sqrt(2), rel=1e-6)
+
+
+def test_products_store_a_bitwise_hermitian_basis(entries, system):
+    # the tensor of the factors' bitwise-Hermitian bases is one, and it
+    # spans what the kernel's Hermitian basis of the tensor of the factors'
+    # Gram–Schmidt spans does
+    old = {
+        name: gram_schmidt_system_space(e.spec.ambient_dim, e.spec.generators)
+        for name, e in entries.items()
+    }
+    pairs = [
+        (a, b)
+        for a, b in itertools.product(entries, repeat=2)
+        if system(a).ambient * system(b).ambient <= 9
+    ] + standard_pairs(entries)
+    for a, b in pairs:
+        space = min_tensor(system(a), system(b)).product.space
+        basis = space.basis
+        assert np.array_equal(basis, np.conj(basis).transpose(0, 2, 1)), (a, b)
+        assert orthonormality_residual(basis) <= 1e-13, (a, b)
+        kernel = hermitian_basis(subspace_kron(old[a], old[b]))
+        assert subspace_equal(MatSubspace(space.ambient, kernel), space), (a, b)
+
+
+def test_pairs_run_no_gram_schmidt(entries, analyses, config, monkeypatch):
+    # with both factor analyses cached, every basis of a pair is given by
+    # structure: the product's Hermitian basis, SVD null spaces and ranks
+    pairs = standard_pairs(entries)
+    assert len(pairs) == 9
+    factors = {name: analyses(name) for pair in pairs for name in pair}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    kernel = linalg._ordered_gram_schmidt
+    monkeypatch.setattr(linalg, "_ordered_gram_schmidt", counted)
+    for a, b in pairs:
+        assert analyze_pair(factors[a], factors[b], config).verified, (a, b)
+    assert calls == []
 
 
 def test_verified_power_chain_matches_the_generated_chain(entries, system, wedderburn):

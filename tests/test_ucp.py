@@ -288,6 +288,30 @@ def test_a_rejected_candidate_is_named_in_the_evidence(system, wedderburn):
         assert (dist > DEFAULT_TOL.tol_sep) == far
 
 
+def test_a_candidate_just_past_the_cone_is_accepted_at_its_midpoint(system, wedderburn):
+    # scale the left inverse's candidate away from J0 until its least Choi
+    # eigenvalue is -1.5·tol_psd: rejected as it stands, while the midpoint
+    # towards J0 is PSD up to half of that and lies in the same affine set
+    spec = ec_spec(wedderburn, system, 2)
+    good = spec.pack_tuple(state_sum_candidate(wedderburn, system, 2))
+    target = -1.5 * DEFAULT_TOL.tol_psd
+
+    def least(s):
+        return float(spec.min_eig((spec.J0 + s * (good - spec.J0))[np.newaxis, :])[0])
+
+    lo, hi = 1.0, 3.0
+    assert least(lo) > target > least(hi)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if least(mid) > target else (lo, mid)
+    x = spec.J0 + hi * (good - spec.J0)
+    assert -2 * DEFAULT_TOL.tol_psd < least(hi) < -DEFAULT_TOL.tol_psd
+    res = is_unique_ucp_extension(spec, witness=spec.unpack_tuple(x))
+    assert not res.unique and res.method == "left-inverse"
+    assert res.separation == pytest.approx(np.linalg.norm(x - spec.J0) / 2, rel=1e-9)
+    assert_exact_point(spec, res.witness)
+
+
 def _null_rows(M: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the nullspace of ``M``."""
     _, s, vh = np.linalg.svd(M)

@@ -2,12 +2,20 @@
 import numpy as np
 import pytest
 
-from cstarenv.corpus import corpus_entries
+from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import DecompositionError
-from cstarenv.linalg import DEFAULT_TOL, span_of, subspace_contains, subspace_equal
+from cstarenv.analysis import analyze_system
+from cstarenv.linalg import (
+    DEFAULT_TOL,
+    span_of,
+    subspace_contains,
+    subspace_equal,
+    subspace_intersection,
+)
 from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
-from cstarenv.tensor import product_blocks
+from cstarenv.tensor import product_blocks, tensor_map
+from cstarenv.ucp import maximally_entangled
 from cstarenv.wedderburn import (
     _VALIDATION_TOL,
     BlockIdeal,
@@ -23,6 +31,7 @@ from cstarenv.wedderburn import (
 
 from _oracles import (
     block_layout_residual,
+    orthonormality_residual,
     check_pattern_bounds,
     closure_residual,
     coefficient_irrep,
@@ -311,3 +320,51 @@ def test_sylvester_rows_match_the_kron_loop_bit_for_bit(wedderburn, seven_blocks
     for stack in stacks:
         left, right = (stack[0], stack[1]) if stack.ndim == 4 else (stack, stack)
         assert _sylvester_rows(left, right).tobytes() == kron_rows(left, right).tobytes()
+
+
+def test_svd_bases_are_orthonormal_and_span_the_same_rows(
+    entries, system, wedderburn, pair_analyses
+):
+    # commutant, subspace_intersection and null_space keep their SVD rows as
+    # the basis; span_of of the same rows, the basis they replaced, spans
+    # the same subspace
+    spaces = []
+    for name in entries:
+        E, (A, W) = system(name), wedderburn(name)
+        comm = commutant(E.space)
+        spaces += [comm, commutant(A.space), subspace_intersection(A.space, comm)]
+        for ideal in enumerate_ideals(W)[:8]:
+            spaces.append(quotient_map(ideal).as_linear_map(A.space).null_space())
+    for a, b in standard_pairs(entries):
+        fac = pair_analyses(a, b).factorization
+        q = [
+            quotient_map(env.ideal).as_linear_map(env.algebra.space)
+            for env in (fac.left_envelope, fac.right_envelope)
+        ]
+        spaces.append(tensor_map(*q).null_space())
+    assert sum(s.dim > 0 for s in spaces) >= 90
+    for s in spaces:
+        assert orthonormality_residual(s.basis) <= 1e-13
+        again = span_of(s.basis, s.ambient)
+        assert again.dim == s.dim and subspace_equal(again, s)
+
+
+def test_full_matrix_algebras_have_the_identity_gauge(entries, analyses):
+    # an algebra of dimension n^2 is M_n: u is the identity bit for bit, so
+    # its lattice witness, the identity's Choi matrix, does not move with
+    # rounding, and reordering the generators leaves both as they are
+    full = [
+        name
+        for name, e in entries.items()
+        if analyses(name).algebra.dim == e.spec.ambient_dim**2
+    ]
+    assert len(full) >= 12
+    for name in full:
+        spec = entries[name].spec
+        n = spec.ambient_dim
+        reordered = opsys_from_generators(n, spec.generators[::-1], label=name)
+        for sa in (analyses(name), analyze_system(reordered, name=name)):
+            assert sa.wedderburn.blocks == ((n, 1),), name
+            assert np.array_equal(sa.wedderburn.u, np.eye(n)), name
+            (psi,) = sa.lattice_certificate.witness
+            assert psi.tobytes() == maximally_entangled(n).tobytes(), name
