@@ -40,14 +40,11 @@ is UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q
 there.  The representation route then reads its witnesses off ψ: for a
 block i that ψ kills, π_i∘ψ∘q agrees with π_i on the system and vanishes on
 block i, so it is a second UCP extension (Arveson 2008; Dritschel and
-McCullough 2005).  Each such witness is still checked on block i's own
-extension spectrahedron, and a block whose check fails, or that ψ keeps,
-needs a dual certificate.  The witness is checked before the dual, so a
-block ψ kills gets no dual of its own while its witness holds: there the
-representation route checks ψ rather than deciding on its own, and only a
-kept block, or a killed block whose witness is rejected, is decided
-independently of the lattice route.  The envelope insists the two routes
-agree, then builds the quotient and the enveloping block algebra.
+McCullough 2005) within ψ's checked tolerances, and block i is decided by
+ψ alone (see :func:`boundary_representations`).  Only the blocks ψ keeps
+are decided independently, each by a dual certificate.  The envelope
+compares the two routes, then builds the quotient and the enveloping block
+algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  The probe is drawn once
@@ -148,38 +145,41 @@ def block_images(E: OperatorSystem, W: WedderburnData, tol: Tolerances) -> Block
     return BlockImages(basis, tuple(W.irrep_apply(j, basis) for j in W.labels))
 
 
+def _extension_spectrahedron(
+    W: WedderburnData, data: BlockImages, label: int
+) -> UcpSpectrahedron:
+    """The UCP maps from the generated algebra to block ``label`` that
+    restrict to the block's representation on the system, written from
+    ``data``: the sources are every block's images, the values block
+    ``label``'s.  The base point J0 is the representation; the set is
+    ``{J0}`` exactly when the block is a boundary representation.
+    """
+    dims = tuple(d for d, _ in W.blocks)
+    t = dims[label - 1]
+    J0 = [
+        maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
+        for j, d in enumerate(dims, start=1)
+    ]
+    sources = [data.image(j) for j in W.labels]
+    return UcpSpectrahedron.from_constraints(dims, t, sources, data.image(label), J0)
+
+
 def build_extension_spectrahedra(
     W: WedderburnData, data: BlockImages
 ) -> dict[int, UcpSpectrahedron]:
-    """For each block label, the UCP maps from the generated algebra to that
-    block that restrict to the block's representation on the system.
-
-    The base point is the representation itself; a spectrahedron is the
-    singleton around it exactly when its block is a boundary representation.
-    Every block's constraints are written from the one basis and image stack
-    ``data`` that the lattice route and the isometry check also read: the
-    sources are every block's images, the values block ``label``'s.
-    """
-    dims = tuple(d for d, _ in W.blocks)
-    sources = [data.image(j) for j in W.labels]
-    out = {}
-    for label, t in zip(W.labels, dims):
-        J0 = [
-            maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
-            for j, d in enumerate(dims, start=1)
-        ]
-        out[label] = UcpSpectrahedron.from_constraints(dims, t, sources, data.image(label), J0)
-    return out
+    """:func:`_extension_spectrahedron` of every block label."""
+    return {label: _extension_spectrahedron(W, data, label) for label in W.labels}
 
 
 @dataclass(frozen=True)
 class BlockUniqueness:
     """Uniqueness verdict for one irreducible block.
 
-    ``witness`` holds the Choi matrix of a second admissible extension when
-    uniqueness is refuted, and is None on unique blocks.  ``separation`` is
-    the witness's distance from the representation, or the dual
-    certificate's margin for method ``"dual"``.
+    ``witness`` holds the Choi tuple of a second UCP extension, read off
+    the lattice route's left inverse, when uniqueness is refuted, and is
+    None on unique blocks.  ``separation`` is the witness's distance from
+    the representation, or the dual certificate's margin for method
+    ``"dual"``.
     """
 
     label: int
@@ -229,18 +229,15 @@ class LatticeCertificate:
 
 def _left_inverse_candidate(
     W: WedderburnData, lattice: LatticeCertificate, label: int
-) -> list[np.ndarray] | None:
-    """Choi tuple of π_i∘ψ∘q on the extension spectrahedron of block
-    ``i = label``, one ``(d_j·d_i)²`` matrix per block j, or None when the
-    lattice route keeps block i.
+) -> list[np.ndarray]:
+    """Choi tuple of π_i∘ψ∘q for a block ``i = label`` that the lattice
+    route kills, one ``(d_j·d_i)²`` matrix per block j.
 
     ψ is the lattice witness, one ``(d_j·n)²`` Choi block per kept label j.
     At a kept source j the candidate compresses ψ's Choi block by the rows
     v of ``u`` for block i's first copy, ``v ψ(e_kl) v*`` in cell (k, l);
     at a killed source, which q sends to zero, it is zero.
     """
-    if label not in lattice.maximal:
-        return None
     n = W.ambient
     di = W.blocks[label - 1][0]
     s = W.block_offsets()[label - 1]
@@ -268,27 +265,44 @@ def boundary_representations(
 
     A simple algebra needs no decision: its only block is boundary, because
     a finite-dimensional system has at least one boundary representation.
-    Every block the lattice route kills gets the witness candidate read off
-    its left inverse (:func:`_left_inverse_candidate`).  An undecided block
-    raises :class:`InconclusiveError` that names it and says whether the
-    lattice route kills it.
+
+    A block i that the lattice route kills is decided by its left inverse ψ
+    alone, as checked in :func:`cstar_envelope`: ‖ψ(q(h)) − h‖ ≤ r on the
+    Hermitian basis, and every Choi block of ψ has least eigenvalue
+    ≥ λ ≥ ``-tol_psd``.  The witness is φ = π_i∘ψ∘q
+    (:func:`_left_inverse_candidate`).  With v the rows of ``u`` for block
+    i's first copy, v has orthonormal rows and π_i(x) = v x v*, so:
+
+    * φ's Choi block at a kept source j is (1 ⊗ v)·ψ_j·(1 ⊗ v)*, and zero at
+      a killed source; (1 ⊗ v)* is an isometry, so its least eigenvalue is
+      at least min(0, λ);
+    * φ(⊕_j π_j(h)) − π_i(h) = v(ψ(q(h)) − h)v*, of norm at most r;
+    * φ is zero at source i, where J0 is ``maximally_entangled(d_i)`` of
+      norm d_i, so ‖φ − J0‖ = √(d_i² + Σ_j ‖φ_j‖²) ≥ d_i > ``tol_sep``·d_i.
+
+    So φ is a second UCP extension of π_i on the system and block i is not
+    boundary (Arveson 2008).  The trade-off: the witness meets ψ's
+    tolerances, not block i's affine constraints exactly, and block i gets
+    no spectrahedron.  Each block ψ keeps gets one and
+    :func:`is_unique_ucp_extension`; an :class:`InconclusiveError` from it
+    is raised again naming the block.
     """
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     results = []
-    for label, spec in build_extension_spectrahedra(W, data).items():
-        witness = _left_inverse_candidate(W, lattice, label)
+    for label in W.labels:
+        if label in lattice.maximal:
+            witness = _left_inverse_candidate(W, lattice, label)
+            d = W.blocks[label - 1][0]
+            separation = math.sqrt(d * d + sum(float(np.linalg.norm(c)) ** 2 for c in witness))
+            results.append(BlockUniqueness(label, False, "left-inverse", separation, 0, witness))
+            continue
         try:
-            res = is_unique_ucp_extension(spec, tol, witness)
+            res = is_unique_ucp_extension(_extension_spectrahedron(W, data, label), tol)
         except InconclusiveError as exc:
-            route = "killed" if label in lattice.maximal else "kept"
-            raise InconclusiveError(
-                f"block {label} ({route} by the lattice route): {exc}"
-            ) from None
+            raise InconclusiveError(f"block {label} (kept by the lattice route): {exc}") from None
         results.append(
-            BlockUniqueness(
-                label, res.unique, res.method, res.separation, res.iterations, res.witness
-            )
+            BlockUniqueness(label, res.unique, res.method, res.separation, res.iterations)
         )
     return DkCertificate(tuple(results))
 
@@ -303,11 +317,11 @@ def silov_ideal_dk(
     """Minimal boundary ideal via boundary representations.
 
     The ideal kills exactly the blocks that are not boundary representations.
-    ``lattice`` supplies the witness candidates (see
+    ``lattice`` supplies the witnesses of the blocks it kills (see
     :func:`boundary_representations`) and ``data``, the system's
-    :func:`block_images`, every block's constraints.  An empty boundary set is impossible
-    for a finite-dimensional system, so it is reported as a structural
-    failure rather than an ideal.
+    :func:`block_images`, every kept block's constraints.  An empty boundary
+    set is impossible for a finite-dimensional system, so it is reported as
+    a structural failure rather than an ideal.
     """
     cert = boundary_representations(W, data, lattice, tol=tol)
     boundary = cert.boundary_labels
@@ -741,12 +755,12 @@ def cstar_envelope(
     witnesses off it: ψ∘q = id on the system's Hermitian basis within
     ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
     eigenvalue at least ``-tol_psd``; a failure raises
-    :class:`VerificationError`.  Raises :class:`RouteDisagreementError` when
-    the routes disagree.  They are independent on the blocks ψ keeps; a
-    block ψ kills is decided by the witness read off ψ, and gets its own
-    dual certificate, which can then disagree, only when that witness is
-    rejected.  Both routes are deterministic; a missing ``wedderburn`` is
-    computed with :func:`wedderburn_decompose`'s default seed.
+    :class:`VerificationError`.  Those checks are the whole proof that a
+    block ψ kills is not boundary (:func:`boundary_representations`), so the
+    routes agree by construction; the comparison that raises
+    :class:`RouteDisagreementError` guards that construction.  Both routes
+    are deterministic; a missing ``wedderburn`` is computed with
+    :func:`wedderburn_decompose`'s default seed.
     """
     from .errors import RouteDisagreementError
 

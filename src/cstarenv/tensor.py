@@ -51,7 +51,7 @@ from .linalg import (
     LinearMap,
     MatSubspace,
     Tolerances,
-    subspace_contains,
+    _rows_inside,
     subspace_equal,
 )
 from .opsys import CStarAlgebra, OperatorSystem
@@ -251,6 +251,14 @@ def kernel_of_tensor_quotients(
     tensored quotient map; a mismatch means the pair indexing is wrong and
     raises.
     """
+    return _kernel_ideal(P, I, J, tol)[0]
+
+
+def _kernel_ideal(
+    P: ProductBlocks, I: BlockIdeal, J: BlockIdeal, tol: Tolerances
+) -> tuple[BlockIdeal, MatSubspace]:
+    """:func:`kernel_of_tensor_quotients` with the kernel's subspace, which
+    its cross-check builds."""
     if I.parent is not P.left or J.parent is not P.right:
         raise InputError("ideals must live over the decompositions the product was built from")
     killed = frozenset(
@@ -263,11 +271,12 @@ def kernel_of_tensor_quotients(
     q_I = quotient_map(I).as_linear_map(P.left.algebra.space)
     q_J = quotient_map(J).as_linear_map(P.right.algebra.space)
     null = tensor_map(q_I, q_J).null_space(tol)
-    if not subspace_equal(ideal_subspace(result, tol), null, tol):
+    space = ideal_subspace(result, tol)
+    if not subspace_equal(space, null, tol):
         raise StructuralError(
             "kernel ideal disagrees with the null space of the tensored quotient"
         )
-    return result
+    return result, space
 
 
 def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
@@ -427,12 +436,11 @@ def verify_envelope_tensor_factorization(
         algebra=CStarAlgebra(space=chain[-1], powers=chain),
         wedderburn=P.wedderburn,
     )
-    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal, tol)
+    K, kernel_space = _kernel_ideal(P, env_E.ideal, env_F.ideal, tol)
 
     silov_space = ideal_subspace(env_T.ideal, tol)
-    kernel_space = ideal_subspace(K, tol)
-    subspace_contained = env_T.ideal.killed <= K.killed and all(
-        subspace_contains(kernel_space, b, tol) for b in silov_space.basis
+    subspace_contained = env_T.ideal.killed <= K.killed and _rows_inside(
+        kernel_space, silov_space.vecs(), tol
     )
     killed_match = env_T.ideal.killed == K.killed
 

@@ -12,19 +12,18 @@ and the two decision problems this package needs are questions about that
 intersection: is it a singleton around a distinguished point (uniqueness
 of a UCP extension), and is it nonempty (existence of a UCP left inverse).
 
-Uniqueness is decided by a certificate or a witness: a dual certificate
-(strict complementarity) checked with an explicit rounding bound, or a
-second feasible point.  The caller supplies the witness candidate (for a
-block the lattice route kills, the compression of its UCP left inverse),
-and it is checked first: it is projected exactly onto the affine set and
-accepted when it lies farther than ``tol_sep`` from the base point with
-least Choi eigenvalue at least ``-tol_psd``, the rule the left inverse
-itself is held to.  Dykstra alternating projections between an affine set
-and the cone decide feasibility, stopping at the first iterate that meets
-the affine tolerance, and search for a dual certificate when its closed
-form fails.  The feasibility search reads each iterate's residual off the
-next affine projection, which computes it anyway (see
-:func:`ucp_feasibility`).
+Uniqueness is decided by a certificate: a pinned affine set, or a dual
+certificate (strict complementarity) checked with an explicit rounding
+bound.  A second extension, the other answer, is not searched for here:
+the blocks that have one are the blocks the lattice route's checked UCP
+left inverse kills, and that left inverse is their witness (see
+:func:`cstarenv.boundary.boundary_representations`).
+
+Dykstra alternating projections between an affine set and the cone decide
+feasibility, stopping at the first iterate that meets the affine
+tolerance, and search for a dual certificate when its closed form fails.
+The feasibility search reads each iterate's residual off the next affine
+projection, which computes it anyway (see :func:`ucp_feasibility`).
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -384,7 +383,6 @@ class UniquenessResult:
     """``certificate``: the packed dual certificate of a ``"dual"`` verdict."""
 
     unique: bool
-    witness: list | None
     method: str
     separation: float
     iterations: int
@@ -571,80 +569,42 @@ def _dual_search(spec, F, p_perp, Z, mu, ratio, tol):
 
 
 def is_unique_ucp_extension(
-    spec: UcpSpectrahedron,
-    tol: Tolerances = DEFAULT_TOL,
-    witness: list | None = None,
+    spec: UcpSpectrahedron, tol: Tolerances = DEFAULT_TOL
 ) -> UniquenessResult:
-    """Decide whether the spectrahedron is the singleton ``{J0}``.
+    """Certify that the spectrahedron is the singleton ``{J0}``.
 
     Every verdict is proved, in this order: a pinned affine set
-    (``"pinned"``); the candidate second point ``witness``, a Choi tuple
-    such as the one a UCP left inverse gives (``"left-inverse"``); the
-    closed-form dual certificate (``"dual"``, see
+    (``"pinned"``); the closed-form dual certificate (``"dual"``, see
     :func:`verify_uniqueness_certificate`); a Dykstra search for a dual
-    certificate (``"dual"``, with its iterations).  The witness goes before
-    the dual because a block with a second extension has no certificate: the
-    dual's face SVD and its check would only fail there.  So an accepted
-    witness ends the decision: when it comes from another computation, such
-    as the lattice route's left inverse, the verdict checks that computation
-    and is not an independent one.  The dual runs only when no witness is
-    given or it is rejected.  No step is random.  No step looks for room
-    around a strictly definite ``J0`` either: the extension spectrahedron of
-    a block of a multi-block algebra has ``J0`` zero at every other source,
-    and a simple algebra decides no uniqueness.
+    certificate (``"dual"``, with its iterations).  A ``"dual"`` verdict's
+    separation is the certificate's margin μ.  No step is random.  No step
+    looks for room around a strictly definite ``J0`` either: the extension
+    spectrahedron of a block of a multi-block algebra has ``J0`` zero at
+    every other source, and a simple algebra decides no uniqueness.
 
-    The candidate is projected exactly onto the affine set,
-    ``x = J0 + null_project(witness - J0)``, and accepted when
-    ``‖x - J0‖ > tol_sep·max(1, ‖J0‖)`` and its least Choi eigenvalue is at
-    least ``-tol_psd``.  When only its eigenvalue fails, the midpoint
-    ``J0 + (x - J0)/2`` is tried: it lies in the same affine set, and since
-    ``J0 ⪰ 0`` and the least eigenvalue is concave, its least eigenvalue is
-    at least half of x's.  This absorbs the affine residual the candidate's
-    own search stopped at, which the exact projection can turn into a
-    negative eigenvalue of the size of ``tol_psd``.  The accepted point is
-    held to the same rule as any witness, distance and eigenvalue, and is
-    the reported witness; the evidence of a rejection names x.  A
-    ``"dual"`` verdict's separation is the certificate's margin μ, a
-    witness's its distance from ``J0``.  Without
-    a certificate or a witness it raises :class:`InconclusiveError` with the
-    best margin and bound reached and why there is no witness.
+    Only uniqueness is decided.  A block with a second extension has no
+    certificate, so there every step fails and the call raises
+    :class:`InconclusiveError` with the best margin and bound reached; its
+    callers hand it only blocks that no checked witness refutes.
     """
     if spec.J0 is None:
         raise InputError("uniqueness requires the base point J0")
-    sep_abs = tol.tol_sep * max(1.0, float(np.linalg.norm(spec.J0)))
 
     if spec.null_dim == 0:
-        return UniquenessResult(True, None, "pinned", 0.0, 0)
-
-    no_witness = "no candidate"
-    if witness is not None:
-        step = spec.null_project((spec.pack_tuple(witness) - spec.J0)[np.newaxis, :])[0]
-        for scale in (1.0, 0.5):
-            point = spec.J0 + scale * step
-            dist = float(np.linalg.norm(point - spec.J0))
-            least = float(spec.min_eig(point[np.newaxis, :])[0])
-            if dist > sep_abs and least >= -tol.tol_psd:
-                return UniquenessResult(False, spec.unpack_tuple(point), "left-inverse", dist, 0)
-            if scale == 1.0:
-                no_witness = (
-                    f"candidate rejected: least Choi eigenvalue {least:.3e}, distance {dist:.3e}"
-                )
-            if least >= -tol.tol_psd:
-                break  # too close to J0, and the midpoint is closer still
+        return UniquenessResult(True, "pinned", 0.0, 0)
 
     F, p_perp = _face(spec)
     Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
     check = verify_uniqueness_certificate(spec, Z, tol)
     if check.accepted:
-        return UniquenessResult(True, None, "dual", check.mu, 0, Z)
+        return UniquenessResult(True, "dual", check.mu, 0, Z)
 
     Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
     if Z is not None:
-        return UniquenessResult(True, None, "dual", mu, iterations, Z)
+        return UniquenessResult(True, "dual", mu, iterations, Z)
     raise InconclusiveError(
         f"uniqueness undecided: no dual certificate after {iterations} iterations "
-        f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e}) "
-        f"and no witness ({no_witness})"
+        f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e})"
     )
 
 

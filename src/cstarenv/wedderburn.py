@@ -155,6 +155,16 @@ class WedderburnData:
         return offs
 
 
+def _local_span(compressed: np.ndarray, tol: Tolerances) -> MatSubspace:
+    """Span of a ``(k, r, r)`` stack from one SVD: its rank counts the
+    singular values above ``tol_rank`` times the largest, and the leading
+    right singular vectors, orthonormal, are its basis."""
+    k, r, _ = compressed.shape
+    _, sig, vh = np.linalg.svd(compressed.reshape(k, r * r), full_matrices=False)
+    rank = int(np.sum(sig > tol.tol_rank * sig[0]))
+    return MatSubspace(r, vh[:rank].reshape(rank, r, r))
+
+
 def _split_component(
     r_cols: np.ndarray,
     algebra_basis: np.ndarray,
@@ -171,7 +181,7 @@ def _split_component(
     n = r_cols.shape[0]
     r = r_cols.shape[1]
     compressed = np.einsum("pi,kpq,qj->kij", np.conj(r_cols), algebra_basis, r_cols)
-    local = span_of(list(compressed), r, tol)
+    local = _local_span(compressed, tol)
     dsq = local.dim
     d = int(round(np.sqrt(dsq)))
     if d * d != dsq or r % d != 0:

@@ -1,6 +1,10 @@
 """Shared fixtures: the generated corpus and lazily cached analyses."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,3 +101,17 @@ def seven_blocks(seven_blocks_generator):
     g = seven_blocks_generator
     E = opsys_from_generators(g.shape[0], [g])
     return E, wedderburn_decompose(generated_cstar(E))
+
+
+@pytest.fixture(scope="session")
+def bench_blocks():
+    """``(name, E)`` for the seed-1 systems of the benchmark's ``blocks``
+    workload, built by ``perfbench/workloads.py`` itself."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    specs = [workloads.blocks_spec(1, i, workloads.K_IN) for i in range(workloads.BLOCK_SYSTEMS)]
+    return [(s.name, opsys_of(s, DEFAULT_TOL)) for s in specs]

@@ -26,7 +26,7 @@ from cstarenv.boundary import (
     silov_ideal_dk,
     silov_ideal_lattice,
 )
-from cstarenv.corpus import corpus_entries
+from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import InconclusiveError, RouteDisagreementError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm, span_of
 from cstarenv.opsys import generated_cstar, opsys_from_generators
@@ -444,35 +444,106 @@ def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, 
         cstar_envelope(E)
 
 
-def test_a_dual_accepted_on_a_killed_block_fails_the_envelope(system, monkeypatch):
-    # the representation route checks a killed block's witness before its
-    # dual, so the dual meets a killed block only once the witness is
-    # rejected; a dual accepted there (here by a forced check) still makes
-    # the routes disagree
-    E = system("state_sum")
-    real_unique, real_check = boundary.is_unique_ucp_extension, ucp.verify_uniqueness_certificate
-    forced = []
+def test_a_kept_block_refuted_by_a_forced_verdict_fails_the_envelope(seven_blocks, monkeypatch):
+    # the routes agree by construction: the representation route kills what
+    # the lattice route's left inverse kills and certifies the rest.  A
+    # forced refutation of the kept scalar block gives a different ideal,
+    # which the envelope's comparison still refuses
+    E7, W7 = seven_blocks
+    real_unique = boundary.is_unique_ucp_extension
 
-    def rejecting(spec, tol, witness):
-        if witness is not None:
-            forced.append(spec)
-            witness = spec.unpack_tuple(spec.J0)  # at distance 0: rejected
-        return real_unique(spec, tol, witness)
+    def refuting(spec, tol):
+        if spec.target_dim == 1:
+            return ucp.UniquenessResult(False, "forced", 0.0, 0)
+        return real_unique(spec, tol)
 
-    def accepting(spec, Z, tol=DEFAULT_TOL):
-        if any(spec is f for f in forced):
-            return ucp.CertificateCheck(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
-        return real_check(spec, Z, tol)
-
-    monkeypatch.setattr(boundary, "is_unique_ucp_extension", rejecting)
-    monkeypatch.setattr(ucp, "verify_uniqueness_certificate", accepting)
-    with pytest.raises(RouteDisagreementError, match=r"killed \[\] vs \[2\]") as info:
-        cstar_envelope(E)
-    assert len(forced) == 1
+    monkeypatch.setattr(boundary, "is_unique_ucp_extension", refuting)
+    with pytest.raises(
+        RouteDisagreementError, match=r"killed \[2, 3, 4, 5, 6, 7\] vs \[2, 3, 4, 5, 6\]"
+    ) as info:
+        cstar_envelope(E7, wedderburn=W7)
     assert [(b.label, b.unique, b.method) for b in info.value.dk_certificate.per_block] == [
         (1, True, "dual"),
-        (2, True, "dual"),
+        *((j, False, "left-inverse") for j in range(2, 7)),
+        (7, False, "forced"),
     ]
+
+
+def test_killed_blocks_get_no_spectrahedron_and_no_uniqueness_call(
+    system, wedderburn, seven_blocks, monkeypatch
+):
+    # a block the lattice route kills is decided by its checked left
+    # inverse alone: only the kept blocks get an extension spectrahedron and
+    # a uniqueness decision, one each
+    built, decided = [], []
+    real_build, real_unique = boundary._extension_spectrahedron, boundary.is_unique_ucp_extension
+
+    def recording_build(W, data, label):
+        spec = real_build(W, data, label)
+        built.append((label, spec))
+        return spec
+
+    def recording_unique(spec, tol):
+        decided.append(next(label for label, s in built if s is spec))
+        return real_unique(spec, tol)
+
+    monkeypatch.setattr(boundary, "_extension_spectrahedron", recording_build)
+    monkeypatch.setattr(boundary, "is_unique_ucp_extension", recording_unique)
+    T = min_tensor(system("full_M2"), system("state_sum"))
+    P = tensor.product_blocks(wedderburn("full_M2")[1], wedderburn("state_sum")[1])
+    cases = [
+        (*seven_blocks, 5),
+        (system("state_sum"), wedderburn("state_sum")[1], 1),
+        (T.product, P.wedderburn, 1),
+    ]
+    for E, W, n_killed in cases:
+        built.clear()
+        decided.clear()
+        env = cstar_envelope(E, wedderburn=W)
+        killed = env.lattice_certificate.maximal
+        kept = [j for j in W.labels if j not in killed]
+        assert len(killed) == n_killed and kept
+        assert [label for label, _ in built] == decided == kept
+        assert env.ideal.killed == killed
+
+
+def test_a_killed_block_witness_meets_the_left_inverse_contract(
+    entries, analyses, pair_analyses, bench_blocks
+):
+    # the witness of a killed block is the left inverse's compression, bit
+    # for bit, at distance sqrt(d_i^2 + sum_j |candidate_j|^2) from J0; its
+    # interpolation residual and least Choi eigenvalue are within those the
+    # envelope checked on the left inverse itself
+    envs = [(name, analyses(name).envelope) for name in entries]
+    envs += [
+        (f"{a}*{b}", pair_analyses(a, b).factorization.product_envelope)
+        for a, b in standard_pairs(entries)
+    ]
+    envs += [(name, cstar_envelope(E)) for name, E in bench_blocks]
+    seen = Counter()
+    for name, env in envs:
+        W, lattice = env.wedderburn, env.lattice_certificate
+        data = block_images(env.system, W, DEFAULT_TOL)
+        for b in env.dk_certificate.per_block:
+            if b.label not in lattice.maximal:
+                continue
+            seen[name] += 1
+            di = W.blocks[b.label - 1][0]
+            candidate = boundary._left_inverse_candidate(W, lattice, b.label)
+            assert (b.unique, b.method) == (False, "left-inverse"), (name, b.label)
+            assert len(b.witness) == len(candidate) == W.num_blocks
+            assert all(np.array_equal(x, y) for x, y in zip(b.witness, candidate))
+            norms = sum(float(np.linalg.norm(c)) ** 2 for c in candidate)
+            assert b.separation == pytest.approx(np.sqrt(di * di + norms), rel=1e-15)
+            values = sum(
+                np.einsum("hkl,kalb->hab", data.image(j), c.reshape(dj, di, dj, di))
+                for j, ((dj, _), c) in enumerate(zip(W.blocks, b.witness), start=1)
+            )
+            residual = float(np.max(np.linalg.norm(values - data.image(b.label), axis=(1, 2))))
+            assert residual <= env.isometry.residual + 1e-12, (name, b.label)
+            least = min(float(np.linalg.eigvalsh(c)[0]) for c in b.witness)
+            assert least >= env.isometry.min_eig - 1e-12, (name, b.label)
+    assert sum(seen.values()) >= 20 and len(seen) >= 8, seen
 
 
 def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, monkeypatch):

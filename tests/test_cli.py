@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cstarenv
-from cstarenv import analysis, boundary, cli, ucp
+from cstarenv import analysis, cli, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -323,18 +323,23 @@ def test_verify_all_reports_do_not_depend_on_jobs(corpus_dir, capsys, tmp_path):
 
 
 def test_verify_all_row_shows_inconclusive_uniqueness_evidence(corpus_dir, capsys, monkeypatch):
-    # given no witness, the scalar block of state_sum has neither a
-    # certificate nor a witness; its row names the block and its lattice
-    # verdict, says how close the dual search came and why no witness
-    monkeypatch.setattr(boundary, "_left_inverse_candidate", lambda *a, **k: None)
+    # with every dual certificate rejected, the kept matrix block of
+    # state_sum has neither a certificate nor a witness; its row names the
+    # block and its lattice verdict and says how close the dual search came
+    real_check = ucp.verify_uniqueness_certificate
+    monkeypatch.setattr(
+        ucp,
+        "verify_uniqueness_certificate",
+        lambda spec, Z, *tol: replace(real_check(spec, Z, *tol), mu=-1.0),
+    )
     code, out, _ = run(capsys, "verify-all", str(corpus_dir))
     assert code == 2
     row = next(line for line in out.splitlines() if line.startswith("state_sum "))
     assert "inconclusive" in row
     detail = out.splitlines()[out.splitlines().index(row) + 1]
-    assert "block 2 (killed by the lattice route)" in detail
-    assert "best margin" in detail and "best bound/threshold" in detail
-    assert "no witness (no candidate)" in detail
+    assert "block 1 (kept by the lattice route)" in detail
+    assert "no dual certificate after 400 iterations" in detail
+    assert "best margin -1.000e+00" in detail and "best bound/threshold" in detail
 
 
 def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):

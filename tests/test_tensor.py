@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cstarenv import linalg
+from cstarenv import linalg, tensor
 from cstarenv.analysis import analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import InputError, StructuralError, VerificationError
@@ -280,16 +280,40 @@ def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
 
 @pytest.mark.parametrize("left, right", [("state_sum", "random_01"), ("random_01", "state_sum")])
 def test_a_witness_past_the_cone_by_the_search_tolerance_verifies(pair_analyses, left, right):
-    # the killed pair block's candidate, exactly projected onto the affine
-    # set, has least Choi eigenvalue -1.014e-9 against tol_psd = 1e-9: the
-    # lattice search's own stopping residual.  Its midpoint towards the
-    # representation passes at half the distance
+    # the killed pair block's witness, exactly projected onto the affine set,
+    # would have least Choi eigenvalue -1.014e-9 against tol_psd = 1e-9: the
+    # lattice search's own stopping residual.  It is not projected: the
+    # checked left inverse decides the block, and the witness keeps its
+    # distance sqrt(d^2 + sum_j |candidate_j|^2) = 3 sqrt(2)
     pa = pair_analyses(left, right)
     assert pa.verified
     per_block = pa.factorization.product_envelope.dk_certificate.per_block
     (killed,) = [b for b in per_block if not b.unique]
     assert (killed.label, killed.method) == (2, "left-inverse")
-    assert killed.separation == pytest.approx(3 / np.sqrt(2), rel=1e-6)
+    assert killed.separation == pytest.approx(3 * np.sqrt(2), rel=1e-6)
+
+
+def test_the_kernel_ideal_subspace_is_built_once_per_pair(entries, analyses, config, monkeypatch):
+    # the kernel ideal's subspace serves both its null-space cross-check and
+    # the containment of the product's Šilov ideal, so each pair builds it
+    # once, besides the Šilov ideal's own
+    built = []
+    real = tensor.ideal_subspace
+
+    def recording(ideal, tol=DEFAULT_TOL):
+        built.append(ideal)
+        return real(ideal, tol)
+
+    monkeypatch.setattr(tensor, "ideal_subspace", recording)
+    for a, b in standard_pairs(entries):
+        built.clear()
+        pa = analyze_pair(analyses(a), analyses(b), config)
+        env_T = pa.factorization.product_envelope
+        assert pa.factorization.subspace_contained, (a, b)
+        kernel = [ideal for ideal in built if ideal is not env_T.ideal]
+        assert len(built) == 2 and len(kernel) == 1, (a, b)
+        assert kernel[0].parent is env_T.wedderburn
+        assert kernel[0].killed == env_T.ideal.killed
 
 
 def test_products_store_a_bitwise_hermitian_basis(entries, system):

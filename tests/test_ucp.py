@@ -39,15 +39,6 @@ def ec_spec(wedderburn, system, label):
     return extension_spectrahedra(E, W)[label]
 
 
-def state_sum_candidate(wedderburn, system, label):
-    """The witness candidate the representation route reads off the lattice
-    route's left inverse for block ``label`` of state_sum."""
-    E = system("state_sum")
-    _, W = wedderburn("state_sum")
-    lattice = boundary.silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))[1]
-    return boundary._left_inverse_candidate(W, lattice, label)
-
-
 def assert_exact_point(spec, mats, scale=1.0):
     packed = spec.pack_tuple(mats)
     resid = float(spec.affine_residual(packed[np.newaxis, :])[0])
@@ -160,7 +151,6 @@ def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
         spec = extension_spectrahedra(system(name), wedderburn(name)[1])[label]
         res = is_unique_ucp_extension(spec)
         assert res.unique and res.method == "dual" and res.iterations == 0
-        assert res.witness is None
         check = verify_uniqueness_certificate(spec, res.certificate)
         assert check.accepted and check.mu > 0.0
         assert res.separation == check.mu
@@ -169,8 +159,9 @@ def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
 @pytest.fixture(scope="module")
 def decisions(entries, system, wedderburn, seven_blocks):
     """``(name, label, spec, result)`` for every block of the corpus
-    fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``, each
-    decided with the witness candidate of the lattice route's left inverse."""
+    fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``.  A block
+    the lattice route keeps is decided by :func:`is_unique_ucp_extension`; a
+    block it kills, which its left inverse decides, has result None."""
     systems = [(name, system(name), wedderburn(name)[1]) for name in entries]
     systems.append(("seven_blocks", *seven_blocks))
     T = min_tensor(system("full_M2"), system("state_sum"))
@@ -179,10 +170,9 @@ def decisions(entries, system, wedderburn, seven_blocks):
     out = []
     for name, E, W in systems:
         data = block_images(E, W, DEFAULT_TOL)
-        lattice = boundary.silov_ideal_lattice(W, data)[1]
+        killed = boundary.silov_ideal_lattice(W, data)[1].maximal
         for label, spec in build_extension_spectrahedra(W, data).items():
-            witness = boundary._left_inverse_candidate(W, lattice, label)
-            res = is_unique_ucp_extension(spec, witness=witness)
+            res = None if label in killed else is_unique_ucp_extension(spec)
             out.append((name, label, spec, res))
     return out
 
@@ -190,17 +180,15 @@ def decisions(entries, system, wedderburn, seven_blocks):
 def test_every_unique_block_carries_an_accepted_certificate(decisions):
     methods = set()
     for name, label, spec, res in decisions:
-        methods.add(res.method)
-        if not res.unique:
-            assert res.method == "left-inverse", (name, label)
-            assert_exact_point(spec, res.witness)
+        if res is None:
             continue
-        assert res.method in ("pinned", "dual"), (name, label)
+        methods.add(res.method)
+        assert res.unique and res.method in ("pinned", "dual"), (name, label)
         if res.method == "dual":
             check = verify_uniqueness_certificate(spec, res.certificate)
             assert check.accepted, (name, label, check)
             assert res.separation == check.mu
-    assert {"dual", "left-inverse"} <= methods
+    assert "dual" in methods
 
 
 def test_dual_search_certifies_state_sum_s3_block_1():
@@ -218,47 +206,18 @@ def test_dual_search_certifies_state_sum_s3_block_1():
 
 
 def test_no_certificate_where_a_witness_exists(decisions):
-    # given no witness, a block that has a second extension must end
-    # inconclusive: neither the closed form nor the search may produce an
-    # accepted certificate there.  full_M2 (x) state_sum label 2 is the
-    # trap: the other block of its closed form has an eigenvalue of about
-    # 1e-16, which a bare margin check would take as positive.
-    refuted = [(n, lab, spec) for n, lab, spec, r in decisions if not r.unique]
+    # a block the lattice route kills has a second extension, so the
+    # uniqueness decision must end inconclusive there: neither the closed
+    # form nor the search may produce an accepted certificate.  This is the
+    # independent check that a block decided by the left inverse alone is
+    # really not boundary.  full_M2 (x) state_sum label 2 is the trap: the
+    # other block of its closed form has an eigenvalue of about 1e-16, which
+    # a bare margin check would take as positive.
+    refuted = [(n, lab, spec) for n, lab, spec, r in decisions if r is None]
     assert ("full_M2*state_sum", 2) in [(n, lab) for n, lab, _ in refuted]
     for name, label, spec in refuted:
         with pytest.raises(InconclusiveError, match="no dual certificate"):
             is_unique_ucp_extension(spec)
-
-
-def test_the_witness_goes_before_the_dual(seven_blocks, monkeypatch):
-    # a block the lattice route kills is decided by its witness, so the
-    # closed-form dual (its face SVD) runs on the kept blocks only, and every
-    # verdict and method stays what it was with the dual first
-    E7, W7 = seven_blocks
-    data = block_images(E7, W7, DEFAULT_TOL)
-    lattice = boundary.silov_ideal_lattice(W7, data)[1]
-    specs, faced = {}, []
-    real_build, real_face = boundary.build_extension_spectrahedra, ucp._face
-
-    def recording_build(W, data):
-        specs.update(real_build(W, data))
-        return specs
-
-    def recording_face(spec):
-        faced.append(spec)
-        return real_face(spec)
-
-    monkeypatch.setattr(boundary, "build_extension_spectrahedra", recording_build)
-    monkeypatch.setattr(ucp, "_face", recording_face)
-    cert = boundary.boundary_representations(W7, data, lattice)
-    faced_labels = [label for label, spec in specs.items() if any(spec is f for f in faced)]
-    assert len(faced) == len(faced_labels)
-    assert faced_labels == sorted(set(W7.labels) - lattice.maximal) == [1, 7]
-    assert [(b.label, b.unique, b.method) for b in cert.per_block] == [
-        (1, True, "dual"),
-        *((j, False, "left-inverse") for j in range(2, 7)),
-        (7, True, "dual"),
-    ]
 
 
 def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
@@ -268,48 +227,7 @@ def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
     msg = str(info.value)
     assert "after 400 iterations" in msg
     assert "best margin -" in msg and "best bound/threshold inf" in msg
-    assert msg.endswith("and no witness (no candidate)")
-
-
-def test_a_rejected_candidate_is_named_in_the_evidence(system, wedderburn):
-    # the base point itself is at distance 0, and the left inverse's
-    # candidate pushed past the cone has a negative eigenvalue: both are
-    # rejected, and the message gives the candidate's eigenvalue and distance
-    spec = ec_spec(wedderburn, system, 2)
-    good = state_sum_candidate(wedderburn, system, 2)
-    J0 = spec.unpack_tuple(spec.J0)
-    beyond = [3.0 * c - 2.0 * j for c, j in zip(good, J0)]
-    evidence = r"candidate rejected: least Choi eigenvalue (\S+), distance (\S+)\)$"
-    for mats, negative, far in ((J0, False, False), (beyond, True, True)):
-        with pytest.raises(InconclusiveError, match=evidence) as info:
-            is_unique_ucp_extension(spec, witness=mats)
-        least, dist = (float(x) for x in re.search(evidence, str(info.value)).groups())
-        assert (least < -DEFAULT_TOL.tol_psd) == negative
-        assert (dist > DEFAULT_TOL.tol_sep) == far
-
-
-def test_a_candidate_just_past_the_cone_is_accepted_at_its_midpoint(system, wedderburn):
-    # scale the left inverse's candidate away from J0 until its least Choi
-    # eigenvalue is -1.5·tol_psd: rejected as it stands, while the midpoint
-    # towards J0 is PSD up to half of that and lies in the same affine set
-    spec = ec_spec(wedderburn, system, 2)
-    good = spec.pack_tuple(state_sum_candidate(wedderburn, system, 2))
-    target = -1.5 * DEFAULT_TOL.tol_psd
-
-    def least(s):
-        return float(spec.min_eig((spec.J0 + s * (good - spec.J0))[np.newaxis, :])[0])
-
-    lo, hi = 1.0, 3.0
-    assert least(lo) > target > least(hi)
-    for _ in range(100):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if least(mid) > target else (lo, mid)
-    x = spec.J0 + hi * (good - spec.J0)
-    assert -2 * DEFAULT_TOL.tol_psd < least(hi) < -DEFAULT_TOL.tol_psd
-    res = is_unique_ucp_extension(spec, witness=spec.unpack_tuple(x))
-    assert not res.unique and res.method == "left-inverse"
-    assert res.separation == pytest.approx(np.linalg.norm(x - spec.J0) / 2, rel=1e-9)
-    assert_exact_point(spec, res.witness)
+    assert msg.endswith("best bound/threshold inf)")
 
 
 def _null_rows(M: np.ndarray) -> np.ndarray:
@@ -438,28 +356,45 @@ def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
 
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
-    spec = ec_spec(wedderburn, system, 2)
-    witness = state_sum_candidate(wedderburn, system, 2)
-    res = is_unique_ucp_extension(spec, witness=witness)
-    assert not res.unique and res.method == "left-inverse"
-    assert res.witness is not None
-    assert_exact_point(spec, res.witness)
-    packed = spec.pack_tuple(res.witness)
-    sep = float(np.linalg.norm(packed - spec.J0))
-    assert sep > DEFAULT_TOL.tol_sep
-    assert res.separation == pytest.approx(sep, rel=1e-6)
+    # the killed block's witness is the left inverse's compression bit for
+    # bit, at the distance sqrt(d_i^2 + sum_j |candidate_j|^2) from J0
+    E = system("state_sum")
+    _, W = wedderburn("state_sum")
+    data = block_images(E, W, DEFAULT_TOL)
+    lattice = boundary.silov_ideal_lattice(W, data)[1]
+    assert lattice.maximal == {2}
+    cert = boundary.boundary_representations(W, data, lattice)
+    block = cert.per_block[1]
+    assert (block.label, block.unique, block.method, block.iterations) == (
+        2,
+        False,
+        "left-inverse",
+        0,
+    )
+    candidate = boundary._left_inverse_candidate(W, lattice, 2)
+    assert len(block.witness) == len(candidate)
+    for got, want in zip(block.witness, candidate):
+        assert np.array_equal(got, want)
+    spec = build_extension_spectrahedra(W, data)[2]
+    formula = np.sqrt(W.blocks[1][0] ** 2 + sum(np.linalg.norm(c) ** 2 for c in candidate))
+    assert block.separation == formula
+    assert formula == pytest.approx(
+        np.linalg.norm(spec.pack_tuple(candidate) - spec.J0), rel=1e-12
+    )
+    assert block.separation > DEFAULT_TOL.tol_sep
 
 
 def test_uniqueness_probe_is_deterministic(system, wedderburn):
-    spec = ec_spec(wedderburn, system, 2)
-    witness = state_sum_candidate(wedderburn, system, 2)
-    a = is_unique_ucp_extension(spec, witness=witness)
-    b = is_unique_ucp_extension(spec, witness=witness)
-    assert a.unique == b.unique and a.method == b.method
-    assert a.iterations == b.iterations
-    if a.witness is not None:
-        for x, y in zip(a.witness, b.witness):
-            assert np.array_equal(x, y)
+    spec = ec_spec(wedderburn, system, 1)
+    a = is_unique_ucp_extension(spec)
+    b = is_unique_ucp_extension(spec)
+    assert (a.unique, a.method, a.separation, a.iterations) == (
+        b.unique,
+        b.method,
+        b.separation,
+        b.iterations,
+    )
+    assert np.array_equal(a.certificate, b.certificate)
 
 
 def test_uniqueness_requires_base_point():

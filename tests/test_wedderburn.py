@@ -16,6 +16,7 @@ from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import product_blocks, tensor_map
 from cstarenv.ucp import maximally_entangled
+from cstarenv import wedderburn as wedderburn_module
 from cstarenv.wedderburn import (
     _VALIDATION_TOL,
     BlockIdeal,
@@ -116,6 +117,34 @@ def test_multiplicity_two_copy_major_layout():
     assert W.blocks == ((2, 2),)
     assert A.space.dim == 4  # d^2, not m * d^2
     assert block_layout_residual(W.u, A.space.basis, W.blocks) < 1e-8
+
+
+def test_local_span_matches_span_of(entries, wedderburn, bench_blocks, monkeypatch):
+    # one SVD of each compressed isotypic component gives the dimension and
+    # the subspace the Gram–Schmidt span gives, multiplicity 2 included
+    stacks = []
+    real = wedderburn_module._local_span
+
+    def recording(compressed, tol):
+        local = real(compressed, tol)
+        stacks.append((compressed, local))
+        return local
+
+    monkeypatch.setattr(wedderburn_module, "_local_span", recording)
+    rng = np.random.default_rng(32)
+    g = random_complex(rng, 2)
+    algebras = [wedderburn(name)[0] for name in entries]
+    algebras += [generated_cstar(E) for _, E in bench_blocks]
+    algebras.append(generated_cstar(opsys_from_generators(4, [np.kron(np.eye(2), g)])))
+    multiplicities = set()
+    for A in algebras:
+        multiplicities.update(m for _, m in wedderburn_decompose(A).blocks)
+    assert 2 in multiplicities and len(stacks) > 20
+    for compressed, local in stacks:
+        ref = span_of(list(compressed), compressed.shape[1])
+        assert local.dim == ref.dim
+        assert orthonormality_residual(local.basis) < 1e-13
+        assert subspace_equal(local, ref)
 
 
 def test_enumerate_ideals_is_the_power_set(wedderburn):

@@ -15,8 +15,10 @@ values of every end-to-end metric named in the change's ``BENCHMARK.json``
 (in run order, rounded to 4 decimals), each side's quartiles
 ``[q1, median, q3]`` (``statistics.quantiles``, exclusive method), and
 ``change_wins_<metric>``, the number of pairs in which the change's value is
-better than the parent's.  A readable summary goes to standard error.  The
-exit code is 1 when a run fails or reads incorrect, and 0 otherwise.
+better than the parent's, and the two verdicts of :func:`verdicts`,
+``no_regression_<metric>`` and ``claim_<metric>``.  A readable summary with
+the verdicts goes to standard error.  The exit code is 1 when a run fails
+or reads incorrect, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +65,39 @@ def is_better(metric: dict, change: float, parent: float) -> bool:
     return change < parent if metric["better"] == "lower" else change > parent
 
 
+def verdicts(metric: dict, parent: list[float], change: list[float]) -> tuple[str, str]:
+    """``(no_regression, claim)`` for one end-to-end metric over paired runs.
+
+    Both compare medians and measure spread as the parent's interquartile
+    range (IQR), taken relative to the parent's median for the bound.
+
+    * no regression: ``"unresolved"`` when that IQR is wider than the
+      metric's ``bound``, unless every change run is better than every
+      parent run (then ``"ok"``); otherwise ``"regression"`` when the
+      change's median is worse than the parent's by more than ``bound``,
+      and ``"ok"`` when it is not.
+    * claim: ``"gain"`` when the change wins at least nine tenths of the
+      pairs, ties counting for neither, and its median is better than the
+      parent's by more than the parent's IQR; ``"no gain"`` otherwise.
+    """
+    q1, med_p, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3)
+    med_c = statistics.median(change)
+    iqr = q3 - q1
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    gain = sign * (med_p - med_c)  # positive when the change's median is better
+    if iqr > metric["bound"] * abs(med_p) and not all(
+        is_better(metric, c, p) for c in change for p in parent
+    ):
+        no_regression = "unresolved"
+    elif -gain > metric["bound"] * abs(med_p):
+        no_regression = "regression"
+    else:
+        no_regression = "ok"
+    wins = sum(is_better(metric, c, p) for c, p in zip(change, parent))
+    claim = "gain" if 10 * wins >= 9 * len(parent) and gain > iqr else "no gain"
+    return no_regression, claim
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -107,10 +142,14 @@ def main(argv=None) -> int:
         )
     for m in metrics:
         name = m["name"]
+        no_regression, claim = verdicts(m, values["parent"][name], values["change"][name])
+        block[f"no_regression_{name}"] = no_regression
+        block[f"claim_{name}"] = claim
         print(
             f"{name}: parent {block['parent_quartiles'][name]}, change "
             f"{block['change_quartiles'][name]}, change better in "
-            f"{block[f'change_wins_{name}']}/{args.pairs}",
+            f"{block[f'change_wins_{name}']}/{args.pairs}; no regression: "
+            f"{no_regression} (bound {m['bound']:.0%}); claim: {claim}",
             file=sys.stderr,
         )
     print(json.dumps(block))
