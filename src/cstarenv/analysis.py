@@ -1,12 +1,10 @@
 """End-to-end pipelines for single systems and tensor pairs.
 
 :func:`analyze_system` runs the whole single-system pipeline (generated
-algebra with its power spans, block decomposition, both minimal-ideal
-routes, quotient with the isometry check of its left inverse, propagation)
-and keeps every intermediate object, so that pair pipelines can reuse the
-factor work instead of recomputing it.  A route disagreement does not raise
-here: it is recorded with both certificates so the caller can serialize
-them, as required of every report.
+algebra with its power spans, block decomposition, the minimal boundary
+ideal with both its certificates, quotient with the isometry check of its
+left inverse, propagation) and keeps every intermediate object, so that
+pair pipelines can reuse the factor work instead of recomputing it.
 
 :func:`analyze_pair` runs the four tensor-pair checks against two cached
 factor analyses: quotient factorization, boundary-pair closure, power-span
@@ -25,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boundary import DkCertificate, EnvelopeResult, LatticeCertificate, cstar_envelope
-from .errors import RouteDisagreementError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .propagation import (
@@ -70,23 +67,31 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class SystemAnalysis:
-    """Everything the single-system pipeline produced.
-
-    ``envelope`` and ``prop`` are None exactly when the two minimal-ideal
-    routes disagreed; the certificates of both routes are always present.
-    """
+    """Everything the single-system pipeline produced: the envelope holds
+    the algebra, its block decomposition and both certificates."""
 
     name: str
     digest: str
     system: OperatorSystem
     config: AnalysisConfig
-    algebra: CStarAlgebra
-    wedderburn: WedderburnData
-    dk_certificate: DkCertificate
-    lattice_certificate: LatticeCertificate
-    agreement: bool
-    envelope: EnvelopeResult | None
-    prop: PropResult | None
+    envelope: EnvelopeResult
+    prop: PropResult
+
+    @property
+    def algebra(self) -> CStarAlgebra:
+        return self.envelope.algebra
+
+    @property
+    def wedderburn(self) -> WedderburnData:
+        return self.envelope.wedderburn
+
+    @property
+    def dk_certificate(self) -> DkCertificate:
+        return self.envelope.dk_certificate
+
+    @property
+    def lattice_certificate(self) -> LatticeCertificate:
+        return self.envelope.lattice_certificate
 
     @property
     def silov_dk(self) -> frozenset[int]:
@@ -97,9 +102,13 @@ class SystemAnalysis:
         return self.lattice_certificate.maximal
 
     @property
+    def agreement(self) -> bool:
+        """True by construction: the representation route certifies the
+        lattice route's ideal.  The v1 report still records it."""
+        return self.silov_dk == self.silov_lattice
+
+    @property
     def envelope_block_dims(self) -> tuple[int, ...]:
-        if self.envelope is None:
-            raise VerificationError(f"no envelope for {self.name!r}: routes disagreed")
         return self.envelope.envelope_block_dims
 
 
@@ -112,42 +121,19 @@ def analyze_system(
 ) -> SystemAnalysis:
     """Run the full single-system pipeline.
 
-    Route disagreement is captured in the result rather than raised;
-    inconclusive numerical decisions still propagate, because there is
-    nothing sound to report in that case.
+    Failed checks and inconclusive numerical decisions propagate, because
+    there is nothing sound to report in either case.
     """
-    name = name or E.label or "system"
     A = generated_cstar(E, tol=config.tol)
     W = wedderburn_decompose(A, seed=config.seed, tol=config.tol)
-    try:
-        env = cstar_envelope(E, tol=config.tol, algebra=A, wedderburn=W)
-    except RouteDisagreementError as exc:
-        return SystemAnalysis(
-            name=name,
-            digest=digest,
-            system=E,
-            config=config,
-            algebra=A,
-            wedderburn=W,
-            dk_certificate=exc.dk_certificate,
-            lattice_certificate=exc.lattice_certificate,
-            agreement=False,
-            envelope=None,
-            prop=None,
-        )
-    prop = propagation_number(env, config.tol)
+    env = cstar_envelope(E, tol=config.tol, algebra=A, wedderburn=W)
     return SystemAnalysis(
-        name=name,
+        name=name or E.label or "system",
         digest=digest,
         system=E,
         config=config,
-        algebra=A,
-        wedderburn=W,
-        dk_certificate=env.dk_certificate,
-        lattice_certificate=env.lattice_certificate,
-        agreement=True,
         envelope=env,
-        prop=prop,
+        prop=propagation_number(env, config.tol),
     )
 
 
@@ -178,18 +164,8 @@ def analyze_pair(
     right: SystemAnalysis,
     config: AnalysisConfig | None = None,
 ) -> PairAnalysis:
-    """Run the tensor-pair checks, reusing both factor analyses.
-
-    Both factors must have a trusted envelope; a pair over a disagreed
-    factor has no well-defined expected answer to verify against.
-    """
+    """Run the tensor-pair checks, reusing both factor analyses."""
     config = config if config is not None else left.config
-    for side in (left, right):
-        if not side.agreement or side.envelope is None:
-            raise VerificationError(
-                f"cannot verify a pair over {side.name!r}: its minimal-ideal "
-                "routes disagreed"
-            )
     factorization = verify_envelope_tensor_factorization(
         left.envelope,
         right.envelope,

@@ -1,18 +1,18 @@
 """Boundary representations, boundary ideals, and the minimal quotient.
 
-Two routes compute the same object:
+One route decides the minimal boundary ideal, and two certificates prove it:
 
-* the *representation route* decides, for every irreducible block of the
-  generated algebra, whether the identity map on the operator system has a
-  unique UCP extension to the block's representation, each verdict proved
-  by a dual certificate or a second extension; blocks with a unique
-  extension are boundary representations, and the ideal supported on the
-  complement is the candidate minimal boundary ideal;
 * the *lattice route* tests block ideals directly for the boundary property
   (existence of a UCP left inverse to the quotient on the system).  Boundary
   ideals are exactly the ideals inside the Šilov ideal, a down-set with a
   maximum, so only the trivial ideals, the singletons and the union of the
-  singletons that survive the exact norm-drop probe need a verdict.
+  singletons that survive the exact norm-drop probe need a verdict.  The
+  maximum's left inverse ψ certifies that the ideal is boundary;
+* the *representation route* certifies the rest: every block ψ keeps is a
+  boundary representation, each proved by a dual certificate that the
+  identity map on the operator system has a unique UCP extension to the
+  block's representation, and every block ψ kills has the second extension
+  read off ψ.
 
 The left inverse splits by target block.  Write ``u x u* = ⊕_i 1_{m_i} ⊗
 π_i(x)``.  A UCP ψ on the kept blocks with ψ∘q = id on the system exists iff
@@ -24,7 +24,7 @@ x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
 Choi size d_j·d_i instead of d_j·n.
 
-Both routes, the norm-drop probe and the isometry check read one basis
+Both certificates, the norm-drop probe and the isometry check read one basis
 and one image stack, built once per envelope by :func:`block_images`: the
 system's Hermitian basis h and its images π_j(h) under every block j.  The
 representation route's spectrahedron for block i holds the UCP maps φ on
@@ -33,18 +33,17 @@ block i the UCP maps ψ_i on the kept blocks with ψ_i(q(h)) = π_i(h), the
 norm-drop probe takes combinations of the h, and the isometry check
 measures ψ(q(h)) − h.
 
-Both produce certificates.  :func:`cstar_envelope` runs the lattice route
-first and checks its left inverse ψ as the single isometry certificate: ψ
-is UCP and ψ∘q = id on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤
-‖x‖`` at every matrix level m and the quotient is completely isometric
-there.  The representation route then reads its witnesses off ψ: for a
-block i that ψ kills, π_i∘ψ∘q agrees with π_i on the system and vanishes on
-block i, so it is a second UCP extension (Arveson 2008; Dritschel and
-McCullough 2005) within ψ's checked tolerances, and block i is decided by
-ψ alone (see :func:`boundary_representations`).  Only the blocks ψ keeps
-are decided independently, each by a dual certificate.  The envelope
-compares the two routes, then builds the quotient and the enveloping block
-algebra.
+:func:`cstar_envelope` runs the lattice route first and checks its left
+inverse ψ as the single isometry certificate: ψ is UCP and ψ∘q = id on the
+system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix level m
+and the quotient is completely isometric there.  The representation
+route then reads its witnesses off ψ: for a block i that ψ kills,
+π_i∘ψ∘q agrees with π_i on the system and vanishes on block i, so it is a
+second UCP extension (Arveson 2008; Dritschel and McCullough 2005) within
+ψ's checked tolerances, and block i is decided by ψ alone (see
+:func:`boundary_representations`).  Only the blocks ψ keeps are decided
+independently, each by a dual certificate.  The envelope then builds the
+quotient and the enveloping block algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  The probe is drawn once
@@ -85,7 +84,6 @@ from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .ucp import (
     FeasibilityResult,
     UcpSpectrahedron,
-    UniquenessResult,
     is_unique_ucp_extension,
     maximally_entangled,
     ucp_feasibility,
@@ -301,9 +299,7 @@ def boundary_representations(
             res = is_unique_ucp_extension(_extension_spectrahedron(W, data, label), tol)
         except InconclusiveError as exc:
             raise InconclusiveError(f"block {label} (kept by the lattice route): {exc}") from None
-        results.append(
-            BlockUniqueness(label, res.unique, res.method, res.separation, res.iterations)
-        )
+        results.append(BlockUniqueness(label, True, res.method, res.separation, res.iterations))
     return DkCertificate(tuple(results))
 
 
@@ -314,24 +310,16 @@ def silov_ideal_dk(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[BlockIdeal, DkCertificate]:
-    """Minimal boundary ideal via boundary representations.
+    """The lattice route's ideal with the representation route's certificate.
 
-    The ideal kills exactly the blocks that are not boundary representations.
-    ``lattice`` supplies the witnesses of the blocks it kills (see
-    :func:`boundary_representations`) and ``data``, the system's
-    :func:`block_images`, every kept block's constraints.  An empty boundary
-    set is impossible for a finite-dimensional system, so it is reported as
-    a structural failure rather than an ideal.
+    The ideal is ``lattice.maximal``, the blocks ψ kills.  Each of them is
+    not a boundary representation by its witness read off ψ, and each block
+    ψ keeps is one by its dual certificate (:func:`boundary_representations`,
+    which reads every kept block's constraints off ``data``, the system's
+    :func:`block_images`).  The full ideal never passes, so at least one
+    block is kept and boundary.
     """
-    cert = boundary_representations(W, data, lattice, tol=tol)
-    boundary = cert.boundary_labels
-    if not boundary:
-        raise StructuralError(
-            "no boundary representations found; every finite-dimensional system "
-            "has at least one, so the uniqueness decisions failed"
-        )
-    killed = frozenset(W.labels) - boundary
-    return BlockIdeal(W, killed), cert
+    return BlockIdeal(W, lattice.maximal), boundary_representations(W, data, lattice, tol=tol)
 
 
 def _assemble_left_inverse(
@@ -618,12 +606,15 @@ def silov_ideal_lattice(
     with one feasibility call.  If U passes, each of its singletons gets an
     exact certificate restricted from U's left inverse.  If U fails, each
     candidate singleton is tested on its own and the union of the passers
-    must pass.  Over the tested ideals the verdicts must be monotone
-    (subsets of boundary ideals are boundary ideals) with a maximum
-    containing every passer; violations indicate broken numerics, not
-    mathematics, and raise.  Every probe, search and restriction check
-    reads ``data``, the system's :func:`block_images`, and every probe the
-    one norm table it builds on first use.
+    must pass: boundary singletons whose union is not boundary mean broken
+    numerics, not mathematics, and raise :class:`StructuralError`.  Either
+    way the union that passed is the maximum, and the tested verdicts are
+    monotone by construction: every passing ideal is empty or inside that
+    union, and every failing one is the full ideal, a refuted or failing
+    singleton outside it, or the first union in the fallback.  Every probe,
+    search and restriction check reads ``data``, the system's
+    :func:`block_images`, and every probe the one norm table it builds on
+    first use.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
     candidates = []  # singletons the norm-drop probe already left standing
@@ -664,24 +655,8 @@ def silov_ideal_lattice(
     passing = tuple(sorted((k for k, v in verdicts.items() if v.feasible), key=sorted))
     failing = tuple(sorted((k for k, v in verdicts.items() if not v.feasible), key=sorted))
     iterations = sum(v.iterations for v in verdicts.values())
-    for big in verdicts:
-        if verdicts[big].feasible:
-            for sub in verdicts:
-                if sub < big and not verdicts[sub].feasible:
-                    raise StructuralError(
-                        f"boundary ideal lattice is not monotone: {sorted(big)} passes "
-                        f"but its subset {sorted(sub)} fails"
-                    )
-    maximal = max(passing, key=lambda s: (len(s), sorted(s)))
-    for other in passing:
-        if not other <= maximal:
-            raise StructuralError(
-                "boundary ideal lattice has no maximum: "
-                f"{sorted(other)} passes but is not contained in {sorted(maximal)}"
-            )
-    witness = tuple(verdicts[maximal].certificate)
-    cert = LatticeCertificate(passing, failing, iterations, witness)
-    return BlockIdeal(W, maximal), cert
+    witness = tuple(verdicts[union].certificate)
+    return BlockIdeal(W, union), LatticeCertificate(passing, failing, iterations, witness)
 
 
 @dataclass(frozen=True)
@@ -748,43 +723,33 @@ def cstar_envelope(
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
 ) -> EnvelopeResult:
-    """Compute the minimal quotient by the two routes.
+    """Compute the minimal quotient and both its certificates.
 
-    The lattice route runs first.  Its witness ψ, the isometry certificate
-    of the quotient, is checked before the representation route reads its
-    witnesses off it: ψ∘q = id on the system's Hermitian basis within
-    ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
+    The lattice route picks the ideal.  Its witness ψ, the isometry
+    certificate of the quotient, is checked before the representation route
+    reads its witnesses off it: ψ∘q = id on the system's Hermitian basis
+    within ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
     eigenvalue at least ``-tol_psd``; a failure raises
     :class:`VerificationError`.  Those checks are the whole proof that a
-    block ψ kills is not boundary (:func:`boundary_representations`), so the
-    routes agree by construction; the comparison that raises
-    :class:`RouteDisagreementError` guards that construction.  Both routes
-    are deterministic; a missing ``wedderburn`` is computed with
-    :func:`wedderburn_decompose`'s default seed.
+    block ψ kills is not boundary (:func:`boundary_representations`); every
+    block ψ keeps is proved boundary by its dual certificate, or the call
+    raises :class:`InconclusiveError`.  Both are deterministic; a missing
+    ``wedderburn`` is computed with :func:`wedderburn_decompose`'s default
+    seed.
     """
-    from .errors import RouteDisagreementError
-
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, tol=tol)
     data = block_images(E, W, tol)
-    lat_ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
+    ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
     witness = lat_cert.witness
-    residual = _interpolation_residual(W, data, lat_ideal.killed, witness, tol, VerificationError)
+    residual = _interpolation_residual(W, data, ideal.killed, witness, tol, VerificationError)
     min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
     if min_eig < -tol.tol_psd:
         raise VerificationError(
-            f"left inverse for the ideal {sorted(lat_ideal.killed)} is not completely "
+            f"left inverse for the ideal {sorted(ideal.killed)} is not completely "
             f"positive (least Choi eigenvalue {min_eig:.3e})"
         )
-    dk_ideal, dk_cert = silov_ideal_dk(W, data, lat_cert, tol=tol)
-    if dk_ideal.killed != lat_ideal.killed:
-        raise RouteDisagreementError(
-            "representation route and lattice route disagree: "
-            f"killed {sorted(dk_ideal.killed)} vs {sorted(lat_ideal.killed)}",
-            dk_certificate=dk_cert,
-            lattice_certificate=lat_cert,
-        )
-    ideal = dk_ideal
+    _, dk_cert = silov_ideal_dk(W, data, lat_cert, tol=tol)
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
     return EnvelopeResult(

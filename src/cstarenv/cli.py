@@ -4,7 +4,8 @@ Four subcommands: ``analyze`` runs the single-system pipeline on one input
 document, ``tensor`` runs the four pair checks on two documents, ``corpus``
 writes the standard example corpus, and ``verify-all`` sweeps a corpus
 directory and aggregates.  Exit codes are stable API: 0 success, 1 input
-problem, 2 theorem-or-route failure, 3 inconclusive numerics.
+problem, 2 failed theorem check or certificate, 3 inconclusive numerics.
+Each subcommand takes only the flags it reads.
 
 Reports are deterministic bytes for a fixed input, seed, flag set, and
 package version; wall-clock chatter goes to stderr only.
@@ -24,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AnalysisConfig, PairAnalysis, SystemAnalysis, analyze_pair, analyze_system
-from .corpus import load_manifest, write_corpus
+from .corpus import MAX_COUNT, load_manifest, write_corpus
 from .errors import (
     DecompositionError,
     InconclusiveError,
     InputError,
-    RouteDisagreementError,
     StructuralError,
     VerificationError,
 )
@@ -53,7 +53,7 @@ _TOL_FLAGS = ("tol_rank", "tol_psd", "tol_sep", "tol_norm")
 
 # the one map from exceptions to a verify-all row status, an exit code and
 # the prefix of the message on stderr
-_FAILURES = (VerificationError, StructuralError, DecompositionError, RouteDisagreementError)
+_FAILURES = (VerificationError, StructuralError, DecompositionError)
 _ERRORS = (
     ((InputError, OSError), "input", 1, "error"),
     (_FAILURES, "failed", 2, "failure"),
@@ -61,7 +61,7 @@ _ERRORS = (
 )
 _HANDLED = tuple(t for types, *_ in _ERRORS for t in types)
 # verify-all pads its status column to the longest status plus one space
-_STATUS_WIDTH = max(len(s) for s in ("ok", "disagree", "skipped", *(e[1] for e in _ERRORS))) + 1
+_STATUS_WIDTH = max(len(s) for s in ("ok", "skipped", *(e[1] for e in _ERRORS))) + 1
 
 
 def _classify(exc: Exception) -> tuple[str, int, str]:
@@ -102,7 +102,7 @@ def _env_tol_defaults() -> dict:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed_quiet(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed",
         type=int,
@@ -110,6 +110,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="seed of the corpus generator and of the block decomposition's "
         "splitting elements; the probes use a fixed seed (default 1)",
     )
+    p.add_argument("--quiet", action="store_true", help="suppress the human summary")
+
+
+def _add_analysis(p: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that analyze systems."""
+    _add_seed_quiet(p)
     p.add_argument("--tol-rank", type=float, default=None, help="rank/membership tolerance")
     p.add_argument("--tol-psd", type=float, default=None, help="positivity tolerance")
     p.add_argument("--tol-sep", type=float, default=None, help="point-separation threshold")
@@ -126,10 +132,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=None,
         help="write the report here (a directory for verify-all)",
     )
-    p.add_argument("--quiet", action="store_true", help="suppress the human summary")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes for verify-all"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,24 +144,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full single-system pipeline on one document")
     a.add_argument("path", help="system document (JSON)")
-    _add_common(a)
+    _add_analysis(a)
     a.set_defaults(func=cmd_analyze)
 
     t = sub.add_parser("tensor", help="the four pair checks on two documents")
     t.add_argument("left", help="left system document")
     t.add_argument("right", help="right system document")
-    _add_common(t)
+    _add_analysis(t)
     t.set_defaults(func=cmd_tensor)
 
     c = sub.add_parser("corpus", help="write the standard example corpus")
     c.add_argument("out_dir", help="target directory")
-    c.add_argument("--count", type=int, default=20, help="number of systems (default 20)")
-    _add_common(c)
+    c.add_argument(
+        "--count",
+        type=int,
+        default=20,
+        help=f"number of systems, at most {MAX_COUNT} (default 20)",
+    )
+    _add_seed_quiet(c)
     c.set_defaults(func=cmd_corpus)
 
     v = sub.add_parser("verify-all", help="analyze every system and pair in a corpus")
     v.add_argument("corpus_dir", help="directory containing manifest.json")
-    _add_common(v)
+    _add_analysis(v)
+    v.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     v.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -200,12 +208,11 @@ def _print_analysis(report: dict) -> None:
         f"lattice {report['silov_killed']['lattice']} "
         f"({'agree' if agree else 'DISAGREE'})"
     )
-    if report["envelope_blocks"] is not None:
-        prop = report["propagation"]
-        print(
-            f"  envelope blocks: {_fmt_blocks(report['envelope_blocks'])}; "
-            f"propagation {prop['value']} chain {tuple(prop['chain'])}"
-        )
+    prop = report["propagation"]
+    print(
+        f"  envelope blocks: {_fmt_blocks(report['envelope_blocks'])}; "
+        f"propagation {prop['value']} chain {tuple(prop['chain'])}"
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -221,7 +228,7 @@ def cmd_analyze(args) -> int:
     if not args.quiet:
         _print_analysis(report)
         print(f"analyzed in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-    return 0 if sa.agreement else 2
+    return 0
 
 
 _CHECK_ORDER = (
@@ -277,8 +284,6 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.count < 0:
-        raise InputError(f"--count must be non-negative, got {args.count}")
     manifest = write_corpus(args.out_dir, seed=args.seed, count=args.count)
     if not args.quiet:
         print(
@@ -300,8 +305,6 @@ def _safe_analyze(path_str: str, config: AnalysisConfig):
         )
     except _HANDLED as exc:
         return (_classify(exc)[0], str(exc))
-    if not sa.agreement:
-        return ("disagree", sa)
     return ("ok", sa)
 
 
@@ -366,9 +369,7 @@ def cmd_verify_all(args) -> int:
             analyses[entry["name"]] = payload
             report = analysis_report(payload)
             row["silov_killed"] = report["silov_killed"]
-            row["propagation"] = (
-                None if payload.prop is None else payload.prop.value
-            )
+            row["propagation"] = payload.prop.value
             if out_dir is not None:
                 atomic_write_text(
                     out_dir / f"{entry['name']}.analysis.json", dump_report(report)
@@ -384,7 +385,7 @@ def cmd_verify_all(args) -> int:
         row = {"left": left_name, "right": right_name}
         left = analyses.get(left_name)
         right = analyses.get(right_name)
-        if left is None or right is None or not left.agreement or not right.agreement:
+        if left is None or right is None:
             row["status"] = "skipped"
             row["detail"] = "factor analysis unavailable"
             pair_rows.append(row)
@@ -410,7 +411,7 @@ def cmd_verify_all(args) -> int:
     statuses = [r["status"] for r in sys_rows] + [r["status"] for r in pair_rows]
     counts = {
         "input": statuses.count("input"),
-        "failed": statuses.count("failed") + statuses.count("disagree"),
+        "failed": statuses.count("failed"),
         "skipped": statuses.count("skipped"),
         "inconclusive": statuses.count("inconclusive"),
     }

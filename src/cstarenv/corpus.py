@@ -27,8 +27,11 @@ from .specio import (
 )
 
 _CORPUS_TAG = 0xC0
+# the largest corpus: every entry is built in memory before any is written
+MAX_COUNT = 10_000
 
 __all__ = [
+    "MAX_COUNT",
     "CorpusEntry",
     "corpus_entries",
     "standard_pairs",
@@ -140,10 +143,11 @@ def corpus_entries(seed: int = 1, count: int = 20) -> list[CorpusEntry]:
     """The first ``count`` corpus members for this seed.
 
     Structured members come first in a fixed order; seeded random systems
-    fill the tail, so growing ``count`` only appends.
+    fill the tail, so growing ``count`` only appends.  A count outside
+    ``0..MAX_COUNT`` raises :class:`InputError` before any entry is built.
     """
-    if count < 0:
-        raise InputError(f"count must be non-negative, got {count}")
+    if not 0 <= count <= MAX_COUNT:
+        raise InputError(f"count must be between 0 and {MAX_COUNT}, got {count}")
     entries = _structured_entries(seed)
     idx = 1
     while len(entries) < count:

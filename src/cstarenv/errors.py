@@ -14,19 +14,18 @@ class DecompositionError(RuntimeError):
 
 
 class StructuralError(RuntimeError):
-    """A structural precondition failed (e.g. no boundary representations)."""
+    """A structural precondition failed (e.g. boundary singletons whose union
+    is not a boundary ideal)."""
 
 
 class RouteDisagreementError(RuntimeError):
-    """The two Silov ideal routes disagree.
+    """Two Šilov ideal routes disagree.
 
-    Carries both certificates so the caller can serialize them.
+    The package no longer raises it: the lattice route picks the ideal and
+    the representation route certifies that same ideal, so no two answers
+    are compared.  The class stays for code outside the package that
+    catches or raises it.
     """
-
-    def __init__(self, message: str, dk_certificate=None, lattice_certificate=None):
-        super().__init__(message)
-        self.dk_certificate = dk_certificate
-        self.lattice_certificate = lattice_certificate
 
 
 class InconclusiveError(RuntimeError):

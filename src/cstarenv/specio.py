@@ -210,14 +210,16 @@ def _isometry_dict(check: IsometryCheck) -> dict:
 def analysis_report(sa: SystemAnalysis) -> dict:
     """Single-system report document.
 
-    A report with ``agreement`` false always carries both route
-    certificates; the consumer decides what to do with the disagreement.
-    ``"timing"`` holds iteration counts per stage, not seconds, so that the
-    report stays byte-deterministic; ``lattice_iterations`` sums the
-    feasibility searches over the tested ideals, and an ideal's count sums
-    its per-killed-block searches.  ``"isometry"`` holds the numbers of
-    the left-inverse check that certifies the quotient completely
-    isometric, and is None when the routes disagreed.
+    ``silov_killed`` records the ideal as both certificates read it: ``dk``
+    the blocks the representation route proves are not boundary,
+    ``lattice`` the ideal whose left inverse ψ the lattice route found.  The
+    representation route certifies the lattice route's ideal, so the two
+    lists are equal and ``agreement`` is true.  ``"timing"`` holds
+    iteration counts per stage, not seconds, so that the report stays
+    byte-deterministic; ``lattice_iterations`` sums the feasibility
+    searches over the tested ideals, and an ideal's count sums its
+    per-killed-block searches.  ``"isometry"`` holds the numbers of the
+    left-inverse check that certifies the quotient completely isometric.
     """
     report = {
         "schema": SCHEMA,
@@ -238,21 +240,13 @@ def analysis_report(sa: SystemAnalysis) -> dict:
             "lattice": sorted(sa.silov_lattice),
             "agreement": sa.agreement,
         },
-        "envelope_blocks": (
-            None
-            if sa.envelope is None
-            else [[d, 1] for d in sa.envelope.envelope_block_dims]
-        ),
-        "propagation": (
-            None
-            if sa.prop is None
-            else {
-                "value": sa.prop.value,
-                "chain": list(sa.prop.chain),
-                "ambient_chain": list(sa.prop.ambient_chain),
-            }
-        ),
-        "isometry": None if sa.envelope is None else _isometry_dict(sa.envelope.isometry),
+        "envelope_blocks": [[d, 1] for d in sa.envelope_block_dims],
+        "propagation": {
+            "value": sa.prop.value,
+            "chain": list(sa.prop.chain),
+            "ambient_chain": list(sa.prop.ambient_chain),
+        },
+        "isometry": _isometry_dict(sa.envelope.isometry),
         "timing": {
             "dk_iterations": sa.dk_certificate.iterations,
             "lattice_iterations": sa.lattice_certificate.iterations,

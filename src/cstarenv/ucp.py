@@ -380,9 +380,10 @@ class UcpSpectrahedron:
 
 @dataclass(frozen=True)
 class UniquenessResult:
-    """``certificate``: the packed dual certificate of a ``"dual"`` verdict."""
+    """A proof that a spectrahedron is the singleton ``{J0}``: ``method`` is
+    ``"pinned"`` or ``"dual"``, and ``certificate`` the packed dual
+    certificate of a ``"dual"`` verdict."""
 
-    unique: bool
     method: str
     separation: float
     iterations: int
@@ -591,17 +592,17 @@ def is_unique_ucp_extension(
         raise InputError("uniqueness requires the base point J0")
 
     if spec.null_dim == 0:
-        return UniquenessResult(True, "pinned", 0.0, 0)
+        return UniquenessResult("pinned", 0.0, 0)
 
     F, p_perp = _face(spec)
     Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
     check = verify_uniqueness_certificate(spec, Z, tol)
     if check.accepted:
-        return UniquenessResult(True, "dual", check.mu, 0, Z)
+        return UniquenessResult("dual", check.mu, 0, Z)
 
     Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
     if Z is not None:
-        return UniquenessResult(True, "dual", mu, iterations, Z)
+        return UniquenessResult("dual", mu, iterations, Z)
     raise InconclusiveError(
         f"uniqueness undecided: no dual certificate after {iterations} iterations "
         f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e})"

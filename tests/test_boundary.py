@@ -27,7 +27,7 @@ from cstarenv.boundary import (
     silov_ideal_lattice,
 )
 from cstarenv.corpus import corpus_entries, standard_pairs
-from cstarenv.errors import InconclusiveError, RouteDisagreementError, VerificationError
+from cstarenv.errors import InconclusiveError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, hermitian_basis, matrix_units, op_norm, span_of
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
@@ -192,6 +192,51 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
             if j not in killed
         ]
         assert_exact_left_inverse(E, W, killed, restricted)
+
+
+def three_scalar_blocks():
+    return opsys_from_generators(3, [np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+
+
+def jordan_plus_inner_scalar():
+    g = np.zeros((3, 3), dtype=complex)
+    g[0, 1], g[2, 2] = 1.0, 0.2
+    return opsys_from_generators(3, [g])
+
+
+@pytest.mark.parametrize(
+    "make, blocks, expected",
+    [(three_scalar_blocks, 3, frozenset()), (jordan_plus_inner_scalar, 2, {2})],
+)
+def test_lattice_route_fallback_searches_each_singleton(make, blocks, expected, monkeypatch):
+    # with a probe that refutes nothing, every singleton is a candidate and
+    # their union is the full ideal, which fails: each singleton is then
+    # searched on its own, and the union of the passers is the maximum.
+    # The ideal and the verdicts are those of the route with the probe
+    E = make()
+    W = wedderburn_decompose(generated_cstar(E))
+    assert W.num_blocks == blocks
+    ideal, cert = silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))
+    assert ideal.killed == expected
+
+    real_probe, real_search = boundary.falsify_complete_isometry, boundary._left_inverse_search
+    searched = []
+
+    def refutes_nothing(table, killed, tol=DEFAULT_TOL):
+        return replace(real_probe(table, killed, tol), violation=False)
+
+    def recording(W, data, killed, tol):
+        searched.append(killed)
+        return real_search(W, data, killed, tol)
+
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", refutes_nothing)
+    monkeypatch.setattr(boundary, "_left_inverse_search", recording)
+    fallback, fallback_cert = silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))
+    assert searched == [frozenset({j}) for j in W.labels]
+    assert fallback.killed == fallback_cert.maximal == expected
+    assert fallback_cert.passing == cert.passing
+    assert fallback_cert.failing == cert.failing
+    assert_exact_left_inverse(E, W, fallback.killed, fallback_cert.witness)
 
 
 def test_simple_algebras_skip_the_probe_and_the_falsifier(analyses):
@@ -442,31 +487,6 @@ def test_a_bad_lattice_witness_fails_the_envelope(system, monkeypatch, corrupt, 
     monkeypatch.setattr(boundary, "silov_ideal_lattice", corrupted)
     with pytest.raises(VerificationError, match=message):
         cstar_envelope(E)
-
-
-def test_a_kept_block_refuted_by_a_forced_verdict_fails_the_envelope(seven_blocks, monkeypatch):
-    # the routes agree by construction: the representation route kills what
-    # the lattice route's left inverse kills and certifies the rest.  A
-    # forced refutation of the kept scalar block gives a different ideal,
-    # which the envelope's comparison still refuses
-    E7, W7 = seven_blocks
-    real_unique = boundary.is_unique_ucp_extension
-
-    def refuting(spec, tol):
-        if spec.target_dim == 1:
-            return ucp.UniquenessResult(False, "forced", 0.0, 0)
-        return real_unique(spec, tol)
-
-    monkeypatch.setattr(boundary, "is_unique_ucp_extension", refuting)
-    with pytest.raises(
-        RouteDisagreementError, match=r"killed \[2, 3, 4, 5, 6, 7\] vs \[2, 3, 4, 5, 6\]"
-    ) as info:
-        cstar_envelope(E7, wedderburn=W7)
-    assert [(b.label, b.unique, b.method) for b in info.value.dk_certificate.per_block] == [
-        (1, True, "dual"),
-        *((j, False, "left-inverse") for j in range(2, 7)),
-        (7, False, "forced"),
-    ]
 
 
 def test_killed_blocks_get_no_spectrahedron_and_no_uniqueness_call(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cstarenv
-from cstarenv import analysis, cli, ucp
+from cstarenv import analysis, cli, corpus, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -91,6 +91,15 @@ def test_uniqueness_trials_flag_is_gone(corpus_dir, capsys):
     )
     assert code == 1
     assert "--uniqueness-trials" in err
+
+
+def test_subcommands_refuse_flags_they_do_not_read(corpus_dir, capsys, tmp_path):
+    # --jobs belongs to verify-all alone, and corpus reads no tolerance
+    code, _, err = run(capsys, "corpus", str(tmp_path / "c"), "--jobs", "2")
+    assert code == 1 and "--jobs" in err
+    assert not (tmp_path / "c").exists()
+    code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"), "--jobs", "2")
+    assert code == 1 and "--jobs" in err
 
 
 def test_input_errors_exit_one(capsys, tmp_path):
@@ -214,6 +223,18 @@ def test_corpus_subcommand(capsys, tmp_path):
     assert "wrote 4 systems" in out
     names = sorted(p.name for p in target.iterdir())
     assert "manifest.json" in names and len(names) == 5
+
+
+def test_corpus_subcommand_refuses_a_huge_count(capsys, tmp_path, monkeypatch):
+    # the count is checked before any entry is built or any file written
+    def no_entries(*args):
+        raise AssertionError("an entry was built")
+
+    monkeypatch.setattr(corpus, "random_spec", no_entries)
+    target = tmp_path / "huge"
+    code, _, err = run(capsys, "corpus", str(target), "--count", "100000000000000000000")
+    assert code == 1 and f"between 0 and {corpus.MAX_COUNT}" in err
+    assert not target.exists()
 
 
 def test_verify_all_small_corpus(corpus_dir, capsys, tmp_path):

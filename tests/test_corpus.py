@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from cstarenv import corpus
 from cstarenv.corpus import (
+    MAX_COUNT,
     corpus_entries,
     load_manifest,
     standard_pairs,
@@ -43,6 +45,19 @@ def test_count_semantics():
     assert [spec_digest(e.spec) for e in long[:4]] == [spec_digest(e.spec) for e in first]
     with pytest.raises(InputError):
         corpus_entries(seed=1, count=-1)
+
+
+def test_count_is_capped_before_any_entry_is_built(tmp_path, monkeypatch):
+    def no_entries(*args):
+        raise AssertionError("an entry was built")
+
+    monkeypatch.setattr(corpus, "random_spec", no_entries)
+    for count in (MAX_COUNT + 1, 10**20):
+        with pytest.raises(InputError, match=f"between 0 and {MAX_COUNT}"):
+            corpus_entries(seed=1, count=count)
+        with pytest.raises(InputError, match=f"between 0 and {MAX_COUNT}"):
+            write_corpus(tmp_path / "out", seed=1, count=count)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_moves_only_the_seeded_tail():

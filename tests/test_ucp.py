@@ -143,14 +143,14 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 def test_fully_pinned_block_reports_unique(system, wedderburn):
     spec = extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
     res = is_unique_ucp_extension(spec)
-    assert res.unique and res.method == "pinned" and res.iterations == 0
+    assert res.method == "pinned" and res.iterations == 0
 
 
 def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
         spec = extension_spectrahedra(system(name), wedderburn(name)[1])[label]
         res = is_unique_ucp_extension(spec)
-        assert res.unique and res.method == "dual" and res.iterations == 0
+        assert res.method == "dual" and res.iterations == 0
         check = verify_uniqueness_certificate(spec, res.certificate)
         assert check.accepted and check.mu > 0.0
         assert res.separation == check.mu
@@ -183,7 +183,7 @@ def test_every_unique_block_carries_an_accepted_certificate(decisions):
         if res is None:
             continue
         methods.add(res.method)
-        assert res.unique and res.method in ("pinned", "dual"), (name, label)
+        assert res.method in ("pinned", "dual"), (name, label)
         if res.method == "dual":
             check = verify_uniqueness_certificate(spec, res.certificate)
             assert check.accepted, (name, label, check)
@@ -200,7 +200,7 @@ def test_dual_search_certifies_state_sum_s3_block_1():
     E = opsys_of(spec_doc, DEFAULT_TOL)
     spec = extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
     res = is_unique_ucp_extension(spec)
-    assert res.unique and res.method == "dual" and res.iterations > 0
+    assert res.method == "dual" and res.iterations > 0
     check = verify_uniqueness_certificate(spec, res.certificate)
     assert check.accepted and res.separation == check.mu
 
@@ -388,12 +388,7 @@ def test_uniqueness_probe_is_deterministic(system, wedderburn):
     spec = ec_spec(wedderburn, system, 1)
     a = is_unique_ucp_extension(spec)
     b = is_unique_ucp_extension(spec)
-    assert (a.unique, a.method, a.separation, a.iterations) == (
-        b.unique,
-        b.method,
-        b.separation,
-        b.iterations,
-    )
+    assert (a.method, a.separation, a.iterations) == (b.method, b.separation, b.iterations)
     assert np.array_equal(a.certificate, b.certificate)
 
 
