@@ -2,8 +2,9 @@
 
 Pipelines over unital adjoint-closed subspaces of ``M_n``: the generated
 C*-algebra and its block decomposition, the minimal boundary ideal found as
-the maximum of the boundary-ideal lattice and certified twice (by its left
-inverse and by a boundary-representation verdict per block), the minimal
+the maximum of the boundary-ideal lattice and certified by its left
+inverse, with a boundary-representation verdict per block read off the
+same lattice (a kept block's singleton ideal is refuted), the minimal
 quotient with its embedding, minimal tensor products with factorization
 checks, and propagation numbers.  The :mod:`cstarenv.cli` front end batches
 all of it over JSON documents.
@@ -95,9 +96,7 @@ from .wedderburn import (
     BlockIdeal,
     QuotientMap,
     WedderburnData,
-    enumerate_ideals,
     ideal_subspace,
-    is_irreducible,
     quotient_map,
     wedderburn_decompose,
 )
@@ -147,7 +146,6 @@ __all__ = [
     "boundary_representations",
     "corpus_entries",
     "cstar_envelope",
-    "enumerate_ideals",
     "falsify_complete_isometry",
     "generated_cstar",
     "hermitian_basis",
@@ -155,7 +153,6 @@ __all__ = [
     "hs_norm",
     "ideal_subspace",
     "is_boundary_ideal_ucp",
-    "is_irreducible",
     "is_unique_ucp_extension",
     "kernel_of_tensor_quotients",
     "load_system",

@@ -1,6 +1,7 @@
 """Boundary representations, boundary ideals, and the minimal quotient.
 
-One route decides the minimal boundary ideal, and two certificates prove it:
+One route decides the minimal boundary ideal, and it holds the certificate
+of every verdict:
 
 * the *lattice route* tests block ideals directly for the boundary property
   (existence of a UCP left inverse to the quotient on the system).  Boundary
@@ -8,11 +9,13 @@ One route decides the minimal boundary ideal, and two certificates prove it:
   maximum, so only the trivial ideals, the singletons and the union of the
   singletons that survive the exact norm-drop probe need a verdict.  The
   maximum's left inverse ψ certifies that the ideal is boundary;
-* the *representation route* certifies the rest: every block ψ keeps is a
-  boundary representation, each proved by a dual certificate that the
-  identity map on the operator system has a unique UCP extension to the
-  block's representation, and every block ψ kills has the second extension
-  read off ψ.
+* the *representation route* reads the boundary representations off those
+  verdicts.  The Šilov ideal is the intersection of the kernels of the
+  boundary representations (Arveson 2008), and in finite dimensions every
+  boundary representation is a block, so block j is boundary exactly when
+  the singleton ideal {j} is not boundary.  A block ψ keeps is one whose
+  singleton the lattice route refuted, by a norm drop or an affine gap;
+  a block ψ kills has its second UCP extension read off ψ.
 
 The left inverse splits by target block.  Write ``u x u* = ⊕_i 1_{m_i} ⊗
 π_i(x)``.  A UCP ψ on the kept blocks with ψ∘q = id on the system exists iff
@@ -24,14 +27,12 @@ x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
 Choi size d_j·d_i instead of d_j·n.
 
-Both certificates, the norm-drop probe and the isometry check read one basis
-and one image stack, built once per envelope by :func:`block_images`: the
+The norm-drop probe, the searches and the isometry check read one basis and
+one image stack, built once per envelope by :func:`block_images`: the
 system's Hermitian basis h and its images π_j(h) under every block j.  The
-representation route's spectrahedron for block i holds the UCP maps φ on
-all blocks with φ(⊕_j π_j(h)) = π_i(h), the lattice route's for a killed
-block i the UCP maps ψ_i on the kept blocks with ψ_i(q(h)) = π_i(h), the
-norm-drop probe takes combinations of the h, and the isometry check
-measures ψ(q(h)) − h.
+lattice route's spectrahedron for a killed block i holds the UCP maps ψ_i
+on the kept blocks with ψ_i(q(h)) = π_i(h), the norm-drop probe takes
+combinations of the h, and the isometry check measures ψ(q(h)) − h.
 
 :func:`cstar_envelope` runs the lattice route first and checks its left
 inverse ψ as the single isometry certificate: ψ is UCP and ψ∘q = id on the
@@ -40,10 +41,10 @@ and the quotient is completely isometric there.  The representation
 route then reads its witnesses off ψ: for a block i that ψ kills,
 π_i∘ψ∘q agrees with π_i on the system and vanishes on block i, so it is a
 second UCP extension (Arveson 2008; Dritschel and McCullough 2005) within
-ψ's checked tolerances, and block i is decided by ψ alone (see
-:func:`boundary_representations`).  Only the blocks ψ keeps are decided
-independently, each by a dual certificate.  The envelope then builds the
-quotient and the enveloping block algebra.
+ψ's checked tolerances, and block i is decided by ψ alone.  A block ψ keeps
+is decided by its singleton's refutation, and a norm drop is re-checked
+from its matrix alone (see :func:`boundary_representations`).  The
+envelope then builds the quotient and the enveloping block algebra.
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  The probe is drawn once
@@ -56,8 +57,7 @@ inconclusive.
 
 Structure decides before any search does.  A simple algebra (one block) has
 Šilov ideal 0, and its only block is boundary because every
-finite-dimensional system has at least one boundary representation, so the
-representation route decides no uniqueness there.
+finite-dimensional system has at least one boundary representation.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ __all__ = [
     "NormTable",
     "block_images",
     "norm_table",
-    "build_extension_spectrahedra",
     "boundary_representations",
     "silov_ideal_dk",
     "is_boundary_ideal_ucp",
@@ -143,41 +142,17 @@ def block_images(E: OperatorSystem, W: WedderburnData, tol: Tolerances) -> Block
     return BlockImages(basis, tuple(W.irrep_apply(j, basis) for j in W.labels))
 
 
-def _extension_spectrahedron(
-    W: WedderburnData, data: BlockImages, label: int
-) -> UcpSpectrahedron:
-    """The UCP maps from the generated algebra to block ``label`` that
-    restrict to the block's representation on the system, written from
-    ``data``: the sources are every block's images, the values block
-    ``label``'s.  The base point J0 is the representation; the set is
-    ``{J0}`` exactly when the block is a boundary representation.
-    """
-    dims = tuple(d for d, _ in W.blocks)
-    t = dims[label - 1]
-    J0 = [
-        maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
-        for j, d in enumerate(dims, start=1)
-    ]
-    sources = [data.image(j) for j in W.labels]
-    return UcpSpectrahedron.from_constraints(dims, t, sources, data.image(label), J0)
-
-
-def build_extension_spectrahedra(
-    W: WedderburnData, data: BlockImages
-) -> dict[int, UcpSpectrahedron]:
-    """:func:`_extension_spectrahedron` of every block label."""
-    return {label: _extension_spectrahedron(W, data, label) for label in W.labels}
-
-
 @dataclass(frozen=True)
 class BlockUniqueness:
     """Uniqueness verdict for one irreducible block.
 
+    A block the lattice route kills has method ``"left-inverse"``:
     ``witness`` holds the Choi tuple of a second UCP extension, read off
-    the lattice route's left inverse, when uniqueness is refuted, and is
-    None on unique blocks.  ``separation`` is the witness's distance from
-    the representation, or the dual certificate's margin for method
-    ``"dual"``.
+    the left inverse, and ``separation`` its distance from the
+    representation.  A kept block has its singleton's refutation: for
+    ``"norm-drop"`` the drop and the one-matrix ``witness`` [x] whose norm
+    drops, for ``"linear"`` the affine gap and no witness.  The one block
+    of a simple algebra is ``"simple"``.
     """
 
     label: int
@@ -212,13 +187,15 @@ class LatticeCertificate:
     that union fails, the union of the singletons that pass on their own).
 
     ``witness`` holds the left-inverse Choi blocks certifying the maximal
-    passing ideal (one matrix per surviving block).
+    passing ideal (one matrix per surviving block), and ``refutations``
+    the failing verdict of the singleton of every block it keeps.
     """
 
     passing: tuple[frozenset[int], ...]
     failing: tuple[frozenset[int], ...]
     iterations: int
-    witness: tuple[np.ndarray, ...] | None = None
+    witness: tuple[np.ndarray, ...]
+    refutations: dict[int, FeasibilityResult]
 
     @property
     def maximal(self) -> frozenset[int]:
@@ -254,7 +231,6 @@ def _left_inverse_candidate(
 
 def boundary_representations(
     W: WedderburnData,
-    data: BlockImages,
     lattice: LatticeCertificate,
     *,
     tol: Tolerances = DEFAULT_TOL,
@@ -275,18 +251,28 @@ def boundary_representations(
       a killed source; (1 ⊗ v)* is an isometry, so its least eigenvalue is
       at least min(0, λ);
     * φ(⊕_j π_j(h)) − π_i(h) = v(ψ(q(h)) − h)v*, of norm at most r;
-    * φ is zero at source i, where J0 is ``maximally_entangled(d_i)`` of
-      norm d_i, so ‖φ − J0‖ = √(d_i² + Σ_j ‖φ_j‖²) ≥ d_i > ``tol_sep``·d_i.
+    * φ is zero at source i, where the representation's Choi matrix is
+      ``maximally_entangled(d_i)`` of norm d_i, so φ lies at distance
+      √(d_i² + Σ_j ‖φ_j‖²) ≥ d_i from it.
 
     So φ is a second UCP extension of π_i on the system and block i is not
     boundary (Arveson 2008).  The trade-off: the witness meets ψ's
-    tolerances, not block i's affine constraints exactly, and block i gets
-    no spectrahedron.  Each block ψ keeps gets one and
-    :func:`is_unique_ucp_extension`; an :class:`InconclusiveError` from it
-    is raised again naming the block.
+    tolerances, not block i's affine constraints exactly.
+
+    A block j that ψ keeps is boundary because the lattice route refuted
+    its singleton {j} (``lattice.refutations``): the Šilov ideal is the
+    largest boundary ideal and the intersection of the kernels of the
+    boundary representations.  A ``"norm-drop"`` refutation is re-checked
+    from its matrix x by :func:`is_unique_ucp_extension`, which reads the
+    other blocks' rows of ``u``, not the probe's norm table; a failed
+    re-check raises :class:`VerificationError` naming the block.  A
+    ``"linear"`` refutation, from the fallback branch's search, is an
+    exact affine gap and is reported as it is.
     """
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
+    offsets = W.block_offsets()
+    rows = {j: W.u[s : s + d] for j, s, (d, _) in zip(W.labels, offsets, W.blocks)}
     results = []
     for label in W.labels:
         if label in lattice.maximal:
@@ -295,17 +281,27 @@ def boundary_representations(
             separation = math.sqrt(d * d + sum(float(np.linalg.norm(c)) ** 2 for c in witness))
             results.append(BlockUniqueness(label, False, "left-inverse", separation, 0, witness))
             continue
+        refuted = lattice.refutations[label]
+        if refuted.method != "norm-drop":
+            results.append(
+                BlockUniqueness(label, True, refuted.method, refuted.residual, refuted.iterations)
+            )
+            continue
+        others = [rows[j] for j in W.labels if j != label]
         try:
-            res = is_unique_ucp_extension(_extension_spectrahedron(W, data, label), tol)
-        except InconclusiveError as exc:
-            raise InconclusiveError(f"block {label} (kept by the lattice route): {exc}") from None
-        results.append(BlockUniqueness(label, True, res.method, res.separation, res.iterations))
+            res = is_unique_ucp_extension(refuted.certificate[0], others, tol)
+        except VerificationError as exc:
+            raise VerificationError(f"block {label} (kept by the lattice route): {exc}") from None
+        results.append(
+            BlockUniqueness(
+                label, True, res.method, res.separation, res.iterations, refuted.certificate
+            )
+        )
     return DkCertificate(tuple(results))
 
 
 def silov_ideal_dk(
     W: WedderburnData,
-    data: BlockImages,
     lattice: LatticeCertificate,
     *,
     tol: Tolerances = DEFAULT_TOL,
@@ -314,12 +310,11 @@ def silov_ideal_dk(
 
     The ideal is ``lattice.maximal``, the blocks ψ kills.  Each of them is
     not a boundary representation by its witness read off ψ, and each block
-    ψ keeps is one by its dual certificate (:func:`boundary_representations`,
-    which reads every kept block's constraints off ``data``, the system's
-    :func:`block_images`).  The full ideal never passes, so at least one
-    block is kept and boundary.
+    ψ keeps is one by its singleton's refutation
+    (:func:`boundary_representations`).  The full ideal never passes, so at
+    least one block is kept and boundary.
     """
-    return BlockIdeal(W, lattice.maximal), boundary_representations(W, data, lattice, tol=tol)
+    return BlockIdeal(W, lattice.maximal), boundary_representations(W, lattice, tol=tol)
 
 
 def _assemble_left_inverse(
@@ -489,8 +484,13 @@ def is_boundary_ideal_ucp(
         return FeasibilityResult(False, None, residual, 0, "empty")
     report = falsify_complete_isometry(data.norms, killed, tol)
     if report.violation:
-        return FeasibilityResult(False, None, report.gap, 0, "norm-drop")
+        return _refutation(report)
     return _left_inverse_search(W, data, killed, tol)
+
+
+def _refutation(report: FalsifierReport) -> FeasibilityResult:
+    """The infeasible verdict of a refuting probe, keeping its matrix."""
+    return FeasibilityResult(False, [report.witness], report.gap, 0, "norm-drop")
 
 
 def _left_inverse_search(
@@ -635,7 +635,7 @@ def silov_ideal_lattice(
             single = frozenset({j})
             report = falsify_complete_isometry(table, single, tol)
             if report.violation:
-                verdicts[single] = FeasibilityResult(False, None, report.gap, 0, "norm-drop")
+                verdicts[single] = _refutation(report)
             else:
                 candidates.append(single)
     union = frozenset().union(*candidates)
@@ -656,7 +656,10 @@ def silov_ideal_lattice(
     failing = tuple(sorted((k for k, v in verdicts.items() if not v.feasible), key=sorted))
     iterations = sum(v.iterations for v in verdicts.values())
     witness = tuple(verdicts[union].certificate)
-    return BlockIdeal(W, union), LatticeCertificate(passing, failing, iterations, witness)
+    refutations = {j: verdicts[frozenset({j})] for j in W.labels if j not in union}
+    return BlockIdeal(W, union), LatticeCertificate(
+        passing, failing, iterations, witness, refutations
+    )
 
 
 @dataclass(frozen=True)
@@ -732,10 +735,11 @@ def cstar_envelope(
     eigenvalue at least ``-tol_psd``; a failure raises
     :class:`VerificationError`.  Those checks are the whole proof that a
     block ψ kills is not boundary (:func:`boundary_representations`); every
-    block ψ keeps is proved boundary by its dual certificate, or the call
-    raises :class:`InconclusiveError`.  Both are deterministic; a missing
-    ``wedderburn`` is computed with :func:`wedderburn_decompose`'s default
-    seed.
+    block ψ keeps is proved boundary by the refutation of its singleton
+    ideal, whose norm drop is re-checked from its matrix, and a failed
+    re-check raises :class:`VerificationError`.  Only the lattice search
+    can end inconclusive.  Both are deterministic; a missing ``wedderburn``
+    is computed with :func:`wedderburn_decompose`'s default seed.
     """
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, tol=tol)
@@ -749,7 +753,7 @@ def cstar_envelope(
             f"left inverse for the ideal {sorted(ideal.killed)} is not completely "
             f"positive (least Choi eigenvalue {min_eig:.3e})"
         )
-    _, dk_cert = silov_ideal_dk(W, data, lat_cert, tol=tol)
+    _, dk_cert = silov_ideal_dk(W, lat_cert, tol=tol)
     q = quotient_map(ideal)
     envelope = _envelope_algebra(W, ideal.killed)
     return EnvelopeResult(

@@ -49,7 +49,7 @@ from .specio import (
 )
 
 _ENV_TOL = "CSTARENV_TOLERANCES"
-_TOL_FLAGS = ("tol_rank", "tol_psd", "tol_sep", "tol_norm")
+_TOL_FLAGS = ("tol_rank", "tol_psd", "tol_norm")
 
 # the one map from exceptions to a verify-all row status, an exit code and
 # the prefix of the message on stderr
@@ -118,7 +118,6 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
     _add_seed_quiet(p)
     p.add_argument("--tol-rank", type=float, default=None, help="rank/membership tolerance")
     p.add_argument("--tol-psd", type=float, default=None, help="positivity tolerance")
-    p.add_argument("--tol-sep", type=float, default=None, help="point-separation threshold")
     p.add_argument("--tol-norm", type=float, default=None, help="norm-drop threshold")
     p.add_argument(
         "--max-ambient-product",
@@ -173,6 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
+
+
 def _config_from(args) -> AnalysisConfig:
     overrides = _env_tol_defaults()
     for key in _TOL_FLAGS:
@@ -180,8 +184,7 @@ def _config_from(args) -> AnalysisConfig:
         if val is not None:
             overrides[key] = val
     tol = DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
-    if args.seed < 0:
-        raise InputError(f"--seed must be non-negative, got {args.seed}")
+    _check_seed(args)
     if args.max_ambient_product < 1:
         raise InputError("--max-ambient-product must be positive")
     return AnalysisConfig(
@@ -284,6 +287,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    _check_seed(args)
     manifest = write_corpus(args.out_dir, seed=args.seed, count=args.count)
     if not args.quiet:
         print(

@@ -55,27 +55,26 @@ class Tolerances:
     """Tolerance profile threaded through every numerical decision.
 
     ``tol_rank`` controls rank/membership decisions (relative), ``tol_psd``
-    positivity floors, ``tol_herm`` Hermiticity checks, ``tol_sep`` the
-    separation threshold between distinct points of a spectrahedron, and
-    ``tol_norm`` the operator-norm drop threshold, used only by the
-    norm-drop probe that refutes a block ideal.  Decision thresholds
-    (``tol_sep``, ``tol_norm``) sit three orders of magnitude above the
-    arithmetic tolerances so that rounding noise cannot flip a decision.
+    positivity floors, ``tol_herm`` Hermiticity checks, and ``tol_norm``
+    the operator-norm drop threshold.  A drop above ``tol_norm`` refutes a
+    block ideal in the norm-drop probe and, re-checked, certifies each
+    block the Šilov ideal keeps as a boundary representation.  That
+    decision threshold sits three orders of magnitude above the arithmetic
+    tolerances so that rounding noise cannot flip a decision.
     """
 
     tol_rank: float = 1e-9
     tol_psd: float = 1e-9
     tol_herm: float = 1e-9
-    tol_sep: float = 1e-6
     tol_norm: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_psd", "tol_herm", "tol_sep", "tol_norm"):
+        for name in ("tol_rank", "tol_psd", "tol_herm", "tol_norm"):
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
                 raise InputError(f"{name} must lie in (0, 1), got {val!r}")
-        if self.tol_sep < self.tol_rank or self.tol_norm < self.tol_rank:
-            raise InputError("separation thresholds must not be tighter than tol_rank")
+        if self.tol_norm < self.tol_rank:
+            raise InputError("the norm-drop threshold must not be tighter than tol_rank")
 
     def replace(self, **kwargs) -> "Tolerances":
         data = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -166,7 +166,6 @@ def _tol_dict(tol: Tolerances) -> dict:
         "tol_rank": tol.tol_rank,
         "tol_psd": tol.tol_psd,
         "tol_herm": tol.tol_herm,
-        "tol_sep": tol.tol_sep,
         "tol_norm": tol.tol_norm,
     }
 
@@ -213,8 +212,13 @@ def analysis_report(sa: SystemAnalysis) -> dict:
     ``silov_killed`` records the ideal as both certificates read it: ``dk``
     the blocks the representation route proves are not boundary,
     ``lattice`` the ideal whose left inverse ψ the lattice route found.  The
-    representation route certifies the lattice route's ideal, so the two
-    lists are equal and ``agreement`` is true.  ``"timing"`` holds
+    representation route reads its verdicts off the lattice route, so the
+    two lists are equal and ``agreement`` is true.  ``certificates/dk``
+    holds one entry per block: a killed block's ``"left-inverse"`` witness
+    read off ψ, and a kept block's refutation of its singleton ideal, a
+    ``"norm-drop"`` with the drop as ``separation`` and the one matrix
+    whose norm drops as ``witness``, or a ``"linear"`` affine gap; a simple
+    algebra's one block is ``"simple"``.  ``"timing"`` holds
     iteration counts per stage, not seconds, so that the report stays
     byte-deterministic; ``lattice_iterations`` sums the feasibility
     searches over the tested ideals, and an ideal's count sums its

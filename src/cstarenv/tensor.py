@@ -396,10 +396,11 @@ def verify_envelope_tensor_factorization(
 
     ``E`` and ``F`` are the systems of the two factor envelopes, whose
     quotients predict the product quotient: a pair block survives exactly
-    when both factor blocks survive.  The product's minimal boundary ideal is
-    computed by the two independent routes and compared against that
-    prediction, first as a subspace containment, then as exact equality of
-    killed sets, and finally through the surviving block dimensions.
+    when both factor blocks survive.  The product's minimal boundary ideal,
+    found by the lattice route and certified by its checked left inverse, is
+    compared against that prediction, first as a subspace containment, then
+    as exact equality of killed sets, and finally through the surviving
+    block dimensions.
 
     The product's generated algebra comes with its power chain, verified
     against the tensors of the factor chains (see the module docstring).

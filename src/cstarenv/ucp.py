@@ -8,22 +8,19 @@ set of UCP maps satisfying them is an intersection
 
     {Hermitian Choi tuples : L J = rhs}  with  {blockwise PSD}
 
-and the two decision problems this package needs are questions about that
-intersection: is it a singleton around a distinguished point (uniqueness
-of a UCP extension), and is it nonempty (existence of a UCP left inverse).
+and the decision problem this package needs is whether that intersection
+is nonempty: the existence of a UCP left inverse.  Dykstra alternating
+projections between the affine set and the cone decide it, stopping at the
+first iterate that meets the affine tolerance; the search reads each
+iterate's residual off the next affine projection, which computes it
+anyway (see :func:`ucp_feasibility`).
 
-Uniqueness is decided by a certificate: a pinned affine set, or a dual
-certificate (strict complementarity) checked with an explicit rounding
-bound.  A second extension, the other answer, is not searched for here:
-the blocks that have one are the blocks the lattice route's checked UCP
-left inverse kills, and that left inverse is their witness (see
+Uniqueness of a UCP extension needs no spectrahedron.  A block is a
+boundary representation exactly when the singleton ideal that kills it is
+not boundary, and the lattice route refutes that ideal with a matrix whose
+norm drops in the quotient; :func:`is_unique_ucp_extension` re-checks that
+drop from the matrix alone (see
 :func:`cstarenv.boundary.boundary_representations`).
-
-Dykstra alternating projections between an affine set and the cone decide
-feasibility, stopping at the first iterate that meets the affine
-tolerance, and search for a dual certificate when its closed form fails.
-The feasibility search reads each iterate's residual off the next affine
-projection, which computes it anyway (see :func:`ucp_feasibility`).
 
 Coordinates: each Hermitian ``D x D`` Choi block is stored as ``D**2``
 reals (diagonal, then sqrt(2)-scaled real and imaginary upper-triangular
@@ -45,31 +42,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconclusiveError, InputError
+from .errors import InconclusiveError, InputError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances, hermitian_units
 
 __all__ = [
     "UcpSpectrahedron",
     "UniquenessResult",
-    "CertificateCheck",
     "FeasibilityResult",
     "pack_herm",
     "unpack_herm",
     "maximally_entangled",
     "is_unique_ucp_extension",
-    "verify_uniqueness_certificate",
     "ucp_feasibility",
 ]
 
-_DUAL_CAP = 400
 # Dykstra iterations before a feasibility search is reported undecided
 _FEASIBILITY_CAP = 8_000
 # an undecided feasibility search reports its residual every this many iterations
 _HISTORY_EVERY = 200
-_CHECK_EVERY = 50
 _GRAM_CUT = 1e-13
-# singular values of Z -> Z_j ω below this span the face: rounding, not a constraint
-_FACE_CUT = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -165,16 +156,13 @@ class UcpSpectrahedron:
     ``source_dims`` are the block sizes of the domain algebra (one Choi
     variable per block), ``target_dim`` the size of the target matrix
     algebra.  ``L`` and ``rhs`` encode the interpolation and unitality
-    constraints over the real coordinates; ``J0`` is an optional
-    distinguished feasible point (the map whose extensions are being
-    probed).
+    constraints over the real coordinates.
     """
 
     source_dims: tuple[int, ...]
     target_dim: int
     L: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
-    J0: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.choi_dims = tuple(d * self.target_dim for d in self.source_dims)
@@ -201,7 +189,6 @@ class UcpSpectrahedron:
         target_dim: int,
         sources,
         values,
-        J0_mats=None,
     ) -> "UcpSpectrahedron":
         """Build from ``k`` interpolation constraints given as image stacks.
 
@@ -241,10 +228,7 @@ class UcpSpectrahedron:
         # for a scalar target, column-major otherwise
         L = np.ascontiguousarray(L) if t == 1 else L
         rhs = np.real(np.einsum("bpq,kpq->kb", np.conj(gbasis), values)).reshape(k * t * t)
-        spec = cls(source_dims, t, L, rhs)
-        if J0_mats is not None:
-            spec.J0 = spec.pack_tuple(J0_mats)
-        return spec
+        return cls(source_dims, t, L, rhs)
 
     # ---------- coordinates ----------
 
@@ -282,10 +266,6 @@ class UcpSpectrahedron:
                 self._fact = (w[:, keep], lam[keep])
         return self._fact
 
-    @property
-    def null_dim(self) -> int:
-        return self.num_coords - self._factorization()[0].shape[1]
-
     def _gram_solve(self, y: np.ndarray) -> np.ndarray:
         w, lam = self._factorization()
         if w.shape[1] == 0:
@@ -304,11 +284,6 @@ class UcpSpectrahedron:
         if self.L.shape[0] == 0:
             return X
         return self.affine_step(X)[0]
-
-    def null_project(self, Z: np.ndarray) -> np.ndarray:
-        if self.L.shape[0] == 0:
-            return Z
-        return Z - self._gram_solve(Z @ self.L.T) @ self.L
 
     def affine_residual(self, X: np.ndarray) -> np.ndarray:
         if self.L.shape[0] == 0:
@@ -379,19 +354,12 @@ class UcpSpectrahedron:
 
 
 @dataclass(frozen=True)
-class UniquenessResult:
-    """A proof that a spectrahedron is the singleton ``{J0}``: ``method`` is
-    ``"pinned"`` or ``"dual"``, and ``certificate`` the packed dual
-    certificate of a ``"dual"`` verdict."""
-
-    method: str
-    separation: float
-    iterations: int
-    certificate: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class FeasibilityResult:
+    """A feasibility verdict.  ``certificate`` is the Choi tuple of a
+    feasible verdict, and the one-matrix list ``[x]`` of a ``"norm-drop"``
+    refutation, x the matrix whose norm drops; ``residual`` is then the
+    drop, and for ``"linear"`` the affine gap."""
+
     feasible: bool
     certificate: list | None
     residual: float
@@ -399,214 +367,57 @@ class FeasibilityResult:
     method: str
 
 
-class _DykstraState:
-    """Resumable batched Dykstra iteration between an affine set and the cone."""
-
-    def __init__(self, affine_project, psd_project, starts: np.ndarray):
-        self.affine_project, self.psd_project = affine_project, psd_project
-        self.X = np.array(starts, dtype=np.float64)
-        self.P = np.zeros_like(self.X)
-        self.Q = np.zeros_like(self.X)
-        self.iterations = 0
-
-    def run(self, steps: int) -> None:
-        X, P, Q = self.X, self.P, self.Q
-        for _ in range(steps):
-            Y = self.affine_project(X + P)
-            P = X + P - Y
-            Z = self.psd_project(Y + Q)
-            Q = Y + Q - Z
-            X = Z
-        self.X, self.P, self.Q = X, P, Q
-        self.iterations += steps
-
-
-def _frame(spec: UcpSpectrahedron) -> tuple[int, np.ndarray, float, float]:
-    """``(j, ω, t, offset)``: the block ``j`` holding most of the trace ``t``
-    of ``J0``, the unit top eigenvector ``ω`` of that block, and
-    ``offset = ‖J0 - t·ωω*‖``, which is rounding for a rank-one ``J0``."""
-    mats = spec.unpack_tuple(spec.J0)
-    traces = [float(np.trace(m).real) for m in mats]
-    j, t = int(np.argmax(traces)), sum(traces)
-    omega = np.linalg.eigh(mats[j])[1][:, -1]
-    mats[j] = mats[j] - t * np.outer(omega, np.conj(omega))
-    return j, omega, t, float(np.linalg.norm(spec.pack_tuple(mats)))
-
-
-def _distance_bound(t: float, tau: float) -> float:
-    """``√(2τ(τ + t))``, a bound on ``‖J - t·ωω*‖`` for every PSD ``J`` with
-    ``tr J = t`` and ``tr(P⊥J) ≤ τ``, ``P⊥`` the projector onto the complement
-    of the unit vector ``ω``.
-
-    Split ``J = [[a, b*], [b, C]]`` along ``ω``.  Then ``a - t = -tr C``, so
-    ``(a - t)² ≤ τ²``; ``C ⪰ 0`` gives ``‖C‖ ≤ tr C ≤ τ``; and the 2×2
-    minors of ``J`` give ``‖b‖² ≤ a·tr C ≤ tτ``.  Summed,
-    ``‖J - t·ωω*‖² = (a - t)² + 2‖b‖² + ‖C‖² ≤ 2τ² + 2tτ``.  A rank-one
-    ``J`` comes within a factor ``√(1 + τ/t)`` of it.
-    """
-    return float(np.sqrt(2.0 * tau * (tau + t)))
-
-
-def _trace_bound(
-    t: float, offset: float, rho: float, eta: float, delta: float, mu: float
-) -> float:
-    """The largest ``x ≥ 0`` allowed by ``μx - 3ηt ≤ δ + ρ(√(2x(x + t)) + ε)``
-    (``ε = offset``), or infinity: the bound ``τ`` on ``tr(P⊥J)`` of
-    :func:`verify_uniqueness_certificate`.
-
-    With ``√(2x(x + t)) ≤ √2(x + √(xt))`` the inequality gives
-    ``a·x - b·√x - c ≤ 0`` for ``a = μ - √2ρ``, ``b = ρ√(2t)`` and
-    ``c = δ + 3ηt + ρε``, so ``√x ≤ (b + √(b² + 4ac))/2a`` when ``a > 0``.
-    Rounding in ``ρ`` thus enters only through ``c`` and ``b²``.
-    """
-    a = mu - np.sqrt(2.0) * rho
-    if a <= 0.0:
-        return np.inf
-    b = rho * np.sqrt(2.0 * t)
-    c = delta + 3.0 * eta * t + rho * offset
-    return float(((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)) ** 2)
-
-
 @dataclass(frozen=True)
-class CertificateCheck:
-    """What :func:`verify_uniqueness_certificate` measured, and ``bound`` on
-    ``‖J - J0‖`` over the feasible set (infinite unless ``mu > 0``)."""
+class UniquenessResult:
+    """A re-checked proof that a block is a boundary representation:
+    ``separation`` is the norm drop of :func:`is_unique_ucp_extension`."""
 
-    rho: float
-    eta: float
-    delta: float
-    mu: float
-    bound: float
-    threshold: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.mu > 0.0 and self.bound < self.threshold
-
-    @property
-    def ratio(self) -> float:
-        return self.bound / self.threshold
+    method: str
+    separation: float
+    iterations: int
 
 
-def verify_uniqueness_certificate(
-    spec: UcpSpectrahedron, Z: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> CertificateCheck:
-    """Check a packed dual certificate ``Z`` that the set is ``{J0}``.
-
-    Only linear algebra on ``spec``.  Let ``t = tr J0``, ``ω`` the unit vector
-    spanning the range of ``J0`` in its block ``j``, and ``P⊥`` the blockwise
-    projector onto the complement of ``span(ω)``.  Measured: ``ρ``, the
-    distance ``‖null_project(Z)‖`` of ``Z`` from the row space of ``L``;
-    ``η = ‖Z_j ω‖``; ``δ = |<Z, J0>|``; and ``μ``, the least eigenvalue of
-    ``Z`` compressed to the range of ``P⊥``, minus a rounding allowance.
-
-    A feasible ``J`` is PSD with ``tr J = t`` (unitality); let
-    ``x = tr(P⊥J)`` and ``ε = ‖J0 - t·ωω*‖``.  Split along ``ω``, the
-    compression of ``Z`` gives at least ``μx`` and the corner and the two
-    cross terms are at most ``ηt`` each, so ``<Z, J> ≥ μx - 3ηt``.
-    ``J - J0`` lies in the nullspace of ``L``, which only the off-row-space
-    part of ``Z`` sees, so ``<Z, J> ≤ δ + ρ‖J - J0‖``, and
-    ``‖J - J0‖ ≤ √(2x(x + t)) + ε`` by :func:`_distance_bound`.  The two
-    sides bound ``x ≤ τ`` (:func:`_trace_bound`), so
-    ``‖J - J0‖ ≤ √(2τ(τ + t)) + ε``.  The certificate is accepted
-    when ``μ > 0`` and this bound is below ``tol_sep·max(1, ‖J0‖)``, the
-    separation below which two feasible points count as one.  Exactly
-    (``ρ = η = δ = 0``) this is strict complementarity: ``Z = Lᵀy ⪰ 0`` has
-    kernel ``span(ω)``, so every feasible ``J`` lives on ``span(ω)`` and
-    unitality forces ``J = J0``.
-    """
-    j, omega, t, offset = _frame(spec)
-    Z = np.asarray(Z, dtype=np.float64)
-    mats = spec.unpack_tuple(Z)
-    rho = float(np.linalg.norm(spec.null_project(Z[np.newaxis, :])))
-    eta = float(np.linalg.norm(mats[j] @ omega))
-    delta = abs(float(Z @ spec.J0))
-    # eigenvectors of I - ωω* past its 0 eigenvalue span the complement of ω
-    complement = np.linalg.eigh(np.eye(omega.size) - np.outer(omega, np.conj(omega)))[1][:, 1:]
-    mats[j] = np.conj(complement.T) @ mats[j] @ complement
-    least = min(float(np.linalg.eigvalsh(m)[0]) for m in mats if m.size)
-    mu = least - 8.0 * np.finfo(float).eps * max(spec.choi_dims) * float(np.linalg.norm(Z))
-    bound = _distance_bound(t, _trace_bound(t, offset, rho, eta, delta, mu)) + offset
-    threshold = tol.tol_sep * max(1.0, float(np.linalg.norm(spec.J0)))
-    return CertificateCheck(rho, eta, delta, float(mu), float(bound), threshold)
-
-
-def _face(spec: UcpSpectrahedron) -> tuple[np.ndarray, np.ndarray]:
-    """``(F, P⊥)``: orthonormal columns ``F`` spanning the face subspace
-    ``S = rowspace(L) ∩ {Z : Z_j ω = 0}``, from one SVD of ``Z ↦ Z_j ω``
-    on an orthonormal row-space basis, and the packed projector ``P⊥``."""
-    j, omega, _, _ = _frame(spec)
-    w, lam = spec._factorization()
-    rows = (spec.L.T @ w) / np.sqrt(lam)
-    image = unpack_herm(rows.T[:, spec.offsets[j] : spec.offsets[j + 1]], spec.choi_dims[j])
-    image = image @ omega
-    _, sv, vh = np.linalg.svd(np.concatenate([image.real, image.imag], axis=1).T)
-    perp = [np.eye(D, dtype=np.complex128) for D in spec.choi_dims]
-    perp[j] -= np.outer(omega, np.conj(omega))
-    return rows @ vh[np.count_nonzero(sv > _FACE_CUT) :].T, spec.pack_tuple(perp)
-
-
-def _dual_search(spec, F, p_perp, Z, mu, ratio, tol):
-    """Dykstra between ``S - P⊥`` and the cone from the closed form ``Z``
-    (margin ``mu``, ``ratio``), checked every ``_CHECK_EVERY`` iterations:
-    ``(Z, μ, ratio, iterations)`` of an accepted ``Z`` in ``S`` near
-    ``{Z ⪰ P⊥}``, or None with the best margin and ratio reached."""
-
-    def to_face(X):
-        return (X @ F) @ F.T
-
-    def affine(X):
-        return to_face(X + p_perp) - p_perp
-
-    state = _DykstraState(affine, spec.psd_project, (Z - p_perp)[np.newaxis, :])
-    while state.iterations < _DUAL_CAP:
-        state.run(_CHECK_EVERY)
-        Z = to_face(state.X + p_perp)[0]
-        check = verify_uniqueness_certificate(spec, Z, tol)
-        if check.accepted:
-            return Z, check.mu, check.ratio, state.iterations
-        mu, ratio = max(mu, check.mu), min(ratio, check.ratio)
-    return None, mu, ratio, state.iterations
+def _compress(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(1_m ⊗ v) x (1_m ⊗ v)*`` for an ``(m·n)²`` matrix ``x`` and ``d × n``
+    rows ``v``: the cellwise compression, of size ``(m·d)²``."""
+    d, n = v.shape
+    m = x.shape[0] // n
+    cells = np.einsum("ai,kilj,bj->kalb", v, x.reshape(m, n, m, n), np.conj(v))
+    return cells.reshape(m * d, m * d)
 
 
 def is_unique_ucp_extension(
-    spec: UcpSpectrahedron, tol: Tolerances = DEFAULT_TOL
+    x: np.ndarray, kept_rows: list[np.ndarray], tol: Tolerances = DEFAULT_TOL
 ) -> UniquenessResult:
-    """Certify that the spectrahedron is the singleton ``{J0}``.
+    """Re-check the norm drop that proves a block a boundary representation.
 
-    Every verdict is proved, in this order: a pinned affine set
-    (``"pinned"``); the closed-form dual certificate (``"dual"``, see
-    :func:`verify_uniqueness_certificate`); a Dykstra search for a dual
-    certificate (``"dual"``, with its iterations).  A ``"dual"`` verdict's
-    separation is the certificate's margin μ.  No step is random.  No step
-    looks for room around a strictly definite ``J0`` either: the extension
-    spectrahedron of a block of a multi-block algebra has ``J0`` zero at
-    every other source, and a simple algebra decides no uniqueness.
+    ``x`` is an m×m matrix over the system, an ``(m·n)²`` ambient matrix;
+    ``kept_rows`` holds, for every block but the one being decided, the
+    rows v_j of the decomposition unitary for its first copy, so that
+    π_j(y) = v_j y v_j*.  The check takes the ambient operator norm ‖x‖ and
+    ‖q_m(x)‖ = max_j ‖(1_m ⊗ v_j) x (1_m ⊗ v_j)*‖, the norm in the quotient
+    that kills only the decided block, and returns the drop
+    ``1 - ‖q_m(x)‖/‖x‖``.
 
-    Only uniqueness is decided.  A block with a second extension has no
-    certificate, so there every step fails and the call raises
-    :class:`InconclusiveError` with the best margin and bound reached; its
-    callers hand it only blocks that no checked witness refutes.
+    A drop above ``tol_norm`` means the quotient is not completely
+    isometric, so the singleton ideal is not a boundary ideal, and the
+    Šilov ideal, the largest boundary ideal, does not contain it.  The
+    Šilov ideal is also the intersection of the kernels of the boundary
+    representations (Arveson 2008), each a block in finite dimensions, and
+    only the block's own representation is nonzero on it: so that
+    representation is boundary, and the identity on the system has a
+    unique UCP extension to it.  A drop at or below ``tol_norm`` proves
+    nothing and raises :class:`VerificationError`.
     """
-    if spec.J0 is None:
-        raise InputError("uniqueness requires the base point J0")
-
-    if spec.null_dim == 0:
-        return UniquenessResult("pinned", 0.0, 0)
-
-    F, p_perp = _face(spec)
-    Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
-    check = verify_uniqueness_certificate(spec, Z, tol)
-    if check.accepted:
-        return UniquenessResult("dual", check.mu, 0, Z)
-
-    Z, mu, ratio, iterations = _dual_search(spec, F, p_perp, Z, check.mu, check.ratio, tol)
-    if Z is not None:
-        return UniquenessResult("dual", mu, iterations, Z)
-    raise InconclusiveError(
-        f"uniqueness undecided: no dual certificate after {iterations} iterations "
-        f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e})"
-    )
+    x = np.asarray(x, dtype=np.complex128)
+    nx = float(np.linalg.norm(x, 2))
+    nq = max((float(np.linalg.norm(_compress(x, v), 2)) for v in kept_rows), default=0.0)
+    drop = 1.0 - nq / nx if nx > 0.0 else 0.0
+    if not drop > tol.tol_norm:
+        raise VerificationError(
+            f"the witness shows no norm drop ({drop:.3e} against tol_norm {tol.tol_norm:.1e})"
+        )
+    return UniquenessResult("norm-drop", drop, 0)
 
 
 def ucp_feasibility(
@@ -653,7 +464,7 @@ def ucp_feasibility(
     least = float(spec.min_eig(X)[0])
     if history[0] <= conv_tol and least >= -tol.tol_psd:
         return FeasibilityResult(True, spec.unpack_tuple(start), history[0], 0, "dykstra")
-    # Dykstra as in _DykstraState, with each affine step's coordinates kept
+    # Dykstra, with each affine step's coordinates kept
     P, Q = np.zeros_like(X), np.zeros_like(X)
     a_prev = 0.0  # P = 0 before the first step
     iterations = 0

@@ -26,7 +26,6 @@ Block labels are 1-based throughout, matching the reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ from .linalg import (
     hs_norm,
     matrix_units,
     random_element,
-    span_of,
     subspace_intersection,
 )
 from .opsys import CStarAlgebra
@@ -54,10 +52,8 @@ __all__ = [
     "QuotientMap",
     "commutant",
     "wedderburn_decompose",
-    "enumerate_ideals",
     "ideal_subspace",
     "quotient_map",
-    "is_irreducible",
 ]
 
 # residual ceiling for structural validation; the arithmetic lands around 1e-13
@@ -372,16 +368,6 @@ class BlockIdeal:
             raise InputError(f"killed blocks {sorted(self.killed)} outside {sorted(labels)}")
 
 
-def enumerate_ideals(W: WedderburnData) -> list[BlockIdeal]:
-    """All ``2**num_blocks`` ideals, ordered by cardinality then lexicographically."""
-    labels = W.labels
-    out = []
-    for size in range(len(labels) + 1):
-        for combo in itertools.combinations(labels, size):
-            out.append(BlockIdeal(parent=W, killed=frozenset(combo)))
-    return out
-
-
 def ideal_subspace(ideal: BlockIdeal, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
     """The ideal as a concrete subspace of the represented algebra.
 
@@ -450,11 +436,3 @@ def quotient_map(ideal: BlockIdeal) -> QuotientMap:
     kept = tuple(label for label in W.labels if label not in ideal.killed)
     target_dim = sum(W.blocks[label - 1][0] for label in kept)
     return QuotientMap(ideal=ideal, kept=kept, target_dim=target_dim)
-
-
-def is_irreducible(W: WedderburnData, label: int, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether block ``label``'s representation has trivial commutant."""
-    rep = W.irreps[label - 1]
-    d = rep.shape[1]
-    local = span_of(list(rep), d, tol)
-    return commutant(local, tol).dim == 1

@@ -2,17 +2,25 @@
 
 Everything here sticks to plain numpy on raw arrays, so a defect in the
 package's subspace machinery cannot hide inside the oracle that is supposed
-to catch it.  Two kinds of exception call the package.
+to catch it.  Three kinds of exception call the package.
 :func:`build_left_inverse_spectrahedron` writes the left-inverse
 constraints in the whole ambient, a formulation the package's per-block
-search does not use.  And the Gram–Schmidt computations the package ran
-before structure gave their answers (:func:`gram_schmidt_system_space`,
-:func:`gram_schmidt_chain`) are kept as the references for what replaced
-them.
+search does not use.  The dual-certificate uniqueness route
+(:func:`dual_uniqueness`) writes each block's extension spectrahedron with
+the package's ``UcpSpectrahedron``.  And the computations the package ran
+before structure or the lattice gave their answers
+(:func:`gram_schmidt_system_space`, :func:`gram_schmidt_chain`,
+:func:`enumerate_ideals`, :func:`is_irreducible`) are kept as the
+references for what replaced them.
 """
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
+
 import numpy as np
+
+from cstarenv.ucp import UcpSpectrahedron, maximally_entangled, unpack_herm
 
 
 def vec_stack(mats) -> np.ndarray:
@@ -455,9 +463,302 @@ def gram_schmidt_chain(env, tol=None) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def enumerate_ideals(W) -> list:
+    """All ``2**num_blocks`` block ideals, ordered by cardinality then
+    lexicographically: the exhaustive lattice the package's route avoids."""
+    from cstarenv.wedderburn import BlockIdeal
+
+    labels = W.labels
+    return [
+        BlockIdeal(parent=W, killed=frozenset(combo))
+        for size in range(len(labels) + 1)
+        for combo in itertools.combinations(labels, size)
+    ]
+
+
+def is_irreducible(W, label: int, tol=None) -> bool:
+    """Whether block ``label``'s representation has trivial commutant."""
+    from cstarenv.linalg import DEFAULT_TOL, span_of
+    from cstarenv.wedderburn import commutant
+
+    tol = tol or DEFAULT_TOL
+    rep = W.irreps[label - 1]
+    local = span_of(list(rep), rep.shape[1], tol)
+    return commutant(local, tol).dim == 1
+
+
 def orthonormality_residual(basis) -> float:
     """Largest entry of ``B B* - 1`` for the flattened rows ``B`` of a
     ``(k, n, n)`` basis: 0 for exactly orthonormal rows."""
     b = np.asarray(basis, dtype=complex)
     b = b.reshape(len(b), int(np.prod(b.shape[1:])))
     return float(np.abs(b @ b.conj().T - np.eye(len(b))).max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# The dual-certificate uniqueness route.  A block is a boundary
+# representation exactly when the UCP maps from the generated algebra to the
+# block that restrict to its representation on the system form the singleton
+# {J0}, J0 the representation's Choi tuple.  This route proves that with a
+# pinned affine set or a dual certificate (strict complementarity) checked
+# with an explicit rounding bound.  The package certifies a kept block by
+# its singleton's refutation instead; this is the independent reference.
+
+# the separation below which two feasible points count as one
+SEP = 1e-6
+_DUAL_CAP = 400
+_CHECK_EVERY = 50
+# singular values of Z -> Z_j ω below this span the face: rounding, not a constraint
+_FACE_CUT = 1e-12
+
+
+class DykstraState:
+    """Resumable batched Dykstra iteration between an affine set and the
+    cone: the dual search's engine, and the reference for the package's
+    feasibility loop."""
+
+    def __init__(self, affine_project, psd_project, starts: np.ndarray):
+        self.affine_project, self.psd_project = affine_project, psd_project
+        self.X = np.array(starts, dtype=np.float64)
+        self.P = np.zeros_like(self.X)
+        self.Q = np.zeros_like(self.X)
+        self.iterations = 0
+
+    def run(self, steps: int) -> None:
+        X, P, Q = self.X, self.P, self.Q
+        for _ in range(steps):
+            Y = self.affine_project(X + P)
+            P = X + P - Y
+            Z = self.psd_project(Y + Q)
+            Q = Y + Q - Z
+            X = Z
+        self.X, self.P, self.Q = X, P, Q
+        self.iterations += steps
+
+
+@dataclass
+class ExtensionSpectrahedron(UcpSpectrahedron):
+    """A spectrahedron with the distinguished feasible point ``J0``, packed:
+    the map whose extensions are probed."""
+
+    J0: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def null_dim(self) -> int:
+        return self.num_coords - self._factorization()[0].shape[1]
+
+    def null_project(self, Z: np.ndarray) -> np.ndarray:
+        if self.L.shape[0] == 0:
+            return Z
+        return Z - self._gram_solve(Z @ self.L.T) @ self.L
+
+
+def extension_spectrahedron(W, data, label: int) -> ExtensionSpectrahedron:
+    """The UCP maps from the generated algebra to block ``label`` that
+    restrict to the block's representation on the system, written from
+    ``data`` (the system's ``block_images``): the sources are every block's
+    images, the values block ``label``'s.  J0 is the representation; the
+    set is ``{J0}`` exactly when the block is a boundary representation."""
+    dims = tuple(d for d, _ in W.blocks)
+    t = dims[label - 1]
+    J0 = [
+        maximally_entangled(d) if j == label else np.zeros((d * t, d * t), dtype=complex)
+        for j, d in enumerate(dims, start=1)
+    ]
+    sources = [data.image(j) for j in W.labels]
+    spec = ExtensionSpectrahedron.from_constraints(dims, t, sources, data.image(label))
+    spec.J0 = spec.pack_tuple(J0)
+    return spec
+
+
+def extension_spectrahedra(W, data) -> dict:
+    """:func:`extension_spectrahedron` of every block label."""
+    return {label: extension_spectrahedron(W, data, label) for label in W.labels}
+
+
+@dataclass(frozen=True)
+class DualResult:
+    """A proof that a spectrahedron is the singleton ``{J0}``: ``method`` is
+    ``"pinned"`` or ``"dual"``, and ``certificate`` the packed dual
+    certificate of a ``"dual"`` verdict."""
+
+    method: str
+    separation: float
+    iterations: int
+    certificate: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def frame(spec) -> tuple[int, np.ndarray, float, float]:
+    """``(j, ω, t, offset)``: the block ``j`` holding most of the trace ``t``
+    of ``J0``, the unit top eigenvector ``ω`` of that block, and
+    ``offset = ‖J0 - t·ωω*‖``, which is rounding for a rank-one ``J0``."""
+    mats = spec.unpack_tuple(spec.J0)
+    traces = [float(np.trace(m).real) for m in mats]
+    j, t = int(np.argmax(traces)), sum(traces)
+    omega = np.linalg.eigh(mats[j])[1][:, -1]
+    mats[j] = mats[j] - t * np.outer(omega, np.conj(omega))
+    return j, omega, t, float(np.linalg.norm(spec.pack_tuple(mats)))
+
+
+def distance_bound(t: float, tau: float) -> float:
+    """``√(2τ(τ + t))``, a bound on ``‖J - t·ωω*‖`` for every PSD ``J`` with
+    ``tr J = t`` and ``tr(P⊥J) ≤ τ``, ``P⊥`` the projector onto the complement
+    of the unit vector ``ω``.
+
+    Split ``J = [[a, b*], [b, C]]`` along ``ω``.  Then ``a - t = -tr C``, so
+    ``(a - t)² ≤ τ²``; ``C ⪰ 0`` gives ``‖C‖ ≤ tr C ≤ τ``; and the 2×2
+    minors of ``J`` give ``‖b‖² ≤ a·tr C ≤ tτ``.  Summed,
+    ``‖J - t·ωω*‖² = (a - t)² + 2‖b‖² + ‖C‖² ≤ 2τ² + 2tτ``.  A rank-one
+    ``J`` comes within a factor ``√(1 + τ/t)`` of it.
+    """
+    return float(np.sqrt(2.0 * tau * (tau + t)))
+
+
+def trace_bound(t: float, offset: float, rho: float, eta: float, delta: float, mu: float) -> float:
+    """The largest ``x ≥ 0`` allowed by ``μx - 3ηt ≤ δ + ρ(√(2x(x + t)) + ε)``
+    (``ε = offset``), or infinity: the bound ``τ`` on ``tr(P⊥J)`` of
+    :func:`verify_uniqueness_certificate`.
+
+    With ``√(2x(x + t)) ≤ √2(x + √(xt))`` the inequality gives
+    ``a·x - b·√x - c ≤ 0`` for ``a = μ - √2ρ``, ``b = ρ√(2t)`` and
+    ``c = δ + 3ηt + ρε``, so ``√x ≤ (b + √(b² + 4ac))/2a`` when ``a > 0``.
+    Rounding in ``ρ`` thus enters only through ``c`` and ``b²``.
+    """
+    a = mu - np.sqrt(2.0) * rho
+    if a <= 0.0:
+        return np.inf
+    b = rho * np.sqrt(2.0 * t)
+    c = delta + 3.0 * eta * t + rho * offset
+    return float(((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)) ** 2)
+
+
+@dataclass(frozen=True)
+class CertificateCheck:
+    """What :func:`verify_uniqueness_certificate` measured, and ``bound`` on
+    ``‖J - J0‖`` over the feasible set (infinite unless ``mu > 0``)."""
+
+    rho: float
+    eta: float
+    delta: float
+    mu: float
+    bound: float
+    threshold: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.mu > 0.0 and self.bound < self.threshold
+
+    @property
+    def ratio(self) -> float:
+        return self.bound / self.threshold
+
+
+def verify_uniqueness_certificate(spec, Z: np.ndarray, sep: float = SEP) -> CertificateCheck:
+    """Check a packed dual certificate ``Z`` that the set is ``{J0}``.
+
+    Only linear algebra on ``spec``.  Let ``t = tr J0``, ``ω`` the unit vector
+    spanning the range of ``J0`` in its block ``j``, and ``P⊥`` the blockwise
+    projector onto the complement of ``span(ω)``.  Measured: ``ρ``, the
+    distance ``‖null_project(Z)‖`` of ``Z`` from the row space of ``L``;
+    ``η = ‖Z_j ω‖``; ``δ = |<Z, J0>|``; and ``μ``, the least eigenvalue of
+    ``Z`` compressed to the range of ``P⊥``, minus a rounding allowance.
+
+    A feasible ``J`` is PSD with ``tr J = t`` (unitality); let
+    ``x = tr(P⊥J)`` and ``ε = ‖J0 - t·ωω*‖``.  Split along ``ω``, the
+    compression of ``Z`` gives at least ``μx`` and the corner and the two
+    cross terms are at most ``ηt`` each, so ``<Z, J> ≥ μx - 3ηt``.
+    ``J - J0`` lies in the nullspace of ``L``, which only the off-row-space
+    part of ``Z`` sees, so ``<Z, J> ≤ δ + ρ‖J - J0‖``, and
+    ``‖J - J0‖ ≤ √(2x(x + t)) + ε`` by :func:`distance_bound`.  The two
+    sides bound ``x ≤ τ`` (:func:`trace_bound`), so
+    ``‖J - J0‖ ≤ √(2τ(τ + t)) + ε``.  The certificate is accepted
+    when ``μ > 0`` and this bound is below ``sep·max(1, ‖J0‖)``, the
+    separation below which two feasible points count as one.  Exactly
+    (``ρ = η = δ = 0``) this is strict complementarity: ``Z = Lᵀy ⪰ 0`` has
+    kernel ``span(ω)``, so every feasible ``J`` lives on ``span(ω)`` and
+    unitality forces ``J = J0``.
+    """
+    j, omega, t, offset = frame(spec)
+    Z = np.asarray(Z, dtype=np.float64)
+    mats = spec.unpack_tuple(Z)
+    rho = float(np.linalg.norm(spec.null_project(Z[np.newaxis, :])))
+    eta = float(np.linalg.norm(mats[j] @ omega))
+    delta = abs(float(Z @ spec.J0))
+    # eigenvectors of I - ωω* past its 0 eigenvalue span the complement of ω
+    complement = np.linalg.eigh(np.eye(omega.size) - np.outer(omega, np.conj(omega)))[1][:, 1:]
+    mats[j] = np.conj(complement.T) @ mats[j] @ complement
+    least = min(float(np.linalg.eigvalsh(m)[0]) for m in mats if m.size)
+    mu = least - 8.0 * np.finfo(float).eps * max(spec.choi_dims) * float(np.linalg.norm(Z))
+    bound = distance_bound(t, trace_bound(t, offset, rho, eta, delta, mu)) + offset
+    threshold = sep * max(1.0, float(np.linalg.norm(spec.J0)))
+    return CertificateCheck(rho, eta, delta, float(mu), float(bound), threshold)
+
+
+def face(spec) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, P⊥)``: orthonormal columns ``F`` spanning the face subspace
+    ``S = rowspace(L) ∩ {Z : Z_j ω = 0}``, from one SVD of ``Z ↦ Z_j ω``
+    on an orthonormal row-space basis, and the packed projector ``P⊥``."""
+    j, omega, _, _ = frame(spec)
+    w, lam = spec._factorization()
+    rows = (spec.L.T @ w) / np.sqrt(lam)
+    image = unpack_herm(rows.T[:, spec.offsets[j] : spec.offsets[j + 1]], spec.choi_dims[j])
+    image = image @ omega
+    _, sv, vh = np.linalg.svd(np.concatenate([image.real, image.imag], axis=1).T)
+    perp = [np.eye(D, dtype=np.complex128) for D in spec.choi_dims]
+    perp[j] -= np.outer(omega, np.conj(omega))
+    return rows @ vh[np.count_nonzero(sv > _FACE_CUT) :].T, spec.pack_tuple(perp)
+
+
+def dual_search(spec, F, p_perp, Z, mu, ratio, sep):
+    """Dykstra between ``S - P⊥`` and the cone from the closed form ``Z``
+    (margin ``mu``, ``ratio``), checked every ``_CHECK_EVERY`` iterations:
+    ``(Z, μ, ratio, iterations)`` of an accepted ``Z`` in ``S`` near
+    ``{Z ⪰ P⊥}``, or None with the best margin and ratio reached."""
+
+    def to_face(X):
+        return (X @ F) @ F.T
+
+    def affine(X):
+        return to_face(X + p_perp) - p_perp
+
+    state = DykstraState(affine, spec.psd_project, (Z - p_perp)[np.newaxis, :])
+    while state.iterations < _DUAL_CAP:
+        state.run(_CHECK_EVERY)
+        Z = to_face(state.X + p_perp)[0]
+        check = verify_uniqueness_certificate(spec, Z, sep)
+        if check.accepted:
+            return Z, check.mu, check.ratio, state.iterations
+        mu, ratio = max(mu, check.mu), min(ratio, check.ratio)
+    return None, mu, ratio, state.iterations
+
+
+def dual_uniqueness(spec, sep: float = SEP) -> DualResult:
+    """Certify that the spectrahedron is the singleton ``{J0}``.
+
+    Every verdict is proved, in this order: a pinned affine set
+    (``"pinned"``); the closed-form dual certificate (``"dual"``, see
+    :func:`verify_uniqueness_certificate`); a Dykstra search for a dual
+    certificate (``"dual"``, with its iterations).  A ``"dual"`` verdict's
+    separation is the certificate's margin μ.  No step is random.  A
+    spectrahedron with a second point has no certificate, so there every
+    step fails and the call raises ``InconclusiveError`` with the best
+    margin and bound reached.
+    """
+    from cstarenv.errors import InconclusiveError, InputError
+
+    if spec.J0 is None:
+        raise InputError("uniqueness requires the base point J0")
+    if spec.null_dim == 0:
+        return DualResult("pinned", 0.0, 0)
+    F, p_perp = face(spec)
+    Z = (p_perp @ F) @ F.T  # the orthogonal projection of P⊥ onto S
+    check = verify_uniqueness_certificate(spec, Z, sep)
+    if check.accepted:
+        return DualResult("dual", check.mu, 0, Z)
+    Z, mu, ratio, iterations = dual_search(spec, F, p_perp, Z, check.mu, check.ratio, sep)
+    if Z is not None:
+        return DualResult("dual", mu, iterations, Z)
+    raise InconclusiveError(
+        f"uniqueness undecided: no dual certificate after {iterations} iterations "
+        f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e})"
+    )

@@ -6,10 +6,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cstarenv
-from cstarenv import analysis, cli, corpus, ucp
+from cstarenv import analysis, boundary, cli, corpus, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
 
@@ -71,7 +72,7 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
         str(corpus_dir / "full_M1.json"),
         "--seed",
         "3",
-        "--tol-sep",
+        "--tol-norm",
         "2e-06",
         "--json-out",
         str(out_file),
@@ -80,8 +81,12 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["seed"] == 3
-    assert report["tolerances"]["tol_sep"] == 2e-06
+    assert report["tolerances"]["tol_norm"] == 2e-06
+    assert "tol_sep" not in report["tolerances"]
     assert "uniqueness_trials" not in report["flags"]
+    # the point-separation threshold went with the dual certificates
+    code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"), "--tol-sep", "2e-06")
+    assert code == 1 and "--tol-sep" in err
 
 
 def test_uniqueness_trials_flag_is_gone(corpus_dir, capsys):
@@ -101,6 +106,13 @@ def test_subcommands_refuse_flags_they_do_not_read(corpus_dir, capsys, tmp_path)
     code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"), "--jobs", "2")
     assert code == 1 and "--jobs" in err
 
+
+
+def test_corpus_refuses_a_negative_seed(capsys, tmp_path):
+    # the corpus subcommand checks its seed as the analysing ones do
+    code, _, err = run(capsys, "corpus", str(tmp_path / "c"), "--seed", "-1")
+    assert code == 1 and "--seed must be non-negative, got -1" in err
+    assert not (tmp_path / "c").exists()
 
 def test_input_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
@@ -343,24 +355,27 @@ def test_verify_all_reports_do_not_depend_on_jobs(corpus_dir, capsys, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-def test_verify_all_row_shows_inconclusive_uniqueness_evidence(corpus_dir, capsys, monkeypatch):
-    # with every dual certificate rejected, the kept matrix block of
-    # state_sum has neither a certificate nor a witness; its row names the
-    # block and its lattice verdict and says how close the dual search came
-    real_check = ucp.verify_uniqueness_certificate
-    monkeypatch.setattr(
-        ucp,
-        "verify_uniqueness_certificate",
-        lambda spec, Z, *tol: replace(real_check(spec, Z, *tol), mu=-1.0),
-    )
+def test_verify_all_row_shows_a_failed_uniqueness_recheck(corpus_dir, capsys, monkeypatch):
+    # with every probe matrix replaced by the unit, which drops in no
+    # quotient, the lattice verdicts stand but the re-check of the kept
+    # matrix block of state_sum fails: a failed certificate, whose row
+    # names the block and the drop it measured
+    real_probe = boundary.falsify_complete_isometry
+
+    def unit_witness(table, killed, tol):
+        report = real_probe(table, killed, tol)
+        if report.witness is None:
+            return report
+        return replace(report, witness=np.eye(report.witness.shape[0], dtype=complex))
+
+    monkeypatch.setattr(boundary, "falsify_complete_isometry", unit_witness)
     code, out, _ = run(capsys, "verify-all", str(corpus_dir))
     assert code == 2
     row = next(line for line in out.splitlines() if line.startswith("state_sum "))
-    assert "inconclusive" in row
+    assert "failed" in row
     detail = out.splitlines()[out.splitlines().index(row) + 1]
     assert "block 1 (kept by the lattice route)" in detail
-    assert "no dual certificate after 400 iterations" in detail
-    assert "best margin -1.000e+00" in detail and "best bound/threshold" in detail
+    assert "the witness shows no norm drop (0.000e+00 against tol_norm 1.0e-06)" in detail
 
 
 def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):
@@ -432,7 +447,7 @@ def test_verify_all_rejects_a_malformed_manifest(capsys, tmp_path, malform):
 
 
 def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_sep=1e-05, tol_norm=2e-06")
+    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_psd=1e-08, tol_norm=2e-06")
     out_file = tmp_path / "r.json"
     code, _, _ = run(
         capsys,
@@ -444,7 +459,7 @@ def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     report = json.loads(out_file.read_text())
-    assert report["tolerances"]["tol_sep"] == 1e-05
+    assert report["tolerances"]["tol_psd"] == 1e-08
     assert report["tolerances"]["tol_norm"] == 2e-06
 
     # explicit flags beat the environment
@@ -452,7 +467,7 @@ def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
         capsys,
         "analyze",
         str(corpus_dir / "full_M1.json"),
-        "--tol-sep",
+        "--tol-norm",
         "3e-05",
         "--json-out",
         str(out_file),
@@ -460,15 +475,16 @@ def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     report = json.loads(out_file.read_text())
-    assert report["tolerances"]["tol_sep"] == 3e-05
-    assert report["tolerances"]["tol_norm"] == 2e-06
+    assert report["tolerances"]["tol_norm"] == 3e-05
+    assert report["tolerances"]["tol_psd"] == 1e-08
 
-    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_bogus=1")
-    code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"))
-    assert code == 1
-    assert "CSTARENV_TOLERANCES" in err
+    for unknown in ("tol_bogus=1", "tol_sep=1e-05"):
+        monkeypatch.setenv("CSTARENV_TOLERANCES", unknown)
+        code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"))
+        assert code == 1
+        assert "CSTARENV_TOLERANCES" in err
 
-    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_sep=abc")
+    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_norm=abc")
     code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"))
     assert code == 1
     assert "not a number" in err

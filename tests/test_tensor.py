@@ -268,14 +268,14 @@ def seed3_analyses():
 def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
     # a state sum's non-boundary scalar block against a factor with a
     # 3-dimensional boundary block: the pair block (scalar, 3-dimensional)
-    # has no dual certificate, and its witness is read off the product's
-    # left inverse
+    # is killed, and its witness is read off the product's left inverse;
+    # every kept pair block is certified by its singleton's norm drop
     pa = analyze_pair(seed3_analyses[left], seed3_analyses[right])
     assert pa.verified
     rep = pa.factorization
     assert rep.product_killed_pairs == rep.expected_killed_pairs != frozenset()
     for b in rep.product_envelope.dk_certificate.per_block:
-        assert b.method == ("dual" if b.unique else "left-inverse"), b
+        assert b.method == ("norm-drop" if b.unique else "left-inverse"), b
 
 
 @pytest.mark.parametrize("left, right", [("state_sum", "random_01"), ("random_01", "state_sum")])

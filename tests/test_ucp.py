@@ -1,4 +1,6 @@
-"""Choi-coordinate spectrahedra: feasibility and uniqueness engines.
+"""Choi-coordinate spectrahedra: the feasibility engine, the norm-drop
+re-check that certifies a kept block, and the dual-certificate uniqueness
+route kept as its reference in ``_oracles``.
 
 Witness-carrying verdicts are re-verified here from the raw certificate
 (affine residual, positivity, separation), never trusted from the flag.
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 from cstarenv import boundary, ucp
-from cstarenv.boundary import block_images, build_extension_spectrahedra
-from cstarenv.errors import InconclusiveError, InputError
+from cstarenv.boundary import block_images
+from cstarenv.errors import InconclusiveError, InputError, VerificationError
 from cstarenv.linalg import DEFAULT_TOL, hermitian_basis
 from cstarenv.opsys import generated_cstar, opsys_from_generators
 from cstarenv.tensor import min_tensor, product_blocks
@@ -22,15 +24,25 @@ from cstarenv.ucp import (
     maximally_entangled,
     pack_herm,
     ucp_feasibility,
+)
+
+from _oracles import (
+    SEP,
+    DykstraState,
+    ExtensionSpectrahedron,
+    build_left_inverse_spectrahedron,
+    constraint_rows,
+    distance_bound,
+    dual_uniqueness,
+    random_herm,
+    trace_bound,
     verify_uniqueness_certificate,
 )
-from cstarenv.ucp import _distance_bound, _trace_bound
-
-from _oracles import build_left_inverse_spectrahedron, constraint_rows, random_herm
+from _oracles import extension_spectrahedra as oracle_spectrahedra
 
 
 def extension_spectrahedra(E, W):
-    return build_extension_spectrahedra(W, block_images(E, W, DEFAULT_TOL))
+    return oracle_spectrahedra(W, block_images(E, W, DEFAULT_TOL))
 
 
 def ec_spec(wedderburn, system, label):
@@ -136,20 +148,20 @@ def test_extension_base_point_is_feasible(system, wedderburn):
 
 
 # full_M2 and jordan_M2 generate simple algebras, whose only block the
-# representation route declares boundary without a probe; these two tests
-# keep an exact uniqueness proof as the oracle for that shortcut
+# representation route declares boundary without a probe; these tests keep
+# the dual route's exact uniqueness proof as the oracle for that shortcut
 
 
 def test_fully_pinned_block_reports_unique(system, wedderburn):
     spec = extension_spectrahedra(system("full_M2"), wedderburn("full_M2")[1])[1]
-    res = is_unique_ucp_extension(spec)
+    res = dual_uniqueness(spec)
     assert res.method == "pinned" and res.iterations == 0
 
 
 def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
     for name, label in (("jordan_M2", 1), ("state_sum", 1)):
         spec = extension_spectrahedra(system(name), wedderburn(name)[1])[label]
-        res = is_unique_ucp_extension(spec)
+        res = dual_uniqueness(spec)
         assert res.method == "dual" and res.iterations == 0
         check = verify_uniqueness_certificate(spec, res.certificate)
         assert check.accepted and check.mu > 0.0
@@ -160,8 +172,9 @@ def test_dual_certificate_certifies_unique_blocks(system, wedderburn):
 def decisions(entries, system, wedderburn, seven_blocks):
     """``(name, label, spec, result)`` for every block of the corpus
     fixtures, of ``seven_blocks`` and of ``full_M2 (x) state_sum``.  A block
-    the lattice route keeps is decided by :func:`is_unique_ucp_extension`; a
-    block it kills, which its left inverse decides, has result None."""
+    the lattice route keeps is decided by the oracle's
+    :func:`dual_uniqueness`; a block it kills, which its left inverse
+    decides, has result None."""
     systems = [(name, system(name), wedderburn(name)[1]) for name in entries]
     systems.append(("seven_blocks", *seven_blocks))
     T = min_tensor(system("full_M2"), system("state_sum"))
@@ -171,13 +184,15 @@ def decisions(entries, system, wedderburn, seven_blocks):
     for name, E, W in systems:
         data = block_images(E, W, DEFAULT_TOL)
         killed = boundary.silov_ideal_lattice(W, data)[1].maximal
-        for label, spec in build_extension_spectrahedra(W, data).items():
-            res = None if label in killed else is_unique_ucp_extension(spec)
+        for label, spec in oracle_spectrahedra(W, data).items():
+            res = None if label in killed else dual_uniqueness(spec)
             out.append((name, label, spec, res))
     return out
 
 
 def test_every_unique_block_carries_an_accepted_certificate(decisions):
+    # the dual route accepts every block the package certifies by its
+    # singleton's refutation: two independent proofs of one verdict
     methods = set()
     for name, label, spec, res in decisions:
         if res is None:
@@ -191,6 +206,36 @@ def test_every_unique_block_carries_an_accepted_certificate(decisions):
     assert "dual" in methods
 
 
+def test_the_dual_reference_accepts_every_kept_block_of_seeds_1_to_3():
+    # every block the package keeps in a multi-block algebra of the corpus
+    # at seeds 1-3 or of a standard pair's product also has the dual
+    # route's certificate
+    from cstarenv.analysis import analyze_pair, analyze_system
+    from cstarenv.corpus import standard_pairs
+    from cstarenv.specio import opsys_of
+
+    seen = 0
+    for seed in (1, 2, 3):
+        specs = {e.spec.name: e.spec for e in corpus_entries(seed=seed, count=20)}
+        an = {n: analyze_system(opsys_of(sp, DEFAULT_TOL), name=n) for n, sp in specs.items()}
+        envs = [a.envelope for a in an.values()]
+        envs += [
+            analyze_pair(an[a], an[b]).factorization.product_envelope
+            for a, b in standard_pairs(specs)
+        ]
+        for env in envs:
+            W = env.wedderburn
+            if W.num_blocks == 1:
+                continue
+            spectrahedra = oracle_spectrahedra(W, block_images(env.system, W, DEFAULT_TOL))
+            for b in env.dk_certificate.per_block:
+                if b.unique:
+                    res = dual_uniqueness(spectrahedra[b.label])
+                    assert res.method in ("pinned", "dual"), (seed, env.system.label, b.label)
+                    seen += 1
+    assert seen == 24
+
+
 def test_dual_search_certifies_state_sum_s3_block_1():
     # at corpus seed 2 the closed form has a negative margin on this block,
     # so only the Dykstra search can certify it
@@ -199,7 +244,7 @@ def test_dual_search_certifies_state_sum_s3_block_1():
     spec_doc = {e.spec.name: e.spec for e in corpus_entries(seed=2, count=20)}["state_sum_s3"]
     E = opsys_of(spec_doc, DEFAULT_TOL)
     spec = extension_spectrahedra(E, wedderburn_decompose(generated_cstar(E)))[1]
-    res = is_unique_ucp_extension(spec)
+    res = dual_uniqueness(spec)
     assert res.method == "dual" and res.iterations > 0
     check = verify_uniqueness_certificate(spec, res.certificate)
     assert check.accepted and res.separation == check.mu
@@ -217,13 +262,13 @@ def test_no_certificate_where_a_witness_exists(decisions):
     assert ("full_M2*state_sum", 2) in [(n, lab) for n, lab, _ in refuted]
     for name, label, spec in refuted:
         with pytest.raises(InconclusiveError, match="no dual certificate"):
-            is_unique_ucp_extension(spec)
+            dual_uniqueness(spec)
 
 
 def test_inconclusive_uniqueness_carries_its_evidence(system, wedderburn):
     spec = ec_spec(wedderburn, system, 2)
     with pytest.raises(InconclusiveError) as info:
-        is_unique_ucp_extension(spec)
+        dual_uniqueness(spec)
     msg = str(info.value)
     assert "after 400 iterations" in msg
     assert "best margin -" in msg and "best bound/threshold inf" in msg
@@ -238,7 +283,7 @@ def _null_rows(M: np.ndarray) -> np.ndarray:
 
 def test_perturbed_certificates_are_rejected(system, wedderburn):
     spec = ec_spec(wedderburn, system, 1)
-    Z = is_unique_ucp_extension(spec).certificate
+    Z = dual_uniqueness(spec).certificate
     base = verify_uniqueness_certificate(spec, Z)
     assert base.accepted
     (j,) = [k for k, m in enumerate(spec.unpack_tuple(spec.J0)) if np.abs(m).max() > 0]
@@ -306,7 +351,7 @@ def test_distance_bound_holds_on_random_psd_points():
         target[0, 0] = t
         dist = float(np.linalg.norm(J - target))
         for slack in (1.0, 1.5):
-            assert dist <= _distance_bound(t, slack * tau) * (1 + 1e-12)
+            assert dist <= distance_bound(t, slack * tau) * (1 + 1e-12)
 
 
 def _largest_admissible_trace(t, offset, rho, eta, delta, mu):
@@ -331,7 +376,7 @@ def test_trace_bound_covers_every_admissible_trace():
         t = float(rng.uniform(0.5, 5.0))
         rho, eta, delta, offset = 10.0 ** rng.uniform(-16, -2, size=4)
         mu = float(10.0 ** rng.uniform(-3, 0))
-        tau = _trace_bound(t, offset, rho, eta, delta, mu)
+        tau = trace_bound(t, offset, rho, eta, delta, mu)
         if mu <= np.sqrt(2) * rho:
             assert tau == np.inf
             continue
@@ -340,8 +385,8 @@ def test_trace_bound_covers_every_admissible_trace():
         if x_max < 1e-3 * t:  # the small traces a certificate can accept
             assert tau <= 1.2 * x_max
     # without rho it is the plain ratio; without margin there is no bound
-    assert _trace_bound(2.0, 0.0, 0.0, 1e-9, 1e-9, 0.5) == pytest.approx(1.4e-8)
-    assert _trace_bound(2.0, 0.0, 0.0, 0.0, 0.0, -0.1) == np.inf
+    assert trace_bound(2.0, 0.0, 0.0, 1e-9, 1e-9, 0.5) == pytest.approx(1.4e-8)
+    assert trace_bound(2.0, 0.0, 0.0, 0.0, 0.0, -0.1) == np.inf
 
 
 def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
@@ -352,7 +397,7 @@ def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
         target = np.zeros((3, 3))
         target[0, 0] = t
         dist = float(np.linalg.norm(J - target))
-        assert dist <= _distance_bound(t, tau) <= 1.5 * dist
+        assert dist <= distance_bound(t, tau) <= 1.5 * dist
 
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
@@ -363,7 +408,7 @@ def test_non_unique_block_carries_exact_witness(system, wedderburn):
     data = block_images(E, W, DEFAULT_TOL)
     lattice = boundary.silov_ideal_lattice(W, data)[1]
     assert lattice.maximal == {2}
-    cert = boundary.boundary_representations(W, data, lattice)
+    cert = boundary.boundary_representations(W, lattice)
     block = cert.per_block[1]
     assert (block.label, block.unique, block.method, block.iterations) == (
         2,
@@ -375,29 +420,59 @@ def test_non_unique_block_carries_exact_witness(system, wedderburn):
     assert len(block.witness) == len(candidate)
     for got, want in zip(block.witness, candidate):
         assert np.array_equal(got, want)
-    spec = build_extension_spectrahedra(W, data)[2]
+    spec = oracle_spectrahedra(W, data)[2]
     formula = np.sqrt(W.blocks[1][0] ** 2 + sum(np.linalg.norm(c) ** 2 for c in candidate))
     assert block.separation == formula
     assert formula == pytest.approx(
         np.linalg.norm(spec.pack_tuple(candidate) - spec.J0), rel=1e-12
     )
-    assert block.separation > DEFAULT_TOL.tol_sep
+    assert block.separation > SEP
 
 
-def test_uniqueness_probe_is_deterministic(system, wedderburn):
+def test_uniqueness_probe_is_deterministic(system, wedderburn, seven_blocks):
+    # the kept blocks' refutations, re-checked, and the dual reference
+    # repeat bit for bit
+    for E, W in ((system("state_sum"), wedderburn("state_sum")[1]), seven_blocks):
+        runs = []
+        for _ in range(2):
+            data = block_images(E, W, DEFAULT_TOL)
+            lattice = boundary.silov_ideal_lattice(W, data)[1]
+            runs.append(boundary.boundary_representations(W, lattice).per_block)
+        for a, b in zip(*runs):
+            assert (a.method, a.separation, a.iterations) == (b.method, b.separation, b.iterations)
+            if a.unique:
+                assert a.method == "norm-drop" and np.array_equal(a.witness[0], b.witness[0])
     spec = ec_spec(wedderburn, system, 1)
-    a = is_unique_ucp_extension(spec)
-    b = is_unique_ucp_extension(spec)
+    a = dual_uniqueness(spec)
+    b = dual_uniqueness(spec)
     assert (a.method, a.separation, a.iterations) == (b.method, b.separation, b.iterations)
     assert np.array_equal(a.certificate, b.certificate)
 
 
 def test_uniqueness_requires_base_point():
-    spec = UcpSpectrahedron.from_constraints(
+    spec = ExtensionSpectrahedron.from_constraints(
         (2,), 1, [np.eye(2, dtype=complex)[np.newaxis]], np.ones((1, 1, 1), dtype=complex)
     )
     with pytest.raises(InputError):
-        is_unique_ucp_extension(spec)
+        dual_uniqueness(spec)
+
+
+def _first_copy_rows(W):
+    offsets = W.block_offsets()
+    return {j: W.u[offsets[j - 1] : offsets[j - 1] + d] for j, (d, _) in zip(W.labels, W.blocks)}
+
+
+def test_a_witness_without_a_norm_drop_fails_the_recheck(system, wedderburn):
+    # the unit never drops, and neither does any matrix in a quotient that
+    # keeps every block: a re-check proves nothing there and raises
+    E = system("state_sum")
+    _, W = wedderburn("state_sum")
+    rows = _first_copy_rows(W)
+    lattice = boundary.silov_ideal_lattice(W, block_images(E, W, DEFAULT_TOL))[1]
+    (x,) = lattice.refutations[1].certificate
+    for matrix, kept in ((np.eye(2 * W.ambient), [rows[2]]), (x, [rows[1], rows[2]])):
+        with pytest.raises(VerificationError, match="no norm drop"):
+            is_unique_ucp_extension(matrix, kept)
 
 
 def test_affinely_impossible_left_inverse_is_linear(system, wedderburn):
@@ -544,7 +619,7 @@ def test_feasibility_returns_its_first_converged_iterate(monkeypatch):
     assert len(products) < k // 4  # 4 products for 48 steps
 
     def residual_after(steps):
-        state = ucp._DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
+        state = DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
         state.run(steps)
         return float(spec.affine_residual(state.X)[0])
 

@@ -23,9 +23,7 @@ from cstarenv.wedderburn import (
     _sylvester_rows,
     _validate_decomposition,
     commutant,
-    enumerate_ideals,
     ideal_subspace,
-    is_irreducible,
     quotient_map,
     wedderburn_decompose,
 )
@@ -38,6 +36,8 @@ from _oracles import (
     coefficient_irrep,
     coefficient_quotient,
     commutant_dim,
+    enumerate_ideals,
+    is_irreducible,
     random_complex,
 )
 
