@@ -531,7 +531,7 @@ def _left_inverse_search(
         residual = max(residual, res.residual)
         parts[i] = res.certificate
     psi = _assemble_left_inverse(W, kept, parts)
-    return FeasibilityResult(True, psi, residual, iterations, "dykstra")
+    return FeasibilityResult(True, psi, residual, iterations, "douglas-rachford")
 
 
 def _interpolation_residual(

@@ -91,7 +91,7 @@ def test_boundary_ideal_methods_on_state_sum(system, wedderburn):
     assert kill_matrix.residual > 0.5 - DEFAULT_TOL.tol_norm
 
     kill_scalar = is_boundary_ideal_ucp(W, data, frozenset({2}))
-    assert kill_scalar.feasible and kill_scalar.method == "dykstra"
+    assert kill_scalar.feasible and kill_scalar.method == "douglas-rachford"
     spec = build_left_inverse_spectrahedron(E, W, frozenset({2}), DEFAULT_TOL)
     packed = spec.pack_tuple(kill_scalar.certificate)
     scale = max(1.0, float(np.linalg.norm(spec.rhs)))
@@ -411,14 +411,14 @@ def test_multiplicity_system_in_both_presentations():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_state_sum_s3_left_inverse_ends_by_dykstra(seed):
-    # only the killed scalar block is searched, and that search is not
-    # tangential: plain Dykstra settles it without the rank polish
+def test_state_sum_s3_left_inverse_ends_by_douglas_rachford(seed):
+    # only the killed scalar block is searched, and the feasibility engine
+    # settles it
     (entry,) = [e for e in corpus_entries(seed=seed) if e.spec.name == "state_sum_s3"]
     E = opsys_of(entry.spec, DEFAULT_TOL)
     W = wedderburn_decompose(generated_cstar(E), seed=seed)
     res = is_boundary_ideal_ucp(W, block_images(E, W, DEFAULT_TOL), frozenset({2}))
-    assert res.feasible and res.method == "dykstra", seed
+    assert res.feasible and res.method == "douglas-rachford", seed
     assert_exact_left_inverse(E, W, frozenset({2}), res.certificate)
 
 
@@ -638,8 +638,8 @@ def compression(seed, d_a, k, d_b):
 
 @pytest.fixture
 def one_blas_thread():
-    """One BLAS thread, as the command line runs: the stalled searches take
-    8000 steps on matrices too small to gain from more."""
+    """One BLAS thread, as the command line runs: the searches work on
+    matrices too small to gain from more."""
     from cstarenv.cli import _set_blas_threads
 
     previous = _set_blas_threads(1)
@@ -648,38 +648,10 @@ def one_blas_thread():
         _set_blas_threads(previous)
 
 
-# the members whose left-inverse search Dykstra leaves undecided after its
-# 8000 steps (ROADMAP item 3): the left inverse of a compression has Choi
-# rank at most k and sits on a low-rank face of the cone
-COMPRESSION_STALLS = {
-    ((3, 1, 2), 2),
-    ((3, 1, 2), 3),
-    ((3, 1, 2), 4),
-    ((2, 2, 3), 1),
-    ((3, 2, 4), 2),
-    ((3, 2, 4), 3),
-    ((3, 2, 4), 4),
-    ((3, 2, 4), 5),
-    ((4, 1, 3), 2),
-    ((4, 1, 3), 3),
-}
-
-
 @pytest.mark.parametrize(
     "shape, seed",
     [
-        pytest.param(
-            shape,
-            seed,
-            id=f"{'-'.join(map(str, shape))}-seed{seed}",
-            marks=pytest.mark.xfail(
-                raises=InconclusiveError,
-                strict=True,
-                reason="ROADMAP item 3: Dykstra stalls in the lattice search",
-            )
-            if (shape, seed) in COMPRESSION_STALLS
-            else (),
-        )
+        pytest.param(shape, seed, id=f"{'-'.join(map(str, shape))}-seed{seed}")
         for shape in ((3, 1, 2), (2, 2, 3), (3, 2, 4), (4, 1, 3))
         for seed in range(1, 6)
     ],
@@ -698,6 +670,24 @@ def test_known_answer_compressions(shape, seed, one_blas_thread):
     (kept,) = [b for b in sa.dk_certificate.per_block if b.label != b_label]
     assert (kept.unique, kept.method) == (True, "norm-drop")
     assert kept.separation > DEFAULT_TOL.tol_norm
+    # the left inverse x ↦ V*(x ⊗ 1_k)V has Choi rank at most k, a face of
+    # the cone with no interior point, where alternating projections stall
+    assert sa.lattice_certificate.iterations < 1000
+
+
+def test_compression_search_checks_the_shadows_cone_projection(one_blas_thread):
+    # the search's candidate is P_C(P_A(X)), not the reflected point
+    # P_C(2 P_A(X) - X): on this member X drifts at a constant distance
+    # from its shadow, so the reflected point's residual plateaus near 5e-6
+    # and the search would end undecided
+    E = compression(3, 3, 1, 2)
+    W = wedderburn_decompose(generated_cstar(E))
+    (b_label,) = [j for j in W.labels if W.blocks[j - 1][0] == 2]
+    data = block_images(E, W, DEFAULT_TOL)
+    res = is_boundary_ideal_ucp(W, data, frozenset({b_label}))
+    assert res.feasible and res.method == "douglas-rachford"
+    assert 0 < res.iterations < 1000
+    assert_exact_left_inverse(E, W, frozenset({b_label}), res.certificate)
 
 
 def test_lattice_route_probes_each_ideal_once(system, wedderburn, seven_blocks, monkeypatch):

@@ -379,7 +379,7 @@ def test_verify_all_row_shows_a_failed_uniqueness_recheck(corpus_dir, capsys, mo
 
 
 def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):
-    # with no Dykstra iterations allowed, a left-inverse search is decided
+    # with no search iterations allowed, a left-inverse search is decided
     # only when its start is feasible; the product state_sum (x) state_sum
     # starts at least eigenvalue -0.5, and its row shows the ideal, the
     # killed block, that eigenvalue and the start's affine residual

@@ -278,6 +278,15 @@ def test_frontier_pairs_of_corpus_seed_3_verify(seed3_analyses, left, right):
         assert b.method == ("norm-drop" if b.unique else "left-inverse"), b
 
 
+def test_state_sum_times_state_sum_s3_verifies(pair_analyses):
+    # the product's lattice search on this pair once stalled on a low-rank
+    # face of the cone and ended undecided (exit 3)
+    pa = pair_analyses("state_sum", "state_sum_s3")
+    assert pa.verified
+    rep = pa.factorization
+    assert rep.product_killed_pairs == rep.expected_killed_pairs != frozenset()
+
+
 @pytest.mark.parametrize("left, right", [("state_sum", "random_01"), ("random_01", "state_sum")])
 def test_a_witness_past_the_cone_by_the_search_tolerance_verifies(pair_analyses, left, right):
     # the killed pair block's witness, exactly projected onto the affine set,

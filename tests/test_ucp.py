@@ -28,7 +28,6 @@ from cstarenv.ucp import (
 
 from _oracles import (
     SEP,
-    DykstraState,
     ExtensionSpectrahedron,
     build_left_inverse_spectrahedron,
     constraint_rows,
@@ -491,14 +490,14 @@ def test_left_inverse_feasible_by_iteration(system, wedderburn):
     _, W = wedderburn("state_sum")
     spec = build_left_inverse_spectrahedron(E, W, frozenset({2}), DEFAULT_TOL)
     res = ucp_feasibility(spec)
-    assert res.feasible and res.method == "dykstra"
+    assert res.feasible and res.method == "douglas-rachford"
     assert_exact_point(spec, res.certificate, scale=float(np.linalg.norm(spec.rhs)))
 
 
 def test_feasibility_never_reports_gap_from_plateau(system, wedderburn, monkeypatch):
     # a tight cap forces an honest inconclusive instead of a false negative;
     # the full-target spectrahedron of state_sum_s3 meets the cone
-    # tangentially, so Dykstra is still far off after 150 iterations, and
+    # tangentially, so the search is still undecided after 150 iterations, and
     # the error carries the start's residual and the one checkpoint's
     monkeypatch.setattr(ucp, "_FEASIBILITY_CAP", 150)
     E = system("state_sum_s3")
@@ -571,7 +570,7 @@ def test_constraint_stacks_of_the_wrong_shape_are_input_errors():
 
 def test_feasibility_accepts_a_feasible_start_without_iterating(seven_blocks):
     # the tracial start of every killed block of the seven-block system is
-    # strictly positive once affinely projected, so no Dykstra step runs
+    # strictly positive once affinely projected, so no search step runs
     E7, W7 = seven_blocks
     data = block_images(E7, W7, DEFAULT_TOL)
     killed = boundary.silov_ideal_lattice(W7, data)[0].killed
@@ -582,8 +581,8 @@ def test_feasibility_accepts_a_feasible_start_without_iterating(seven_blocks):
 def test_feasibility_returns_its_first_converged_iterate(monkeypatch):
     # g = J_2 (+) diag(-0.378 - 0.11i, 0.991 + 0.135i): the inner scalar's
     # block is killed, and its affinely projected tracial start is not PSD,
-    # so its search takes Dykstra steps and stops at the first iterate
-    # within the affine tolerance
+    # so its search takes Douglas–Rachford steps and stops at the first
+    # candidate within the affine tolerance
     g = np.zeros((4, 4), dtype=complex)
     g[0, 1] = 1.0
     g[2:, 2:] = np.diag([-0.378 - 0.11j, 0.991 + 0.135j])
@@ -600,28 +599,20 @@ def test_feasibility_returns_its_first_converged_iterate(monkeypatch):
         searches.append((spec, kwargs["start"], res))
         return res
 
-    # the exact residual, a product with L, is taken at the start and only
-    # where the bound read off the next affine step nears the tolerance
-    products = []
-    real_residual = ucp.UcpSpectrahedron.affine_residual
-
-    def counting_residual(self, X):
-        products.append(X)
-        return real_residual(self, X)
-
     monkeypatch.setattr(boundary, "ucp_feasibility", recording)
-    monkeypatch.setattr(ucp.UcpSpectrahedron, "affine_residual", counting_residual)
     boundary._left_inverse_search(W, data, killed, DEFAULT_TOL)
-    monkeypatch.setattr(ucp.UcpSpectrahedron, "affine_residual", real_residual)
     ((spec, start, res),) = searches
     k = res.iterations
     assert res.feasible and k > 1
-    assert len(products) < k // 4  # 4 products for 48 steps
 
     def residual_after(steps):
-        state = DykstraState(spec.affine_project, spec.psd_project, start[np.newaxis, :])
-        state.run(steps)
-        return float(spec.affine_residual(state.X)[0])
+        # the candidate of step ``steps`` is the cone projection of the
+        # shadow P_A(X) after ``steps - 1`` Douglas–Rachford moves
+        X = start[np.newaxis, :]
+        for _ in range(steps - 1):
+            Y = spec.affine_project(X)
+            X = X + spec.psd_project(2.0 * Y - X) - Y
+        return float(spec.affine_residual(spec.psd_project(spec.affine_project(X)))[0])
 
     tolerance = DEFAULT_TOL.tol_rank * max(1.0, float(np.linalg.norm(spec.rhs)))
     assert residual_after(k) == res.residual <= tolerance < residual_after(k - 1)
