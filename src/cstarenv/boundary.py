@@ -6,9 +6,10 @@ of every verdict:
 * the *lattice route* tests block ideals directly for the boundary property
   (existence of a UCP left inverse to the quotient on the system).  Boundary
   ideals are exactly the ideals inside the Šilov ideal, a down-set with a
-  maximum, so only the trivial ideals, the singletons and the union of the
+  maximum, so only the full ideal, the singletons and the union of the
   singletons that survive the exact norm-drop probe need a verdict.  The
-  maximum's left inverse ψ certifies that the ideal is boundary;
+  maximum's left inverse ψ is the route's one certificate: it certifies
+  that the maximum is boundary, and by restriction every ideal inside it;
 * the *representation route* reads the boundary representations off those
   verdicts.  The Šilov ideal is the intersection of the kernels of the
   boundary representations (Arveson 2008), and in finite dimensions every
@@ -35,9 +36,9 @@ on the kept blocks with ψ_i(q(h)) = π_i(h), the norm-drop probe takes
 combinations of the h, and the isometry check measures ψ(q(h)) − h.
 
 :func:`cstar_envelope` runs the lattice route first and checks its left
-inverse ψ as the single isometry certificate: ψ is UCP and ψ∘q = id on the
-system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix level m
-and the quotient is completely isometric there.  The representation
+inverse ψ once, as the single isometry certificate: ψ is UCP and ψ∘q = id
+on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix
+level m and the quotient is completely isometric there.  The representation
 route then reads its witnesses off ψ: for a block i that ψ kills,
 π_i∘ψ∘q agrees with π_i on the system and vanishes on block i, so it is a
 second UCP extension (Arveson 2008; Dritschel and McCullough 2005) within
@@ -84,6 +85,7 @@ from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .ucp import (
     FeasibilityResult,
     UcpSpectrahedron,
+    _compress,
     is_unique_ucp_extension,
     maximally_entangled,
     ucp_feasibility,
@@ -180,15 +182,16 @@ class DkCertificate:
 
 @dataclass(frozen=True)
 class LatticeCertificate:
-    """Lattice-route certificate: feasibility verdict for every tested ideal.
+    """Lattice-route certificate: feasibility verdict for every decided ideal.
 
-    The tested ideals are the empty and the full ideal, every singleton, and
+    The decided ideals are the empty and the full ideal, every singleton, and
     the union of the singletons the norm-drop probe left standing (plus, if
     that union fails, the union of the singletons that pass on their own).
 
     ``witness`` holds the left-inverse Choi blocks certifying the maximal
-    passing ideal (one matrix per surviving block), and ``refutations``
-    the failing verdict of the singleton of every block it keeps.
+    passing ideal (one matrix per surviving block), and by restriction every
+    passing ideal (:func:`silov_ideal_lattice`); ``refutations`` holds the
+    failing verdict of the singleton of every block it keeps.
     """
 
     passing: tuple[frozenset[int], ...]
@@ -213,7 +216,6 @@ def _left_inverse_candidate(
     v of ``u`` for block i's first copy, ``v ψ(e_kl) v*`` in cell (k, l);
     at a killed source, which q sends to zero, it is zero.
     """
-    n = W.ambient
     di = W.blocks[label - 1][0]
     s = W.block_offsets()[label - 1]
     v = W.u[s : s + di]
@@ -222,8 +224,7 @@ def _left_inverse_candidate(
     out = []
     for j, (dj, _) in enumerate(W.blocks, start=1):
         if j in psi:
-            cells = v @ psi[j].reshape(dj, n, dj, n).transpose(0, 2, 1, 3) @ np.conj(v.T)
-            out.append(cells.transpose(0, 2, 1, 3).reshape(dj * di, dj * di))
+            out.append(_compress(psi[j], v))
         else:
             out.append(np.zeros((dj * di, dj * di), dtype=complex))
     return out
@@ -540,13 +541,12 @@ def _interpolation_residual(
     killed: frozenset[int],
     choi: list[np.ndarray] | tuple[np.ndarray, ...],
     tol: Tolerances,
-    error: type[Exception],
 ) -> float:
     """Check that the Choi blocks ``choi`` (one per block ``killed`` keeps)
     give a map ψ with ψ∘q = h for every ``h`` in the Hermitian basis.
 
-    Returns the largest Hilbert-Schmidt residual and raises ``error`` when
-    it exceeds ``10·tol_rank·max(1, n)``.
+    Returns the largest Hilbert-Schmidt residual and raises
+    :class:`VerificationError` when it exceeds ``10·tol_rank·max(1, n)``.
     """
     n = W.ambient
     kept = [j for j in W.labels if j not in killed]
@@ -556,39 +556,11 @@ def _interpolation_residual(
         out += np.einsum("hkl,kalb->hab", data.image(j), c.reshape(d, n, d, n))
     resid = float(np.max(np.linalg.norm(out - data.basis, axis=(1, 2))))
     if resid > 10 * tol.tol_rank * max(1.0, float(n)):
-        raise error(
+        raise VerificationError(
             f"left inverse for the ideal {sorted(killed)} fails to interpolate "
             f"the system (residual {resid:.3e})"
         )
     return resid
-
-
-def _restricted_left_inverse(
-    W: WedderburnData,
-    data: BlockImages,
-    killed: frozenset[int],
-    sup_killed: frozenset[int],
-    sup_res: FeasibilityResult,
-    tol: Tolerances,
-) -> FeasibilityResult:
-    """Left inverse for a sub-ideal from a passing superset's certificate.
-
-    Compressing the superset's left inverse onto the smaller quotient's
-    target is again UCP and still inverts the quotient on the system; in
-    Choi coordinates that is exactly zero blocks for the extra surviving
-    labels.  The interpolation property of the assembled certificate is
-    re-checked directly on the Hermitian basis.
-    """
-    n = W.ambient
-    kept = [j for j in W.labels if j not in killed]
-    kept_sup = [j for j in W.labels if j not in sup_killed]
-    by_label = dict(zip(kept_sup, sup_res.certificate))
-    cert = []
-    for j in kept:
-        d = W.blocks[j - 1][0]
-        cert.append(by_label.get(j, np.zeros((d * n, d * n), dtype=np.complex128)))
-    resid = _interpolation_residual(W, data, killed, cert, tol, StructuralError)
-    return FeasibilityResult(True, cert, resid, 0, "restriction")
 
 
 def silov_ideal_lattice(
@@ -601,20 +573,26 @@ def silov_ideal_lattice(
 
     A block ideal is boundary exactly when it lies inside the Šilov ideal,
     so the maximum is the union of the boundary singletons.  The route tests
-    the empty and the full ideal, refutes singletons with the exact
-    norm-drop probe, and tests the union U of the singletons left standing
-    with one feasibility call.  If U passes, each of its singletons gets an
-    exact certificate restricted from U's left inverse.  If U fails, each
-    candidate singleton is tested on its own and the union of the passers
-    must pass: boundary singletons whose union is not boundary mean broken
-    numerics, not mathematics, and raise :class:`StructuralError`.  Either
-    way the union that passed is the maximum, and the tested verdicts are
-    monotone by construction: every passing ideal is empty or inside that
-    union, and every failing one is the full ideal, a refuted or failing
-    singleton outside it, or the first union in the fallback.  Every probe,
-    search and restriction check reads ``data``, the system's
-    :func:`block_images`, and every probe the one norm table it builds on
-    first use.
+    the full ideal, refutes singletons with the exact norm-drop probe, and
+    tests the union U of the singletons left standing with one feasibility
+    call.  If U fails, each candidate singleton is tested on its own and the
+    union of the passers must pass: boundary singletons whose union is not
+    boundary mean broken numerics, not mathematics, and raise
+    :class:`StructuralError`.  Either way the union that passed is the
+    maximum, and its left inverse ψ, which :func:`cstar_envelope` checks, is
+    the route's one certificate.  The empty ideal is tested (by its
+    identity) only when it is the maximum.
+
+    The empty ideal and the candidate singletons inside the maximum pass by
+    restriction, with no certificate of their own and the maximum's
+    residual.  For an ideal I inside the maximum, ψ after projecting onto
+    the maximum's kept blocks is UCP and inverts q_I: its Choi blocks are
+    ψ's plus zero blocks, so its interpolation residual is ψ's.  The
+    verdicts are monotone by construction: every passing ideal is inside
+    the maximum, and every failing one is the full ideal, a refuted or
+    failing singleton outside it, or the first union in the fallback.
+    Every probe and search reads ``data``, the system's :func:`block_images`,
+    and every probe the one norm table it builds on first use.
     """
     verdicts: dict[frozenset[int], FeasibilityResult] = {}
     candidates = []  # singletons the norm-drop probe already left standing
@@ -627,7 +605,6 @@ def silov_ideal_lattice(
                 verdicts[killed] = is_boundary_ideal_ucp(W, data, killed, tol=tol)
         return verdicts[killed]
 
-    verdict(frozenset())
     verdict(frozenset(W.labels))
     if W.num_blocks > 1:
         table = data.norms
@@ -639,19 +616,17 @@ def silov_ideal_lattice(
             else:
                 candidates.append(single)
     union = frozenset().union(*candidates)
-    if verdict(union).feasible:
-        for single in candidates:
-            if single != union:
-                verdicts[single] = _restricted_left_inverse(
-                    W, data, single, union, verdicts[union], tol
-                )
-    else:
+    if not verdict(union).feasible:
         union = frozenset().union(*(s for s in candidates if verdict(s).feasible))
         if not verdict(union).feasible:
             raise StructuralError(
                 f"boundary singletons {sorted(union)} pass one by one but their "
                 "union fails the boundary test"
             )
+    # in the fallback every candidate already has its own verdict
+    restricted = FeasibilityResult(True, None, verdicts[union].residual, 0, "restriction")
+    for killed in (frozenset(), *candidates):
+        verdicts.setdefault(killed, restricted)
     passing = tuple(sorted((k for k, v in verdicts.items() if v.feasible), key=sorted))
     failing = tuple(sorted((k for k, v in verdicts.items() if not v.feasible), key=sorted))
     iterations = sum(v.iterations for v in verdicts.values())
@@ -673,7 +648,8 @@ class IsometryCheck:
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """The minimal quotient of a system, with both routes' certificates."""
+    """The minimal quotient of a system with its certificates: the lattice
+    route's checked left inverse and the per-block verdicts read off it."""
 
     system: OperatorSystem
     algebra: CStarAlgebra
@@ -726,15 +702,17 @@ def cstar_envelope(
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
 ) -> EnvelopeResult:
-    """Compute the minimal quotient and both its certificates.
+    """Compute the minimal quotient and its certificates.
 
     The lattice route picks the ideal.  Its witness ψ, the isometry
-    certificate of the quotient, is checked before the representation route
-    reads its witnesses off it: ψ∘q = id on the system's Hermitian basis
-    within ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
+    certificate of the quotient and of every ideal the route passes by
+    restriction, is checked once, before the representation route reads its
+    witnesses off it: ψ∘q = id on the system's Hermitian basis within
+    ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
     eigenvalue at least ``-tol_psd``; a failure raises
-    :class:`VerificationError`.  Those checks are the whole proof that a
-    block ψ kills is not boundary (:func:`boundary_representations`); every
+    :class:`VerificationError` naming the ideal.  Those checks are the whole
+    proof that a block ψ kills is not boundary
+    (:func:`boundary_representations`); every
     block ψ keeps is proved boundary by the refutation of its singleton
     ideal, whose norm drop is re-checked from its matrix, and a failed
     re-check raises :class:`VerificationError`.  Only the lattice search
@@ -746,7 +724,7 @@ def cstar_envelope(
     data = block_images(E, W, tol)
     ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
     witness = lat_cert.witness
-    residual = _interpolation_residual(W, data, ideal.killed, witness, tol, VerificationError)
+    residual = _interpolation_residual(W, data, ideal.killed, witness, tol)
     min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
     if min_eig < -tol.tol_psd:
         raise VerificationError(

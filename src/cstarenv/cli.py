@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AnalysisConfig, PairAnalysis, SystemAnalysis, analyze_pair, analyze_system
-from .corpus import MAX_COUNT, load_manifest, write_corpus
+from .corpus import MAX_COUNT, load_manifest, pair_report_name, write_corpus
 from .errors import (
     DecompositionError,
     InconclusiveError,
@@ -48,7 +48,6 @@ from .specio import (
     spec_digest,
 )
 
-_ENV_TOL = "CSTARENV_TOLERANCES"
 _TOL_FLAGS = ("tol_rank", "tol_psd", "tol_norm")
 
 # the one map from exceptions to a verify-all row status, an exit code and
@@ -77,29 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-def _env_tol_defaults() -> dict:
-    raw = os.environ.get(_ENV_TOL, "").strip()
-    out = {}
-    if not raw:
-        return out
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, val = part.partition("=")
-        key = key.strip()
-        if not sep or key not in _TOL_FLAGS:
-            raise InputError(
-                f"{_ENV_TOL}: expected comma-separated key=value with keys "
-                f"{', '.join(_TOL_FLAGS)}; got {part!r}"
-            )
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise InputError(f"{_ENV_TOL}: {key} is not a number: {val!r}") from None
-    return out
 
 
 def _add_seed_quiet(p: argparse.ArgumentParser) -> None:
@@ -178,11 +154,7 @@ def _check_seed(args) -> None:
 
 
 def _config_from(args) -> AnalysisConfig:
-    overrides = _env_tol_defaults()
-    for key in _TOL_FLAGS:
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: getattr(args, key) for key in _TOL_FLAGS if getattr(args, key) is not None}
     tol = DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
     _check_seed(args)
     if args.max_ambient_product < 1:
@@ -406,7 +378,7 @@ def cmd_verify_all(args) -> int:
             row["checks"] = {c: report["checks"][c]["verified"] for c in _CHECK_ORDER}
             if out_dir is not None:
                 atomic_write_text(
-                    out_dir / f"{row['left']}__{row['right']}.tensor.json",
+                    out_dir / pair_report_name(row["left"], row["right"]),
                     dump_report(report),
                 )
         else:

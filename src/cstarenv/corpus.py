@@ -37,6 +37,7 @@ __all__ = [
     "standard_pairs",
     "write_corpus",
     "load_manifest",
+    "pair_report_name",
     "full_matrix_spec",
     "jordan_spec",
     "state_sum_spec",
@@ -215,8 +216,9 @@ def load_manifest(corpus_dir) -> dict:
     Every system entry has non-empty string fields ``name`` and ``file``, and
     its name is a plain file name (no path separator, not ``.`` or ``..``)
     that no other entry has, because its report is written under it and
-    pairs find it by it; every pair is a list of two strings.  Anything else
-    raises :class:`InputError`.
+    pairs find it by it; every pair is a list of two strings, and no two
+    distinct pairs share a :func:`pair_report_name`, so no report overwrites
+    another.  Anything else raises :class:`InputError`.
     """
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
@@ -243,8 +245,17 @@ def load_manifest(corpus_dir) -> dict:
     if len(set(names)) != len(names):
         repeated = sorted({name for name in names if names.count(name) > 1})
         raise InputError(f"{path}: system names {repeated} occur more than once")
+    reports: dict[str, list] = {}
     for pair in doc["pairs"]:
         pair_of_two = isinstance(pair, list) and len(pair) == 2
         if not (pair_of_two and all(isinstance(x, str) for x in pair)):
             raise InputError(f"{path}: malformed pair entry {pair!r}")
+        name = pair_report_name(*pair)
+        if reports.setdefault(name, pair) != pair:
+            raise InputError(f"{path}: pairs {reports[name]!r} and {pair!r} both write {name}")
     return doc
+
+
+def pair_report_name(left: str, right: str) -> str:
+    """The file name ``verify-all`` writes the report of the pair under."""
+    return f"{left}__{right}.tensor.json"

@@ -51,7 +51,6 @@ from .linalg import (
     LinearMap,
     MatSubspace,
     Tolerances,
-    _rows_inside,
     subspace_equal,
 )
 from .opsys import CStarAlgebra, OperatorSystem
@@ -249,16 +248,8 @@ def kernel_of_tensor_quotients(
     A pair block dies exactly when either factor block dies.  The block
     bookkeeping is cross-checked against the concrete null space of the
     tensored quotient map; a mismatch means the pair indexing is wrong and
-    raises.
+    raises.  That check is what ties the kernel's labels to q_I ⊗ q_J.
     """
-    return _kernel_ideal(P, I, J, tol)[0]
-
-
-def _kernel_ideal(
-    P: ProductBlocks, I: BlockIdeal, J: BlockIdeal, tol: Tolerances
-) -> tuple[BlockIdeal, MatSubspace]:
-    """:func:`kernel_of_tensor_quotients` with the kernel's subspace, which
-    its cross-check builds."""
     if I.parent is not P.left or J.parent is not P.right:
         raise InputError("ideals must live over the decompositions the product was built from")
     killed = frozenset(
@@ -271,12 +262,11 @@ def _kernel_ideal(
     q_I = quotient_map(I).as_linear_map(P.left.algebra.space)
     q_J = quotient_map(J).as_linear_map(P.right.algebra.space)
     null = tensor_map(q_I, q_J).null_space(tol)
-    space = ideal_subspace(result, tol)
-    if not subspace_equal(space, null, tol):
+    if not subspace_equal(ideal_subspace(result, tol), null, tol):
         raise StructuralError(
             "kernel ideal disagrees with the null space of the tensored quotient"
         )
-    return result, space
+    return result
 
 
 def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
@@ -400,7 +390,12 @@ def verify_envelope_tensor_factorization(
     found by the lattice route and certified by its checked left inverse, is
     compared against that prediction, first as a subspace containment, then
     as exact equality of killed sets, and finally through the surviving
-    block dimensions.
+    block dimensions.  Both ideals are block ideals of the one pair
+    decomposition ``P.wedderburn``, whose :func:`ideal_subspace` has one row
+    per matrix unit of each killed block, conjugated back by the one
+    unitary ``u``.  Each row of the Šilov ideal's subspace is then a row of
+    the kernel's whenever its killed blocks are among the kernel's, so the
+    subspace containment is the containment of the killed sets.
 
     The product's generated algebra comes with its power chain, verified
     against the tensors of the factor chains (see the module docstring).
@@ -437,12 +432,10 @@ def verify_envelope_tensor_factorization(
         algebra=CStarAlgebra(space=chain[-1], powers=chain),
         wedderburn=P.wedderburn,
     )
-    K, kernel_space = _kernel_ideal(P, env_E.ideal, env_F.ideal, tol)
-
-    silov_space = ideal_subspace(env_T.ideal, tol)
-    subspace_contained = env_T.ideal.killed <= K.killed and _rows_inside(
-        kernel_space, silov_space.vecs(), tol
-    )
+    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal, tol)
+    # both ideals are block ideals of P.wedderburn, so the Šilov ideal's
+    # subspace lies in the kernel's exactly when its killed blocks do
+    subspace_contained = env_T.ideal.killed <= K.killed
     killed_match = env_T.ideal.killed == K.killed
 
     kept_pairs = [

@@ -352,9 +352,10 @@ class UcpSpectrahedron:
 @dataclass(frozen=True)
 class FeasibilityResult:
     """A feasibility verdict.  ``certificate`` is the Choi tuple of a
-    feasible verdict, and the one-matrix list ``[x]`` of a ``"norm-drop"``
-    refutation, x the matrix whose norm drops; ``residual`` is then the
-    drop, and for ``"linear"`` the affine gap."""
+    feasible verdict (None for a ``"restriction"`` verdict, which a larger
+    ideal's certificate covers), and the one-matrix list ``[x]`` of a
+    ``"norm-drop"`` refutation, x the matrix whose norm drops; ``residual``
+    is then the drop, and for ``"linear"`` the affine gap."""
 
     feasible: bool
     certificate: list | None

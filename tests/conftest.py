@@ -104,14 +104,21 @@ def seven_blocks(seven_blocks_generator):
 
 
 @pytest.fixture(scope="session")
-def bench_blocks():
-    """``(name, E)`` for the seed-1 systems of the benchmark's ``blocks``
-    workload, built by ``perfbench/workloads.py`` itself."""
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def bench_blocks(bench_workloads):
+    """``(name, E)`` for the seed-1 systems of the benchmark's ``blocks``
+    workload, built by ``perfbench/workloads.py`` itself."""
+    workloads = bench_workloads
     specs = [workloads.blocks_spec(1, i, workloads.K_IN) for i in range(workloads.BLOCK_SYSTEMS)]
     return [(s.name, opsys_of(s, DEFAULT_TOL)) for s in specs]

@@ -145,29 +145,39 @@ def assert_exact_left_inverse(E, W, killed, certificate):
         assert float(np.linalg.eigvalsh(m)[0]) > -1e-9
 
 
-def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
-    # g = J_2 (+) diag(3 scalars inside the numerical range of J_2, the disk
-    # of radius 1/2, and one on the unit circle): the inner blocks are killed
-    inner = [0.3, -0.2j, 0.25 * np.exp(2j)]
-    lam = inner + [np.exp(0.7j)]
-    n = 2 + len(lam)
-    g = np.zeros((n, n), dtype=complex)
-    g[0, 1] = 1.0
-    g[2:, 2:] = np.diag(lam)
+@pytest.mark.parametrize(
+    "blocks_system", [None, 0, 1], ids=["five_blocks", "blocks_0_k5", "blocks_1_k5"]
+)
+def test_lattice_route_on_inner_scalars_matches_the_exhaustive_oracle(
+    blocks_system, bench_workloads
+):
+    # g = J_2 (+) diag(scalars inside the numerical range of J_2, the disk of
+    # radius 1/2, and one on the unit circle): the inner blocks are killed.
+    # Five blocks with three inner scalars, and the two seed-1 systems of the
+    # benchmark's blocks workload, seven blocks with five
+    if blocks_system is None:
+        g = np.zeros((6, 6), dtype=complex)
+        g[0, 1] = 1.0
+        g[2:, 2:] = np.diag([0.3, -0.2j, 0.25 * np.exp(2j), np.exp(0.7j)])
+    else:
+        workloads = bench_workloads
+        g = workloads.blocks_spec(1, blocks_system, workloads.K_IN).generators[0]
+    n = g.shape[0]
+    lam = np.diag(g)[2:]
     E = opsys_from_generators(n, [g])
     W = wedderburn_decompose(generated_cstar(E))
-    assert W.num_blocks == 5
+    assert W.num_blocks == 1 + lam.size
     inner_labels = frozenset(
         j
         for j in W.labels
         if W.blocks[j - 1][0] == 1 and abs(W.irrep_apply(j, g)[0, 0]) < 0.5
     )
-    assert len(inner_labels) == 3
+    assert len(inner_labels) == np.count_nonzero(abs(lam) < 0.5) == lam.size - 1
 
     data = block_images(E, W, DEFAULT_TOL)
     ideal, cert = silov_ideal_lattice(W, data)
     assert ideal.killed == cert.maximal == inner_labels
-    # only the trivial ideals, the five singletons and their surviving union
+    # only the trivial ideals, the singletons and their surviving union
     singles = {frozenset({j}) for j in W.labels}
     assert set(cert.passing) == {frozenset(), inner_labels} | {
         s for s in singles if s <= inner_labels
@@ -184,8 +194,8 @@ def test_lattice_route_on_five_blocks_matches_the_exhaustive_oracle():
     assert oracle == {i.killed for i in enumerate_ideals(W) if i.killed <= cert.maximal}
 
     assert_exact_left_inverse(E, W, cert.maximal, cert.witness)
-    # each passing sub-ideal inherits the maximal witness with the blocks it
-    # keeps in addition set to zero
+    # the down-set argument: each passing sub-ideal is certified by the
+    # maximal witness with the blocks it keeps in addition set to zero
     by_label = dict(zip(sorted(set(W.labels) - cert.maximal), cert.witness))
     for killed in cert.passing:
         restricted = [
@@ -389,6 +399,55 @@ def test_each_envelope_builds_its_constraint_data_once(
     pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
     assert pa.verified and pa.factorization.product_envelope.ideal.killed
     assert per_envelope == [1]
+
+
+def test_each_envelope_checks_its_left_inverse_once(system, bench_blocks, monkeypatch):
+    # the maximum's ψ is the lattice route's one certificate: the ideals
+    # below it pass by restriction, with no assembly and no check of their
+    # own, and the empty ideal's identity is assembled only when it is the
+    # maximum
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(boundary, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, name, wrapper)
+
+    counting("_interpolation_residual")
+    counting("_assemble_left_inverse")
+    for name, E in [("state_sum", system("state_sum")), *bench_blocks]:
+        calls.clear()
+        env = cstar_envelope(E)
+        assert env.ideal.killed, name
+        assert calls == Counter({"_interpolation_residual": 1, "_assemble_left_inverse": 1}), name
+    calls.clear()
+    env = cstar_envelope(system("full_M2"))
+    assert not env.ideal.killed
+    assert calls == Counter({"_interpolation_residual": 1, "_assemble_left_inverse": 1})
+
+
+def test_a_corrupted_left_inverse_fails_for_the_maximum(bench_workloads, monkeypatch):
+    # every certificate ucp_feasibility returns is scaled by 1.01, so the
+    # assembled ψ no longer interpolates the system: the envelope's one check
+    # refuses it, naming the maximum
+    real = boundary.ucp_feasibility
+
+    def scaled(spec, **kwargs):
+        res = real(spec, **kwargs)
+        if not res.feasible:
+            return res
+        return replace(res, certificate=[1.01 * c for c in res.certificate])
+
+    monkeypatch.setattr(boundary, "ucp_feasibility", scaled)
+    spec = bench_workloads.blocks_spec(1, 0, 5)
+    E = opsys_of(spec, DEFAULT_TOL)
+    message = "left inverse for the ideal [2, 3, 4, 5, 6] fails to interpolate"
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        cstar_envelope(E)
 
 
 def test_multiplicity_system_in_both_presentations():

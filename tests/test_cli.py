@@ -74,6 +74,8 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
         "3",
         "--tol-norm",
         "2e-06",
+        "--tol-psd",
+        "1e-08",
         "--json-out",
         str(out_file),
         "--quiet",
@@ -82,6 +84,7 @@ def test_flags_are_echoed_into_the_report(corpus_dir, capsys, tmp_path):
     report = json.loads(out_file.read_text())
     assert report["seed"] == 3
     assert report["tolerances"]["tol_norm"] == 2e-06
+    assert report["tolerances"]["tol_psd"] == 1e-08
     assert "tol_sep" not in report["tolerances"]
     assert "uniqueness_trials" not in report["flags"]
     # the point-separation threshold went with the dual certificates
@@ -446,48 +449,21 @@ def test_verify_all_rejects_a_malformed_manifest(capsys, tmp_path, malform):
     assert not out.exists()
 
 
-def test_tolerance_env_variable(corpus_dir, capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_psd=1e-08, tol_norm=2e-06")
-    out_file = tmp_path / "r.json"
-    code, _, _ = run(
-        capsys,
-        "analyze",
-        str(corpus_dir / "full_M1.json"),
-        "--json-out",
-        str(out_file),
-        "--quiet",
-    )
-    assert code == 0
-    report = json.loads(out_file.read_text())
-    assert report["tolerances"]["tol_psd"] == 1e-08
-    assert report["tolerances"]["tol_norm"] == 2e-06
-
-    # explicit flags beat the environment
-    code, _, _ = run(
-        capsys,
-        "analyze",
-        str(corpus_dir / "full_M1.json"),
-        "--tol-norm",
-        "3e-05",
-        "--json-out",
-        str(out_file),
-        "--quiet",
-    )
-    assert code == 0
-    report = json.loads(out_file.read_text())
-    assert report["tolerances"]["tol_norm"] == 3e-05
-    assert report["tolerances"]["tol_psd"] == 1e-08
-
-    for unknown in ("tol_bogus=1", "tol_sep=1e-05"):
-        monkeypatch.setenv("CSTARENV_TOLERANCES", unknown)
-        code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"))
-        assert code == 1
-        assert "CSTARENV_TOLERANCES" in err
-
-    monkeypatch.setenv("CSTARENV_TOLERANCES", "tol_norm=abc")
-    code, _, err = run(capsys, "analyze", str(corpus_dir / "full_M1.json"))
+def test_verify_all_rejects_pairs_that_share_a_report_name(capsys, tmp_path):
+    # "a__b" x "c" and "a" x "b__c" would both write a__b__c.tensor.json, so
+    # one report would overwrite the other while both rows read ok
+    corpus = tmp_path / "corpus"
+    manifest = write_corpus(corpus, seed=1, count=4)
+    for entry, name in zip(manifest["systems"], ("a__b", "c", "a", "b__c")):
+        entry["name"] = name
+    manifest["pairs"] = [["a__b", "c"], ["a", "b__c"]]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "verify-all", str(corpus), "--json-out", str(out))
     assert code == 1
-    assert "not a number" in err
+    assert "['a__b', 'c']" in err and "['a', 'b__c']" in err
+    assert "a__b__c.tensor.json" in err
+    assert not out.exists()
 
 
 def test_console_script_entry_point(corpus_dir):
@@ -496,7 +472,7 @@ def test_console_script_entry_point(corpus_dir):
         [sys.executable, "-m", "cstarenv.cli", "analyze", str(corpus_dir / "full_M1.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "CSTARENV_TOLERANCES": ""},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     assert "full_M1" in proc.stdout
@@ -508,7 +484,7 @@ def test_package_runs_as_a_module(corpus_dir):
         [sys.executable, "-m", "cstarenv", "analyze", str(corpus_dir / "state_sum.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "CSTARENV_TOLERANCES": ""},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     assert "silov killed: dk [2] lattice [2] (agree)" in proc.stdout
