@@ -44,7 +44,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    LinearMap,
     MatSubspace,
     Tolerances,
     hermitian_basis,
@@ -81,7 +80,6 @@ from .tensor import (
     min_tensor,
     product_blocks,
     subspace_kron,
-    tensor_map,
     verify_boundary_pair_closure,
     verify_envelope_tensor_factorization,
 )
@@ -96,7 +94,6 @@ from .wedderburn import (
     BlockIdeal,
     QuotientMap,
     WedderburnData,
-    ideal_subspace,
     quotient_map,
     wedderburn_decompose,
 )
@@ -120,7 +117,6 @@ __all__ = [
     "InconclusiveError",
     "InputError",
     "LatticeCertificate",
-    "LinearMap",
     "MatSubspace",
     "OperatorSystem",
     "PairAnalysis",
@@ -151,7 +147,6 @@ __all__ = [
     "hermitian_basis",
     "hs_inner",
     "hs_norm",
-    "ideal_subspace",
     "is_boundary_ideal_ucp",
     "is_unique_ucp_extension",
     "kernel_of_tensor_quotients",
@@ -173,7 +168,6 @@ __all__ = [
     "subspace_equal",
     "subspace_intersection",
     "subspace_kron",
-    "tensor_map",
     "ucp_feasibility",
     "verify_boundary_pair_closure",
     "verify_envelope_tensor_factorization",

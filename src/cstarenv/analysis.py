@@ -11,7 +11,10 @@ factor analyses: quotient factorization, boundary-pair closure, power-span
 compatibility, and the propagation maximum.  The factorization check takes
 the two factor envelopes and builds the tensor system, the pair blocks and
 the product envelope once; the other three checks take its report (and the
-factor propagation numbers) and recompute none of it.  Each factor's power
+factor propagation numbers) and recompute none of it.  The product envelope
+runs no search: its certificate is built from the factors' certificates
+and checked on the tensor system.  A single system's envelope is the only
+one the lattice route searches for.  Each factor's power
 chain is built once, by the generated algebra that keeps it.  The product's
 chain is not rebuilt: the factorization check reads it off the factor chains
 and certifies it once on concrete products in the tensor system.

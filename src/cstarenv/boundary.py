@@ -15,8 +15,9 @@ of every verdict:
   boundary representations (Arveson 2008), and in finite dimensions every
   boundary representation is a block, so block j is boundary exactly when
   the singleton ideal {j} is not boundary.  A block ψ keeps is one whose
-  singleton the lattice route refuted, by a norm drop or an affine gap;
-  a block ψ kills has its second UCP extension read off ψ.
+  singleton the lattice route refuted by a matrix whose norm drops (found
+  by the probe, or built from a search's affine gap); a block ψ kills has
+  its second UCP extension read off ψ.
 
 The left inverse splits by target block.  Write ``u x u* = ⊕_i 1_{m_i} ⊗
 π_i(x)``.  A UCP ψ on the kept blocks with ψ∘q = id on the system exists iff
@@ -35,17 +36,20 @@ lattice route's spectrahedron for a killed block i holds the UCP maps ψ_i
 on the kept blocks with ψ_i(q(h)) = π_i(h), the norm-drop probe takes
 combinations of the h, and the isometry check measures ψ(q(h)) − h.
 
-:func:`cstar_envelope` runs the lattice route first and checks its left
-inverse ψ once, as the single isometry certificate: ψ is UCP and ψ∘q = id
+:func:`cstar_envelope` runs the lattice route's search and hands its
+certificate to one checker, which checks the left inverse ψ once, as the
+single isometry certificate: ψ is UCP and ψ∘q = id
 on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix
 level m and the quotient is completely isometric there.  The representation
 route then reads its witnesses off ψ: for a block i that ψ kills,
 π_i∘ψ∘q agrees with π_i on the system and vanishes on block i, so it is a
 second UCP extension (Arveson 2008; Dritschel and McCullough 2005) within
 ψ's checked tolerances, and block i is decided by ψ alone.  A block ψ keeps
-is decided by its singleton's refutation, and a norm drop is re-checked
+is decided by its singleton's refutation, whose norm drop is re-checked
 from its matrix alone (see :func:`boundary_representations`).  The
-envelope then builds the quotient and the enveloping block algebra.
+envelope then builds the quotient and the enveloping block algebra.  A
+tensor product's certificate, built from its factors', goes through the
+same checker with no search (:mod:`cstarenv.tensor`).
 The norm falsifier :func:`falsify_complete_isometry` is the lattice route's
 exact refutation: a deterministic level-1/2 probe whose norm drop, with the
 matrix that shows it, rules a left inverse out.  The probe is drawn once
@@ -79,6 +83,7 @@ from .linalg import (
     MatSubspace,
     Tolerances,
     hermitian_basis,
+    hermitian_units,
     matrix_units,
 )
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
@@ -151,10 +156,11 @@ class BlockUniqueness:
     A block the lattice route kills has method ``"left-inverse"``:
     ``witness`` holds the Choi tuple of a second UCP extension, read off
     the left inverse, and ``separation`` its distance from the
-    representation.  A kept block has its singleton's refutation: for
-    ``"norm-drop"`` the drop and the one-matrix ``witness`` [x] whose norm
-    drops, for ``"linear"`` the affine gap and no witness.  The one block
-    of a simple algebra is ``"simple"``.
+    representation.  A kept block has method ``"norm-drop"``: ``witness``
+    is the one-matrix list [x] that refutes its singleton ideal and
+    ``separation`` the drop of x, re-checked from x alone.  The one block of
+    a simple algebra is ``"simple"``, with no witness.  A tensor product's
+    pair blocks get theirs from the factors' (:mod:`cstarenv.tensor`).
     """
 
     label: int
@@ -263,12 +269,12 @@ def boundary_representations(
     A block j that ψ keeps is boundary because the lattice route refuted
     its singleton {j} (``lattice.refutations``): the Šilov ideal is the
     largest boundary ideal and the intersection of the kernels of the
-    boundary representations.  A ``"norm-drop"`` refutation is re-checked
-    from its matrix x by :func:`is_unique_ucp_extension`, which reads the
-    other blocks' rows of ``u``, not the probe's norm table; a failed
-    re-check raises :class:`VerificationError` naming the block.  A
-    ``"linear"`` refutation, from the fallback branch's search, is an
-    exact affine gap and is reported as it is.
+    boundary representations.  Every refutation carries a matrix x whose
+    norm drops, from the probe or from a search's affine gap
+    (:func:`_gap_refutation`), and is re-checked from x by
+    :func:`is_unique_ucp_extension`, which reads the other blocks' rows of
+    ``u``, not the probe's norm table; a failed re-check raises
+    :class:`VerificationError` naming the block.
     """
     if W.num_blocks == 1:
         return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
@@ -283,11 +289,6 @@ def boundary_representations(
             results.append(BlockUniqueness(label, False, "left-inverse", separation, 0, witness))
             continue
         refuted = lattice.refutations[label]
-        if refuted.method != "norm-drop":
-            results.append(
-                BlockUniqueness(label, True, refuted.method, refuted.residual, refuted.iterations)
-            )
-            continue
         others = [rows[j] for j in W.labels if j != label]
         try:
             res = is_unique_ucp_extension(refuted.certificate[0], others, tol)
@@ -508,9 +509,9 @@ def _left_inverse_search(
     kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
     only the killed blocks are searched.  Each search starts from the
     tracial map, affinely projected; its iterations add up, and a failing
-    block fails the ideal.  An undecided block raises
-    :class:`InconclusiveError` naming the ideal and the block, and no later
-    block is searched.
+    block fails the ideal by its gap's matrix (:func:`_gap_refutation`).
+    An undecided block raises :class:`InconclusiveError` naming the ideal
+    and the block, and no later block is searched.
     """
     kept = [j for j in W.labels if j not in killed]
     dims = tuple(W.blocks[j - 1][0] for j in kept)
@@ -528,11 +529,42 @@ def _left_inverse_search(
             raise InconclusiveError(f"ideal {sorted(killed)}, killed block {i}: {exc}") from None
         iterations += res.iterations
         if not res.feasible:
-            return FeasibilityResult(False, None, res.residual, iterations, res.method)
+            return _gap_refutation(W, data, kept, spec, iterations)
         residual = max(residual, res.residual)
         parts[i] = res.certificate
     psi = _assemble_left_inverse(W, kept, parts)
     return FeasibilityResult(True, psi, residual, iterations, "douglas-rachford")
+
+
+def _gap_refutation(
+    W: WedderburnData,
+    data: BlockImages,
+    kept: list[int],
+    spec: UcpSpectrahedron,
+    iterations: int,
+) -> FeasibilityResult:
+    """The norm-drop refutation carried by a killed block's affine gap.
+
+    The gap residual r = rhs − P_range(L)(rhs) of the block's spectrahedron
+    satisfies Lᵀr = 0 and ⟨r, rhs⟩ = ‖r‖² > 0.  With G = ``hermitian_units(t)``
+    and R_c = Σ_β r_{cβ} G_β, X = Σ_c conj(R_c) ⊗ h_c is a Hermitian level-t
+    matrix over the system, and its part at block j is
+    X_j = Σ_c conj(R_c) ⊗ π_j(h_c).  Lᵀr = 0 says X_j = 0 at every kept j,
+    and ⟨r, rhs⟩ = Σ_c tr(R_c π_i(h_c)) is a sum of entries of the killed
+    block's part, which is so not zero: q_t(X) = 0 and X's norm drops by 1.
+    X is returned scaled to norm one.
+    """
+    t = spec.target_dim
+    r = spec.rhs - spec.L @ spec.particular_solution()
+    R = np.conj(np.einsum("cb,bpq->cpq", r.reshape(-1, t * t), hermitian_units(t)))
+
+    def level_t(stack: np.ndarray) -> np.ndarray:
+        return np.einsum("crs,cab->rasb", R, stack).reshape((t * stack.shape[-1],) * 2)
+
+    norms = {j: float(np.linalg.norm(level_t(data.image(j)), 2)) for j in W.labels}
+    nx = max(norms.values())
+    drop = 1.0 - max(norms[j] for j in kept) / nx
+    return FeasibilityResult(False, [level_t(data.basis) / nx], drop, iterations, "norm-drop")
 
 
 def _interpolation_residual(
@@ -702,46 +734,57 @@ def cstar_envelope(
     algebra: CStarAlgebra | None = None,
     wedderburn: WedderburnData | None = None,
 ) -> EnvelopeResult:
-    """Compute the minimal quotient and its certificates.
-
-    The lattice route picks the ideal.  Its witness ψ, the isometry
-    certificate of the quotient and of every ideal the route passes by
-    restriction, is checked once, before the representation route reads its
-    witnesses off it: ψ∘q = id on the system's Hermitian basis within
-    ``10·tol_rank·max(1, n)``, and every Choi block of ψ with least
-    eigenvalue at least ``-tol_psd``; a failure raises
-    :class:`VerificationError` naming the ideal.  Those checks are the whole
-    proof that a block ψ kills is not boundary
-    (:func:`boundary_representations`); every
-    block ψ keeps is proved boundary by the refutation of its singleton
-    ideal, whose norm drop is re-checked from its matrix, and a failed
-    re-check raises :class:`VerificationError`.  Only the lattice search
-    can end inconclusive.  Both are deterministic; a missing ``wedderburn``
-    is computed with :func:`wedderburn_decompose`'s default seed.
+    """Compute the minimal quotient and its certificates: the lattice
+    route's search (:func:`silov_ideal_lattice`), which alone can end
+    inconclusive, then :func:`_checked_envelope` on its certificate.  Both
+    are deterministic; a missing ``wedderburn`` is computed with
+    :func:`wedderburn_decompose`'s default seed.
     """
     A = algebra if algebra is not None else generated_cstar(E, tol=tol)
     W = wedderburn if wedderburn is not None else wedderburn_decompose(A, tol=tol)
     data = block_images(E, W, tol)
-    ideal, lat_cert = silov_ideal_lattice(W, data, tol=tol)
-    witness = lat_cert.witness
-    residual = _interpolation_residual(W, data, ideal.killed, witness, tol)
+    _, lattice = silov_ideal_lattice(W, data, tol=tol)
+    return _checked_envelope(E, A, W, data, lattice, tol)
+
+
+def _checked_envelope(
+    E: OperatorSystem,
+    A: CStarAlgebra,
+    W: WedderburnData,
+    data: BlockImages,
+    lattice: LatticeCertificate,
+    tol: Tolerances,
+) -> EnvelopeResult:
+    """The envelope a lattice certificate proves, searched or built from
+    other certificates, after checking it.
+
+    The witness ψ, the isometry certificate of the quotient by
+    ``lattice.maximal`` and of every ideal inside it, is checked once,
+    before the representation route reads its witnesses off it: ψ∘q = id
+    on the system's Hermitian basis within ``10·tol_rank·max(1, n)``, and
+    every Choi block of ψ with least eigenvalue at least ``-tol_psd``; a
+    failure raises :class:`VerificationError` naming the ideal.
+    :func:`silov_ideal_dk` then re-checks every kept block's norm drop from
+    its matrix, and a failure raises :class:`VerificationError` naming the
+    block.
+    """
+    witness = lattice.witness
+    residual = _interpolation_residual(W, data, lattice.maximal, witness, tol)
     min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
     if min_eig < -tol.tol_psd:
         raise VerificationError(
-            f"left inverse for the ideal {sorted(ideal.killed)} is not completely "
+            f"left inverse for the ideal {sorted(lattice.maximal)} is not completely "
             f"positive (least Choi eigenvalue {min_eig:.3e})"
         )
-    _, dk_cert = silov_ideal_dk(W, lat_cert, tol=tol)
-    q = quotient_map(ideal)
-    envelope = _envelope_algebra(W, ideal.killed)
+    ideal, dk_cert = silov_ideal_dk(W, lattice, tol=tol)
     return EnvelopeResult(
         system=E,
         algebra=A,
         wedderburn=W,
         ideal=ideal,
-        quotient=q,
-        envelope=envelope,
+        quotient=quotient_map(ideal),
+        envelope=_envelope_algebra(W, ideal.killed),
         dk_certificate=dk_cert,
-        lattice_certificate=lat_cert,
+        lattice_certificate=lattice,
         isometry=IsometryCheck(residual, min_eig),
     )

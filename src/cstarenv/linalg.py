@@ -14,9 +14,8 @@ bases come from one ordered, right-looking Gram-Schmidt kernel that
 re-orthogonalizes each accepted vector once; it keeps the input order and
 the cutoff relative to the largest input norm.  Where structure gives one,
 the kernel does not run: the right singular vectors of an SVD are
-orthonormal rows already (:func:`subspace_intersection`,
-:meth:`LinearMap.null_space`), and a bitwise-Hermitian orthonormal basis is
-its own :func:`hermitian_basis`.
+orthonormal rows already (:func:`subspace_intersection`), and a
+bitwise-Hermitian orthonormal basis is its own :func:`hermitian_basis`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import InputError
 __all__ = [
     "Tolerances",
     "MatSubspace",
-    "LinearMap",
     "hs_inner",
     "hs_norm",
     "op_norm",
@@ -369,57 +367,6 @@ def cluster_eigenvalues(w: np.ndarray, rel_gap: float = 1e-6) -> list[slice]:
             edges.append(i)
     edges.append(w.size)
     return [slice(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Linear map defined by its values on the orthonormal basis of a subspace.
-
-    ``values`` has shape ``(domain.dim, t, t)`` where ``t`` is the target
-    ambient dimension.  Application decomposes the argument against the
-    domain basis, so the argument must lie in the domain for the result to
-    mean anything.
-    """
-
-    domain: MatSubspace
-    values: np.ndarray = field(repr=False)
-    target_dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        expected = (self.domain.dim, self.target_dim, self.target_dim)
-        if v.shape != expected:
-            raise InputError(f"values shape {v.shape}, expected {expected}")
-        object.__setattr__(self, "values", v)
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        c = self.domain.coefficients(a)
-        if self.target_dim == 0:
-            return np.zeros((0, 0), dtype=np.complex128)
-        return np.tensordot(c, self.values, axes=(0, 0))
-
-    def matrix(self) -> np.ndarray:
-        """Matrix of the map, domain coefficients to flattened target."""
-        return self.values.reshape(self.domain.dim, -1).T
-
-    def null_space(self, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
-        """Kernel of the map as a subspace of the domain's ambient.
-
-        Its basis is the SVD's trailing right singular vectors taken over
-        the domain's orthonormal basis, orthonormal by construction."""
-        m = self.matrix()
-        if self.domain.dim == 0:
-            return MatSubspace(self.domain.ambient, np.zeros((0, self.domain.ambient, self.domain.ambient)))
-        if m.shape[0] == 0:
-            coeffs = np.eye(self.domain.dim, dtype=np.complex128)
-        else:
-            _, sig, vh = np.linalg.svd(m)
-            cutoff = tol.tol_rank * (sig[0] if sig.size else 0.0)
-            rank = int(np.sum(sig > cutoff))
-            coeffs = np.conj(vh[rank:])
-        # orthonormal coefficient rows against an orthonormal basis
-        n = self.domain.ambient
-        return MatSubspace(n, (coeffs @ self.domain.vecs()).reshape(-1, n, n))
 
 
 @lru_cache(maxsize=None)

@@ -217,8 +217,8 @@ def analysis_report(sa: SystemAnalysis) -> dict:
     holds one entry per block: a killed block's ``"left-inverse"`` witness
     read off ψ, and a kept block's refutation of its singleton ideal, a
     ``"norm-drop"`` with the drop as ``separation`` and the one matrix
-    whose norm drops as ``witness``, or a ``"linear"`` affine gap; a simple
-    algebra's one block is ``"simple"``.  ``"timing"`` holds
+    whose norm drops as ``witness``; a simple algebra's one block is
+    ``"simple"``.  ``"timing"`` holds
     iteration counts per stage, not seconds, so that the report stays
     byte-deterministic; ``lattice_iterations`` sums the feasibility
     searches over the tested ideals, and an ideal's count sums its
@@ -270,7 +270,14 @@ def _pairs_list(pairs) -> list:
 def pair_report(pa: PairAnalysis) -> dict:
     """Tensor-pair report document aggregating the four checks.
 
-    ``"isometry"`` holds the left-inverse check of the product's quotient.
+    ``"isometry"`` holds the left-inverse check of the product's quotient,
+    whose left inverse is the tensor of the factors'.  The product's
+    certificate is built from the factors' and checked, so a pair that
+    reports at all has ``subspace_contained``, ``killed_match``,
+    ``dims_match`` and ``boundary_pair_closure`` true by construction; a
+    failed certificate check raises instead (exit 2).  Those keys stay
+    until the report's schema changes.  ``timing.factorization_iterations``
+    sums the three envelopes' search iterations, and the product's is 0.
     """
     fac = pa.factorization
     bp = pa.boundary_pairs

@@ -29,13 +29,16 @@ singular value of their coefficients, kept as a margin).  Then
 span(G_k·S) = G_{k+1}, so G_k is the k-th power of S and G_K the algebra it
 generates; no Gram–Schmidt runs on the product.
 
-The verification entry points compare the minimal quotient of a tensor
-product against the kernel ideal predicted by the factor quotients, and
-check that boundary blocks stay boundary in pairs.  Each takes the analyses
-it verifies: the factorization check takes the two factor envelopes, and
-the boundary-pair check takes the factorization report, whose tensor
-system, pair blocks, power chain and three envelopes every later pair
-check reads.
+The product's envelope needs no search.  The paper identifies the Šilov
+ideal of E ⊗min F as the kernel K of q_E ⊗ q_F, and the factors'
+certificates give the product's: the tensor of the factor left inverses is
+a UCP left inverse for K, so K is boundary, and the tensor of the factors'
+refuting matrices drops in norm when any kept pair block is killed, so K is
+the largest boundary ideal (Arveson 2008).  The certificate is checked on
+the concrete tensor system like a searched one.  The factorization check
+takes the two factor envelopes, and the boundary-pair check its report,
+whose tensor system, pair blocks, power chain and three envelopes every
+later pair check reads.
 """
 
 from __future__ import annotations
@@ -44,17 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import EnvelopeResult, cstar_envelope
+from .boundary import EnvelopeResult, LatticeCertificate, _checked_envelope, block_images
 from .errors import InputError, StructuralError, VerificationError
-from .linalg import (
-    DEFAULT_TOL,
-    LinearMap,
-    MatSubspace,
-    Tolerances,
-    subspace_equal,
-)
+from .linalg import DEFAULT_TOL, MatSubspace, Tolerances, subspace_equal
 from .opsys import CStarAlgebra, OperatorSystem
-from .wedderburn import BlockIdeal, WedderburnData, ideal_subspace, quotient_map
+from .ucp import FeasibilityResult
+from .wedderburn import BlockIdeal, WedderburnData
 from .wedderburn import _VALIDATION_TOL, _validate_decomposition
 
 __all__ = [
@@ -64,7 +62,6 @@ __all__ = [
     "BoundaryPairReport",
     "subspace_kron",
     "min_tensor",
-    "tensor_map",
     "product_blocks",
     "kernel_of_tensor_quotients",
     "verify_envelope_tensor_factorization",
@@ -107,25 +104,6 @@ def min_tensor(
     product = OperatorSystem(space=space, label=label)
     product.validate(tol)
     return TensorSystem(left=E, right=F, product=product)
-
-
-def tensor_map(phi: LinearMap, psi: LinearMap) -> LinearMap:
-    """Tensor product of two linear maps on the tensored domain.
-
-    Sends ``x (x) y`` to ``phi(x) (x) psi(y)``; the tensor of two unital
-    *-homomorphisms is again one, and the tensor of two complete isometries
-    is completely isometric on the minimal tensor product.
-    """
-    domain = subspace_kron(phi.domain, psi.domain)
-    t = phi.target_dim * psi.target_dim
-    if domain.dim == 0 or t == 0:
-        return LinearMap(
-            domain=domain,
-            values=np.zeros((domain.dim, t, t), dtype=np.complex128),
-            target_dim=t,
-        )
-    values = np.einsum("aij,bkl->abikjl", phi.values, psi.values)
-    return LinearMap(domain=domain, values=values.reshape(domain.dim, t, t), target_dim=t)
 
 
 @dataclass(frozen=True)
@@ -237,18 +215,14 @@ def product_blocks(
     )
 
 
-def kernel_of_tensor_quotients(
-    P: ProductBlocks,
-    I: BlockIdeal,
-    J: BlockIdeal,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BlockIdeal:
+def kernel_of_tensor_quotients(P: ProductBlocks, I: BlockIdeal, J: BlockIdeal) -> BlockIdeal:
     """Kernel of ``q_I (x) q_J`` as a block ideal of the product.
 
-    A pair block dies exactly when either factor block dies.  The block
-    bookkeeping is cross-checked against the concrete null space of the
-    tensored quotient map; a mismatch means the pair indexing is wrong and
-    raises.  That check is what ties the kernel's labels to q_I ⊗ q_J.
+    The pair block (i, j) is ρ_(i,j)(x ⊗ y) = π_i(x) ⊗ π_j(y) (the rows of
+    ``P.wedderburn.u`` for its first copy are the tensor of the factors'),
+    so it dies exactly when either factor block dies.  The block pattern
+    certifies ``P``'s labels, and a mislabeled kernel would fail the
+    product's left-inverse check.
     """
     if I.parent is not P.left or J.parent is not P.right:
         raise InputError("ideals must live over the decompositions the product was built from")
@@ -257,16 +231,70 @@ def kernel_of_tensor_quotients(
         for label, (i, j) in enumerate(P.pairs, start=1)
         if i in I.killed or j in J.killed
     )
-    result = BlockIdeal(parent=P.wedderburn, killed=killed)
+    return BlockIdeal(parent=P.wedderburn, killed=killed)
 
-    q_I = quotient_map(I).as_linear_map(P.left.algebra.space)
-    q_J = quotient_map(J).as_linear_map(P.right.algebra.space)
-    null = tensor_map(q_I, q_J).null_space(tol)
-    if not subspace_equal(ideal_subspace(result, tol), null, tol):
-        raise StructuralError(
-            "kernel ideal disagrees with the null space of the tensored quotient"
+
+def _kept_refutation(env: EnvelopeResult, label: int) -> tuple[np.ndarray, float]:
+    """The matrix that refutes a kept factor block's singleton ideal, and
+    its re-checked drop.  The one block of a simple algebra takes the
+    identity, of drop 1: no other block carries its norm."""
+    block = env.dk_certificate.per_block[label - 1]
+    if block.method == "simple":
+        return np.eye(env.system.ambient, dtype=np.complex128), 1.0
+    return block.witness[0], block.separation
+
+
+def _tensor_levels(x: np.ndarray, y: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
+    """``x ⊗ y`` for m×m and m'×m' matrices over two systems, as the
+    (m·m')×(m·m') matrix whose cell ((r, u), (s, v)) is ``x_rs ⊗ y_uv``."""
+    m, m2 = x.shape[0] // n_x, y.shape[0] // n_y
+    cells = np.einsum(
+        "rasb,ucvd->ruacsvbd", x.reshape(m, n_x, m, n_x), y.reshape(m2, n_y, m2, n_y)
+    )
+    size = m * m2 * n_x * n_y
+    return cells.reshape(size, size)
+
+
+def _tensored_certificate(
+    P: ProductBlocks, env_E: EnvelopeResult, env_F: EnvelopeResult, K: BlockIdeal
+) -> LatticeCertificate:
+    """The product's lattice certificate, built from the factors'.
+
+    The maximum is the kernel K.  Its left inverse ψ_T = ψ_E ⊗ ψ_F has one
+    Choi block per kept pair (i, j), the reshuffled Kronecker product of the
+    factors' blocks at i and j: ψ_T(q_T(x ⊗ y)) = ψ_E(q_E(x)) ⊗ ψ_F(q_F(y))
+    = x ⊗ y, and a Kronecker product of PSD matrices is PSD.  A kept pair
+    (i, j) is refuted by x_i ⊗ y_j, the tensor of the factors' refuting
+    matrices of norm one: ‖π_i(x_i)‖ = 1 and ‖π_k(x_i)‖ ≤ 1 − δ_x for k ≠ i,
+    so killing only (i, j) leaves ‖q(x_i ⊗ y_j)‖ = max over (k, l) ≠ (i, j)
+    of ‖π_k(x_i)‖·‖π_l(y_j)‖ ≤ 1 − min(δ_x, δ_y), the refutation's residual.
+    ∅, K and K's singletons pass by restriction of ψ_T; the kept singletons
+    and the full ideal fail.  Nothing here is trusted: the checker checks
+    ψ_T on the concrete product and re-checks every drop.
+    """
+    n_E, n_F = env_E.system.ambient, env_F.system.ambient
+    psi_E = dict(zip(env_E.quotient.kept, env_E.lattice_certificate.witness))
+    psi_F = dict(zip(env_F.quotient.kept, env_F.lattice_certificate.witness))
+    witness, refutations = [], {}
+    for label, (i, j) in enumerate(P.pairs, start=1):
+        if label in K.killed:
+            continue
+        d = P.wedderburn.blocks[label - 1][0]
+        a, b = P.left.blocks[i - 1][0], P.right.blocks[j - 1][0]
+        choi = np.einsum(
+            "kaKA,lbLB->klabKLAB",
+            psi_E[i].reshape(a, n_E, a, n_E),
+            psi_F[j].reshape(b, n_F, b, n_F),
         )
-    return result
+        witness.append(choi.reshape(d * n_E * n_F, d * n_E * n_F))
+        (x, dx), (y, dy) = _kept_refutation(env_E, i), _kept_refutation(env_F, j)
+        x_T = _tensor_levels(x, y, n_E, n_F)
+        refutations[label] = FeasibilityResult(False, [x_T], min(dx, dy), 0, "norm-drop")
+    singles = [frozenset({j}) for j in P.wedderburn.labels]
+    passing = {frozenset(), K.killed, *(s for s in singles if s <= K.killed)}
+    failing = {frozenset(P.wedderburn.labels), *(s for s in singles if not s <= K.killed)}
+    passing, failing = (tuple(sorted(s, key=sorted)) for s in (passing, failing))
+    return LatticeCertificate(passing, failing, 0, tuple(witness), refutations)
 
 
 def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
@@ -382,20 +410,19 @@ def verify_envelope_tensor_factorization(
     tol: Tolerances = DEFAULT_TOL,
     max_ambient_product: int = 36,
 ) -> TensorFactorizationReport:
-    """Check that the minimal boundary ideal of ``E (x) F`` is the kernel ideal.
+    """Certify that the minimal boundary ideal of ``E (x) F`` is the kernel ideal.
 
     ``E`` and ``F`` are the systems of the two factor envelopes, whose
     quotients predict the product quotient: a pair block survives exactly
-    when both factor blocks survive.  The product's minimal boundary ideal,
-    found by the lattice route and certified by its checked left inverse, is
-    compared against that prediction, first as a subspace containment, then
-    as exact equality of killed sets, and finally through the surviving
-    block dimensions.  Both ideals are block ideals of the one pair
-    decomposition ``P.wedderburn``, whose :func:`ideal_subspace` has one row
-    per matrix unit of each killed block, conjugated back by the one
-    unitary ``u``.  Each row of the Šilov ideal's subspace is then a row of
-    the kernel's whenever its killed blocks are among the kernel's, so the
-    subspace containment is the containment of the killed sets.
+    when both factor blocks survive (:func:`kernel_of_tensor_quotients`).
+    The product runs no search: its lattice certificate, with K as the
+    maximum, is built from the factors' (:func:`_tensored_certificate`) and
+    goes through the checker a searched certificate goes through
+    (:func:`cstarenv.boundary._checked_envelope`).  The checked left inverse
+    makes K boundary, and the re-checked drops make it the largest boundary
+    ideal (Arveson 2008).  A failed check raises :class:`VerificationError`
+    naming the ideal or the pair block, so ``subspace_contained``,
+    ``killed_match`` and ``dims_match`` read true by construction.
 
     The product's generated algebra comes with its power chain, verified
     against the tensors of the factor chains (see the module docstring).
@@ -424,17 +451,19 @@ def verify_envelope_tensor_factorization(
             f"margins {margins})"
         )
     P = product_blocks(env_E.wedderburn, env_F.wedderburn)
-    env_T = cstar_envelope(
+    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal)
+    env_T = _checked_envelope(
         T.product,
-        tol=tol,
         # the verified chain, not the synthetic algebra: the product's
         # propagation number and the power-compatibility check read its powers
-        algebra=CStarAlgebra(space=chain[-1], powers=chain),
-        wedderburn=P.wedderburn,
+        CStarAlgebra(space=chain[-1], powers=chain),
+        P.wedderburn,
+        block_images(T.product, P.wedderburn, tol),
+        _tensored_certificate(P, env_E, env_F, K),
+        tol,
     )
-    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal, tol)
-    # both ideals are block ideals of P.wedderburn, so the Šilov ideal's
-    # subspace lies in the kernel's exactly when its killed blocks do
+    # the checked certificate's ideal is K, so these read true by
+    # construction; they stay in the report until its schema changes
     subspace_contained = env_T.ideal.killed <= K.killed
     killed_match = env_T.ideal.killed == K.killed
 

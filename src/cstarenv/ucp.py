@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 # Douglas–Rachford steps before a feasibility search is reported undecided;
-# every search the corpus, its pairs and the known-answer compressions run
-# is decided in a few hundred (see the module docstring for why)
+# every search the corpus members and the known-answer compressions run is
+# decided in a few hundred (see the module docstring), and pairs run none
 _FEASIBILITY_CAP = 8_000
 # an undecided feasibility search reports its residual every this many iterations
 _HISTORY_EVERY = 200
@@ -355,7 +355,10 @@ class FeasibilityResult:
     feasible verdict (None for a ``"restriction"`` verdict, which a larger
     ideal's certificate covers), and the one-matrix list ``[x]`` of a
     ``"norm-drop"`` refutation, x the matrix whose norm drops; ``residual``
-    is then the drop, and for ``"linear"`` the affine gap."""
+    is then the drop.  An infeasible :func:`ucp_feasibility` verdict has no
+    certificate and its affine gap as ``residual``; the lattice route turns
+    it into a norm-drop refutation
+    (:func:`cstarenv.boundary._gap_refutation`)."""
 
     feasible: bool
     certificate: list | None

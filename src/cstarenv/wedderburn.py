@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DecompositionError, InputError
 from .linalg import (
     DEFAULT_TOL,
-    LinearMap,
     MatSubspace,
     Tolerances,
     cluster_eigenvalues,
@@ -52,7 +51,6 @@ __all__ = [
     "QuotientMap",
     "commutant",
     "wedderburn_decompose",
-    "ideal_subspace",
     "quotient_map",
 ]
 
@@ -368,32 +366,6 @@ class BlockIdeal:
             raise InputError(f"killed blocks {sorted(self.killed)} outside {sorted(labels)}")
 
 
-def ideal_subspace(ideal: BlockIdeal, tol: Tolerances = DEFAULT_TOL) -> MatSubspace:
-    """The ideal as a concrete subspace of the represented algebra.
-
-    Basis: for each killed block, each matrix unit replicated across the
-    block's copies (that is the only way a block element appears inside the
-    algebra), conjugated back by the decomposition unitary.
-    """
-    W = ideal.parent
-    n = W.ambient
-    offsets = W.block_offsets()
-    mats = []
-    for label in sorted(ideal.killed):
-        d, m = W.blocks[label - 1]
-        base = offsets[label - 1]
-        units = matrix_units(d)
-        for unit in units:
-            mat = np.zeros((n, n), dtype=np.complex128)
-            for j in range(m):
-                s = base + j * d
-                mat[s : s + d, s : s + d] = unit
-            mats.append(dagger(W.u) @ mat @ W.u / np.sqrt(m))
-    if not mats:
-        return MatSubspace(n, np.zeros((0, n, n)))
-    return MatSubspace(n, np.stack(mats))
-
-
 @dataclass(frozen=True)
 class QuotientMap:
     """Quotient of a decomposed algebra by a block ideal.
@@ -425,10 +397,6 @@ class QuotientMap:
             out[..., off : off + d, off : off + d] = W.irrep_apply(label, x)
             off += d
         return out
-
-    def as_linear_map(self, domain: MatSubspace) -> LinearMap:
-        """Restriction to a subspace of the algebra, as a LinearMap."""
-        return LinearMap(domain=domain, values=self.apply(domain.basis), target_dim=self.target_dim)
 
 
 def quotient_map(ideal: BlockIdeal) -> QuotientMap:

@@ -10,8 +10,12 @@ search does not use.  The dual-certificate uniqueness route
 the package's ``UcpSpectrahedron``.  And the computations the package ran
 before structure or the lattice gave their answers
 (:func:`gram_schmidt_system_space`, :func:`gram_schmidt_chain`,
-:func:`enumerate_ideals`, :func:`is_irreducible`) are kept as the
-references for what replaced them.
+:func:`enumerate_ideals`, :func:`is_irreducible`, the null space of the
+tensored quotient through :class:`LinearMap`, :func:`tensor_map`,
+:func:`as_linear_map` and :func:`ideal_subspace`, and the product's searched
+envelope :func:`searched_product_envelope`) are kept as the references for
+what replaced them.  :func:`compression` and :func:`seeded_unitary` build
+inputs whose answer is known by construction.
 """
 from __future__ import annotations
 
@@ -20,6 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cstarenv.boundary import cstar_envelope
+from cstarenv.linalg import DEFAULT_TOL, MatSubspace, matrix_units, op_norm
+from cstarenv.opsys import opsys_from_generators
+from cstarenv.tensor import subspace_kron
 from cstarenv.ucp import UcpSpectrahedron, maximally_entangled, unpack_herm
 
 
@@ -762,3 +770,120 @@ def dual_uniqueness(spec, sep: float = SEP) -> DualResult:
         f"uniqueness undecided: no dual certificate after {iterations} iterations "
         f"(best margin {mu:.3e}, best bound/threshold {ratio:.3e})"
     )
+
+
+@dataclass(frozen=True)
+class LinearMap:
+    """Linear map defined by its values on the orthonormal basis of a subspace.
+
+    ``values`` has shape ``(domain.dim, t, t)`` where ``t`` is the target
+    ambient dimension.  Application decomposes the argument against the
+    domain basis, so the argument must lie in the domain for the result to
+    mean anything.
+    """
+
+    domain: MatSubspace
+    values: np.ndarray = field(repr=False)
+    target_dim: int
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.complex128)
+        expected = (self.domain.dim, self.target_dim, self.target_dim)
+        assert v.shape == expected, (v.shape, expected)
+        object.__setattr__(self, "values", v)
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        c = self.domain.coefficients(a)
+        if self.target_dim == 0:
+            return np.zeros((0, 0), dtype=np.complex128)
+        return np.tensordot(c, self.values, axes=(0, 0))
+
+    def null_space(self, tol=DEFAULT_TOL) -> MatSubspace:
+        """Kernel of the map as a subspace of the domain's ambient: the
+        SVD's trailing right singular vectors over the domain's basis."""
+        n = self.domain.ambient
+        if self.domain.dim == 0:
+            return MatSubspace(n, np.zeros((0, n, n)))
+        m = self.values.reshape(self.domain.dim, -1).T
+        if m.shape[0] == 0:
+            coeffs = np.eye(self.domain.dim, dtype=np.complex128)
+        else:
+            _, sig, vh = np.linalg.svd(m)
+            rank = int(np.sum(sig > tol.tol_rank * (sig[0] if sig.size else 0.0)))
+            coeffs = np.conj(vh[rank:])
+        return MatSubspace(n, (coeffs @ self.domain.vecs()).reshape(-1, n, n))
+
+
+def as_linear_map(q, domain: MatSubspace) -> LinearMap:
+    """The quotient map ``q`` restricted to a subspace of its algebra."""
+    return LinearMap(domain=domain, values=q.apply(domain.basis), target_dim=q.target_dim)
+
+
+def tensor_map(phi: LinearMap, psi: LinearMap) -> LinearMap:
+    """``x ⊗ y ↦ phi(x) ⊗ psi(y)`` on the tensored domain."""
+    domain = subspace_kron(phi.domain, psi.domain)
+    t = phi.target_dim * psi.target_dim
+    if domain.dim == 0 or t == 0:
+        return LinearMap(domain, np.zeros((domain.dim, t, t), dtype=np.complex128), t)
+    values = np.einsum("aij,bkl->abikjl", phi.values, psi.values)
+    return LinearMap(domain, values.reshape(domain.dim, t, t), t)
+
+
+def ideal_subspace(ideal, tol=DEFAULT_TOL) -> MatSubspace:
+    """A block ideal as a concrete subspace of the represented algebra: for
+    each killed block, each matrix unit replicated across the block's
+    copies, conjugated back by the decomposition unitary."""
+    W = ideal.parent
+    n = W.ambient
+    offsets = W.block_offsets()
+    mats = []
+    for label in sorted(ideal.killed):
+        d, m = W.blocks[label - 1]
+        for unit in matrix_units(d):
+            mat = np.zeros((n, n), dtype=np.complex128)
+            for j in range(m):
+                s = offsets[label - 1] + j * d
+                mat[s : s + d, s : s + d] = unit
+            mats.append(W.u.conj().T @ mat @ W.u / np.sqrt(m))
+    if not mats:
+        return MatSubspace(n, np.zeros((0, n, n)))
+    return MatSubspace(n, np.stack(mats))
+
+
+def searched_product_envelope(fac, tol=DEFAULT_TOL):
+    """The product's envelope by the lattice route's search, as the
+    factorization check once computed it: the tensor system, its verified
+    power chain and the pair decomposition of the factorization report
+    ``fac``."""
+    return cstar_envelope(
+        fac.tensor.product,
+        tol=tol,
+        algebra=fac.product_envelope.algebra,
+        wedderburn=fac.blocks.wedderburn,
+    )
+
+
+def compression(seed, d_a, k, d_b):
+    """``span{1, g, g*}`` with ``g = A ⊕ B``: A a seeded complex Gaussian
+    ``d_a × d_a`` matrix of operator norm one, V the Q factor of a seeded
+    ``(d_a·k) × d_b`` Gaussian and ``B = V*(A ⊗ 1_k)V``.  The UCP map
+    x ↦ V*(x ⊗ 1_k)V sends A to B, so the ideal killing B's block has a
+    left inverse; with d_b ≠ d_a and B irreducible the algebra is
+    M_{d_a} ⊕ M_{d_b} and the quotient onto M_{d_a} is simple, so that
+    ideal is the whole Šilov ideal."""
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, d_a)
+    a /= op_norm(a)
+    shape = (d_a * k, d_b)
+    v = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    g = np.zeros((d_a + d_b, d_a + d_b), dtype=complex)
+    g[:d_a, :d_a] = a
+    g[d_a:, d_a:] = v.conj().T @ np.kron(a, np.eye(k)) @ v
+    return opsys_from_generators(d_a + d_b, [g])
+
+
+def seeded_unitary(n: int, seed: int) -> np.ndarray:
+    """A Haar-distributed unitary drawn from ``seed`` (Q of a seeded complex
+    Gaussian, phases fixed by R's diagonal)."""
+    q, r = np.linalg.qr(random_complex(np.random.default_rng(seed), n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

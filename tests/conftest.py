@@ -122,3 +122,15 @@ def bench_blocks(bench_workloads):
     workloads = bench_workloads
     specs = [workloads.blocks_spec(1, i, workloads.K_IN) for i in range(workloads.BLOCK_SYSTEMS)]
     return [(s.name, opsys_of(s, DEFAULT_TOL)) for s in specs]
+
+
+@pytest.fixture
+def one_blas_thread():
+    """One BLAS thread, as the command line runs: the searches work on
+    matrices too small to gain from more."""
+    from cstarenv.cli import _set_blas_threads
+
+    previous = _set_blas_threads(1)
+    yield
+    if previous is not None:
+        _set_blas_threads(previous)

@@ -38,7 +38,12 @@ from cstarenv.wedderburn import (
     wedderburn_decompose,
 )
 
-from _oracles import build_left_inverse_spectrahedron, enumerate_ideals, random_complex
+from _oracles import (
+    build_left_inverse_spectrahedron,
+    compression,
+    enumerate_ideals,
+    seeded_unitary,
+)
 
 # the scalar summand of every state-sum member is the non-boundary block;
 # every other structured member is already its own envelope
@@ -249,12 +254,21 @@ def test_lattice_route_fallback_searches_each_singleton(make, blocks, expected, 
     assert fallback_cert.passing == cert.passing
     assert fallback_cert.failing == cert.failing
     assert_exact_left_inverse(E, W, fallback.killed, fallback_cert.witness)
-    # a kept block is then certified by its singleton's exact affine gap
+    # a kept block is then certified by the matrix its singleton's affine
+    # gap carries: a Hermitian level-d matrix over the system whose image in
+    # the quotient is zero, so its norm drops by 1, re-checked from the matrix
+    n = E.space.ambient
     for b in boundary_representations(W, fallback_cert).per_block:
         if b.label not in expected:
-            gap = fallback_cert.refutations[b.label].residual
-            assert (b.unique, b.method, b.separation, b.witness) == (True, "linear", gap, None)
-            assert gap > 1e-8
+            refuted = fallback_cert.refutations[b.label]
+            assert (b.unique, b.method, b.witness) == (True, "norm-drop", refuted.certificate)
+            assert b.separation == pytest.approx(1.0, abs=1e-12)
+            assert refuted.residual == pytest.approx(1.0, abs=1e-12)
+            (x,) = b.witness
+            assert x.shape == (W.blocks[b.label - 1][0] * n,) * 2
+            assert np.array_equal(x, x.conj().T) and op_norm(x) == pytest.approx(1.0)
+            q = quotient_map(BlockIdeal(W, frozenset({b.label})))
+            assert op_norm(lift_through(q, x, n)) < 1e-12
 
 
 def test_simple_algebras_skip_the_probe_and_the_falsifier(analyses):
@@ -386,19 +400,11 @@ def test_each_envelope_builds_its_constraint_data_once(
     E7, W7 = seven_blocks
     env = cstar_envelope(E7, wedderburn=W7)
     assert len(env.ideal.killed) == 5 and len(calls) == 1
-    per_envelope = []
-
-    def reading(*args, **kwargs):
-        before = len(calls)
-        out = real_envelope(*args, **kwargs)
-        per_envelope.append(len(calls) - before)
-        return out
-
-    real_envelope = tensor.cstar_envelope
-    monkeypatch.setattr(tensor, "cstar_envelope", reading)
-    pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
+    factors = analyses("state_sum"), analyses("jordan_M2")
+    before = len(calls)
+    pa = analyze_pair(*factors, config)
     assert pa.verified and pa.factorization.product_envelope.ideal.killed
-    assert per_envelope == [1]
+    assert len(calls) - before == 1
 
 
 def test_each_envelope_checks_its_left_inverse_once(system, bench_blocks, monkeypatch):
@@ -458,7 +464,7 @@ def test_multiplicity_system_in_both_presentations():
     g = np.zeros((n, n), dtype=complex)
     g[0, 1] = 1.0
     g[2:, 2:] = np.diag([0.3, 0.3, np.exp(0.7j)])
-    U = _seeded_unitary(n, 17)
+    U = seeded_unitary(n, 17)
     for key, gen in (("given", g), ("conjugated", U @ g @ U.conj().T)):
         E = opsys_from_generators(n, [gen])
         W = wedderburn_decompose(generated_cstar(E))
@@ -676,37 +682,6 @@ def test_a_kept_block_is_certified_by_its_singleton_refutation(
     assert sum(seen.values()) >= 10 and len(seen) >= 8, seen
 
 
-def compression(seed, d_a, k, d_b):
-    """``span{1, g, g*}`` with ``g = A ⊕ B``: A a seeded complex Gaussian
-    ``d_a × d_a`` matrix of operator norm one, V the Q factor of a seeded
-    ``(d_a·k) × d_b`` Gaussian and ``B = V*(A ⊗ 1_k)V``.  The UCP map
-    x ↦ V*(x ⊗ 1_k)V sends A to B, so the ideal killing B's block has a
-    left inverse; with d_b ≠ d_a and B irreducible the algebra is
-    M_{d_a} ⊕ M_{d_b} and the quotient onto M_{d_a} is simple, so that
-    ideal is the whole Šilov ideal."""
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, d_a)
-    a /= op_norm(a)
-    shape = (d_a * k, d_b)
-    v = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
-    g = np.zeros((d_a + d_b, d_a + d_b), dtype=complex)
-    g[:d_a, :d_a] = a
-    g[d_a:, d_a:] = v.conj().T @ np.kron(a, np.eye(k)) @ v
-    return opsys_from_generators(d_a + d_b, [g])
-
-
-@pytest.fixture
-def one_blas_thread():
-    """One BLAS thread, as the command line runs: the searches work on
-    matrices too small to gain from more."""
-    from cstarenv.cli import _set_blas_threads
-
-    previous = _set_blas_threads(1)
-    yield
-    if previous is not None:
-        _set_blas_threads(previous)
-
-
 @pytest.mark.parametrize(
     "shape, seed",
     [
@@ -889,11 +864,6 @@ def test_routes_agree_under_reseeding(system, wedderburn):
         assert len(outcomes) == 1, (name, outcomes)
 
 
-def _seeded_unitary(n: int, seed: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(np.random.default_rng(seed), n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_generator):
     # both routes see the span, not its basis: rescaled, conjugated and
     # reordered generators give the same per-block verdicts, methods and
@@ -908,7 +878,7 @@ def test_uniqueness_verdicts_ignore_the_presentation(entries, seven_blocks_gener
     presentations["seven_blocks"] = [seven_blocks_generator]
     for name, gens in presentations.items():
         n = gens[0].shape[0]
-        U, V = _seeded_unitary(n, 17), _seeded_unitary(n, 5)
+        U, V = seeded_unitary(n, 17), seeded_unitary(n, 5)
         variants = {
             "given": gens,
             "unit norm": [g / np.linalg.norm(g) for g in gens],
@@ -951,7 +921,7 @@ def test_invariants_ignore_conjugation_and_a_trivial_tensor_factor(
     expected = _invariants(analyses(name))
     gens = [np.asarray(g) for g in entries[name].spec.generators]
     n = gens[0].shape[0]
-    V = _seeded_unitary(n, seed)
+    V = seeded_unitary(n, seed)
     conjugated = opsys_from_generators(n, [V @ g @ V.conj().T for g in gens])
     assert _invariants(analyze_system(conjugated, name=name)) == expected, seed
     # V E V* (x) M_1 is V E V* again, reached through the tensor product

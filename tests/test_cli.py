@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, env overrides, reports."""
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,9 @@ import cstarenv
 from cstarenv import analysis, boundary, cli, corpus, ucp
 from cstarenv.cli import main
 from cstarenv.corpus import write_corpus
+from cstarenv.specio import SystemSpec, spec_to_dict
+
+from _oracles import compression
 
 
 @pytest.fixture(scope="module")
@@ -381,22 +385,33 @@ def test_verify_all_row_shows_a_failed_uniqueness_recheck(corpus_dir, capsys, mo
     assert "the witness shows no norm drop (0.000e+00 against tol_norm 1.0e-06)" in detail
 
 
-def test_verify_all_row_shows_undecided_feasibility_evidence(corpus_dir, capsys, monkeypatch):
+def test_verify_all_row_shows_undecided_feasibility_evidence(capsys, tmp_path, monkeypatch):
     # with no search iterations allowed, a left-inverse search is decided
-    # only when its start is feasible; the product state_sum (x) state_sum
-    # starts at least eigenvalue -0.5, and its row shows the ideal, the
-    # killed block, that eigenvalue and the start's affine residual
+    # only when its start is feasible.  No member or pair of the corpus
+    # needs a search step (a pair's certificate is built from its factors'),
+    # so the corpus gets one compression member, whose killed block's left
+    # inverse has low Choi rank: its search starts outside the cone, and its
+    # row shows the ideal, the killed block, the start's least Choi
+    # eigenvalue and its affine residual
+    manifest = write_corpus(tmp_path, seed=1, count=4)
+    E = compression(1, 3, 1, 2)
+    spec = SystemSpec("compression", E.ambient, tuple(E.space.basis))
+    (tmp_path / "compression.json").write_text(json.dumps(spec_to_dict(spec)))
+    manifest["systems"].append({"name": "compression", "file": "compression.json"})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     monkeypatch.setattr(ucp, "_FEASIBILITY_CAP", 0)
-    code, out, _ = run(capsys, "verify-all", str(corpus_dir))
+    code, out, _ = run(capsys, "verify-all", str(tmp_path))
     assert code == 3
     lines = out.splitlines()
-    row = next(line for line in lines if line.startswith("state_sum (x) state_sum "))
-    # the status is followed by whitespace, not run into the CHECKS column
-    assert "inconclusive " in row and row.split()[-2:] == ["inconclusive", "-"]
+    row = next(line for line in lines if line.startswith("compression "))
+    # the status is followed by whitespace, not run into the SILOV column
+    assert row.split()[1:] == ["inconclusive", "-", "-"]
     detail = lines[lines.index(row) + 1]
     assert "ideal [" in detail and "killed block" in detail
-    assert "after 0 iterations: start least Choi eigenvalue -5.000e-01" in detail
+    assert re.search(r"after 0 iterations: start least Choi eigenvalue -\d\.\d{3}e-\d\d,", detail)
     assert "affine residuals" in detail and "against tolerance" in detail
+    # every pair of the corpus verifies, with no search
+    assert all(line.split()[-2:] == ["ok", "4/4"] for line in lines if " (x) " in line)
 
 
 def test_verify_all_without_manifest(capsys, tmp_path):

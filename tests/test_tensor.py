@@ -1,12 +1,14 @@
 """Tensor products: pair blocks, kernel ideals, and the quotient identities."""
 import itertools
+import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cstarenv import linalg, tensor
+from cstarenv import boundary, linalg
 from cstarenv.analysis import analyze_pair, analyze_system
 from cstarenv.corpus import corpus_entries, standard_pairs
 from cstarenv.errors import InputError, StructuralError, VerificationError
@@ -17,7 +19,7 @@ from cstarenv.linalg import (
     subspace_contains,
     subspace_equal,
 )
-from cstarenv.opsys import CStarAlgebra, generated_cstar
+from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import (
     _chain_certifies,
@@ -26,21 +28,25 @@ from cstarenv.tensor import (
     min_tensor,
     product_blocks,
     subspace_kron,
-    tensor_map,
     verify_envelope_tensor_factorization,
 )
 from cstarenv.wedderburn import (
     BlockIdeal,
-    ideal_subspace,
     quotient_map,
     wedderburn_decompose,
 )
 
 from _oracles import (
+    as_linear_map,
     check_pattern_bounds,
+    compression,
     gram_schmidt_system_space,
+    ideal_subspace,
     match_by_intertwiner,
     orthonormality_residual,
+    searched_product_envelope,
+    seeded_unitary,
+    tensor_map,
 )
 
 
@@ -80,8 +86,8 @@ def test_min_tensor_is_an_operator_system(system):
 
 def test_tensor_map_on_elementary_tensors(wedderburn):
     _, W = wedderburn("state_sum")
-    qI = quotient_map(BlockIdeal(W, frozenset({2}))).as_linear_map(W.algebra.space)
-    qJ = quotient_map(BlockIdeal(W, frozenset())).as_linear_map(W.algebra.space)
+    qI = as_linear_map(quotient_map(BlockIdeal(W, frozenset({2}))), W.algebra.space)
+    qJ = as_linear_map(quotient_map(BlockIdeal(W, frozenset())), W.algebra.space)
     tm = tensor_map(qI, qJ)
     rng = np.random.default_rng(6)
     for _ in range(8):
@@ -203,8 +209,8 @@ def test_kernel_ideal_annihilates_under_the_tensored_quotient(pair_P):
     I = BlockIdeal(P.left, frozenset({1}))
     J = BlockIdeal(P.right, frozenset({2}))
     K = kernel_of_tensor_quotients(P, I, J)
-    qI = quotient_map(I).as_linear_map(P.left.algebra.space)
-    qJ = quotient_map(J).as_linear_map(P.right.algebra.space)
+    qI = as_linear_map(quotient_map(I), P.left.algebra.space)
+    qJ = as_linear_map(quotient_map(J), P.right.algebra.space)
     tm = tensor_map(qI, qJ)
     sub = ideal_subspace(K, DEFAULT_TOL)
     assert sub.dim > 0
@@ -302,27 +308,154 @@ def test_a_witness_past_the_cone_by_the_search_tolerance_verifies(pair_analyses,
     assert killed.separation == pytest.approx(3 * np.sqrt(2), rel=1e-6)
 
 
-def test_the_kernel_ideal_subspace_is_built_once_per_pair(entries, analyses, config, monkeypatch):
-    # only the kernel's null-space cross-check builds an ideal subspace: the
-    # containment of the product's Šilov ideal is read off the killed sets
-    # over the one pair decomposition
-    built = []
-    real = tensor.ideal_subspace
+ORACLE_PAIRS = [
+    ("state_sum", "state_sum_s3"),
+    ("jordan_M4_k1", "state_sum_s2"),
+    ("full_M3", "state_sum_s3"),
+    ("compression", "state_sum"),
+]
 
-    def recording(ideal, tol=DEFAULT_TOL):
-        built.append(ideal)
-        return real(ideal, tol)
 
-    monkeypatch.setattr(tensor, "ideal_subspace", recording)
-    for a, b in standard_pairs(entries):
-        built.clear()
-        pa = analyze_pair(analyses(a), analyses(b), config)
-        env_T = pa.factorization.product_envelope
-        assert pa.factorization.subspace_contained, (a, b)
-        (kernel,) = built
-        assert kernel is not env_T.ideal, (a, b)
-        assert kernel.parent is env_T.wedderburn
-        assert kernel.killed == env_T.ideal.killed
+def test_pairs_run_no_lattice_search_probe_or_feasibility_search(
+    entries, analyses, system, config, monkeypatch
+):
+    # the product's certificate is built from the factors' and checked: a
+    # pair runs no lattice search, no norm-drop probe and no feasibility
+    # search, while a single system still runs all three
+    pairs = standard_pairs(entries) + ORACLE_PAIRS[:2]
+    factors = {name: analyses(name) for pair in pairs for name in pair}
+    calls = Counter()
+    for name in ("silov_ideal_lattice", "falsify_complete_isometry", "ucp_feasibility"):
+
+        def counted(*args, _real=getattr(boundary, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, name, counted)
+    for a, b in pairs:
+        assert analyze_pair(factors[a], factors[b], config).verified, (a, b)
+    assert calls == Counter()
+    analyze_system(system("state_sum_s3"), config)
+    assert calls["silov_ideal_lattice"] == 1
+    assert calls["falsify_complete_isometry"] == 2 and calls["ucp_feasibility"] == 1
+
+
+@pytest.fixture(scope="module")
+def compression_analysis():
+    # blocks (3, 1) and (2, 1), the 2-dimensional one killed
+    return analyze_system(compression(1, 3, 1, 2), name="compression")
+
+
+def test_tensored_certificate_matches_the_searched_route(
+    entries, analyses, config, compression_analysis, one_blas_thread
+):
+    # the searched route the product once ran is the oracle: it finds the
+    # same Šilov ideal and the same boundary blocks, and the same passing
+    # and failing ideals.  The kernel's labels span the null space of the
+    # tensored quotient map, the cross-check the pair's block pattern
+    # replaced
+    def factor(name):
+        return compression_analysis if name == "compression" else analyses(name)
+
+    for a, b in standard_pairs(entries) + ORACLE_PAIRS:
+        pa = analyze_pair(factor(a), factor(b), config)
+        fac = pa.factorization
+        env = fac.product_envelope
+        searched = searched_product_envelope(fac, config.tol)
+        assert searched.ideal.killed == env.ideal.killed, (a, b)
+        assert searched.boundary_labels == env.boundary_labels, (a, b)
+        got, want = env.lattice_certificate, searched.lattice_certificate
+        assert (got.passing, got.failing) == (want.passing, want.failing), (a, b)
+        assert got.iterations == 0
+        factor_envs = (fac.left_envelope, fac.right_envelope)
+        q = [as_linear_map(quotient_map(e.ideal), e.algebra.space) for e in factor_envs]
+        K = kernel_of_tensor_quotients(fac.blocks, *(e.ideal for e in factor_envs))
+        assert subspace_equal(ideal_subspace(K), tensor_map(*q).null_space()), (a, b)
+    assert compression_analysis.silov_lattice == {2}
+    assert compression_analysis.wedderburn.blocks == ((3, 1), (2, 1))
+
+
+def test_a_pair_whose_search_stalls_verifies(analyses, config, one_blas_thread):
+    # on this compression times state_sum the searched route ends undecided
+    # (its residual plateaus near 1.8e-6 for 8000 steps); the product's
+    # certificate is built from the factors', which decided theirs
+    left = analyze_system(compression(3, 3, 1, 2), name="compression")
+    pa = analyze_pair(left, analyses("state_sum"), config)
+    assert pa.verified
+    fac = pa.factorization
+    assert fac.product_killed_pairs == fac.expected_killed_pairs == {(1, 2), (2, 1), (2, 2)}
+
+
+def test_a_scaled_factor_left_inverse_fails_for_the_product_ideal(analyses):
+    # the tensored left inverse is checked on the concrete product: a factor
+    # certificate scaled by 1.01 no longer interpolates it
+    env_E, env_F = analyses("state_sum").envelope, analyses("jordan_M2").envelope
+    lattice = env_E.lattice_certificate
+    scaled = replace(lattice, witness=tuple(1.01 * c for c in lattice.witness))
+    broken = replace(env_E, lattice_certificate=scaled)
+    P = product_blocks(env_E.wedderburn, env_F.wedderburn)
+    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal)
+    assert sorted(K.killed) == [P.label_of((2, 1))]
+    message = f"left inverse for the ideal {sorted(K.killed)} fails to interpolate"
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        verify_envelope_tensor_factorization(broken, env_F)
+    with pytest.raises(VerificationError, match="fails to interpolate"):
+        verify_envelope_tensor_factorization(env_F, broken)
+
+
+def test_a_kept_factor_witness_without_a_drop_fails_the_pair_block(analyses):
+    # every kept pair's drop is re-checked on the product: the identity in
+    # place of the kept block's witness keeps its norm in the other block
+    env = analyses("state_sum").envelope
+    dk = env.dk_certificate
+    (kept,) = [b for b in dk.per_block if b.unique]
+    identity = replace(kept, witness=[np.eye(env.system.ambient, dtype=complex)])
+    per_block = tuple(identity if b is kept else b for b in dk.per_block)
+    broken = replace(env, dk_certificate=replace(dk, per_block=per_block))
+    P = product_blocks(env.wedderburn, env.wedderburn)
+    label = P.label_of((kept.label, kept.label))
+    message = rf"block {label} \(kept by the lattice route\): the witness shows no norm drop"
+    with pytest.raises(VerificationError, match=message):
+        verify_envelope_tensor_factorization(broken, env)
+    with pytest.raises(VerificationError, match=message):
+        verify_envelope_tensor_factorization(env, broken)
+
+
+def _pair_verdicts(pa):
+    """What a pair analysis says about the two spans: the killed and the
+    boundary pairs, the product's propagation number and every check's
+    verdict."""
+    return (
+        pa.factorization.product_killed_pairs,
+        pa.boundary_pairs.product_boundary,
+        pa.prop_max.product.value,
+        tuple(c.verified for c in (pa.factorization, pa.boundary_pairs, pa.power, pa.prop_max)),
+    )
+
+
+@pytest.mark.parametrize("left, right", [("state_sum", "jordan_M2"), ("state_sum", "state_sum")])
+def test_pair_verdicts_ignore_the_presentation_of_a_factor(entries, analyses, config, left, right):
+    # a factor conjugated by a seeded unitary, or given by rescaled and
+    # reordered generators, spans a system with the same invariants, so
+    # the pair's verdicts, with that factor on either side, cannot change
+    expected = [
+        _pair_verdicts(analyze_pair(analyses(a), analyses(b), config))
+        for a, b in ((left, right), (right, left))
+    ]
+    gens = [np.asarray(g) for g in entries[left].spec.generators]
+    n = gens[0].shape[0]
+    V = seeded_unitary(n, 17)
+    variants = {
+        "conjugated": [V @ g @ V.conj().T for g in gens],
+        "rescaled and reordered": [2.5 * g for g in gens[::-1]],
+    }
+    for kind, variant in variants.items():
+        sa = analyze_system(opsys_from_generators(n, variant), config, name=left)
+        got = [
+            _pair_verdicts(analyze_pair(sa, analyses(right), config)),
+            _pair_verdicts(analyze_pair(analyses(right), sa, config)),
+        ]
+        assert got == expected, kind
 
 
 def test_products_store_a_bitwise_hermitian_basis(entries, system):

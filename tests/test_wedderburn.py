@@ -14,7 +14,7 @@ from cstarenv.linalg import (
 )
 from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
-from cstarenv.tensor import product_blocks, tensor_map
+from cstarenv.tensor import product_blocks
 from cstarenv.ucp import maximally_entangled
 from cstarenv import wedderburn as wedderburn_module
 from cstarenv.wedderburn import (
@@ -23,12 +23,14 @@ from cstarenv.wedderburn import (
     _sylvester_rows,
     _validate_decomposition,
     commutant,
-    ideal_subspace,
     quotient_map,
     wedderburn_decompose,
 )
 
 from _oracles import (
+    as_linear_map,
+    ideal_subspace,
+    tensor_map,
     block_layout_residual,
     orthonormality_residual,
     check_pattern_bounds,
@@ -246,11 +248,11 @@ def test_quotient_killing_every_block_has_empty_images(wedderburn):
     k = A.space.dim
     assert q.apply(A.space.basis).shape == (k, 0, 0)
     assert q.apply(A.space.basis[0]).shape == (0, 0)
-    assert q.as_linear_map(A.space).values.shape == (k, 0, 0)
+    assert as_linear_map(q, A.space).values.shape == (k, 0, 0)
     # the zero ideal's subspace is empty, and so is every stack over it
     empty = ideal_subspace(BlockIdeal(W, frozenset()))
     full = quotient_map(BlockIdeal(W, frozenset()))
-    assert full.as_linear_map(empty).values.shape == (0, full.target_dim, full.target_dim)
+    assert as_linear_map(full, empty).values.shape == (0, full.target_dim, full.target_dim)
 
 
 def test_decompose_rejects_non_algebra():
@@ -363,11 +365,11 @@ def test_svd_bases_are_orthonormal_and_span_the_same_rows(
         comm = commutant(E.space)
         spaces += [comm, commutant(A.space), subspace_intersection(A.space, comm)]
         for ideal in enumerate_ideals(W)[:8]:
-            spaces.append(quotient_map(ideal).as_linear_map(A.space).null_space())
+            spaces.append(as_linear_map(quotient_map(ideal), A.space).null_space())
     for a, b in standard_pairs(entries):
         fac = pair_analyses(a, b).factorization
         q = [
-            quotient_map(env.ideal).as_linear_map(env.algebra.space)
+            as_linear_map(quotient_map(env.ideal), env.algebra.space)
             for env in (fac.left_envelope, fac.right_envelope)
         ]
         spaces.append(tensor_map(*q).null_space())
