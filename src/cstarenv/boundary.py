@@ -84,7 +84,6 @@ from .linalg import (
     Tolerances,
     hermitian_basis,
     hermitian_units,
-    matrix_units,
 )
 from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .ucp import (
@@ -714,17 +713,16 @@ def _envelope_algebra(W: WedderburnData, killed: frozenset[int]) -> CStarAlgebra
     t = sum(dims)
     if t == 0:
         raise StructuralError("empty envelope")
-    mats = []
-    off = 0
-    for d in dims:
-        for u in matrix_units(d):
-            big = np.zeros((t, t), dtype=complex)
-            big[off : off + d, off : off + d] = u
-            mats.append(big)
-        off += d
+    # the units are 1 at the places (r, c) of the diagonal blocks, and
+    # nonzero lists them row-major, block by block in matrix_units' order;
+    # one index assignment places them all
+    owner = np.repeat(np.arange(len(dims)), dims)
+    rows, cols = np.nonzero(owner[:, None] == owner[None, :])
+    mats = np.zeros((rows.size, t, t), dtype=complex)
+    mats[np.arange(rows.size), rows, cols] = 1.0
     # matrix units in distinct places are already orthonormal: span_of would
     # return these rows unchanged
-    return CStarAlgebra(space=MatSubspace(t, np.stack(mats)))
+    return CStarAlgebra(space=MatSubspace(t, mats))
 
 
 def cstar_envelope(

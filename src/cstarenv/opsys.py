@@ -12,13 +12,16 @@ nothing here re-checks it: the block decomposition's pattern check
 certifies each algebra.  The algebra keeps the chain's subspaces, so the
 propagation number and the power-compatibility check read them instead of
 multiplying again.  A tensor product's algebra keeps the chain the pair
-pipeline verified against the factor chains instead (see
+pipeline derived from the factor chains instead, certified by the factors'
+step certificates (:attr:`CStarAlgebra.power_steps`, computed once per
+factor algebra) and one concrete probe per step (see
 :mod:`cstarenv.tensor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .linalg import (
 __all__ = [
     "OperatorSystem",
     "CStarAlgebra",
+    "PowerStep",
     "opsys_from_generators",
     "generated_cstar",
     "product_span",
@@ -69,6 +73,50 @@ class OperatorSystem:
 
 
 @dataclass(frozen=True)
+class PowerStep:
+    """Step j of a power chain E^1..E^a, read off the coefficients C of the
+    products of E^j's and E's basis elements on the basis of E^{min(j+1,a)}.
+
+    ``residual`` is the largest projection residual of a product off
+    E^{min(j+1,a)} relative to its norm, and ``sigma_rank`` and ``sigma_max``
+    are σ_d(C) and σ_1(C), d the dimension of E^{min(j+1,a)} (σ_d is 0 when
+    C has fewer than d rows and cannot span it).
+    """
+
+    residual: float
+    sigma_rank: float
+    sigma_max: float
+
+
+def _power_steps(powers: tuple[MatSubspace, ...]) -> tuple[PowerStep, ...]:
+    """The step certificates of the chain ``powers``, with ``powers[0]`` as E
+    and the last member's step its closure E^a·E ⊆ E^a."""
+    if not powers:
+        return ()
+    n = powers[0].ambient
+    steps = []
+    for j, P in enumerate(powers, start=1):
+        target = powers[min(j, len(powers) - 1)].vecs()
+        prods = np.matmul(P.basis[:, None], powers[0].basis[None]).reshape(-1, n * n)
+        coeffs = prods @ np.conj(target).T
+        resid = np.linalg.norm(prods - coeffs @ target, axis=1)
+        norms = np.linalg.norm(prods, axis=1)
+        # a zero product has a zero residual, which passes the rule
+        # resid <= tol_rank * norm; 0/0 is read as 0
+        ratios = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
+        sig = np.linalg.svd(coeffs, compute_uv=False)
+        d = target.shape[0]
+        steps.append(
+            PowerStep(
+                residual=float(ratios.max(initial=0.0)),
+                sigma_rank=float(sig[d - 1]) if sig.size >= d else 0.0,
+                sigma_max=float(sig[0]) if sig.size else 0.0,
+            )
+        )
+    return tuple(steps)
+
+
+@dataclass(frozen=True)
 class CStarAlgebra:
     """Unital *-subalgebra of ``M_n``.
 
@@ -77,9 +125,13 @@ class CStarAlgebra:
     certifies it.  ``powers`` is the power-span chain ``E, E^2, ..., E^k``
     of the system that generated it, where ``E^k`` is the first power equal
     to the next one, so ``powers[-1]`` is ``space``.  The chain is built by
-    :func:`generated_cstar`, or for a tensor product verified against the
+    :func:`generated_cstar`, or for a tensor product derived from the
     factor chains.  An algebra built directly from a basis, such as a block
     algebra, has no powers.
+
+    :attr:`power_steps` certifies the chain step by step, computed on first
+    use from this instance's own ``powers`` and kept with it: a copy made by
+    ``dataclasses.replace`` starts without it and computes its own.
     """
 
     space: MatSubspace
@@ -92,6 +144,12 @@ class CStarAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def power_steps(self) -> tuple[PowerStep, ...]:
+        """One :class:`PowerStep` per member of ``powers``; the tensor
+        product's chain certificate is derived from its factors'."""
+        return _power_steps(self.powers)
 
 
 def opsys_from_generators(
@@ -159,7 +217,8 @@ def generated_cstar(E: OperatorSystem, tol: Tolerances = DEFAULT_TOL) -> CStarAl
     decisions, certified downstream by the decomposition's block pattern.
     This builds the chain of a single system.  A tensor product's chain is
     not rebuilt here: the pair pipeline reads it off the factor chains as
-    E^k ⊗ F^k and certifies it on concrete products
+    E^k ⊗ F^k and certifies it from the factor algebras' step certificates
+    (:attr:`CStarAlgebra.power_steps`) with one concrete probe per step
     (:mod:`cstarenv.tensor`), and this function is the test oracle for it.
     """
     powers = [E.space]

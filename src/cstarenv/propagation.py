@@ -117,11 +117,14 @@ def verify_power_compatibility(
     stabilization.  The product's chain is the one ``fac`` verified, whose
     members are those tensors: row ``n`` reads its certificate, the
     residuals and margins of the first ``min(n - 1, K)`` induction steps,
-    and forms no subspace.  What stays independent of the factor chains is
-    the certificate itself: the products are concrete products in the
-    tensor system, and their membership in each member and their spanning
-    of it are checked.  Pair pipelines pass one past the larger factor
-    propagation number, so the interesting range is always covered.
+    and forms no subspace.  That certificate is derived from the factor
+    algebras' step certificates, read off concrete products of each factor
+    chain's members with its system, and each residual is at least that of
+    one concrete product in the tensor system, a generic element of the
+    member times one of the system (see
+    :func:`cstarenv.tensor._verified_power_chain`).  Pair pipelines pass one
+    past the larger factor propagation number, so the interesting range is
+    always covered.
     """
     if n_max < 1:
         raise InputError(f"power cap must be at least 1, got {n_max}")

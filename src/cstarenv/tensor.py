@@ -9,25 +9,37 @@ constraint data runs no Gram–Schmidt.  The block decomposition of the
 generated algebra then factors: blocks are indexed by pairs of factor
 blocks, with dimensions and multiplicities multiplying.
 :func:`product_blocks` builds that pair-indexed decomposition directly from
-the factor decompositions and certifies it by the block pattern alone: u is
+the factor decompositions, and its block pattern is the certificate: u is
 unitary, ``u x u*`` is ⊕ 1_{m_k} ⊗ ρ_k(x) on the product basis, and
 Σ d_k² is the algebra dimension.  The pattern puts the conjugated algebra
 inside ⊕ M_{d_k} and the count makes it all of it, so multiplicativity and
 spanning follow: x ↦ ⊕ ρ_k(x) is a *-isomorphism onto ⊕ M_{d_k}, the ρ_k
 are pairwise inequivalent irreducibles, the pattern fixes their
 multiplicities, and any other decomposition finds the same blocks in
-another order.
+another order.  The pattern's residuals are bounded from the factors':
+u is ``u_A ⊗ u_B`` up to an exact row permutation and the irreps are
+Kronecker products, so no product-size matrix is conjugated.
 
 The product's power chain is not rebuilt: (E ⊗ F)^k = E^k ⊗ F^k, so its
 members are G_k = E^{min(k,a)} ⊗ F^{min(k,b)}, k = 1..K = max(a, b), read
 off the chains E^1..E^a and F^1..F^b the factor algebras keep, and
-:func:`_verified_power_chain` certifies them by induction on concrete
-products in the tensor system S.  G_1 is S itself.  For each k the products
-G_k·S lie in G_{min(k+1,K)} (a projection residual; at k = K that is
-closure), and for k < K they span G_{k+1} together with G_k (the least
-singular value of their coefficients, kept as a margin).  Then
-span(G_k·S) = G_{k+1}, so G_k is the k-th power of S and G_K the algebra it
-generates; no Gram–Schmidt runs on the product.
+:func:`_verified_power_chain` certifies them by induction from the factors'
+step certificates.  G_1 is the tensor system S itself.  Step j of a factor
+chain is read off the coefficients C_E(j) of the products E^j·E on
+E^{min(j+1,a)}: their largest relative projection residual r_E(j), σ_rank
+and σ_1 (:attr:`cstarenv.opsys.CStarAlgebra.power_steps`, computed once per
+factor algebra).  G_k's basis is the exact Kronecker basis, so the products
+G_k·S are the tensors of the factor products and their coefficients on
+G_{min(k+1,K)} are C_E ⊗ C_F: step k's residual is at most
+r_E + r_F + r_E·r_F, and for k < K, as 1 ∈ S and singular values multiply,
+its spanning margin is σ_rk(C_E)σ_rk(C_F) / (σ_1(C_E)σ_1(C_F)).  One
+concrete probe per step checks the tensor system itself: g·s for a fixed
+generic g ∈ G_k and s ∈ S, projected onto G_{min(k+1,K)}; the step keeps
+the larger of the derived bound and the probe's residual.  Residuals at
+most ``tol_rank`` and margins above it give span(G_k·S) = G_{k+1} (at
+k = K, closure), so G_k is the k-th power of S and G_K the algebra it
+generates; no Gram–Schmidt runs on the product and no product of its basis
+elements is formed.
 
 The product's envelope needs no search.  The paper identifies the Šilov
 ideal of E ⊗min F as the kernel K of q_E ⊗ q_F, and the factors'
@@ -53,7 +65,7 @@ from .linalg import DEFAULT_TOL, MatSubspace, Tolerances, subspace_equal
 from .opsys import CStarAlgebra, OperatorSystem
 from .ucp import FeasibilityResult
 from .wedderburn import BlockIdeal, WedderburnData
-from .wedderburn import _VALIDATION_TOL, _validate_decomposition
+from .wedderburn import _VALIDATION_TOL, _certified
 
 __all__ = [
     "TensorSystem",
@@ -141,23 +153,22 @@ def _pair_permutation(W_A: WedderburnData, W_B: WedderburnData, order) -> np.nda
     In the tensored conjugated picture the copies of the pair ``(i, j)`` are
     scattered; this returns ``perm`` with ``perm[target] = source`` so that
     indexing rows by it groups each pair's ``m_i * m_j`` copies contiguously
-    in the order the pairs appear in ``order``.
+    in the order the pairs appear in ``order``.  Row k of A's copy p of
+    block i is ``offs_A[i-1] + p*d_i + k``, so the pair's rows are the
+    broadcast sum of ``alpha·n_B`` on the axes (p, ·, k, ·) and ``beta`` on
+    the axes (·, q, ·, l).
     """
     n_B = W_B.ambient
-    offs_A = W_A.block_offsets()
-    offs_B = W_B.block_offsets()
-    perm = []
-    for i, j in order:
-        d_i, m_i = W_A.blocks[i - 1]
-        d_j, m_j = W_B.blocks[j - 1]
-        for p in range(m_i):
-            for q in range(m_j):
-                for k in range(d_i):
-                    for l in range(d_j):
-                        alpha = offs_A[i - 1] + p * d_i + k
-                        beta = offs_B[j - 1] + q * d_j + l
-                        perm.append(alpha * n_B + beta)
-    return np.asarray(perm, dtype=int)
+    offs_A, offs_B = W_A.block_offsets(), W_B.block_offsets()
+    alpha = [
+        (np.arange(offs_A[i], offs_A[i + 1]) * n_B).reshape(m, 1, d, 1)
+        for i, (d, m) in enumerate(W_A.blocks)
+    ]
+    beta = [
+        np.arange(offs_B[j], offs_B[j + 1]).reshape(1, m, 1, d)
+        for j, (d, m) in enumerate(W_B.blocks)
+    ]
+    return np.concatenate([(alpha[i - 1] + beta[j - 1]).ravel() for i, j in order])
 
 
 def product_blocks(
@@ -171,11 +182,21 @@ def product_blocks(
     factor unitaries followed by the copy-gathering permutation, and the
     irreducible representations are the tensors of the factor ones.  The
     block pattern is the certificate: u unitary, u x u* = ⊕ 1_{m_k} ⊗ ρ_k(x)
-    on the product basis, and Σ d_k² = dim A.  No product of basis elements
-    is formed; the pattern and the count make x ↦ ⊕ ρ_k(x) a *-isomorphism
-    onto ⊕ M_{d_k}, so the ρ_k are multiplicative and onto, and the pairs
-    are exactly the product's irreducible blocks, with the multiplicities
-    the pattern fixes.  A failed check raises :class:`StructuralError`.
+    on the product basis, and Σ d_k² = dim A; the pattern and the count make
+    x ↦ ⊕ ρ_k(x) a *-isomorphism onto ⊕ M_{d_k}, so the ρ_k are
+    multiplicative and onto, and the pairs are exactly the product's
+    irreducible blocks, with the multiplicities the pattern fixes.
+
+    The pattern's residuals (δ, η) are bounded from the factors'
+    (:attr:`WedderburnData.pattern_residuals`), with no product of basis
+    elements and no product-size conjugation.  The permutation is exact and
+    the counts multiply.  With uu* = 1 + D factor by factor,
+    (1 + D_A) ⊗ (1 + D_B) − 1 gives δ ≤ δ_A(√n_B + δ_B) + √n_A·δ_B; on the
+    product basis a ⊗ b, u_A a u_A* ⊗ u_B b u_B* − P_A(a) ⊗ P_B(b) splits
+    into R_A ⊗ u_B b u_B* + P_A(a) ⊗ R_B, ‖R‖ ≤ η, ‖u b u*‖ ≤ 1 + δ and
+    ‖P(a)‖ ≤ 1 + δ + η, so η ≤ η_A(1 + δ_B + η_B) + (1 + δ_A + η_A)·η_B
+    (Hilbert–Schmidt norms, n the ambients).  A bound past the acceptance
+    tolerance raises :class:`StructuralError`.
     """
     space = subspace_kron(W_A.algebra.space, W_B.algebra.space)
     algebra = CStarAlgebra(space=space)
@@ -195,22 +216,21 @@ def product_blocks(
         blocks.append((d_i * d_j, m_i * m_j))
         rep = np.einsum("aij,bkl->abikjl", W_A.irreps[i - 1], W_B.irreps[j - 1])
         irreps.append(rep.reshape(space.dim, d_i * d_j, d_i * d_j))
-    perm = _pair_permutation(W_A, W_B, order)
-    u = np.kron(W_A.u, W_B.u)[perm, :]
+    u = np.kron(W_A.u, W_B.u)[_pair_permutation(W_A, W_B, order), :]
 
-    resid = _validate_decomposition(
-        algebra, u, blocks, irreps, sum(m * m for _, m in blocks)
-    )
-    if resid > _VALIDATION_TOL * max(1.0, float(algebra.ambient)):
+    (delta_A, eta_A), (delta_B, eta_B) = W_A.pattern_residuals, W_B.pattern_residuals
+    delta = delta_A * (np.sqrt(W_B.ambient) + delta_B) + np.sqrt(W_A.ambient) * delta_B
+    eta = eta_A * (1.0 + delta_B + eta_B) + (1.0 + delta_A + eta_A) * eta_B
+    resid = delta + eta
+    if not resid <= _VALIDATION_TOL * max(1.0, float(algebra.ambient)):
         raise StructuralError(
             f"pair decomposition failed structural validation (residual {resid:.3e})"
         )
+    W = WedderburnData(algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps))
     return ProductBlocks(
         left=W_A,
         right=W_B,
-        wedderburn=WedderburnData(
-            algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps)
-        ),
+        wedderburn=_certified(W, (float(delta), float(eta))),
         pairs=tuple(order),
     )
 
@@ -308,47 +328,59 @@ def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
     return powers
 
 
+def _generic(space: MatSubspace, step: float) -> np.ndarray:
+    """A fixed generic element of ``space``: its coefficients are two Weyl
+    sequences of irrational steps, centered, as the real and imaginary parts
+    (no random number generator)."""
+    t = np.arange(1, space.dim + 1)
+    c = (t * step) % 1.0 - 0.5 + 1j * ((t * np.sqrt(2.0)) % 1.0 - 0.5)
+    return (c @ space.vecs()).reshape(space.ambient, space.ambient)
+
+
+def _probe_residual(x: np.ndarray, target: MatSubspace) -> float:
+    """Projection residual of ``x`` off ``target``, relative to its norm."""
+    x = x.ravel()
+    vecs = target.vecs()
+    norm = float(np.linalg.norm(x))
+    resid = float(np.linalg.norm(x - np.conj(vecs @ np.conj(x)) @ vecs))
+    return resid / norm if norm > 0 else 0.0
+
+
 def _verified_power_chain(
     S: MatSubspace,
-    left: tuple[MatSubspace, ...],
-    right: tuple[MatSubspace, ...],
+    left: CStarAlgebra,
+    right: CStarAlgebra,
 ) -> tuple[tuple[MatSubspace, ...], tuple[float, ...], tuple[float, ...]]:
     """The power chain of the tensor system ``S`` with its certificate.
 
-    ``left`` and ``right`` are the factor chains E^1..E^a and F^1..F^b.
-    Returns the members G_1 = S, G_k = E^{min(k,a)} ⊗ F^{min(k,b)} for
-    k = 2..K = max(a, b); ``residuals[k-1]``, the largest projection
-    residual of a product G_k·S off G_{min(k+1,K)} relative to its norm;
-    and ``margins[k-1]`` for k < K, σ_min/σ_max of the coefficients of G_k's
-    basis and those products on G_{k+1}.  The products are formed in
-    :func:`cstarenv.opsys.product_span`'s order.  Residuals at most
-    ``tol_rank`` and margins above it certify G_k = S^k for every k and
-    G_K·S ⊆ G_K (see the module docstring); the caller decides.
+    ``left`` and ``right`` are the factor algebras, keeping the chains
+    E^1..E^a and F^1..F^b.  Returns the members G_1 = S,
+    G_k = E^{min(k,a)} ⊗ F^{min(k,b)} for k = 2..K = max(a, b);
+    ``residuals[k-1]``, the larger of the bound r_E + r_F + r_E·r_F derived
+    from the factors' step certificates and the relative residual of the
+    concrete probe g·s off G_{min(k+1,K)}; and ``margins[k-1]`` for k < K,
+    σ_rk(C_E)σ_rk(C_F) / (σ_1(C_E)σ_1(C_F)), the least relative singular
+    value of the products' coefficients on G_{k+1} (see the module
+    docstring).  Residuals at most ``tol_rank`` and margins above it certify
+    G_k = S^k for every k and G_K·S ⊆ G_K; the caller decides.
     """
-    n = S.ambient
-    K = max(len(left), len(right))
+    a, b = len(left.powers), len(right.powers)
+    K = max(a, b)
     chain = [S] + [
-        subspace_kron(left[min(k, len(left)) - 1], right[min(k, len(right)) - 1])
+        subspace_kron(left.powers[min(k, a) - 1], right.powers[min(k, b) - 1])
         for k in range(2, K + 1)
     ]
     residuals = []
     margins = []
+    s = _generic(S, 0.7548776662466927)
     for k, G in enumerate(chain, start=1):
-        target = chain[min(k, K - 1)].vecs()
-        prods = np.matmul(G.basis[:, None], S.basis[None]).reshape(-1, n * n)
-        coeffs = prods @ np.conj(target).T
-        resid = np.linalg.norm(prods - coeffs @ target, axis=1)
-        norms = np.linalg.norm(prods, axis=1)
-        # a zero product has a zero residual, which passes the rule
-        # resid <= tol_rank * norm; 0/0 is read as 0
-        ratios = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
-        residuals.append(float(ratios.max(initial=0.0)))
+        e, f = left.power_steps[min(k, a) - 1], right.power_steps[min(k, b) - 1]
+        derived = e.residual + f.residual + e.residual * f.residual
+        probe = _probe_residual(_generic(G, 0.6180339887498949) @ s, chain[min(k, K - 1)])
+        residuals.append(max(derived, probe))
         if k < K:
-            stacked = np.concatenate([G.vecs() @ np.conj(target).T, coeffs])
-            sig = np.linalg.svd(stacked, compute_uv=False)
-            # fewer rows than G_{k+1}'s dimension cannot span it
-            d = target.shape[0]
-            margins.append(float(sig[d - 1] / sig[0]) if sig.size >= d else 0.0)
+            top = e.sigma_max * f.sigma_max
+            margins.append(e.sigma_rank * f.sigma_rank / top if top > 0 else 0.0)
     return tuple(chain), tuple(residuals), tuple(margins)
 
 
@@ -371,8 +403,9 @@ class TensorFactorizationReport:
     """Outcome of checking that the minimal quotient factors over a tensor.
 
     ``power_residuals`` and ``power_margins`` certify the product's power
-    chain, ``product_envelope.algebra.powers`` (see
-    :func:`_verified_power_chain`).
+    chain, ``product_envelope.algebra.powers``: bounds derived from the
+    factor algebras' step certificates, each residual no smaller than its
+    step's concrete probe (see :func:`_verified_power_chain`).
     """
 
     left_killed: frozenset[int]
@@ -424,12 +457,14 @@ def verify_envelope_tensor_factorization(
     naming the ideal or the pair block, so ``subspace_contained``,
     ``killed_match`` and ``dims_match`` read true by construction.
 
-    The product's generated algebra comes with its power chain, verified
-    against the tensors of the factor chains (see the module docstring).
+    The product's generated algebra comes with its power chain, the tensors
+    of the factor chains, certified from the factors' step certificates and
+    one concrete probe per step (see the module docstring).
     ``algebra_factors`` is that chain's verdict together with each factor
-    chain ending at its factor algebra, so the product algebra is the tensor
-    of the factor algebras; a failure raises :class:`VerificationError`, and
-    a factor algebra that keeps no power chain :class:`StructuralError`.
+    chain starting at its system and ending at its factor algebra, so the
+    product algebra is the tensor of the factor algebras; a failure raises
+    :class:`VerificationError`, and a factor algebra that keeps no power
+    chain :class:`StructuralError`.
     """
     n = env_E.system.ambient * env_F.system.ambient
     if n > max_ambient_product:
@@ -439,10 +474,13 @@ def verify_envelope_tensor_factorization(
     T = min_tensor(env_E.system, env_F.system, tol)
 
     left, right = _powers(env_E), _powers(env_F)
-    chain, residuals, margins = _verified_power_chain(T.product.space, left, right)
+    chain, residuals, margins = _verified_power_chain(
+        T.product.space, env_E.algebra, env_F.algebra
+    )
     algebra_factors = _chain_certifies(residuals, margins, len(chain), tol) and all(
-        powers[-1] is env.algebra.space or subspace_equal(powers[-1], env.algebra.space, tol)
+        a is b or subspace_equal(a, b, tol)
         for powers, env in ((left, env_E), (right, env_F))
+        for a, b in ((powers[0], env.system.space), (powers[-1], env.algebra.space))
     )
     if not algebra_factors:
         raise VerificationError(

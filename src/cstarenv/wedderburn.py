@@ -26,7 +26,9 @@ Block labels are 1-based throughout, matching the reports.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,7 +111,8 @@ class WedderburnData:
     ``irreps[i-1]`` stacks the irreducible representation's values on the
     algebra basis, shape ``(algebra.dim, d_i, d_i)``; validation ties them
     to ``u``.  :meth:`irrep_apply` evaluates π_i(x) = v x v* from ``u``
-    directly, for ``x`` in the algebra.
+    directly, for ``x`` in the algebra.  :attr:`pattern_residuals` is the
+    pattern's certificate (δ, η) (see :func:`_pattern_residuals`).
     """
 
     algebra: CStarAlgebra
@@ -140,6 +143,20 @@ class WedderburnData:
         s = self.block_offsets()[label - 1]
         v = self.u[s : s + self.blocks[label - 1][0]]
         return v @ x @ dagger(v)
+
+    @cached_property
+    def pattern_residuals(self) -> tuple[float, float]:
+        """(δ, η) of the block pattern: unitarity and pattern residuals.
+
+        :func:`wedderburn_decompose` and the pair decomposition
+        (:func:`cstarenv.tensor.product_blocks`) attach the values they
+        certified; any other instance, a ``dataclasses.replace`` copy
+        included, computes them on first use from its own ``u`` and
+        ``irreps``, so a tampered copy never carries the original's.
+        """
+        return _pattern_residuals(
+            self.algebra, self.u, self.blocks, self.irreps, sum(m * m for _, m in self.blocks)
+        )
 
     def block_offsets(self) -> list[int]:
         """Start offset of each block's isotypic component in the conjugated picture."""
@@ -221,20 +238,20 @@ def _split_component(
     return d, m, copies
 
 
-def _validate_decomposition(
+def _pattern_residuals(
     algebra: CStarAlgebra,
     u: np.ndarray,
-    blocks: list[tuple[int, int]],
-    irreps: list[np.ndarray],
+    blocks: Sequence[tuple[int, int]],
+    irreps: Sequence[np.ndarray],
     comm_dim: int,
-) -> float:
-    """Residual δ + η of the block pattern, the decomposition's one
-    structural certificate; ``inf`` when a dimension count fails.
+) -> tuple[float, float]:
+    """(δ, η) of the block pattern, the decomposition's one structural
+    certificate; η is ``inf`` when a dimension count fails.
 
     δ = ‖uu* − 1‖ + ‖u*u − 1‖; η is the largest ‖u a u* − P(a)‖ over the
     orthonormal basis a of A, P(a) = ⊕ 1_{m_k} ⊗ ρ_k(a) read from ``irreps``
-    (Hilbert–Schmidt norms).  ``comm_dim`` is Σ m_k²; the pair decomposition
-    of a tensor product passes its own, and the pattern's copies fix m_k.
+    (Hilbert–Schmidt norms).  ``comm_dim`` is Σ m_k², and the pattern's
+    copies fix m_k.  Acceptance asks δ + η ≤ 1e-8·n (``_VALIDATION_TOL``).
 
     For unitary u, x ↦ u x u* is an isometric *-automorphism mapping A into
     B = ⊕ 1_{m_k} ⊗ M_{d_k}, and dim A = Σ d_k² = dim B, so onto B: A is a
@@ -247,13 +264,13 @@ def _validate_decomposition(
     singular values ≥ 0.97/√m_k on A.
     """
     n = algebra.ambient
-    resid = hs_norm(u @ dagger(u) - np.eye(n)) + hs_norm(dagger(u) @ u - np.eye(n))
-    if sum(d * d for d, _ in blocks) != algebra.dim:
-        return np.inf
-    if sum(m * m for _, m in blocks) != comm_dim:
-        return np.inf
-    if sum(d * m for d, m in blocks) != n:
-        return np.inf
+    delta = hs_norm(u @ dagger(u) - np.eye(n)) + hs_norm(dagger(u) @ u - np.eye(n))
+    if (
+        sum(d * d for d, _ in blocks) != algebra.dim
+        or sum(m * m for _, m in blocks) != comm_dim
+        or sum(d * m for d, m in blocks) != n
+    ):
+        return delta, np.inf
     basis = algebra.space.basis
     conjugated = np.einsum("ip,kpq,jq->kij", u, basis, np.conj(u))
     expected = np.zeros_like(conjugated)
@@ -262,7 +279,14 @@ def _validate_decomposition(
         for _ in range(m):
             expected[:, off : off + d, off : off + d] = rep
             off += d
-    return resid + float(np.max(np.linalg.norm((conjugated - expected).reshape(len(basis), -1), axis=1)))
+    return delta, float(np.max(np.linalg.norm((conjugated - expected).reshape(len(basis), -1), axis=1)))
+
+
+def _certified(W: WedderburnData, residuals: tuple[float, float]) -> WedderburnData:
+    """``W`` with the pattern residuals its builder certified attached, so
+    :attr:`WedderburnData.pattern_residuals` does not recompute them."""
+    W.__dict__["pattern_residuals"] = residuals
+    return W
 
 
 def wedderburn_decompose(
@@ -288,12 +312,13 @@ def wedderburn_decompose(
     if algebra.dim == n * n:
         blocks, irreps = [(n, 1)], [algebra.space.basis]
         u = np.eye(n, dtype=np.complex128)
-        resid = _validate_decomposition(algebra, u, blocks, irreps, 1)
-        if resid > _VALIDATION_TOL * max(1.0, float(n)):
+        residuals = _pattern_residuals(algebra, u, blocks, irreps, 1)
+        if sum(residuals) > _VALIDATION_TOL * max(1.0, float(n)):
             raise DecompositionError(
-                f"full matrix algebra failed validation (residual {resid:.3e})"
+                f"full matrix algebra failed validation (residual {sum(residuals):.3e})"
             )
-        return WedderburnData(algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps))
+        W = WedderburnData(algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps))
+        return _certified(W, residuals)
     comm = commutant(algebra.powers[0] if algebra.powers else algebra.space, tol)
     center = subspace_intersection(algebra.space, comm)
     num_blocks = center.dim
@@ -333,15 +358,11 @@ def wedderburn_decompose(
         irreps = [item[5] for item in decorated]
         cols = [copy for item in decorated for copy in item[4]]
         u = dagger(np.concatenate(cols, axis=1))
-        resid = _validate_decomposition(algebra, u, blocks, irreps, comm.dim)
-        if resid <= _VALIDATION_TOL * max(1.0, float(n)):
-            return WedderburnData(
-                algebra=algebra,
-                u=u,
-                blocks=tuple(blocks),
-                irreps=tuple(irreps),
-            )
-        failures.append(f"attempt {attempt}: validation residual {resid:.3e}")
+        residuals = _pattern_residuals(algebra, u, blocks, irreps, comm.dim)
+        if sum(residuals) <= _VALIDATION_TOL * max(1.0, float(n)):
+            W = WedderburnData(algebra=algebra, u=u, blocks=tuple(blocks), irreps=tuple(irreps))
+            return _certified(W, residuals)
+        failures.append(f"attempt {attempt}: validation residual {sum(residuals):.3e}")
     raise DecompositionError(
         "block decomposition failed after "
         f"{_MAX_ATTEMPTS} attempts: {'; '.join(failures)}"

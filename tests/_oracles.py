@@ -12,9 +12,11 @@ before structure or the lattice gave their answers
 (:func:`gram_schmidt_system_space`, :func:`gram_schmidt_chain`,
 :func:`enumerate_ideals`, :func:`is_irreducible`, the null space of the
 tensored quotient through :class:`LinearMap`, :func:`tensor_map`,
-:func:`as_linear_map` and :func:`ideal_subspace`, and the product's searched
-envelope :func:`searched_product_envelope`) are kept as the references for
-what replaced them.  :func:`compression` and :func:`seeded_unitary` build
+:func:`as_linear_map` and :func:`ideal_subspace`, the product's searched
+envelope :func:`searched_product_envelope`, the product's concrete power
+chain :func:`concrete_power_chain`, and the loops
+:func:`pair_permutation_loop` and :func:`envelope_algebra_loop`) are kept as
+the references for what replaced them.  :func:`compression` and :func:`seeded_unitary` build
 inputs whose answer is known by construction.
 """
 from __future__ import annotations
@@ -194,6 +196,14 @@ def pattern_radius(W) -> float:
     s + 1.01·3.2r + 1.01δ + 2.02s ≤ 6.3r, and ρ_k reads one block copy of
     it.  Finally 1_{m_k} ⊗ Y = Tx with ‖x‖ ≤ √m_k‖Y‖/(1 − 3r).
     """
+    delta, eta = pattern_residuals(W)
+    return delta + np.sqrt(len(W.algebra.space.basis)) * eta
+
+
+def pattern_residuals(W) -> tuple[float, float]:
+    """(δ, η) of a decomposition's block pattern, recomputed from its raw
+    arrays (see :func:`pattern_radius`): the product-size check the pair
+    decomposition once ran, kept as the reference for its derived bound."""
     u = np.asarray(W.u, dtype=complex)
     basis = np.asarray(W.algebra.space.basis, dtype=complex)
     n = u.shape[0]
@@ -208,7 +218,7 @@ def pattern_radius(W) -> float:
                 expected[pos : pos + d, pos : pos + d] = rep[k]
                 pos += d
         eta = max(eta, float(np.linalg.norm(u @ a @ u.conj().T - expected)))
-    return float(delta) + np.sqrt(len(basis)) * eta
+    return float(delta), eta
 
 
 def closure_residual(basis) -> float:
@@ -861,6 +871,74 @@ def searched_product_envelope(fac, tol=DEFAULT_TOL):
         algebra=fac.product_envelope.algebra,
         wedderburn=fac.blocks.wedderburn,
     )
+
+
+def concrete_power_chain(S, left, right):
+    """The tensor system's power chain certified on concrete products, as
+    the factorization check once computed it: ``left`` and ``right`` are the
+    factor chains E^1..E^a and F^1..F^b, and the result is the members
+    G_1 = S, G_k = E^{min(k,a)} ⊗ F^{min(k,b)}, ``residuals[k-1]``, the
+    largest projection residual of a product of G_k's and S's basis elements
+    off G_{min(k+1,K)} relative to its norm, and ``margins[k-1]`` for k < K,
+    σ_min/σ_max of the coefficients of G_k's basis and those products on
+    G_{k+1}."""
+    n = S.ambient
+    K = max(len(left), len(right))
+    chain = [S] + [
+        subspace_kron(left[min(k, len(left)) - 1], right[min(k, len(right)) - 1])
+        for k in range(2, K + 1)
+    ]
+    residuals, margins = [], []
+    for k, G in enumerate(chain, start=1):
+        target = chain[min(k, K - 1)].vecs()
+        prods = np.matmul(G.basis[:, None], S.basis[None]).reshape(-1, n * n)
+        coeffs = prods @ np.conj(target).T
+        resid = np.linalg.norm(prods - coeffs @ target, axis=1)
+        norms = np.linalg.norm(prods, axis=1)
+        ratios = np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
+        residuals.append(float(ratios.max(initial=0.0)))
+        if k < K:
+            stacked = np.concatenate([G.vecs() @ np.conj(target).T, coeffs])
+            sig = np.linalg.svd(stacked, compute_uv=False)
+            d = target.shape[0]
+            margins.append(float(sig[d - 1] / sig[0]) if sig.size >= d else 0.0)
+    return tuple(chain), tuple(residuals), tuple(margins)
+
+
+def pair_permutation_loop(W_A, W_B, order) -> np.ndarray:
+    """The pair decomposition's row permutation by its four nested loops
+    over (pair, copy p, copy q, row k, row l), as it was first written."""
+    n_B = W_B.ambient
+    offs_A = W_A.block_offsets()
+    offs_B = W_B.block_offsets()
+    perm = []
+    for i, j in order:
+        d_i, m_i = W_A.blocks[i - 1]
+        d_j, m_j = W_B.blocks[j - 1]
+        for p in range(m_i):
+            for q in range(m_j):
+                for k in range(d_i):
+                    for l in range(d_j):
+                        alpha = offs_A[i - 1] + p * d_i + k
+                        beta = offs_B[j - 1] + q * d_j + l
+                        perm.append(alpha * n_B + beta)
+    return np.asarray(perm, dtype=int)
+
+
+def envelope_algebra_loop(W, killed) -> np.ndarray:
+    """The envelope's block-diagonal matrix units, one ``np.zeros`` per unit,
+    as the envelope algebra's basis was first built."""
+    dims = [W.blocks[j - 1][0] for j in W.labels if j not in killed]
+    t = sum(dims)
+    mats = []
+    off = 0
+    for d in dims:
+        for unit in matrix_units(d):
+            big = np.zeros((t, t), dtype=complex)
+            big[off : off + d, off : off + d] = unit
+            mats.append(big)
+        off += d
+    return np.stack(mats)
 
 
 def compression(seed, d_a, k, d_b):

@@ -1,5 +1,6 @@
 """The verdicts of ``tools/alternate_bench.py`` on fixed numbers."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,32 @@ def test_ties_count_for_neither_side():
     assert alternate_bench.verdicts(WALL, PARENT, change) == ("ok", "gain")
     change = scaled(PARENT[:8], 0.8) + PARENT[8:]
     assert alternate_bench.verdicts(WALL, PARENT, change) == ("ok", "no gain")
+
+
+def test_each_run_logs_its_sweep_count(tmp_path, monkeypatch, capsys):
+    # the sweep count is read back from the record each run leaves in its
+    # checkout and emitted beside the metrics, in run order
+    metrics = [WALL]
+    checkouts = {}
+    for side in ("parent", "change"):
+        checkouts[side] = tmp_path / side
+        (checkouts[side] / "perfbench" / "results").mkdir(parents=True)
+        (checkouts[side] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    counts = iter([810, 950, 960, 820])
+
+    def fake_run(checkout, workload, seed, seconds):
+        record = {"sweeps": next(counts)}
+        path = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+        path.write_text(json.dumps(record))
+        wall = 0.1 if checkout == checkouts["parent"] else 0.08
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+
+    monkeypatch.setattr(alternate_bench, "run_once", fake_run)
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"])]
+    assert alternate_bench.main(argv + ["--workload", "pairs", "--seed", "3", "--pairs", "2"]) == 0
+    block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # odd pairs run the parent first, even pairs the change first
+    assert block["parent"] == {"wall_s": [0.1, 0.1], "sweeps": [810, 820]}
+    assert block["change"] == {"wall_s": [0.08, 0.08], "sweeps": [950, 960]}
+    assert block["claim_wall_s"] == "gain"
+    assert alternate_bench.sweep_count(checkouts["change"], "pairs", 3) == 960

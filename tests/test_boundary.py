@@ -41,6 +41,7 @@ from cstarenv.wedderburn import (
 from _oracles import (
     build_left_inverse_spectrahedron,
     compression,
+    envelope_algebra_loop,
     enumerate_ideals,
     seeded_unitary,
 )
@@ -973,3 +974,24 @@ def test_envelope_algebra_is_the_span_of_its_matrix_units(wedderburn, seven_bloc
         space = _envelope_algebra(W, killed).space
         assert np.array_equal(space.basis, span_of(list(space.basis), space.ambient).basis)
         assert space.dim == sum(W.blocks[j - 1][0] ** 2 for j in W.labels if j not in killed)
+
+
+def test_envelope_algebra_matches_the_per_unit_loop(bench_blocks, pair_analyses):
+    # one index assignment places the matrix units the per-unit loop placed,
+    # bit for bit: on the seven-block systems of the benchmark's blocks
+    # workload, over ideals of every size, and on a pair's envelope
+    patterns = []
+    for name, E in bench_blocks:
+        W = wedderburn_decompose(generated_cstar(E))
+        assert W.num_blocks == 7, name
+        patterns += [(W, frozenset(range(2, j))) for j in range(2, 9)]
+        patterns.append((W, frozenset({1, 4, 6})))
+    for W, killed in patterns:
+        basis = _envelope_algebra(W, killed).space.basis
+        want = envelope_algebra_loop(W, killed)
+        assert basis.dtype == want.dtype and np.array_equal(basis, want), sorted(killed)
+    fac = pair_analyses("state_sum", "state_sum").factorization
+    env = fac.product_envelope
+    want = envelope_algebra_loop(fac.blocks.wedderburn, env.ideal.killed)
+    assert env.envelope.space.basis.dtype == want.dtype
+    assert np.array_equal(env.envelope.space.basis, want)

@@ -157,6 +157,7 @@ def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
     analyses, config, monkeypatch
 ):
     calls = {"min_tensor": 0, "product_span": 0, "chain": 0}
+    step_ambients = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,8 +166,13 @@ def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
 
         return wrapper
 
+    def steps(powers, _real=opsys._power_steps):
+        step_ambients.append(powers[0].ambient)
+        return _real(powers)
+
     monkeypatch.setattr(tensor, "min_tensor", counted("min_tensor", tensor.min_tensor))
     monkeypatch.setattr(opsys, "product_span", counted("product_span", opsys.product_span))
+    monkeypatch.setattr(opsys, "_power_steps", steps)
     monkeypatch.setattr(
         tensor, "_verified_power_chain", counted("chain", tensor._verified_power_chain)
     )
@@ -187,15 +193,23 @@ def test_pair_checks_build_the_tensor_once_and_read_the_power_chains(
     monkeypatch.setattr(
         propagation, "propagation_number", reading(propagation.propagation_number)
     )
-    pa = analyze_pair(analyses("state_sum"), analyses("jordan_M2"), config)
+    left, right = analyses("state_sum"), analyses("jordan_M2")
+    pa = analyze_pair(left, right, config)
     assert pa.verified and pa.power.n_max == 3
     assert calls["min_tensor"] == 1
-    # the product's power chain is verified once against the tensors of the
-    # factor chains, with no power span rebuilt; the power check and the
-    # product's propagation number only read it
+    # the product's power chain is certified once from the factor algebras'
+    # step certificates, with no power span rebuilt and no product-size
+    # step certificate; the power check and the product's propagation
+    # number only read it
     assert calls["product_span"] == 0
     assert calls["chain"] == 1
     assert in_readers == [0, 0]
+    assert set(step_ambients) <= {3, 2}
+    # each factor algebra keeps its step certificate: a second pair over
+    # the same factors computes none
+    before = len(step_ambients)
+    assert analyze_pair(right, left, config).verified
+    assert len(step_ambients) == before and calls["product_span"] == 0
 
 
 def test_propagation_max_on_equal_factors(pair_analyses):

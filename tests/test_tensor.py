@@ -20,9 +20,10 @@ from cstarenv.linalg import (
     subspace_equal,
 )
 from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
-from cstarenv.specio import opsys_of
+from cstarenv.specio import opsys_of, spec_digest
 from cstarenv.tensor import (
     _chain_certifies,
+    _pair_permutation,
     _verified_power_chain,
     kernel_of_tensor_quotients,
     min_tensor,
@@ -40,10 +41,13 @@ from _oracles import (
     as_linear_map,
     check_pattern_bounds,
     compression,
+    concrete_power_chain,
     gram_schmidt_system_space,
     ideal_subspace,
     match_by_intertwiner,
     orthonormality_residual,
+    pair_permutation_loop,
+    pattern_residuals,
     searched_product_envelope,
     seeded_unitary,
     tensor_map,
@@ -149,13 +153,78 @@ def test_product_blocks_rejects_a_broken_pair_decomposition(wedderburn, tamper):
     # block 1 of state_sum is 2-dimensional: swapping its two rows of u, or
     # transposing its irreps, breaks the pattern u x u* = ⊕ 1 (x) ρ(x) that
     # the structural validation, the pair decomposition's only certificate,
-    # demands
+    # demands.  The replaced copy recomputes its own pattern residuals, and
+    # the product's bound, derived from them, fails
     _, W = wedderburn("state_sum")
     assert W.blocks[0] == (2, 1)
     broken = tamper(W)
     _, W_jordan = wedderburn("jordan_M2")
     with pytest.raises(StructuralError, match="pair decomposition failed structural validation"):
         product_blocks(broken, W_jordan)
+
+
+def _rotate_rows(u, i, j, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    rotated = u.copy()
+    rotated[[i, j]] = np.array([[c, -s], [s, c]]) @ u[[i, j]]
+    return rotated
+
+
+def test_a_slightly_rotated_factor_unitary_fails_the_pair(analyses):
+    # a rotation by 1e-4 between a row of state_sum's 2-dimensional block and
+    # its scalar block keeps u unitary but moves the pattern by about 1e-4,
+    # far past the acceptance tolerance: the product's derived bound reads
+    # the rotated copy's own residuals, never the original's, and the pair
+    # fails with the rotated factor on either side
+    env, other = analyses("state_sum").envelope, analyses("jordan_M2").envelope
+    W = env.wedderburn
+    rotated = replace(W, u=_rotate_rows(W.u, 0, 2, 1e-4))
+    delta, eta = rotated.pattern_residuals
+    assert delta < 1e-14 and eta > 5e-5
+    assert W.pattern_residuals[1] < 1e-12
+    for left, right in ((rotated, other.wedderburn), (other.wedderburn, rotated), (rotated, rotated)):
+        with pytest.raises(StructuralError, match="failed structural validation"):
+            product_blocks(left, right)
+    product_blocks(W, other.wedderburn)
+    broken = replace(env, wedderburn=rotated)
+    for left, right in ((broken, other), (other, broken)):
+        with pytest.raises(StructuralError, match="failed structural validation"):
+            verify_envelope_tensor_factorization(left, right)
+
+
+def test_the_derived_pattern_bound_covers_the_concrete_residuals(entries, wedderburn):
+    # the pair decomposition keeps a (δ, η) derived from the factors'; the
+    # product-size check it replaced, recomputed from the raw arrays, never
+    # exceeds it on the standard pairs
+    for left, right in standard_pairs(entries):
+        P = product_blocks(wedderburn(left)[1], wedderburn(right)[1])
+        delta, eta = P.wedderburn.pattern_residuals
+        want_delta, want_eta = pattern_residuals(P.wedderburn)
+        assert want_delta <= delta + 1e-15 and want_eta <= eta + 1e-15, (left, right)
+        assert delta + eta < 1e-12, (left, right)
+
+
+def test_pair_permutation_matches_the_loop(entries, wedderburn):
+    # the broadcast permutation is the four nested loops' on every seed-1
+    # factor pair up to product ambient 12, and on compressions whose one
+    # block has multiplicity 2 or 3
+    factors = {name: wedderburn(name)[1] for name in entries}
+    for args in ((1, 2, 1, 2), (2, 2, 2, 4), (1, 3, 1, 2)):
+        factors[f"compression{args}"] = wedderburn_decompose(
+            generated_cstar(compression(*args))
+        )
+    assert {W.blocks for W in factors.values()} >= {((2, 2),), ((2, 3),)}
+    tried = 0
+    for (a, W_A), (b, W_B) in itertools.product(factors.items(), repeat=2):
+        if W_A.ambient * W_B.ambient > 12:
+            continue
+        order = sorted(itertools.product(W_A.labels, W_B.labels), key=lambda ij: ij[::-1])
+        got = _pair_permutation(W_A, W_B, order)
+        want = pair_permutation_loop(W_A, W_B, order)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (a, b)
+        assert np.array_equal(np.sort(got), np.arange(W_A.ambient * W_B.ambient)), (a, b)
+        tried += 1
+    assert tried > 100
 
 
 def test_product_blocks_forms_no_basis_products(wedderburn):
@@ -500,10 +569,10 @@ def test_pairs_run_no_gram_schmidt(entries, analyses, config, monkeypatch):
 
 
 def test_verified_power_chain_matches_the_generated_chain(entries, system, wedderburn):
-    # the chain read off the factor chains and certified on concrete
-    # products is the chain generated_cstar builds from the tensor system:
-    # the same dimensions and the same subspaces, member by member, on the
-    # standard pairs and on every unordered seed-1 pair up to product
+    # the chain read off the factor chains and certified from the factor
+    # step certificates is the chain generated_cstar builds from the tensor
+    # system: the same dimensions and the same subspaces, member by member,
+    # on the standard pairs and on every unordered seed-1 pair up to product
     # ambient 9 (the chain treats the two factors alike)
     names = list(entries)
     pairs = set(standard_pairs(entries)) | {
@@ -516,7 +585,7 @@ def test_verified_power_chain_matches_the_generated_chain(entries, system, wedde
     for left, right in sorted(pairs):
         T = min_tensor(system(left), system(right))
         chain, residuals, step_margins = _verified_power_chain(
-            T.product.space, wedderburn(left)[0].powers, wedderburn(right)[0].powers
+            T.product.space, wedderburn(left)[0], wedderburn(right)[0]
         )
         assert _chain_certifies(residuals, step_margins, len(chain), DEFAULT_TOL)
         assert chain[0] is T.product.space
@@ -525,9 +594,72 @@ def test_verified_power_chain_matches_the_generated_chain(entries, system, wedde
         for G, P in zip(chain, direct):
             assert subspace_equal(G, P), (left, right)
         margins.extend(step_margins)
-    # far from tol_rank: the smallest spanning margin here is 0.024 (and
-    # 0.0099 over every seed-1 pair up to product ambient 12)
+    # far from tol_rank: the smallest spanning margin here is 0.025 (0.024
+    # by the concrete products it replaced)
     assert min(margins) > 0.01
+
+
+@pytest.fixture(scope="module")
+def chain_factors():
+    """Per corpus seed 1–3: name -> (spec digest, system, generated algebra)."""
+    out = {}
+    for seed in (1, 2, 3):
+        out[seed] = {}
+        for e in corpus_entries(seed=seed, count=20):
+            E = opsys_of(e.spec, DEFAULT_TOL)
+            out[seed][e.spec.name] = (spec_digest(e.spec), E, generated_cstar(E))
+    return out
+
+
+def test_the_derived_chain_certificate_bounds_the_concrete_chain(chain_factors, one_blas_thread):
+    # on every unordered pair of corpus seeds 1–3 up to product ambient 9 the
+    # derived residuals are at least the concrete products' residuals, the
+    # verdicts agree, and the derived margins, which leave out G_k's own
+    # rows, are within 10^0.2 of the concrete ones.  The structured members
+    # are the same in every seed, and a pair of the same two specs is
+    # checked once
+    seen = set()
+    for seed, factors in chain_factors.items():
+        names = list(factors)
+        for i, left in enumerate(names):
+            for right in names[i:]:
+                (key_E, E, A), (key_F, F, B) = factors[left], factors[right]
+                if E.ambient * F.ambient > 9 or (key_E, key_F) in seen:
+                    continue
+                seen.add((key_E, key_F))
+                S = min_tensor(E, F).product.space
+                chain, residuals, margins = _verified_power_chain(S, A, B)
+                want_chain, want_residuals, want_margins = concrete_power_chain(
+                    S, A.powers, B.powers
+                )
+                label = (seed, left, right)
+                assert [G.dim for G in chain] == [G.dim for G in want_chain], label
+                assert all(r >= w - 1e-15 for r, w in zip(residuals, want_residuals)), label
+                verdict = _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL)
+                want = _chain_certifies(
+                    want_residuals, want_margins, len(want_chain), DEFAULT_TOL
+                )
+                assert verdict == want, label
+                ratios = np.log10(np.asarray(margins) / np.asarray(want_margins))
+                assert np.all(np.abs(ratios) <= 0.2), (label, margins, want_margins)
+    assert len(seen) > 250
+
+
+def test_the_probe_catches_a_system_off_the_factor_chains(entries, system, wedderburn):
+    # the derived bounds read only the factor chains, so a tensor system
+    # that does not lie in them passes those bounds; the concrete probe g·s
+    # is what fails it.  Here E is state_sum conjugated by a seeded unitary,
+    # outside state_sum's block-diagonal chain, next to state_sum's algebra
+    A = wedderburn("state_sum")[0]
+    B = wedderburn("jordan_M2")[0]
+    gens = [np.asarray(g) for g in entries["state_sum"].spec.generators]
+    V = seeded_unitary(gens[0].shape[0], 17)
+    moved = opsys_from_generators(gens[0].shape[0], [V @ g @ V.conj().T for g in gens])
+    for E, certified in ((system("state_sum"), True), (moved, False)):
+        S = min_tensor(E, system("jordan_M2")).product.space
+        chain, residuals, margins = _verified_power_chain(S, A, B)
+        assert _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL) is certified
+    assert max(residuals) > 1e-3
 
 
 def _drop_last_power(powers):
@@ -538,24 +670,88 @@ def _square_is_the_system(powers):
     return (powers[0], powers[0], *powers[2:])
 
 
-@pytest.mark.parametrize("tamper", [_drop_last_power, _square_is_the_system])
-@pytest.mark.parametrize("left", ["jordan_M2", "jordan_M3_k1"])
-def test_a_wrong_factor_chain_fails_the_pair(analyses, left, tamper):
-    # the product chain is read off the factor chains; a truncated factor
-    # chain, or one whose E^2 is E, must fail the concrete products'
-    # certificate and the pair, never pass
+def _drop_a_basis_element(powers):
+    square = powers[1]
+    return (powers[0], MatSubspace(square.ambient, square.basis[:-1]), *powers[2:])
+
+
+def _square_is_the_algebra(powers):
+    return (powers[0], powers[-1], *powers[2:])
+
+
+def _assert_the_pair_fails(analyses, left, tamper):
     env = analyses(left).envelope
     broken = replace(env, algebra=replace(env.algebra, powers=tamper(env.algebra.powers)))
     other = analyses("jordan_M2").envelope
     T = min_tensor(broken.system, other.system)
-    chain, residuals, margins = _verified_power_chain(
-        T.product.space, broken.algebra.powers, other.algebra.powers
-    )
-    assert not _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL)
+    derived = _verified_power_chain(T.product.space, broken.algebra, other.algebra)
+    concrete = concrete_power_chain(T.product.space, broken.algebra.powers, other.algebra.powers)
+    for chain, residuals, margins in (derived, concrete):
+        assert not _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL)
+    # the derived residuals bound every concrete product's, not only the
+    # probe's, on a broken chain too
+    assert all(r >= w - 1e-12 for r, w in zip(derived[1], concrete[1]))
     with pytest.raises(VerificationError, match="not the tensor of the generated algebras"):
         verify_envelope_tensor_factorization(broken, other)
     with pytest.raises(VerificationError, match="not the tensor of the generated algebras"):
         verify_envelope_tensor_factorization(other, broken)
+    return derived[1], derived[2]
+
+
+@pytest.mark.parametrize("tamper", [_drop_last_power, _square_is_the_system, _drop_a_basis_element])
+@pytest.mark.parametrize("left", ["jordan_M2", "jordan_M3_k1"])
+def test_a_wrong_factor_chain_fails_the_pair(analyses, left, tamper):
+    # the product chain is read off the factor chains; a truncated factor
+    # chain, one whose E^2 is E, or one whose E^2 lost a basis element, must
+    # fail the derived certificate, the concrete products' certificate it
+    # replaced, and the pair, never pass
+    _assert_the_pair_fails(analyses, left, tamper)
+
+
+def test_a_factor_chain_whose_square_is_too_big_fails_the_pair(analyses):
+    # jordan_M3_k1's chain is 3, 7, 9: with E^2 replaced by the 9-dimensional
+    # algebra every product still lies in the chain, and only the spanning
+    # margin, E·E spanning 7 of the 9 dimensions, fails the pair
+    residuals, margins = _assert_the_pair_fails(analyses, "jordan_M3_k1", _square_is_the_algebra)
+    assert max(residuals) < 1e-13 and min(margins) < 1e-9
+
+
+def test_a_factor_chain_of_another_system_fails_the_pair(analyses):
+    # jordan_M2's chain E, M_2 with E conjugated by a seeded unitary is the
+    # chain of another system and certifies itself; the pair must still
+    # refuse it, since it does not start at the factor's system
+    env = analyses("jordan_M2").envelope
+    E = env.algebra.powers[0]
+    V = seeded_unitary(E.ambient, 17)
+    moved = MatSubspace(E.ambient, np.einsum("ij,kjl,ml->kim", V, E.basis, V.conj()))
+    assert not subspace_equal(moved, E)
+    broken = replace(env, algebra=replace(env.algebra, powers=(moved, *env.algebra.powers[1:])))
+    other = analyses("state_sum").envelope
+    T = min_tensor(broken.system, other.system)
+    chain, residuals, margins = _verified_power_chain(T.product.space, broken.algebra, other.algebra)
+    assert _chain_certifies(residuals, margins, len(chain), DEFAULT_TOL)
+    for left, right in ((broken, other), (other, broken)):
+        with pytest.raises(VerificationError, match="not the tensor of the generated algebras"):
+            verify_envelope_tensor_factorization(left, right)
+
+
+def test_a_replaced_algebra_never_reuses_the_chain_certificate(analyses):
+    # the step certificate is computed on first use from the instance's own
+    # chain: a dataclasses.replace copy with a tampered chain starts without
+    # it, even after the original's was computed, and computes a failing one
+    algebra = analyses("jordan_M3_k1").envelope.algebra
+    steps = algebra.power_steps
+    assert len(steps) == len(algebra.powers) == 3
+    assert all(st.residual < 1e-13 and st.sigma_rank > 0.01 * st.sigma_max for st in steps)
+    assert algebra.power_steps is steps
+    for tamper in (_drop_last_power, _square_is_the_system, _drop_a_basis_element):
+        broken = replace(algebra, powers=tamper(algebra.powers))
+        assert "power_steps" not in vars(broken)
+        broken_steps = broken.power_steps
+        assert broken_steps != steps
+        assert max(st.residual for st in broken_steps) > 0.1, tamper.__name__
+    # the same chain in a new instance gives the same certificate
+    assert replace(algebra).power_steps == steps
 
 
 def test_a_factor_without_powers_is_a_structural_error(analyses):

@@ -12,11 +12,16 @@ sides alike.  Every run must read ``correct: true`` and ``failed: 0``.
 The last line of standard output is one JSON object laid out as a ``runs``
 entry of a ``BENCH_*.json`` file: the seed, the number of pairs, each side's
 values of every end-to-end metric named in the change's ``BENCHMARK.json``
-(in run order, rounded to 4 decimals), each side's quartiles
+(in run order, rounded to 4 decimals) and, beside them under ``sweeps``,
+each run's sweep count, each side's quartiles
 ``[q1, median, q3]`` (``statistics.quantiles``, exclusive method), and
 ``change_wins_<metric>``, the number of pairs in which the change's value is
 better than the parent's, and the two verdicts of :func:`verdicts`,
-``no_regression_<metric>`` and ``claim_<metric>``.  A readable summary with
+``no_regression_<metric>`` and ``claim_<metric>``.  The sweep count is read
+from the record the run leaves in its checkout,
+``perfbench/results/<workload>-seed<seed>-trace0.json``: a run's peak RSS
+grows with its sweeps, so the counts tell a faster change's extra sweeps
+from a memory change.  A readable summary with
 the verdicts goes to standard error.  The exit code is 1 when a run fails
 or reads incorrect, and 0 otherwise.
 """
@@ -51,6 +56,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise SystemExit(f"{checkout}: no output (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def sweep_count(checkout: Path, workload: str, seed: int) -> int:
+    """The sweep count of the last untraced run in ``checkout``, read from
+    the record ``perfbench/run.py`` wrote there."""
+    path = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text())["sweeps"]
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -113,6 +125,7 @@ def main(argv=None) -> int:
     metrics = end_to_end(args.change)
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    sweeps = {side: [] for side in sides}
     ok = True
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -122,15 +135,18 @@ def main(argv=None) -> int:
                 ok = False
             for m in metrics:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+            sweeps[side].append(sweep_count(sides[side], args.workload, args.seed))
             print(
                 f"pair {pair} {side}: correct {result['correct']}, failed {result['failed']}, "
-                + ", ".join(f"{m['name']} {values[side][m['name']][-1]:.4g}" for m in metrics),
+                + ", ".join(f"{m['name']} {values[side][m['name']][-1]:.4g}" for m in metrics)
+                + f", {sweeps[side][-1]} sweeps",
                 file=sys.stderr,
             )
 
     block = {"seed": args.seed, "runs": args.pairs}
     for side in sides:
         block[side] = {name: [round(v, 4) for v in vals] for name, vals in values[side].items()}
+        block[side]["sweeps"] = sweeps[side]
     for side in sides:
         block[f"{side}_quartiles"] = {
             name: quartiles(vals) for name, vals in values[side].items()
