@@ -60,7 +60,8 @@ class AnalysisConfig:
     Defaults match the command-line defaults so that a report produced
     through the library and one produced through the front end agree.  The
     isometry of the minimal quotient is certified by the lattice route's
-    left inverse, which has no knob.
+    left inverse, which has no knob.  ``max_ambient_product`` caps a pair's
+    product ambient, and the command line's documents' ambient too.
     """
 
     seed: int = 1

@@ -27,24 +27,26 @@ block i gives ψ_i, and conversely ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP
 and inverts q once each kept block i takes the coordinate projection
 x ↦ x_i.  The kept blocks are boundary representations, so their part of ψ
 is fixed; only the killed blocks are searched, each in a spectrahedron of
-Choi size d_j·d_i instead of d_j·n.
+Choi size d_j·d_i instead of d_j·n.  The certificate stays in that form,
+the Choi parts of each ψ_i (one per kept block); ψ itself is never built,
+its check is bounded from the parts (:func:`_checked_envelope`).
 
-The norm-drop probe, the searches and the isometry check read one basis and
-one image stack, built once per envelope by :func:`block_images`: the
+The norm-drop probe, the searches and the left-inverse check read one basis
+and one image stack, built once per envelope by :func:`block_images`: the
 system's Hermitian basis h and its images π_j(h) under every block j.  The
 lattice route's spectrahedron for a killed block i holds the UCP maps ψ_i
 on the kept blocks with ψ_i(q(h)) = π_i(h), the norm-drop probe takes
-combinations of the h, and the isometry check measures ψ(q(h)) − h.
+combinations of the h, and the check measures ψ_i(q(h)) − π_i(h).
 
 :func:`cstar_envelope` runs the lattice route's search and hands its
-certificate to one checker, which checks the left inverse ψ once, as the
-single isometry certificate: ψ is UCP and ψ∘q = id
-on the system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix
-level m and the quotient is completely isometric there.  The representation
-route then reads its witnesses off ψ: for a block i that ψ kills,
-π_i∘ψ∘q agrees with π_i on the system and vanishes on block i, so it is a
-second UCP extension (Arveson 2008; Dritschel and McCullough 2005) within
-ψ's checked tolerances, and block i is decided by ψ alone.  A block ψ keeps
+certificate to one checker, which checks the parts of the left inverse ψ
+once, as the single isometry certificate: ψ is UCP and ψ∘q = id on the
+system, so ``‖x‖ = ‖ψ_m(q_m(x))‖ ≤ ‖q_m(x)‖ ≤ ‖x‖`` at every matrix level
+m and the quotient is completely isometric there.  The representation
+route then reads its witnesses off ψ: for a block i that ψ kills, ψ_i∘q
+agrees with π_i on the system and vanishes on block i, so it is a second
+UCP extension (Arveson 2008; Dritschel and McCullough 2005) within ψ's
+checked tolerances, and block i is decided by ψ alone.  A block ψ keeps
 is decided by its singleton's refutation, whose norm drop is re-checked
 from its matrix alone (see :func:`boundary_representations`).  The
 envelope then builds the quotient and the enveloping block algebra.  A
@@ -60,9 +62,10 @@ ideal never shows a smaller drop.  An ideal it leaves standing is decided
 by the feasibility search alone, and an undecided search is reported as
 inconclusive.
 
-Structure decides before any search does.  A simple algebra (one block) has
-Šilov ideal 0, and its only block is boundary because every
-finite-dimensional system has at least one boundary representation.
+Structure decides before any search does.  The full ideal is refuted by
+the unit, whose norm 1 falls to 0 in the zero quotient, so a simple algebra
+(one block) has Šilov ideal 0, and its only block's singleton is refuted
+like any other kept block's.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ from .opsys import CStarAlgebra, OperatorSystem, generated_cstar
 from .ucp import (
     FeasibilityResult,
     UcpSpectrahedron,
-    _compress,
     is_unique_ucp_extension,
     maximally_entangled,
     ucp_feasibility,
@@ -153,13 +155,13 @@ class BlockUniqueness:
     """Uniqueness verdict for one irreducible block.
 
     A block the lattice route kills has method ``"left-inverse"``:
-    ``witness`` holds the Choi tuple of a second UCP extension, read off
-    the left inverse, and ``separation`` its distance from the
-    representation.  A kept block has method ``"norm-drop"``: ``witness``
-    is the one-matrix list [x] that refutes its singleton ideal and
-    ``separation`` the drop of x, re-checked from x alone.  The one block of
-    a simple algebra is ``"simple"``, with no witness.  A tensor product's
-    pair blocks get theirs from the factors' (:mod:`cstarenv.tensor`).
+    ``witness`` holds the Choi tuple of a second UCP extension, the left
+    inverse's parts for the block, and ``separation`` its distance from
+    the representation.  A kept block has method ``"norm-drop"``:
+    ``witness`` is the one-matrix list [x] that refutes its singleton ideal
+    and ``separation`` the drop of x, re-checked from x alone.  A tensor
+    product's pair blocks get theirs from the factors'
+    (:mod:`cstarenv.tensor`).
     """
 
     label: int
@@ -193,16 +195,18 @@ class LatticeCertificate:
     the union of the singletons the norm-drop probe left standing (plus, if
     that union fails, the union of the singletons that pass on their own).
 
-    ``witness`` holds the left-inverse Choi blocks certifying the maximal
-    passing ideal (one matrix per surviving block), and by restriction every
-    passing ideal (:func:`silov_ideal_lattice`); ``refutations`` holds the
-    failing verdict of the singleton of every block it keeps.
+    ``witness`` is the left inverse certifying the maximal passing ideal,
+    and by restriction every passing ideal (:func:`silov_ideal_lattice`):
+    it maps each killed label i to the Choi parts of ψ_i, one
+    ``(d_j·d_i)²`` matrix per kept label j in label order, and is ``{}``
+    for the empty ideal.  ``refutations`` holds the failing verdict of the
+    singleton of every block it keeps.
     """
 
     passing: tuple[frozenset[int], ...]
     failing: tuple[frozenset[int], ...]
     iterations: int
-    witness: tuple[np.ndarray, ...]
+    witness: dict[int, tuple[np.ndarray, ...]]
     refutations: dict[int, FeasibilityResult]
 
     @property
@@ -210,29 +214,22 @@ class LatticeCertificate:
         return max(self.passing, key=lambda s: (len(s), sorted(s)))
 
 
-def _left_inverse_candidate(
-    W: WedderburnData, lattice: LatticeCertificate, label: int
-) -> list[np.ndarray]:
-    """Choi tuple of π_i∘ψ∘q for a block ``i = label`` that the lattice
-    route kills, one ``(d_j·d_i)²`` matrix per block j.
-
-    ψ is the lattice witness, one ``(d_j·n)²`` Choi block per kept label j.
-    At a kept source j the candidate compresses ψ's Choi block by the rows
-    v of ``u`` for block i's first copy, ``v ψ(e_kl) v*`` in cell (k, l);
-    at a killed source, which q sends to zero, it is zero.
-    """
-    di = W.blocks[label - 1][0]
-    s = W.block_offsets()[label - 1]
-    v = W.u[s : s + di]
-    kept = [j for j in W.labels if j not in lattice.maximal]
-    psi = dict(zip(kept, lattice.witness))
-    out = []
-    for j, (dj, _) in enumerate(W.blocks, start=1):
-        if j in psi:
-            out.append(_compress(psi[j], v))
-        else:
-            out.append(np.zeros((dj * di, dj * di), dtype=complex))
-    return out
+def _block_choi(W: WedderburnData, lattice: LatticeCertificate, i: int) -> list[np.ndarray]:
+    """Choi tuple of ψ_i∘q, one ``(d_j·d_i)²`` matrix per block j: for a
+    block i that ψ kills, its parts at the kept sources (a missing part
+    reads zero) and zero at the killed ones; for a block ψ keeps, the
+    coordinate projection's ``maximally_entangled(d_i)`` at source i and
+    zero elsewhere."""
+    d = W.blocks[i - 1][0]
+    if i in lattice.maximal:
+        kept = [j for j in W.labels if j not in lattice.maximal]
+        parts = dict(zip(kept, lattice.witness.get(i, ())))
+    else:
+        parts = {i: maximally_entangled(d)}
+    return [
+        parts[j] if j in parts else np.zeros((dj * d, dj * d), dtype=complex)
+        for j, (dj, _) in enumerate(W.blocks, start=1)
+    ]
 
 
 def boundary_representations(
@@ -243,20 +240,15 @@ def boundary_representations(
 ) -> DkCertificate:
     """Decide the unique-extension property for every block.
 
-    A simple algebra needs no decision: its only block is boundary, because
-    a finite-dimensional system has at least one boundary representation.
+    A block i that the lattice route kills is decided by its part ψ_i of
+    the left inverse alone, as checked in :func:`_checked_envelope`:
+    ‖ψ_i(q(h)) − π_i(h)‖ ≤ r on the Hermitian basis, and every Choi part
+    has least eigenvalue ≥ λ ≥ ``-tol_psd``.  The witness is φ = ψ_i∘q,
+    whose Choi tuple over all blocks is ψ_i's parts at the kept sources and
+    zero at the killed ones, so:
 
-    A block i that the lattice route kills is decided by its left inverse ψ
-    alone, as checked in :func:`cstar_envelope`: ‖ψ(q(h)) − h‖ ≤ r on the
-    Hermitian basis, and every Choi block of ψ has least eigenvalue
-    ≥ λ ≥ ``-tol_psd``.  The witness is φ = π_i∘ψ∘q
-    (:func:`_left_inverse_candidate`).  With v the rows of ``u`` for block
-    i's first copy, v has orthonormal rows and π_i(x) = v x v*, so:
-
-    * φ's Choi block at a kept source j is (1 ⊗ v)·ψ_j·(1 ⊗ v)*, and zero at
-      a killed source; (1 ⊗ v)* is an isometry, so its least eigenvalue is
-      at least min(0, λ);
-    * φ(⊕_j π_j(h)) − π_i(h) = v(ψ(q(h)) − h)v*, of norm at most r;
+    * its least eigenvalue is at least min(0, λ);
+    * φ(⊕_j π_j(h)) − π_i(h) = ψ_i(q(h)) − π_i(h), of norm at most r;
     * φ is zero at source i, where the representation's Choi matrix is
       ``maximally_entangled(d_i)`` of norm d_i, so φ lies at distance
       √(d_i² + Σ_j ‖φ_j‖²) ≥ d_i from it.
@@ -273,17 +265,17 @@ def boundary_representations(
     (:func:`_gap_refutation`), and is re-checked from x by
     :func:`is_unique_ucp_extension`, which reads the other blocks' rows of
     ``u``, not the probe's norm table; a failed re-check raises
-    :class:`VerificationError` naming the block.
+    :class:`VerificationError` naming the block.  A simple algebra's one
+    block is refuted by the unit (:func:`is_boundary_ideal_ucp`), with no
+    other block to keep its norm.
     """
-    if W.num_blocks == 1:
-        return DkCertificate((BlockUniqueness(1, True, "simple", 0.0, 0),))
     offsets = W.block_offsets()
     rows = {j: W.u[s : s + d] for j, s, (d, _) in zip(W.labels, offsets, W.blocks)}
     results = []
     for label in W.labels:
         if label in lattice.maximal:
-            witness = _left_inverse_candidate(W, lattice, label)
             d = W.blocks[label - 1][0]
+            witness = _block_choi(W, lattice, label)
             separation = math.sqrt(d * d + sum(float(np.linalg.norm(c)) ** 2 for c in witness))
             results.append(BlockUniqueness(label, False, "left-inverse", separation, 0, witness))
             continue
@@ -316,39 +308,6 @@ def silov_ideal_dk(
     least one block is kept and boundary.
     """
     return BlockIdeal(W, lattice.maximal), boundary_representations(W, lattice, tol=tol)
-
-
-def _assemble_left_inverse(
-    W: WedderburnData, kept: list[int], parts: dict[int, list[np.ndarray]]
-) -> list[np.ndarray]:
-    """Choi blocks, one ``(d_j·n)²`` matrix per kept label j, of
-    ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u.
-
-    ``parts[i]`` holds the Choi blocks of ψ_i (one per kept label) for a
-    killed block i; a kept block i takes the coordinate projection, whose
-    Choi matrix is ``maximally_entangled(d_i)`` at source i and zero at the
-    other sources.
-    """
-    n = W.ambient
-    offsets = W.block_offsets()
-    mats = []
-    for pos, j in enumerate(kept):
-        dj = W.blocks[j - 1][0]
-        cells = np.zeros((dj, dj, n, n), dtype=complex)
-        for i, (di, mi) in enumerate(W.blocks, start=1):
-            if i in parts:
-                c = parts[i][pos]
-            elif i == j:
-                c = maximally_entangled(dj)
-            else:
-                continue
-            c = c.reshape(dj, di, dj, di).transpose(0, 2, 1, 3)
-            for copy in range(mi):
-                s = offsets[i - 1] + copy * di
-                cells[:, :, s : s + di, s : s + di] = c
-        cells = np.conj(W.u.T) @ cells @ W.u
-        mats.append(cells.transpose(0, 2, 1, 3).reshape(dj * n, dj * n))
-    return mats
 
 
 def _cells(parts: np.ndarray) -> np.ndarray:
@@ -465,24 +424,21 @@ def is_boundary_ideal_ucp(
 ) -> FeasibilityResult:
     """Decide the boundary property for one block ideal.
 
-    The empty ideal always has the canonical left inverse.  The exact
-    norm-drop probe :func:`falsify_complete_isometry`, read off the system's
-    one norm table ``data.norms``, then refutes most infeasible ideals (a
-    drop refutes any left inverse); the rest go
-    through the feasibility engine, one killed block at a time
-    (:func:`_left_inverse_search`).  An undecided search raises
-    :class:`InconclusiveError`.
+    The empty ideal always has the canonical left inverse, the identity,
+    with no parts (``{}``).  The full ideal is refuted by the unit, whose
+    norm 1 falls to 0 in the zero quotient.  The exact norm-drop probe
+    :func:`falsify_complete_isometry`, read off the system's one norm table
+    ``data.norms``, then refutes most infeasible ideals (a drop refutes any
+    left inverse); the rest go through the feasibility engine, one killed
+    block at a time (:func:`_left_inverse_search`).  An undecided search
+    raises :class:`InconclusiveError`.
     """
     killed = frozenset(killed)
     if not killed:
-        return FeasibilityResult(
-            True, _assemble_left_inverse(W, list(W.labels), {}), 0.0, 0, "identity"
-        )
-    kept = [j for j in W.labels if j not in killed]
-    if not kept:
-        # quotient to nothing cannot invert a unital system
-        residual = float(np.linalg.norm(data.basis))
-        return FeasibilityResult(False, None, residual, 0, "empty")
+        return FeasibilityResult(True, {}, 0.0, 0, "identity")
+    if killed == frozenset(W.labels):
+        unit = np.eye(W.ambient, dtype=np.complex128)
+        return FeasibilityResult(False, [unit], 1.0, 0, "norm-drop")
     report = falsify_complete_isometry(data.norms, killed, tol)
     if report.violation:
         return _refutation(report)
@@ -500,13 +456,11 @@ def _left_inverse_search(
     """:func:`is_boundary_ideal_ucp` for an ideal the norm-drop probe left
     standing, searched one killed block at a time.
 
-    With ``u x u* = ⊕_i 1_{m_i} ⊗ π_i(x)``, a UCP ψ on the kept blocks with
-    ψ∘q = id on the system exists iff every killed block i has a UCP
+    A left inverse exists iff every killed block i has a UCP map
     ψ_i: ⊕_{j kept} M_{d_j} → M_{d_i} with ψ_i(q(h)) = π_i(h) on the
-    Hermitian basis.  (⇒) Compressing ψ to the first copy of block i gives
-    ψ_i.  (⇐) ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u is UCP and inverts q, where a
-    kept block i takes the coordinate projection x ↦ x_i: it is fixed, so
-    only the killed blocks are searched.  Each search starts from the
+    Hermitian basis (see the module docstring), so only the killed blocks
+    are searched, and the verdict's certificate maps each to the Choi parts
+    of its ψ_i.  Each search starts from the
     tracial map, affinely projected; its iterations add up, and a failing
     block fails the ideal by its gap's matrix (:func:`_gap_refutation`).
     An undecided block raises :class:`InconclusiveError` naming the ideal
@@ -530,9 +484,8 @@ def _left_inverse_search(
         if not res.feasible:
             return _gap_refutation(W, data, kept, spec, iterations)
         residual = max(residual, res.residual)
-        parts[i] = res.certificate
-    psi = _assemble_left_inverse(W, kept, parts)
-    return FeasibilityResult(True, psi, residual, iterations, "douglas-rachford")
+        parts[i] = tuple(res.certificate)
+    return FeasibilityResult(True, parts, residual, iterations, "douglas-rachford")
 
 
 def _gap_refutation(
@@ -570,26 +523,36 @@ def _interpolation_residual(
     W: WedderburnData,
     data: BlockImages,
     killed: frozenset[int],
-    choi: list[np.ndarray] | tuple[np.ndarray, ...],
+    parts: dict[int, tuple[np.ndarray, ...]],
     tol: Tolerances,
 ) -> float:
-    """Check that the Choi blocks ``choi`` (one per block ``killed`` keeps)
-    give a map ψ with ψ∘q = h for every ``h`` in the Hermitian basis.
+    """Check that the Choi parts ``parts[i]``, one ``(d_j·d_i)²`` matrix per
+    block j that ``killed`` keeps, give every killed block i a map ψ_i with
+    Σ_j ψ_i,j(π_j(h)) = π_i(h) for every ``h`` in the Hermitian basis.
 
-    Returns the largest Hilbert-Schmidt residual and raises
-    :class:`VerificationError` when it exceeds ``10·tol_rank·max(1, n)``.
+    Returns the largest Hilbert-Schmidt residual over the killed blocks
+    (0.0 when none is killed).  Raises :class:`VerificationError` naming
+    the ideal when a killed block has no parts or parts of the wrong shape,
+    or when a residual exceeds ``10·tol_rank·max(1, n)``.
     """
-    n = W.ambient
+    where = f"left inverse for the ideal {sorted(killed)}"
+    if set(parts) != set(killed):
+        raise VerificationError(f"{where} has parts for the blocks {sorted(parts)}")
     kept = [j for j in W.labels if j not in killed]
-    out = np.zeros_like(data.basis, dtype=np.complex128)
-    for j, c in zip(kept, choi):
-        d = W.blocks[j - 1][0]
-        out += np.einsum("hkl,kalb->hab", data.image(j), c.reshape(d, n, d, n))
-    resid = float(np.max(np.linalg.norm(out - data.basis, axis=(1, 2))))
-    if resid > 10 * tol.tol_rank * max(1.0, float(n)):
+    dims = [W.blocks[j - 1][0] for j in kept]
+    resid = 0.0
+    for i in sorted(killed):
+        di = W.blocks[i - 1][0]
+        shapes = [np.shape(c) for c in parts[i]]
+        if shapes != [(dj * di, dj * di) for dj in dims]:
+            raise VerificationError(f"{where}: block {i} has parts of shapes {shapes}")
+        out = -data.image(i).astype(np.complex128)
+        for j, dj, c in zip(kept, dims, parts[i]):
+            out += np.einsum("hkl,kalb->hab", data.image(j), c.reshape(dj, di, dj, di))
+        resid = max(resid, float(np.max(np.linalg.norm(out, axis=(1, 2)))))
+    if resid > 10 * tol.tol_rank * max(1.0, float(W.ambient)):
         raise VerificationError(
-            f"left inverse for the ideal {sorted(killed)} fails to interpolate "
-            f"the system (residual {resid:.3e})"
+            f"{where} fails to interpolate the system (residual {resid:.3e})"
         )
     return resid
 
@@ -616,9 +579,9 @@ def silov_ideal_lattice(
 
     The empty ideal and the candidate singletons inside the maximum pass by
     restriction, with no certificate of their own and the maximum's
-    residual.  For an ideal I inside the maximum, ψ after projecting onto
-    the maximum's kept blocks is UCP and inverts q_I: its Choi blocks are
-    ψ's plus zero blocks, so its interpolation residual is ψ's.  The
+    residual.  For an ideal I inside the maximum, a block i that I kills
+    keeps the maximum's ψ_i, with zero parts added at the blocks the
+    maximum kills and I keeps: it is UCP with ψ_i's residual.  The
     verdicts are monotone by construction: every passing ideal is inside
     the maximum, and every failing one is the full ideal, a refuted or
     failing singleton outside it, or the first union in the fallback.
@@ -661,7 +624,7 @@ def silov_ideal_lattice(
     passing = tuple(sorted((k for k, v in verdicts.items() if v.feasible), key=sorted))
     failing = tuple(sorted((k for k, v in verdicts.items() if not v.feasible), key=sorted))
     iterations = sum(v.iterations for v in verdicts.values())
-    witness = tuple(verdicts[union].certificate)
+    witness = verdicts[union].certificate
     refutations = {j: verdicts[frozenset({j})] for j in W.labels if j not in union}
     return BlockIdeal(W, union), LatticeCertificate(
         passing, failing, iterations, witness, refutations
@@ -671,7 +634,9 @@ def silov_ideal_lattice(
 @dataclass(frozen=True)
 class IsometryCheck:
     """Numbers of the check of the lattice witness ψ: the largest residual
-    ‖ψ(q(h)) − h‖ over the Hermitian basis and the least Choi eigenvalue."""
+    ‖ψ_i(q(h)) − π_i(h)‖ over the killed blocks i and the Hermitian basis,
+    and the least eigenvalue of a Choi part; both are 0.0 when nothing is
+    killed."""
 
     residual: float
     min_eig: float
@@ -758,17 +723,36 @@ def _checked_envelope(
 
     The witness ψ, the isometry certificate of the quotient by
     ``lattice.maximal`` and of every ideal inside it, is checked once,
-    before the representation route reads its witnesses off it: ψ∘q = id
-    on the system's Hermitian basis within ``10·tol_rank·max(1, n)``, and
-    every Choi block of ψ with least eigenvalue at least ``-tol_psd``; a
-    failure raises :class:`VerificationError` naming the ideal.
-    :func:`silov_ideal_dk` then re-checks every kept block's norm drop from
-    its matrix, and a failure raises :class:`VerificationError` naming the
-    block.
+    before the representation route reads its witnesses off it, on its
+    parts alone: for every killed block i, ψ_i(q(h)) = π_i(h) on the
+    system's Hermitian basis within ``10·tol_rank·max(1, n)``
+    (:func:`_interpolation_residual`), and every Choi part with least
+    eigenvalue at least ``-tol_psd``; a failure raises
+    :class:`VerificationError` naming the ideal.  Nothing of ambient size
+    is built: with r the largest block residual, λ the least part
+    eigenvalue and (δ, η) the decomposition's certified pattern residuals
+    (:attr:`cstarenv.wedderburn.WedderburnData.pattern_residuals`), the
+    ambient map ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u, a kept block i taking
+    the coordinate projection, satisfies on every unit basis element h
+
+        ‖ψ(q(h)) − h‖ ≤ (1 + δ)(√n·r + (1 + √m)·√D·η) + δ(2 + δ),
+
+    with m the largest multiplicity and D = dim A: u*Ru carries the block
+    residuals R = ⊕ 1_{m_i} ⊗ (ψ_i(q(h)) − π_i(h)), of norm at most √n·r,
+    with ‖u‖² ≤ 1 + δ; ⊕ 1_{m_i} ⊗ π_i(h) is u h u* up to (1 + √m)·√D·η;
+    and u*u h u*u − h is at most δ(2 + δ).  Its Choi blocks are a
+    congruence by 1 ⊗ u of the parts, the coordinate projections'
+    ``maximally_entangled`` blocks and zeros, so their least eigenvalue is
+    at least (1 + δ)·min(0, λ).  :func:`silov_ideal_dk` then re-checks
+    every kept block's norm drop from its matrix, and a failure raises
+    :class:`VerificationError` naming the block.
     """
     witness = lattice.witness
     residual = _interpolation_residual(W, data, lattice.maximal, witness, tol)
-    min_eig = min(float(np.linalg.eigvalsh(c)[0]) for c in witness)
+    min_eig = min(
+        (float(np.linalg.eigvalsh(c)[0]) for parts in witness.values() for c in parts),
+        default=0.0,
+    )
     if min_eig < -tol.tol_psd:
         raise VerificationError(
             f"left inverse for the ideal {sorted(lattice.maximal)} is not completely "

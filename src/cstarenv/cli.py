@@ -37,6 +37,7 @@ from .linalg import DEFAULT_TOL
 from .specio import (
     SCHEMA,
     VERSION,
+    SystemSpec,
     _flags_dict,
     _tol_dict,
     analysis_report,
@@ -99,7 +100,8 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
         "--max-ambient-product",
         type=int,
         default=36,
-        help="refuse pairs whose product ambient exceeds this (default 36)",
+        help="refuse systems whose ambient dimension, and pairs whose product "
+        "ambient, exceeds this (default 36)",
     )
     p.add_argument(
         "--json-out",
@@ -190,13 +192,29 @@ def _print_analysis(report: dict) -> None:
     )
 
 
+def _load(path, config: AnalysisConfig) -> SystemSpec:
+    """Read one system document, refusing one whose ``ambient_dim`` exceeds
+    ``max_ambient_product`` before anything is built: the commutant's
+    Sylvester stack alone holds n⁴ complex entries per basis element."""
+    spec = load_system(path)
+    if spec.ambient_dim > config.max_ambient_product:
+        raise InputError(
+            f"{path}: ambient_dim {spec.ambient_dim} exceeds the cap "
+            f"{config.max_ambient_product} (--max-ambient-product)"
+        )
+    return spec
+
+
+def _analyze(spec: SystemSpec, config: AnalysisConfig) -> SystemAnalysis:
+    return analyze_system(
+        opsys_of(spec, config.tol), config, name=spec.name, digest=spec_digest(spec)
+    )
+
+
 def cmd_analyze(args) -> int:
     config = _config_from(args)
     t0 = time.perf_counter()
-    spec = load_system(args.path)
-    sa = analyze_system(
-        opsys_of(spec, config.tol), config, name=spec.name, digest=spec_digest(spec)
-    )
+    sa = _analyze(_load(args.path, config), config)
     report = analysis_report(sa)
     if args.json_out:
         atomic_write_text(args.json_out, dump_report(report))
@@ -234,20 +252,8 @@ def _print_pair(report: dict) -> None:
 def cmd_tensor(args) -> int:
     config = _config_from(args)
     t0 = time.perf_counter()
-    left_spec = load_system(args.left)
-    right_spec = load_system(args.right)
-    left = analyze_system(
-        opsys_of(left_spec, config.tol),
-        config,
-        name=left_spec.name,
-        digest=spec_digest(left_spec),
-    )
-    right = analyze_system(
-        opsys_of(right_spec, config.tol),
-        config,
-        name=right_spec.name,
-        digest=spec_digest(right_spec),
-    )
+    specs = [_load(path, config) for path in (args.left, args.right)]
+    left, right = (_analyze(spec, config) for spec in specs)
     pa = analyze_pair(left, right, config)
     report = pair_report(pa)
     if args.json_out:
@@ -275,10 +281,7 @@ def cmd_corpus(args) -> int:
 
 def _safe_analyze(path_str: str, config: AnalysisConfig):
     try:
-        spec = load_system(path_str)
-        sa = analyze_system(
-            opsys_of(spec, config.tol), config, name=spec.name, digest=spec_digest(spec)
-        )
+        sa = _analyze(_load(path_str, config), config)
     except _HANDLED as exc:
         return (_classify(exc)[0], str(exc))
     return ("ok", sa)

@@ -198,7 +198,7 @@ def _lattice_payload(cert: LatticeCertificate) -> dict:
         "passing": [sorted(s) for s in cert.passing],
         "failing": [sorted(s) for s in cert.failing],
         "maximal": sorted(cert.maximal),
-        "witness": [_complex_payload(w) for w in (cert.witness or ())],
+        "witness": [[_complex_payload(c) for c in cert.witness[i]] for i in sorted(cert.witness)],
     }
 
 
@@ -217,13 +217,18 @@ def analysis_report(sa: SystemAnalysis) -> dict:
     holds one entry per block: a killed block's ``"left-inverse"`` witness
     read off ψ, and a kept block's refutation of its singleton ideal, a
     ``"norm-drop"`` with the drop as ``separation`` and the one matrix
-    whose norm drops as ``witness``; a simple algebra's one block is
-    ``"simple"``.  ``"timing"`` holds
+    whose norm drops as ``witness`` (a simple algebra's one block has the
+    unit, of drop 1).  ``certificates/lattice/witness`` lists ψ's Choi
+    parts per killed label, in the ascending order of ``maximal``: for
+    killed block i, one ``(d_j·d_i)²`` matrix per kept label j in label
+    order.  ``"timing"`` holds
     iteration counts per stage, not seconds, so that the report stays
     byte-deterministic; ``lattice_iterations`` sums the feasibility
     searches over the tested ideals, and an ideal's count sums its
     per-killed-block searches.  ``"isometry"`` holds the numbers of the
-    left-inverse check that certifies the quotient completely isometric.
+    left-inverse check that certifies the quotient completely isometric:
+    the largest block interpolation residual and the least eigenvalue of a
+    Choi part, both 0.0 when nothing is killed.
     """
     report = {
         "schema": SCHEMA,
@@ -271,8 +276,9 @@ def pair_report(pa: PairAnalysis) -> dict:
     """Tensor-pair report document aggregating the four checks.
 
     ``"isometry"`` holds the left-inverse check of the product's quotient,
-    whose left inverse is the tensor of the factors'.  The product's
-    certificate is built from the factors' and checked, so a pair that
+    whose left inverse is the tensor of the factors', read as in
+    :func:`analysis_report` (both 0.0 when nothing is killed).  The
+    product's certificate is built from the factors' and checked, so a pair that
     reports at all has ``subspace_contained``, ``killed_match``,
     ``dims_match`` and ``boundary_pair_closure`` true by construction; a
     failed certificate check raises instead (exit 2).  Those keys stay

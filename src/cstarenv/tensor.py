@@ -46,8 +46,11 @@ ideal of E ⊗min F as the kernel K of q_E ⊗ q_F, and the factors'
 certificates give the product's: the tensor of the factor left inverses is
 a UCP left inverse for K, so K is boundary, and the tensor of the factors'
 refuting matrices drops in norm when any kept pair block is killed, so K is
-the largest boundary ideal (Arveson 2008).  The certificate is checked on
-the concrete tensor system like a searched one.  The factorization check
+the largest boundary ideal (Arveson 2008).  The left inverse stays in the
+block form the factors' searches found: one Choi part per killed and kept
+pair block, the Kronecker product of two factor parts, and none at all when
+nothing is killed.  The certificate is checked on the concrete tensor
+system like a searched one.  The factorization check
 takes the two factor envelopes, and the boundary-pair check its report,
 whose tensor system, pair blocks, power chain and three envelopes every
 later pair check reads.
@@ -59,7 +62,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import EnvelopeResult, LatticeCertificate, _checked_envelope, block_images
+from .boundary import (
+    EnvelopeResult,
+    LatticeCertificate,
+    _block_choi,
+    _checked_envelope,
+    block_images,
+)
 from .errors import InputError, StructuralError, VerificationError
 from .linalg import DEFAULT_TOL, MatSubspace, Tolerances, subspace_equal
 from .opsys import CStarAlgebra, OperatorSystem
@@ -107,15 +116,12 @@ class TensorSystem:
     product: OperatorSystem
 
 
-def min_tensor(
-    E: OperatorSystem, F: OperatorSystem, tol: Tolerances = DEFAULT_TOL
-) -> TensorSystem:
-    """Minimal tensor product ``E (x) F`` inside ``M_(nm)``."""
+def min_tensor(E: OperatorSystem, F: OperatorSystem) -> TensorSystem:
+    """Minimal tensor product ``E (x) F`` inside ``M_(nm)``, not re-validated:
+    on the exact Kronecker basis 1 ⊗ 1 = 1 and (a ⊗ b)* = a* ⊗ b*."""
     space = subspace_kron(E.space, F.space)
     label = f"{E.label}(x){F.label}" if E.label or F.label else ""
-    product = OperatorSystem(space=space, label=label)
-    product.validate(tol)
-    return TensorSystem(left=E, right=F, product=product)
+    return TensorSystem(left=E, right=F, product=OperatorSystem(space=space, label=label))
 
 
 @dataclass(frozen=True)
@@ -254,19 +260,12 @@ def kernel_of_tensor_quotients(P: ProductBlocks, I: BlockIdeal, J: BlockIdeal) -
     return BlockIdeal(parent=P.wedderburn, killed=killed)
 
 
-def _kept_refutation(env: EnvelopeResult, label: int) -> tuple[np.ndarray, float]:
-    """The matrix that refutes a kept factor block's singleton ideal, and
-    its re-checked drop.  The one block of a simple algebra takes the
-    identity, of drop 1: no other block carries its norm."""
-    block = env.dk_certificate.per_block[label - 1]
-    if block.method == "simple":
-        return np.eye(env.system.ambient, dtype=np.complex128), 1.0
-    return block.witness[0], block.separation
-
-
 def _tensor_levels(x: np.ndarray, y: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
-    """``x ⊗ y`` for m×m and m'×m' matrices over two systems, as the
-    (m·m')×(m·m') matrix whose cell ((r, u), (s, v)) is ``x_rs ⊗ y_uv``."""
+    """``x ⊗ y`` for m×m and m'×m' matrices of n_x×n_x and n_y×n_y cells,
+    as the (m·m')×(m·m') matrix whose cell ((r, u), (s, v)) is
+    ``x_rs ⊗ y_uv``: the tensor of two matrices over two systems, and the
+    Choi matrix of φ ⊗ χ from those of φ and χ, of targets M_{n_x} and
+    M_{n_y}."""
     m, m2 = x.shape[0] // n_x, y.shape[0] // n_y
     cells = np.einsum(
         "rasb,ucvd->ruacsvbd", x.reshape(m, n_x, m, n_x), y.reshape(m2, n_y, m2, n_y)
@@ -280,41 +279,45 @@ def _tensored_certificate(
 ) -> LatticeCertificate:
     """The product's lattice certificate, built from the factors'.
 
-    The maximum is the kernel K.  Its left inverse ψ_T = ψ_E ⊗ ψ_F has one
-    Choi block per kept pair (i, j), the reshuffled Kronecker product of the
-    factors' blocks at i and j: ψ_T(q_T(x ⊗ y)) = ψ_E(q_E(x)) ⊗ ψ_F(q_F(y))
-    = x ⊗ y, and a Kronecker product of PSD matrices is PSD.  A kept pair
-    (i, j) is refuted by x_i ⊗ y_j, the tensor of the factors' refuting
-    matrices of norm one: ‖π_i(x_i)‖ = 1 and ‖π_k(x_i)‖ ≤ 1 − δ_x for k ≠ i,
-    so killing only (i, j) leaves ‖q(x_i ⊗ y_j)‖ = max over (k, l) ≠ (i, j)
-    of ‖π_k(x_i)‖·‖π_l(y_j)‖ ≤ 1 − min(δ_x, δ_y), the refutation's residual.
-    ∅, K and K's singletons pass by restriction of ψ_T; the kept singletons
-    and the full ideal fail.  Nothing here is trusted: the checker checks
-    ψ_T on the concrete product and re-checks every drop.
+    The maximum is the kernel K.  Its left inverse is ψ_E ⊗ ψ_F, kept in
+    block form: a killed pair (i, j) has one part per kept pair (k, l), the
+    reshuffled Kronecker product of ψ_E,i's part at k and ψ_F,j's part at l,
+    where a kept factor block acts as its coordinate projection
+    (:func:`cstarenv.boundary._block_choi`).  The kept pairs are the pairs
+    of kept blocks, so ψ_E,i ⊗ ψ_F,j sends q_T(x ⊗ y) to
+    π_i(x) ⊗ π_j(y) = π_(i,j)(x ⊗ y), and a Kronecker product of PSD
+    matrices is PSD.  A pair with nothing killed carries no part.  A kept pair (i, j) is refuted by x_i ⊗ y_j,
+    the tensor of the factors' refuting matrices of norm one:
+    ‖π_i(x_i)‖ = 1 and ‖π_k(x_i)‖ ≤ 1 − δ_x for k ≠ i, so killing only
+    (i, j) leaves ‖q(x_i ⊗ y_j)‖ = max over (k, l) ≠ (i, j) of
+    ‖π_k(x_i)‖·‖π_l(y_j)‖ ≤ 1 − min(δ_x, δ_y), the refutation's residual.
+    ∅, K and K's singletons pass by restriction; the kept singletons and
+    the full ideal fail.  Nothing here is trusted: the checker checks the
+    parts on the concrete product and re-checks every drop.
     """
     n_E, n_F = env_E.system.ambient, env_F.system.ambient
-    psi_E = dict(zip(env_E.quotient.kept, env_E.lattice_certificate.witness))
-    psi_F = dict(zip(env_F.quotient.kept, env_F.lattice_certificate.witness))
-    witness, refutations = [], {}
-    for label, (i, j) in enumerate(P.pairs, start=1):
-        if label in K.killed:
-            continue
-        d = P.wedderburn.blocks[label - 1][0]
-        a, b = P.left.blocks[i - 1][0], P.right.blocks[j - 1][0]
-        choi = np.einsum(
-            "kaKA,lbLB->klabKLAB",
-            psi_E[i].reshape(a, n_E, a, n_E),
-            psi_F[j].reshape(b, n_F, b, n_F),
+    kept = [label for label in P.wedderburn.labels if label not in K.killed]
+    witness, refutations = {}, {}
+    for label in sorted(K.killed):
+        i, j = P.pairs[label - 1]
+        psi_E = _block_choi(P.left, env_E.lattice_certificate, i)
+        psi_F = _block_choi(P.right, env_F.lattice_certificate, j)
+        d_i, d_j = P.left.blocks[i - 1][0], P.right.blocks[j - 1][0]
+        witness[label] = tuple(
+            _tensor_levels(psi_E[k - 1], psi_F[l - 1], d_i, d_j)
+            for k, l in (P.pairs[t - 1] for t in kept)
         )
-        witness.append(choi.reshape(d * n_E * n_F, d * n_E * n_F))
-        (x, dx), (y, dy) = _kept_refutation(env_E, i), _kept_refutation(env_F, j)
-        x_T = _tensor_levels(x, y, n_E, n_F)
-        refutations[label] = FeasibilityResult(False, [x_T], min(dx, dy), 0, "norm-drop")
+    for label in kept:
+        i, j = P.pairs[label - 1]
+        x, y = env_E.dk_certificate.per_block[i - 1], env_F.dk_certificate.per_block[j - 1]
+        x_T = _tensor_levels(x.witness[0], y.witness[0], n_E, n_F)
+        drop = min(x.separation, y.separation)
+        refutations[label] = FeasibilityResult(False, [x_T], drop, 0, "norm-drop")
     singles = [frozenset({j}) for j in P.wedderburn.labels]
     passing = {frozenset(), K.killed, *(s for s in singles if s <= K.killed)}
     failing = {frozenset(P.wedderburn.labels), *(s for s in singles if not s <= K.killed)}
     passing, failing = (tuple(sorted(s, key=sorted)) for s in (passing, failing))
-    return LatticeCertificate(passing, failing, 0, tuple(witness), refutations)
+    return LatticeCertificate(passing, failing, 0, witness, refutations)
 
 
 def _powers(env: EnvelopeResult) -> tuple[MatSubspace, ...]:
@@ -471,7 +474,7 @@ def verify_envelope_tensor_factorization(
         raise InputError(
             f"product ambient {n} exceeds the cap {max_ambient_product}"
         )
-    T = min_tensor(env_E.system, env_F.system, tol)
+    T = min_tensor(env_E.system, env_F.system)
 
     left, right = _powers(env_E), _powers(env_F)
     chain, residuals, margins = _verified_power_chain(

@@ -352,16 +352,17 @@ class UcpSpectrahedron:
 @dataclass(frozen=True)
 class FeasibilityResult:
     """A feasibility verdict.  ``certificate`` is the Choi tuple of a
-    feasible verdict (None for a ``"restriction"`` verdict, which a larger
-    ideal's certificate covers), and the one-matrix list ``[x]`` of a
-    ``"norm-drop"`` refutation, x the matrix whose norm drops; ``residual``
-    is then the drop.  An infeasible :func:`ucp_feasibility` verdict has no
-    certificate and its affine gap as ``residual``; the lattice route turns
-    it into a norm-drop refutation
-    (:func:`cstarenv.boundary._gap_refutation`)."""
+    feasible :func:`ucp_feasibility` verdict; a feasible block ideal's is the
+    mapping from each killed label to its Choi tuple (None for a
+    ``"restriction"`` verdict, which a larger ideal's certificate covers);
+    and a ``"norm-drop"`` refutation's is the one-matrix list ``[x]``, x
+    the matrix whose norm drops, with the drop as ``residual``.  An
+    infeasible :func:`ucp_feasibility` verdict has no certificate and its
+    affine gap as ``residual``; the lattice route turns it into a norm-drop
+    refutation (:func:`cstarenv.boundary._gap_refutation`)."""
 
     feasible: bool
-    certificate: list | None
+    certificate: list | dict | None
     residual: float
     iterations: int
     method: str

@@ -5,7 +5,9 @@ package's subspace machinery cannot hide inside the oracle that is supposed
 to catch it.  Three kinds of exception call the package.
 :func:`build_left_inverse_spectrahedron` writes the left-inverse
 constraints in the whole ambient, a formulation the package's per-block
-search does not use.  The dual-certificate uniqueness route
+search does not use, and :func:`ambient_left_inverse` assembles the ambient
+left inverse the package keeps in block form (:func:`indefinite_null_shift`
+breaks its positivity and nothing else).  The dual-certificate uniqueness route
 (:func:`dual_uniqueness`) writes each block's extension spectrahedron with
 the package's ``UcpSpectrahedron``.  And the computations the package ran
 before structure or the lattice gave their answers
@@ -360,8 +362,9 @@ def build_left_inverse_spectrahedron(E, W, killed, tol):
     ambient that invert the quotient on the system, as one spectrahedron.
 
     Nonempty exactly when the ideal has the boundary property.  The package
-    searches one killed block at a time; this full-target form is the
-    independent check of the left inverse it assembles.
+    searches and checks one killed block at a time; this full-target form is
+    the independent check of the left inverse its parts assemble into
+    (:func:`ambient_left_inverse`).
     """
     from cstarenv.linalg import hermitian_basis
     from cstarenv.ucp import UcpSpectrahedron
@@ -371,6 +374,59 @@ def build_left_inverse_spectrahedron(E, W, killed, tol):
     dims = tuple(W.blocks[j - 1][0] for j in kept)
     sources = [W.irrep_apply(j, basis) for j in kept]
     return UcpSpectrahedron.from_constraints(dims, E.space.ambient, sources, basis)
+
+
+def ambient_left_inverse(W, kept, parts) -> list[np.ndarray]:
+    """Choi blocks, one ``(d_j·n)²`` matrix per kept label j, of
+    ψ(x) = u*(⊕_i 1_{m_i} ⊗ ψ_i(x))u, as the lattice route once assembled
+    its certificate.
+
+    ``parts[i]`` holds the Choi parts of ψ_i (one per kept label) for a
+    killed block i; a kept block i takes the coordinate projection, whose
+    Choi matrix is ``maximally_entangled(d_i)`` at source i and zero at the
+    other sources.
+    """
+    n = W.ambient
+    offsets = W.block_offsets()
+    mats = []
+    for pos, j in enumerate(kept):
+        dj = W.blocks[j - 1][0]
+        cells = np.zeros((dj, dj, n, n), dtype=complex)
+        for i, (di, mi) in enumerate(W.blocks, start=1):
+            if i in parts:
+                c = parts[i][pos]
+            elif i == j:
+                c = maximally_entangled(dj)
+            else:
+                continue
+            c = c.reshape(dj, di, dj, di).transpose(0, 2, 1, 3)
+            for copy in range(mi):
+                s = offsets[i - 1] + copy * di
+                cells[:, :, s : s + di, s : s + di] = c
+        cells = np.conj(W.u.T) @ cells @ W.u
+        mats.append(cells.transpose(0, 2, 1, 3).reshape(dj * n, dj * n))
+    return mats
+
+
+def indefinite_null_shift(E, W, killed, parts):
+    """Add ``t·(Yᵀ ⊗ 1)`` to the one part of a left inverse that kills one
+    of two blocks, with Y a Hermitian matrix orthogonal to q(E), and return
+    the new parts: the map changes by ``x ↦ t·tr(xY)·1``, which
+    vanishes on q(E), but Y is traceless (the unit lies in q(E)), so the
+    part gets a negative eigenvalue once t is large enough."""
+    (i,) = killed
+    (j,) = sorted(set(W.labels) - killed)
+    dj, di = W.blocks[j - 1][0], W.blocks[i - 1][0]
+    images = np.stack([W.irrep_apply(j, b).ravel() for b in E.space.basis])
+    _, sv, vh = np.linalg.svd(np.conj(images))
+    y = vh[int(np.count_nonzero(sv > 1e-9))].reshape(dj, dj)
+    y = max(((y + y.conj().T) / 2, (y - y.conj().T) / 2j), key=np.linalg.norm)
+    for b in E.space.basis:
+        assert abs(np.trace(W.irrep_apply(j, b) @ y)) < 1e-12
+    d = np.kron(y.T, np.eye(di))
+    (c,) = parts[i]
+    t = 2 * (np.linalg.eigvalsh(c)[-1] + 1) / -np.linalg.eigvalsh(d)[0]
+    return {i: (c + t * d,)}
 
 
 def constraint_rows(source_dims, t: int, constraints) -> tuple[np.ndarray, np.ndarray]:

@@ -170,6 +170,62 @@ def test_overflowing_generator_norm_exits_one(capsys, tmp_path):
     assert "generators[0]" in err and "overflows" in err
 
 
+def _refuse_to_build_past(cap, monkeypatch):
+    """Let ``cli.opsys_of`` build only systems of ambient at most ``cap``, so
+    a missing refusal fails the test before anything of the huge ambient is
+    allocated."""
+    real = cli.opsys_of
+
+    def guarded(spec, tol):
+        assert spec.ambient_dim <= cap, f"built a system of ambient {spec.ambient_dim}"
+        return real(spec, tol)
+
+    monkeypatch.setattr(cli, "opsys_of", guarded)
+
+
+def _huge_document(path):
+    path.write_text(
+        json.dumps({"schema": "v1", "name": "huge", "ambient_dim": 10**6, "generators": []})
+    )
+    return path
+
+
+def _past_the_cap(path):
+    return f"{path}: ambient_dim 1000000 exceeds the cap 36 (--max-ambient-product)"
+
+
+def test_an_ambient_past_the_cap_exits_one_before_its_system_is_built(
+    corpus_dir, capsys, tmp_path, monkeypatch
+):
+    _refuse_to_build_past(36, monkeypatch)
+    huge = _huge_document(tmp_path / "huge.json")
+    for argv in (["analyze", str(huge)], ["tensor", str(corpus_dir / "full_M1.json"), str(huge)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {_past_the_cap(huge)}\n"
+    # the cap is the flag's, and a system at the cap is analyzed
+    state_sum = str(corpus_dir / "state_sum.json")
+    code, _, err = run(capsys, "analyze", state_sum, "--max-ambient-product", "2")
+    assert code == 1 and "ambient_dim 3 exceeds the cap 2" in err
+    assert run(capsys, "analyze", state_sum, "--max-ambient-product", "3", "--quiet")[0] == 0
+
+
+def test_verify_all_row_shows_an_ambient_past_the_cap(capsys, tmp_path, monkeypatch):
+    _refuse_to_build_past(36, monkeypatch)
+    manifest = write_corpus(tmp_path, seed=1, count=4)
+    huge = _huge_document(tmp_path / "huge.json")
+    manifest["systems"].append({"name": "huge", "file": "huge.json"})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code, out, _ = run(capsys, "verify-all", str(tmp_path), "--json-out", str(tmp_path / "out"))
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    row = summary["systems"][-1]
+    assert (row["name"], row["status"]) == ("huge", "input")
+    assert row["detail"] == _past_the_cap(huge)
+    # the other members and every pair still verify
+    assert all(r["status"] == "ok" for r in summary["systems"][:-1] + summary["pairs"])
+
+
 def test_bad_arguments_exit_one(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1 and "error:" in err

@@ -44,6 +44,7 @@ from _oracles import (
     concrete_power_chain,
     gram_schmidt_system_space,
     ideal_subspace,
+    indefinite_null_shift,
     match_by_intertwiner,
     orthonormality_residual,
     pair_permutation_loop,
@@ -84,8 +85,22 @@ def test_min_tensor_is_an_operator_system(system):
     T = min_tensor(system("state_sum"), system("jordan_M2"))
     assert T.product.space.ambient == 6
     assert T.product.space.dim == system("state_sum").space.dim * system("jordan_M2").space.dim
-    # unital and adjoint closed, because validate() passed
+    # unital by construction: 1 ⊗ 1 is in the Kronecker basis's span
     assert subspace_contains(T.product.space, np.eye(6, dtype=complex), DEFAULT_TOL)
+
+
+def test_every_product_up_to_ambient_9_passes_validation(entries, system):
+    # min_tensor does not validate the product, which is an operator system
+    # by construction; validate stays the reference, on every ordered pair
+    # of the seed-1 corpus up to product ambient 9
+    names = sorted(entries)
+    checked = 0
+    for a, b in itertools.product(names, repeat=2):
+        E, F = system(a), system(b)
+        if E.ambient * F.ambient <= 9:
+            min_tensor(E, F).product.validate(DEFAULT_TOL)
+            checked += 1
+    assert checked >= 200, checked
 
 
 def test_tensor_map_on_elementary_tensors(wedderburn):
@@ -457,11 +472,12 @@ def test_a_pair_whose_search_stalls_verifies(analyses, config, one_blas_thread):
 
 def test_a_scaled_factor_left_inverse_fails_for_the_product_ideal(analyses):
     # the tensored left inverse is checked on the concrete product: a factor
-    # certificate scaled by 1.01 no longer interpolates it
+    # part scaled by 1.01 no longer interpolates it
     env_E, env_F = analyses("state_sum").envelope, analyses("jordan_M2").envelope
     lattice = env_E.lattice_certificate
-    scaled = replace(lattice, witness=tuple(1.01 * c for c in lattice.witness))
-    broken = replace(env_E, lattice_certificate=scaled)
+    witness = {i: tuple(1.01 * c for c in parts) for i, parts in lattice.witness.items()}
+    assert len(witness) == 1
+    broken = replace(env_E, lattice_certificate=replace(lattice, witness=witness))
     P = product_blocks(env_E.wedderburn, env_F.wedderburn)
     K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal)
     assert sorted(K.killed) == [P.label_of((2, 1))]
@@ -470,6 +486,60 @@ def test_a_scaled_factor_left_inverse_fails_for_the_product_ideal(analyses):
         verify_envelope_tensor_factorization(broken, env_F)
     with pytest.raises(VerificationError, match="fails to interpolate"):
         verify_envelope_tensor_factorization(env_F, broken)
+
+
+def test_a_factor_part_with_a_negative_eigenvalue_fails_the_pair(analyses):
+    # the shifted factor part still interpolates on the product, but its
+    # Kronecker products with the other factor's parts are indefinite
+    env_E, env_F = analyses("state_sum").envelope, analyses("jordan_M2").envelope
+    lattice = env_E.lattice_certificate
+    E, W = env_E.system, env_E.wedderburn
+    witness = indefinite_null_shift(E, W, lattice.maximal, lattice.witness)
+    broken = replace(env_E, lattice_certificate=replace(lattice, witness=witness))
+    P = product_blocks(env_E.wedderburn, env_F.wedderburn)
+    K = kernel_of_tensor_quotients(P, env_E.ideal, env_F.ideal)
+    message = f"left inverse for the ideal {sorted(K.killed)} is not completely positive"
+    for pair in ((broken, env_F), (env_F, broken)):
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            verify_envelope_tensor_factorization(*pair)
+    # the intact factors pass
+    assert verify_envelope_tensor_factorization(env_E, env_F).verified
+
+
+def test_a_pair_checks_one_choi_part_per_killed_and_kept_pair_block(
+    entries, analyses, config, monkeypatch
+):
+    # a pair with nothing killed carries and checks no Choi block; any other
+    # checks one small part per killed and kept pair block, none of ambient
+    # size
+    pairs = standard_pairs(entries)
+    factors = {name: analyses(name) for pair in pairs for name in pair}
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    seen = Counter()
+    for a, b in pairs:
+        shapes.clear()
+        env = analyze_pair(factors[a], factors[b], config).factorization.product_envelope
+        W, killed = env.wedderburn, env.ideal.killed
+        kept = [j for j in W.labels if j not in killed]
+        want = [
+            (W.blocks[j - 1][0] * W.blocks[i - 1][0],) * 2 for i in sorted(killed) for j in kept
+        ]
+        assert shapes == want, (a, b)
+        assert [len(env.lattice_certificate.witness[i]) for i in sorted(killed)] == [
+            len(kept)
+        ] * len(killed)
+        if not killed:
+            assert env.lattice_certificate.witness == {}
+            assert (env.isometry.residual, env.isometry.min_eig) == (0.0, 0.0)
+        seen[bool(killed)] += 1
+    assert seen[True] >= 2 and seen[False] >= 2, seen
 
 
 def test_a_kept_factor_witness_without_a_drop_fails_the_pair_block(analyses):

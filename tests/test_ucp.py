@@ -400,8 +400,9 @@ def test_distance_bound_is_nearly_attained_by_a_rank_one_point():
 
 
 def test_non_unique_block_carries_exact_witness(system, wedderburn):
-    # the killed block's witness is the left inverse's compression bit for
-    # bit, at the distance sqrt(d_i^2 + sum_j |candidate_j|^2) from J0
+    # the killed block's witness is its part of the left inverse bit for
+    # bit, zero at its own source, at the distance
+    # sqrt(d_i^2 + sum_j |candidate_j|^2) from J0
     E = system("state_sum")
     _, W = wedderburn("state_sum")
     data = block_images(E, W, DEFAULT_TOL)
@@ -415,7 +416,8 @@ def test_non_unique_block_carries_exact_witness(system, wedderburn):
         "left-inverse",
         0,
     )
-    candidate = boundary._left_inverse_candidate(W, lattice, 2)
+    (part,) = lattice.witness[2]
+    candidate = [part, np.zeros((1, 1), dtype=complex)]
     assert len(block.witness) == len(candidate)
     for got, want in zip(block.witness, candidate):
         assert np.array_equal(got, want)

@@ -15,7 +15,6 @@ from cstarenv.linalg import (
 from cstarenv.opsys import CStarAlgebra, generated_cstar, opsys_from_generators
 from cstarenv.specio import opsys_of
 from cstarenv.tensor import product_blocks
-from cstarenv.ucp import maximally_entangled
 from cstarenv import wedderburn as wedderburn_module
 from cstarenv.wedderburn import (
     _VALIDATION_TOL,
@@ -382,8 +381,9 @@ def test_svd_bases_are_orthonormal_and_span_the_same_rows(
 
 def test_full_matrix_algebras_have_the_identity_gauge(entries, analyses):
     # an algebra of dimension n^2 is M_n: u is the identity bit for bit, so
-    # its lattice witness, the identity's Choi matrix, does not move with
-    # rounding, and reordering the generators leaves both as they are
+    # its one block's witness, the unit, does not move with rounding, and
+    # reordering the generators leaves both as they are; the identity left
+    # inverse kills nothing and has no parts
     full = [
         name
         for name, e in entries.items()
@@ -397,5 +397,6 @@ def test_full_matrix_algebras_have_the_identity_gauge(entries, analyses):
         for sa in (analyses(name), analyze_system(reordered, name=name)):
             assert sa.wedderburn.blocks == ((n, 1),), name
             assert np.array_equal(sa.wedderburn.u, np.eye(n)), name
-            (psi,) = sa.lattice_certificate.witness
-            assert psi.tobytes() == maximally_entangled(n).tobytes(), name
+            assert sa.lattice_certificate.witness == {}, name
+            ((unit,),) = [b.witness for b in sa.dk_certificate.per_block]
+            assert unit.tobytes() == np.eye(n, dtype=complex).tobytes(), name
